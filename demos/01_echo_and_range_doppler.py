@@ -32,7 +32,7 @@ print(f"Doppler bin      : {derived.doppler_bin_hz:8.3f} Hz"
 print("\n=== static reflector at 30 m ===")
 scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),)).validate()
 rd = compute_map(synthesize_frame(scene, radar, 0))
-r_bin, d_bin = np.unravel_index(np.argmax(rd.magnitudes), rd.magnitudes.shape)
+r_bin, d_bin = np.unravel_index(np.argmax(rd), rd.shape)
 print(f"predicted range bin {beat_range_bin(radar, 30.0)}, measured argmax {r_bin}")
 print(f"Doppler argmax at bin {d_bin} (DC bin is {dc_bin(radar.chirps_per_frame)})")
 
@@ -41,7 +41,7 @@ print("\n=== body-only target ascending at 1.5 m/s ===")
 body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
 scene = SceneSpec(emitters=(UavEmitter(body, constant_velocity(48.0, 1.5, 4.0)),)).validate()
 rd = compute_map(synthesize_frame(scene, radar, 0))
-row = rd.magnitudes[int(np.argmax(rd.magnitudes.max(axis=1)))]
+row = rd[int(np.argmax(rd.max(axis=1)))]
 axis = doppler_axis_hz(radar)
 raw_hz = 2 * 1.5 * radar.carrier_freq_hz / radar.speed_of_light_m_per_s
 print(f"true Doppler {raw_hz:7.1f} Hz exceeds PRF/2 = {radar.pulse_rate_hz/2:6.1f} Hz")
@@ -52,7 +52,7 @@ print(f"wrapped prediction {aliased_doppler_hz(radar, 1.5):7.1f} Hz, "
 print("\n=== UAV with rotors at 55.6 rev/s, hovering at 48 m ===")
 scene = scenarios.hover_scene(48.0, seed=1)
 rd = compute_map(synthesize_frame(scene, radar, 0))
-row = rd.magnitudes[beat_range_bin(radar, 48.0)]
+row = rd[beat_range_bin(radar, 48.0)]
 dc = dc_bin(radar.chirps_per_frame)
 print(f"body peak sits at DC (bin {dc}): argmax = {int(np.argmax(row))}")
 strong = np.flatnonzero(row > 0.25 * np.delete(row, dc).max())

@@ -33,11 +33,11 @@ scene = scenarios.hover_scene(48.0, seed=1)
 rd = compute_map(synthesize_frame(scene, radar, 0))
 uav_bin = beat_range_bin(radar, 48.0)
 
-uav = folding_result(rd.magnitudes[uav_bin])
+uav = folding_result(rd[uav_bin])
 print(f"UAV row (bin {uav_bin}):   result {uav.folding_result:7.2f} "
       f"at size {uav.best_folding_size}")
 for offset in (25, 60):
-    other = folding_result(rd.magnitudes[uav_bin + offset])
+    other = folding_result(rd[uav_bin + offset])
     print(f"noise row (bin {uav_bin + offset}): result {other.folding_result:7.2f} "
           f"at size {other.best_folding_size}")
 

@@ -1,8 +1,8 @@
 """Walkthrough: Doppler-time segments and the LSTM detector, desk scale.
 
 Generates a small balanced corpus of UAV and distractor captures, preprocesses
-each into one aligned 3.6 s Doppler-time segment (DC removal, feature
-alignment, folding filter), trains the two-layer LSTM briefly and reports the
+each into one aligned 3.6 s Doppler-time segment with the same recipe as
+`rotorsense dataset gen` (DC removal, feature alignment, folding filter), trains the two-layer LSTM briefly and reports the
 held-out confusion metrics. A small run finishes in about two minutes; the
 full acceptance experiment uses 200 + 200 segments.
 
@@ -11,51 +11,30 @@ Run: python demos/04_identification.py
 
 import numpy as np
 
-from rotorsense import RadarConfig, derive, process_frames, synthesize_frames
-from rotorsense.echo import frame_mid_times
-from rotorsense.folding import build_folding_map
-from rotorsense.identify import (LABELS, calibrate_threshold, classify, dc_removal,
-                                 diagram_at_bins, feature_alignment,
-                                 noise_window_max_folds, normalize_segment,
-                                 segment_split_filter, segment_window_frames)
+from rotorsense import RadarConfig, derive
+from rotorsense.cli import background_threshold, scene_segment
+from rotorsense.identify import LABELS, classify, normalize_segment, segment_window_frames
 from rotorsense.lstm import LstmDetector, lstm_train
-from rotorsense.rdmap import beat_range_bin
 from rotorsense import scenarios
 
 radar = RadarConfig().validate()
 derived = derive(radar, v_max_m_per_s=4.0)
 window = segment_window_frames(derived)
-times = frame_mid_times(radar, window)
 rng = np.random.default_rng(2024)
 
 print(f"segment window: {window} frames = {window * derived.frame_duration_s:.1f} s")
 
 print("calibrating the folding threshold from a noise-only capture ...")
-bg = scenarios.background_scene(seed=1)
-bg_fmap = build_folding_map(process_frames(synthesize_frames(bg, radar, window)))
-threshold = calibrate_threshold(noise_window_max_folds(bg_fmap, window))
+threshold = background_threshold(radar, window, seed=1)
 print(f"threshold (noise mean + 5 sigma): {threshold:.2f}")
-
-
-def one_segment(scene, bins, label):
-    maps = process_frames(synthesize_frames(scene, radar, window))
-    diagram = feature_alignment(dc_removal(diagram_at_bins(maps, bins, times)))
-    seg = segment_split_filter(diagram, window, threshold)[0]
-    seg.label = label
-    return seg
 
 
 print("synthesizing 18 UAV + 18 distractor captures ...")
 segments = []
 for i in range(18):
-    scene = scenarios.sample_uav_scene(rng)
-    traj = scene.emitters[0].trajectory
-    bins = [beat_range_bin(radar, float(r)) for r in traj.range_at(times)]
-    segments.append(one_segment(scene, bins, "uav"))
-
-    scene = scenarios.sample_distractor_scene(rng)
-    rng_m = scene.emitters[0].params["range_m"]
-    segments.append(one_segment(scene, [beat_range_bin(radar, rng_m)] * window, "other"))
+    segments.append(scene_segment(scenarios.sample_uav_scene(rng), radar, window, threshold))
+    segments.append(scene_segment(scenarios.sample_distractor_scene(rng), radar, window,
+                                  threshold))
 
 passed = sum(s.passed_filter for s in segments)
 print(f"{passed}/{len(segments)} segments pass the folding filter "

@@ -8,7 +8,11 @@ and model formats; no wall-clock timestamps are written.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 internal error. Global flags may also be set via environment variables
-ROTORSENSE_SEED, ROTORSENSE_OUT, ROTORSENSE_CONFIG and ROTORSENSE_THREADS.
+ROTORSENSE_SEED, ROTORSENSE_OUT and ROTORSENSE_CONFIG.
+
+background_threshold and scene_segment are the one dataset recipe: `dataset
+gen`, the acceptance suite and the identification demo all build segments
+with them.
 """
 
 from __future__ import annotations
@@ -139,16 +143,16 @@ def _read_capture(args):
 
 
 def _tracking_chain(frames, radar, args, seed):
-    """maps -> folding map -> background subtraction -> DP -> particle filter."""
+    """magnitude cube -> folding map -> background subtraction -> DP -> particle filter."""
     derived = derive(radar, v_max_m_per_s=args.v_max)
     times = echo.frame_mid_times(radar, len(frames))
-    maps = process_frames(frames)
-    fmap = build_folding_map(maps, j_min=args.j_min, j_max=args.j_max,
+    cube = process_frames(frames)
+    fmap = build_folding_map(cube, j_min=args.j_min, j_max=args.j_max,
                              frame_times=times)
     if args.background:
         bg_frames, _ = frameio.read_frames(args.background)
-        bg_maps = process_frames(bg_frames)
-        bg_fmap = build_folding_map(bg_maps, j_min=args.j_min, j_max=args.j_max)
+        bg_fmap = build_folding_map(process_frames(bg_frames),
+                                    j_min=args.j_min, j_max=args.j_max)
         profile = tracking.estimate_noise_profile(bg_fmap)
         profile_source = "background-capture"
     else:
@@ -160,7 +164,7 @@ def _tracking_chain(frames, radar, args, seed):
     pf_cfg = tracking.default_pf_config(derived,
                                         rng_seed=component_seed(seed, "particle-filter"))
     tracking.particle_filter(track, pf_cfg, derived)
-    return maps, fmap, cleaned, track, derived, profile_source
+    return cube, fmap, cleaned, track, derived, profile_source
 
 
 def _low_confidence(cleaned, track, window: int):
@@ -172,6 +176,48 @@ def _low_confidence(cleaned, track, window: int):
     except IdentifyError:
         return False, None
     return bool(track.scores.max() < calibration), float(calibration)
+
+
+# --- the dataset recipe --------------------------------------------------------
+
+def background_threshold(radar: RadarConfig, window: int, seed: int) -> float:
+    """Folding-filter threshold from a UAV-free capture of one segment window.
+
+    The background scene (clutter plus noise) is seeded by `seed`; the
+    threshold is the mean + 5 sigma of its per-window folding maxima.
+    """
+    bg = scenarios.background_scene(seed=seed)
+    fmap = build_folding_map(process_frames(echo.synthesize_frames(bg, radar, window)))
+    return identify.calibrate_threshold(identify.noise_window_max_folds(fmap, window))
+
+
+def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
+                  threshold: float) -> identify.Segment:
+    """The labelled segment of a scene whose first emitter is the target.
+
+    Synthesizes `window` frames, reads the magnitude cube at the target's
+    truth range bins, removes DC, aligns and applies the folding filter. A UAV
+    target is labelled "uav", a distractor "other"; the provenance names the
+    scene kind (and a UAV's rotation rate).
+    """
+    target = scene.emitters[0]
+    times = echo.frame_mid_times(radar, window)
+    if isinstance(target, UavEmitter):
+        bins = [beat_range_bin(radar, float(r)) for r in target.trajectory.range_at(times)]
+        label = "uav"
+        provenance = {"scene": "uav", "rotation_rate_hz":
+                      target.uav.rotor_angular_velocity_rad_per_s / (2 * np.pi)}
+    else:
+        bins = [beat_range_bin(radar, float(target.params["range_m"]))] * window
+        label = "other"
+        provenance = {"scene": target.kind}
+    cube = process_frames(echo.synthesize_frames(scene, radar, window))
+    diagram = identify.diagram_at_bins(cube, bins, times)
+    diagram = identify.feature_alignment(identify.dc_removal(diagram))
+    segment = identify.segment_split_filter(diagram, window, threshold)[0]
+    segment.label = label
+    segment.provenance.update(provenance, source_bins="truth")
+    return segment
 
 
 # --- subcommands --------------------------------------------------------------
@@ -204,7 +250,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     frames, radar = _read_capture(args)
-    maps, fmap, cleaned, track, derived, profile_source = _tracking_chain(
+    _, fmap, cleaned, track, derived, profile_source = _tracking_chain(
         frames, radar, args, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,9 +297,9 @@ def cmd_identify(args) -> int:
             raise IdentifyError("dataset contains no segments")
     else:
         frames, radar = _read_capture(args)
-        maps, fmap, cleaned, track, derived, _ = _tracking_chain(
+        cube, fmap, cleaned, track, derived, _ = _tracking_chain(
             frames, radar, args, args.seed)
-        diagram = identify.extract_doppler_time(maps, track)
+        diagram = identify.diagram_at_bins(cube, track.range_bins, track.frame_times)
         diagram = identify.feature_alignment(identify.dc_removal(diagram))
         window = identify.segment_window_frames(derived)
         if args.threshold_mode == "auto":
@@ -291,26 +337,24 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    segments = identify.load_segments(args.dataset)
-    labeled = [s for s in segments if s.label in identify.LABELS]
+def _training_tensors(path, normalize: bool):
+    """Labelled segments of a dataset file as (x [n, steps, bins], y [n])."""
+    labeled = [s for s in identify.load_segments(path) if s.label in identify.LABELS]
     if not labeled:
-        raise ModelError("dataset contains no labeled segments")
-    x = np.stack([identify.normalize_segment(s.values) if not args.no_normalize
+        raise ModelError(f"dataset {path} contains no labeled segments")
+    x = np.stack([identify.normalize_segment(s.values) if normalize
                   else np.asarray(s.values, dtype=float) for s in labeled])
     y = np.array([identify.LABELS.index(s.label) for s in labeled])
+    return x, y
+
+
+def cmd_train(args) -> int:
+    normalize = not args.no_normalize
+    x, y = _training_tensors(args.dataset, normalize)
     detector = lstm.LstmDetector(
         input_dim=x.shape[2], hidden_size=args.hidden,
-        seed=component_seed(args.seed, "lstm-init"),
-        normalize=not args.no_normalize)
-    val = None
-    if args.val_dataset:
-        vseg = [s for s in identify.load_segments(args.val_dataset)
-                if s.label in identify.LABELS]
-        vx = np.stack([identify.normalize_segment(s.values) if not args.no_normalize
-                       else np.asarray(s.values, dtype=float) for s in vseg])
-        vy = np.array([identify.LABELS.index(s.label) for s in vseg])
-        val = (vx, vy)
+        seed=component_seed(args.seed, "lstm-init"), normalize=normalize)
+    val = _training_tensors(args.val_dataset, normalize) if args.val_dataset else None
     _, history = lstm.lstm_train(
         detector, x, y, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, rng_seed=component_seed(args.seed, "lstm-batches"),
@@ -344,54 +388,31 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _dataset_gen(args) -> int:
-    radar = _radar_for(args)
-    derived = derive(radar, v_max_m_per_s=args.v_max)
-    window = identify.segment_window_frames(derived)
-    rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))
-
-    bg = scenarios.background_scene(seed=component_seed(args.seed, "dataset-background"))
-    bg_frames = echo.synthesize_frames(bg, radar, window)
-    bg_fmap = build_folding_map(process_frames(bg_frames))
-    threshold = identify.calibrate_threshold(
-        identify.noise_window_max_folds(bg_fmap, min(window, bg_fmap.n_frames)))
-
-    segments = []
-    for label, count in (("uav", args.uav), ("other", args.distractor)):
-        for _ in range(count):
-            if label == "uav":
-                scene = scenarios.sample_uav_scene(rng)
-                traj = scene.emitters[0].trajectory
-                times = echo.frame_mid_times(radar, window)
-                bins = [beat_range_bin(radar, float(r)) for r in traj.range_at(times)]
-                provenance = {"scene": "uav", "source_bins": "truth",
-                              "rotation_rate_hz":
-                                  scene.emitters[0].uav.rotor_angular_velocity_rad_per_s
-                                  / (2 * np.pi)}
-            else:
-                scene = scenarios.sample_distractor_scene(rng)
-                dist = scene.emitters[0]
-                bins = [beat_range_bin(radar, float(dist.params["range_m"]))] * window
-                provenance = {"scene": dist.kind, "source_bins": "truth"}
-            frames = echo.synthesize_frames(scene, radar, window)
-            maps = process_frames(frames)
-            diagram = identify.diagram_at_bins(
-                maps, bins, echo.frame_mid_times(radar, window))
-            diagram = identify.feature_alignment(identify.dc_removal(diagram))
-            segs = identify.segment_split_filter(diagram, window, threshold)
-            for seg in segs:
-                seg.label = label
-                seg.provenance.update(provenance)
-            segments.extend(segs)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    identify.save_segments(out / "dataset.bin", segments)
+def _save_split(segments, args, out: Path) -> int:
+    """Seeded train/test split into out/train.bin and out/test.bin; returns the train count."""
     order = np.random.default_rng(
         component_seed(args.seed, "dataset-split")).permutation(len(segments))
     n_train = int(round(args.train_frac * len(segments)))
     identify.save_segments(out / "train.bin", [segments[i] for i in order[:n_train]])
     identify.save_segments(out / "test.bin", [segments[i] for i in order[n_train:]])
+    return n_train
+
+
+def _dataset_gen(args) -> int:
+    radar = _radar_for(args)
+    window = identify.segment_window_frames(derive(radar, v_max_m_per_s=args.v_max))
+    rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))
+    threshold = background_threshold(radar, window,
+                                     component_seed(args.seed, "dataset-background"))
+    segments = [scene_segment(scenarios.sample_uav_scene(rng), radar, window, threshold)
+                for _ in range(args.uav)]
+    segments += [scene_segment(scenarios.sample_distractor_scene(rng), radar, window,
+                               threshold) for _ in range(args.distractor)]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    identify.save_segments(out / "dataset.bin", segments)
+    n_train = _save_split(segments, args, out)
     _write_json(out / "dataset_meta.json", {
         "uav": args.uav, "distractor": args.distractor,
         "window_frames": window, "threshold": threshold, "seed": args.seed,
@@ -406,13 +427,9 @@ def _dataset_split(args) -> int:
     segments = identify.load_segments(args.dataset)
     if not segments:
         raise IdentifyError("dataset contains no segments")
-    rng = np.random.default_rng(component_seed(args.seed, "dataset-split"))
-    order = rng.permutation(len(segments))
-    n_train = int(round(args.train_frac * len(segments)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    identify.save_segments(out / "train.bin", [segments[i] for i in order[:n_train]])
-    identify.save_segments(out / "test.bin", [segments[i] for i in order[n_train:]])
+    n_train = _save_split(segments, args, out)
     print(f"split {len(segments)} segments into {n_train} train / "
           f"{len(segments) - n_train} test")
     return EXIT_OK
@@ -462,8 +479,6 @@ def _add_common(p):
                    help="output directory")
     p.add_argument("--config", default=_env_default("CONFIG", str, None),
                    help="radar config JSON (defaults: built-in radar)")
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", int, 1),
-                   help="reserved; computation is single-process")
 
 
 def _add_pipeline_flags(p):

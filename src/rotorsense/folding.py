@@ -11,8 +11,8 @@ i.e. the fundamental period rather than its multiples.
 Leftover entries beyond M*j are dropped. Rows are folded as-is, including the
 DC bin; DC handling belongs to the identification preprocessing.
 
-Folding results of every range bin of every frame form the range-time folding
-map that the tracker consumes.
+Folding results of every range bin of every frame of a magnitude cube form the
+range-time folding map that the tracker consumes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 
 class FoldingError(ValueError):
-    """Folding size out of range or inconsistent map shapes."""
+    """Folding size out of range or an empty magnitude cube."""
 
 
 @dataclass(frozen=True)
@@ -108,38 +108,33 @@ def folding_result(d: np.ndarray, j_min: int = 2, j_max: int = 20) -> FoldOutcom
                        sizes=sizes, per_size_values=values)
 
 
-def build_folding_map(maps, j_min: int = 2, j_max: int = 20,
+def build_folding_map(cube, j_min: int = 2, j_max: int = 20,
                       frame_times=None) -> FoldingMap:
-    """Fold every Doppler row of every Range-Doppler map.
+    """Fold every Doppler row of a magnitude cube [frames, range bins, Doppler bins].
 
     values[r, t] is the folding result of range bin r in frame t; best_sizes
-    holds the winning folding size. All maps must share one shape.
+    holds the winning folding size. frame_times defaults to the frame
+    positions 0, 1, 2, ...
     """
-    maps = list(maps)
-    if not maps:
+    cube = np.asarray(cube, dtype=float)
+    if cube.size == 0:
         raise FoldingError("no Range-Doppler maps given")
-    shape = maps[0].magnitudes.shape
-    for m in maps:
-        if m.magnitudes.shape != shape:
-            raise FoldingError(
-                f"map shape mismatch: {m.magnitudes.shape} vs {shape}")
-    n_r, n_l = shape
+    n_t, n_r, n_l = cube.shape
     sizes = _size_range(n_l, j_min, j_max)
 
-    values = np.empty((n_r, len(maps)))
-    best = np.empty((n_r, len(maps)), dtype=int)
+    values = np.empty((n_r, n_t))
+    best = np.empty((n_r, n_t), dtype=int)
     per_size = np.empty((sizes.shape[0], n_r))
-    for t, rd in enumerate(maps):
-        mags = rd.magnitudes
+    for t in range(n_t):
         for i, j in enumerate(sizes):
-            sums, m_rows = _column_sums(mags, int(j))
+            sums, m_rows = _column_sums(cube[t], int(j))
             per_size[i] = sums.max(axis=-1) / m_rows
         idx = np.argmax(per_size, axis=0)
         values[:, t] = per_size[idx, np.arange(n_r)]
         best[:, t] = sizes[idx]
 
     if frame_times is None:
-        frame_times = np.array([float(m.frame_index) for m in maps])
+        frame_times = np.arange(n_t)
     return FoldingMap(values=values, best_sizes=best,
                       frame_times=np.asarray(frame_times, dtype=float))
 

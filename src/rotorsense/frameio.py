@@ -73,39 +73,35 @@ def read_header(path) -> dict:
     return header
 
 
-def read_frames(path):
-    """Returns (frames, header dict)."""
-    header = read_header(path)
-    chirps, samples = int(header["L"]), int(header["Ns"])
-    frame_duration = chirps * float(header["Tc"])
-    data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
+def _decode_frames(data: np.ndarray, chirps: int, samples: int,
+                   frame_duration_s: float) -> list[Frame]:
+    """Interleaved (re, im) payload -> complex128 frames of chirps x samples."""
     per_frame = chirps * samples * 2
     if data.size == 0 or data.size % per_frame != 0:
         raise FormatError(
-            f"payload of {data.size} floats is not a whole number of "
+            f"{data.dtype} payload of {data.size} values is not a whole number of "
             f"{chirps}x{samples} frames")
     n_frames = data.size // per_frame
     cube = data.reshape(n_frames, chirps, samples, 2).astype(np.float64)
-    frames = [Frame(frame_index=i, start_time_s=i * frame_duration,
-                    samples=cube[i, :, :, 0] + 1j * cube[i, :, :, 1])
-              for i in range(n_frames)]
+    return [Frame(frame_index=i, start_time_s=i * frame_duration_s,
+                  samples=cube[i, :, :, 0] + 1j * cube[i, :, :, 1])
+            for i in range(n_frames)]
+
+
+def read_frames(path):
+    """Returns (frames, header dict)."""
+    header = read_header(path)
+    chirps = int(header["L"])
+    data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
+    frames = _decode_frames(data, chirps, int(header["Ns"]), chirps * float(header["Tc"]))
     return frames, header
 
 
 def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int,
                       frame_duration_s: float):
     """Headerless int16 interleaved capture with caller-supplied layout."""
-    data = np.fromfile(path, dtype="<i2")
-    per_frame = chirps_per_frame * samples_per_chirp * 2
-    if data.size == 0 or data.size % per_frame != 0:
-        raise FormatError(
-            f"int16 payload of {data.size} values is not a whole number of "
-            f"{chirps_per_frame}x{samples_per_chirp} frames")
-    n_frames = data.size // per_frame
-    cube = data.reshape(n_frames, chirps_per_frame, samples_per_chirp, 2).astype(np.float64)
-    return [Frame(frame_index=i, start_time_s=i * frame_duration_s,
-                  samples=cube[i, :, :, 0] + 1j * cube[i, :, :, 1])
-            for i in range(n_frames)]
+    return _decode_frames(np.fromfile(path, dtype="<i2"), chirps_per_frame,
+                          samples_per_chirp, frame_duration_s)
 
 
 def radar_from_header(header: dict, samples_per_chirp: int | None = None,

@@ -1,7 +1,8 @@
 """Doppler-time diagrams, their preprocessing, segmentation and classification.
 
-The tracked range bin's Doppler rows stacked over time form a Doppler-time
-diagram. Before classification the diagram is normalized in two steps:
+The Doppler rows of a magnitude cube at the tracked range bins, one per
+frame, form a Doppler-time diagram. Before classification the diagram is
+normalized in two steps:
 
 DC removal     -- frames whose global peak sits away from the zero-Doppler bin
                   carry no body return at DC, so their DC bins estimate the DC
@@ -34,8 +35,7 @@ import numpy as np
 from .config import DerivedParams
 from .folding import FoldingMap, folding_result
 from .lstm import LstmDetector
-from .rdmap import dc_bin, doppler_row
-from .tracking import Track
+from .rdmap import dc_bin
 
 LABELS = ("other", "uav")  # class index order; "uav" is the positive class
 
@@ -82,35 +82,24 @@ def segment_window_frames(derived: DerivedParams, seconds: float = SEGMENT_SECON
     return int(round(seconds / derived.frame_duration_s))
 
 
-def extract_doppler_time(maps, track: Track) -> DopplerTimeDiagram:
-    """Column t is the Doppler row of map t at the tracked bin."""
-    maps = list(maps)
-    bins = np.asarray(track.range_bins)
-    if len(maps) != bins.shape[0]:
-        raise IdentifyError(
-            f"track length {bins.shape[0]} does not match {len(maps)} maps")
-    for t, rd in enumerate(maps):
-        if rd.frame_index != t:
-            raise IdentifyError(
-                f"maps are not a contiguous capture: position {t} holds frame {rd.frame_index}")
-    cols = np.stack([doppler_row(rd, int(bins[t])) for t, rd in enumerate(maps)])
-    return DopplerTimeDiagram(columns=cols.astype(float),
-                              frame_times=np.asarray(track.frame_times, dtype=float),
-                              range_bins=bins.copy())
+def diagram_at_bins(cube, range_bins, frame_times=None) -> DopplerTimeDiagram:
+    """Column t is the Doppler row of frame t of the magnitude cube at range_bins[t].
 
-
-def diagram_at_bins(maps, range_bins, frame_times=None) -> DopplerTimeDiagram:
-    """Diagram extraction at externally supplied bins (e.g. simulation truth)."""
-    maps = list(maps)
-    bins = np.asarray(range_bins, dtype=int)
-    if len(maps) != bins.shape[0]:
-        raise IdentifyError(f"{bins.shape[0]} bins for {len(maps)} maps")
-    cols = np.stack([doppler_row(rd, int(bins[t])) for t, rd in enumerate(maps)])
+    The bins come from a track or from simulation truth; frame_times defaults
+    to the frame positions 0, 1, 2, ...
+    """
+    cube = np.asarray(cube, dtype=float)
+    bins = np.array(range_bins, dtype=int)
+    n_frames, n_range = cube.shape[:2]
+    if n_frames != bins.shape[0]:
+        raise IdentifyError(f"bin count {bins.shape[0]} does not match {n_frames} frames")
+    if np.any((bins < 0) | (bins >= n_range)):
+        raise IdentifyError(f"range bin out of bounds [0, {n_range})")
     if frame_times is None:
-        frame_times = np.array([float(m.frame_index) for m in maps])
-    return DopplerTimeDiagram(columns=cols.astype(float),
+        frame_times = np.arange(n_frames)
+    return DopplerTimeDiagram(columns=cube[np.arange(n_frames), bins],
                               frame_times=np.asarray(frame_times, dtype=float),
-                              range_bins=bins.copy())
+                              range_bins=bins)
 
 
 def dc_removal(diagram: DopplerTimeDiagram, epsilon_bins: int = 2) -> DopplerTimeDiagram:
@@ -322,7 +311,10 @@ def load_segments(path) -> list[Segment]:
         magic = fh.read(len(SEGMENT_MAGIC))
         if magic != SEGMENT_MAGIC:
             raise IdentifyError(f"not a segment dataset file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        raw = fh.read(4)
+        if len(raw) < 4:
+            raise IdentifyError("truncated dataset header: no schema_version")
+        (version,) = struct.unpack("<I", raw)
         if version != SEGMENT_SCHEMA_VERSION:
             raise IdentifyError(f"unsupported dataset schema_version {version}")
         while True:

@@ -19,6 +19,7 @@ the forget gate (1.0, the usual stabilizer).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,7 +297,13 @@ def save_model(detector: LstmDetector, path) -> None:
 
 
 def load_model(path) -> LstmDetector:
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ModelError(f"model file is not a readable archive: {exc}")
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ModelError("model file is not a readable archive: a bare array, not .npz")
+    with archive as data:
         try:
             manifest = json.loads(bytes(data["manifest"]).decode())
         except Exception as exc:

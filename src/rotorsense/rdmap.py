@@ -1,4 +1,8 @@
-"""Range-Doppler processing: fast-time FFT, slow-time FFT, row extraction.
+"""Range-Doppler processing: fast-time FFT, slow-time FFT, magnitude cube.
+
+A frame's Range-Doppler map is a float64 magnitude array [range bins, Doppler
+bins]; a capture's maps stack into one cube [frames, range bins, Doppler bins]
+whose first axis is the frame order.
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
@@ -11,7 +15,6 @@ leakage suppression.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,28 +25,12 @@ _WINDOWS = ("rect", "hann")
 
 
 class ProcessingError(ValueError):
-    """Input violates a processing precondition (non-finite samples, bad bin)."""
+    """Input violates a processing precondition (non-finite samples, no frames)."""
 
 
 def dc_bin(n_doppler_bins: int) -> int:
     """Index of the zero-Doppler bin after center shift."""
     return n_doppler_bins // 2
-
-
-@dataclass(frozen=True)
-class RangeDopplerMap:
-    """Magnitude spectrum, shape [range bins, Doppler bins], Doppler center-shifted."""
-
-    frame_index: int
-    magnitudes: np.ndarray
-
-    @property
-    def n_range_bins(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_doppler_bins(self) -> int:
-        return self.magnitudes.shape[1]
 
 
 def _window(kind: str, n: int) -> np.ndarray | None:
@@ -68,9 +55,8 @@ def range_fft(frame: Frame, window: str = "rect") -> np.ndarray:
     return np.fft.fft(samples, axis=1) / np.sqrt(samples.shape[1])
 
 
-def doppler_fft(range_matrix: np.ndarray, frame_index: int = 0,
-                window: str = "rect") -> RangeDopplerMap:
-    """Per-range-bin FFT along slow time, center-shifted, magnitude taken.
+def doppler_fft(range_matrix: np.ndarray, window: str = "rect") -> np.ndarray:
+    """Per-range-bin FFT along slow time, center-shifted; magnitude [range, Doppler].
 
     A body at radial velocity v peaks at Doppler frequency 2*v*fc/c, folded
     into the +-1/(2*Tc) unambiguous span.
@@ -83,24 +69,27 @@ def doppler_fft(range_matrix: np.ndarray, frame_index: int = 0,
         mat = mat * w[:, None]
     spec = np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
     spec = np.fft.fftshift(spec, axes=0)
-    return RangeDopplerMap(frame_index=frame_index, magnitudes=np.abs(spec).T)
+    return np.abs(spec).T
 
 
-def compute_map(frame: Frame, window: str = "rect") -> RangeDopplerMap:
-    return doppler_fft(range_fft(frame, window=window), frame.frame_index, window=window)
+def compute_map(frame: Frame, window: str = "rect") -> np.ndarray:
+    return doppler_fft(range_fft(frame, window=window), window=window)
 
 
-def process_frames(frames, window: str = "rect") -> list[RangeDopplerMap]:
-    maps = [compute_map(f, window=window) for f in frames]
-    return sorted(maps, key=lambda m: m.frame_index)
+def process_frames(frames, window: str = "rect") -> np.ndarray:
+    """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
 
-
-def doppler_row(rd_map: RangeDopplerMap, range_bin: int) -> np.ndarray:
-    """Doppler spectrum of one range bin (a view, length L)."""
-    if not 0 <= range_bin < rd_map.n_range_bins:
-        raise ProcessingError(
-            f"range bin {range_bin} out of bounds [0, {rd_map.n_range_bins})")
-    return rd_map.magnitudes[range_bin]
+    Each frame is stored Doppler-major, the order the Doppler FFT yields it,
+    so filling the cube copies contiguous memory instead of transposing; the
+    returned cube is a transposed view of that buffer.
+    """
+    frames = list(frames)
+    if not frames:
+        raise ProcessingError("no frames given")
+    buf = np.empty((len(frames),) + frames[0].samples.shape)
+    for t, frame in enumerate(frames):
+        buf[t] = compute_map(frame, window=window).T
+    return buf.transpose(0, 2, 1)
 
 
 def doppler_axis_hz(radar: RadarConfig) -> np.ndarray:
@@ -121,11 +110,12 @@ def aliased_doppler_hz(radar: RadarConfig, velocity_m_per_s: float) -> float:
     return (f + prf / 2.0) % prf - prf / 2.0
 
 
-def map_to_csv(rd_map: RangeDopplerMap, path) -> None:
-    """Dump (range_bin, doppler_bin, magnitude) rows for plotting."""
+def map_to_csv(rd_map: np.ndarray, path) -> None:
+    """Dump (range_bin, doppler_bin, magnitude) rows of one map for plotting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["range_bin", "doppler_bin", "magnitude"])
-        for r in range(rd_map.n_range_bins):
-            for d in range(rd_map.n_doppler_bins):
-                writer.writerow([r, d, repr(float(rd_map.magnitudes[r, d]))])
+        n_r, n_l = rd_map.shape
+        for r in range(n_r):
+            for d in range(n_l):
+                writer.writerow([r, d, repr(float(rd_map[r, d]))])

@@ -19,43 +19,43 @@ def derived(radar):
 
 def _capture(scene, radar, n_frames):
     frames = synthesize_frames(scene, radar, n_frames)
-    maps = process_frames(frames)
-    fmap = build_folding_map(maps, frame_times=frame_mid_times(radar, n_frames))
-    return frames, maps, fmap
+    cube = process_frames(frames)
+    fmap = build_folding_map(cube, frame_times=frame_mid_times(radar, n_frames))
+    return frames, cube, fmap
 
 
 @pytest.fixture(scope="session")
 def hover_capture(radar):
-    """40-frame hover at 48 m, UAV only; (scene, frames, maps, fmap, truth)."""
+    """40-frame hover at 48 m, UAV only; (scene, frames, cube, fmap, truth)."""
     scene = scenarios.hover_scene(48.0, seed=1)
-    frames, maps, fmap = _capture(scene, radar, 40)
+    frames, cube, fmap = _capture(scene, radar, 40)
     truth = scene_truth(scene, radar, 40)
-    return scene, frames, maps, fmap, truth
+    return scene, frames, cube, fmap, truth
 
 
 @pytest.fixture(scope="session")
 def ascent_capture(radar):
     """40-frame ascent at 1.5 m/s from 40 m, UAV only."""
     scene = scenarios.ascent_scene(40.0, 1.5, seed=2)
-    frames, maps, fmap = _capture(scene, radar, 40)
+    frames, cube, fmap = _capture(scene, radar, 40)
     truth = scene_truth(scene, radar, 40)
-    return scene, frames, maps, fmap, truth
+    return scene, frames, cube, fmap, truth
 
 
 @pytest.fixture(scope="session")
 def tracking_scenes(radar):
     """Hover / ascent captures over static clutter plus a matching background.
 
-    Returns {"hover": (scene, frames, maps, fmap, truth), "ascent": ...,
-    "background": (frames, maps, fmap)}; the clutter ridge makes spectral
+    Returns {"hover": (scene, frames, cube, fmap, truth), "ascent": ...,
+    "background": (frames, cube, fmap)}; the clutter ridge makes spectral
     subtraction do real work before the DP search.
     """
     clutter = scenarios.default_clutter()
     out = {}
     for name, scene in (("hover", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
                         ("ascent", scenarios.ascent_scene(40.0, 1.5, seed=2, clutter=clutter))):
-        frames, maps, fmap = _capture(scene, radar, 40)
-        out[name] = (scene, frames, maps, fmap, scene_truth(scene, radar, 40))
+        frames, cube, fmap = _capture(scene, radar, 40)
+        out[name] = (scene, frames, cube, fmap, scene_truth(scene, radar, 40))
     out["background"] = _capture(
         scenarios.background_scene(seed=99, clutter=clutter), radar, 40)
     return out

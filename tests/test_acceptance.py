@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 
 from rotorsense import scenarios, tracking
+from rotorsense.cli import background_threshold, scene_segment
 from rotorsense.config import RadarConfig, constant_velocity, derive, hover
 from rotorsense.echo import (SceneSpec, UavEmitter, frame_mid_times, scene_truth,
                              synthesize_frames)
 from rotorsense.folding import build_folding_map, folding_result, folding_value
-from rotorsense.identify import (LABELS, binary_metrics, calibrate_threshold,
-                                 classify, dc_removal, diagram_at_bins,
-                                 feature_alignment, noise_window_max_folds,
-                                 normalize_segment, segment_split_filter,
-                                 segment_window_frames)
+from rotorsense.identify import (LABELS, binary_metrics, classify, feature_alignment,
+                                 normalize_segment, segment_window_frames)
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
 from rotorsense.tracking import (default_pf_config, dp_max_path,
@@ -46,12 +44,12 @@ def test_criterion_1_comb_structure():
     t0 = time.perf_counter()
     scene = scenarios.hover_scene(48.0, seed=1)
     frames = synthesize_frames(scene, RADAR, 40)
-    maps = process_frames(frames)
+    cube = process_frames(frames)
     uav_bin = beat_range_bin(RADAR, 48.0)
     dc = dc_bin(RADAR.chirps_per_frame)
     hits = 0
-    for rd in maps:
-        spacing = comb_spacing_estimate(rd.magnitudes[uav_bin], exclude=(dc - 2, dc + 2))
+    for rd in cube:
+        spacing = comb_spacing_estimate(rd[uav_bin], exclude=(dc - 2, dc + 2))
         hits += spacing is not None and abs(spacing - 5) <= 1
     elapsed = time.perf_counter() - t0
     report(1, hits >= 0.95 * 40 and elapsed < 10.0,
@@ -235,36 +233,21 @@ def test_criterion_7_lstm_gradients_and_determinism():
 # --- 8 + 9. identification experiment ------------------------------------------------------
 
 WINDOW = segment_window_frames(DERIVED)
-TIMES = frame_mid_times(RADAR, WINDOW)
-
-
-def _segment_from_scene(scene, bins, label, threshold):
-    maps = process_frames(synthesize_frames(scene, RADAR, WINDOW))
-    diagram = feature_alignment(dc_removal(diagram_at_bins(maps, bins, TIMES)))
-    seg = segment_split_filter(diagram, WINDOW, threshold)[0]
-    seg.label = label
-    return seg
 
 
 @pytest.fixture(scope="module")
 def identification_experiment():
-    """200 UAV + 200 distractor segments, 70/30 split, trained detector."""
+    """200 UAV + 200 distractor segments, 70/30 split, trained detector.
+
+    Segments come from the same recipe functions as `rotorsense dataset gen`.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    bg = scenarios.background_scene(seed=4100)
-    bg_fmap = build_folding_map(process_frames(synthesize_frames(bg, RADAR, WINDOW)))
-    threshold = calibrate_threshold(noise_window_max_folds(bg_fmap, WINDOW))
-
-    segments = []
-    for _ in range(200):
-        scene = scenarios.sample_uav_scene(rng)
-        traj = scene.emitters[0].trajectory
-        bins = [beat_range_bin(RADAR, float(r)) for r in traj.range_at(TIMES)]
-        segments.append(_segment_from_scene(scene, bins, "uav", threshold))
-    for _ in range(200):
-        scene = scenarios.sample_distractor_scene(rng)
-        bins = [beat_range_bin(RADAR, scene.emitters[0].params["range_m"])] * WINDOW
-        segments.append(_segment_from_scene(scene, bins, "other", threshold))
+    threshold = background_threshold(RADAR, WINDOW, seed=4100)
+    segments = [scene_segment(scenarios.sample_uav_scene(rng), RADAR, WINDOW, threshold)
+                for _ in range(200)]
+    segments += [scene_segment(scenarios.sample_distractor_scene(rng), RADAR, WINDOW,
+                               threshold) for _ in range(200)]
 
     order = rng.permutation(len(segments))
     n_train = int(round(0.7 * len(segments)))
@@ -316,8 +299,7 @@ def test_criterion_9_preprocessing_invariants(identification_experiment):
         traj = hover(48.0, 3.7) if v == 0 else constant_velocity(48.0, v, 3.7)
         scene = SceneSpec(emitters=(UavEmitter(uav, traj),),
                           noise_std=scenarios.DATASET_NOISE_STD, rng_seed=seed).validate()
-        bins = [beat_range_bin(RADAR, float(r)) for r in traj.range_at(TIMES)]
-        seg = _segment_from_scene(scene, bins, "uav", threshold=0.0)
+        seg = scene_segment(scene, RADAR, WINDOW, threshold=0.0)
         scores = detector.forward(normalize_segment(seg.values))
         exp = np.exp(scores - scores.max())
         return (exp / exp.sum())[1]

@@ -207,6 +207,32 @@ def test_identify_model_dim_mismatch_exits_one(tmp_path):
                  "--model", str(model_path), "--out", str(tmp_path)]) == 1
 
 
+def test_unreadable_model_exits_one(tmp_path, capsys):
+    det = lstm.LstmDetector(input_dim=7, hidden_size=4, seed=0)
+    truncated = tmp_path / "model.npz"
+    lstm.save_model(det, truncated)
+    truncated.write_bytes(truncated.read_bytes()[:100])
+    bare_array = tmp_path / "array.npy"
+    np.save(bare_array, np.ones(3))
+    identify.save_segments(tmp_path / "segments.bin",
+                           [identify.Segment(values=np.ones((4, 7)), label="uav")])
+    for model_path in (truncated, bare_array):
+        assert main(["identify", "--dataset", str(tmp_path / "segments.bin"),
+                     "--model", str(model_path), "--out", str(tmp_path)]) == 1
+        assert "not a readable archive" in capsys.readouterr().err
+
+
+def test_train_unlabeled_validation_set_exits_one(tmp_path, capsys):
+    labeled = [identify.Segment(values=np.ones((4, 7)), label=lab)
+               for lab in ("uav", "other")]
+    identify.save_segments(tmp_path / "train.bin", labeled)
+    identify.save_segments(tmp_path / "val.bin", [identify.Segment(values=np.ones((4, 7)))])
+    assert main(["train", "--dataset", str(tmp_path / "train.bin"),
+                 "--val-dataset", str(tmp_path / "val.bin"), "--epochs", "1",
+                 "--hidden", "4", "--out", str(tmp_path)]) == 1
+    assert "no labeled segments" in capsys.readouterr().err
+
+
 def test_identify_no_detection_when_capture_too_short(pipeline_run, tmp_path):
     """A 3.6 s window never fits in a 3-frame capture: defined no-detection exit."""
     scenario = pipeline_run / "hover.json"

@@ -149,7 +149,7 @@ def test_range_loss_scaling(radar):
 def test_static_blob_energy_confined_to_dc(radar):
     frames = synthesize_distractor_frames("static-blob", {"range_m": 30.0}, radar, 1)
     rd = compute_map(frames[0])
-    row = rd.magnitudes[beat_range_bin(radar, 30.0)]
+    row = rd[beat_range_bin(radar, 30.0)]
     dc = dc_bin(radar.chirps_per_frame)
     assert int(np.argmax(row)) == dc
     off_dc = np.delete(row, dc)
@@ -190,10 +190,10 @@ def test_slow_oscillator_folds_below_uav_at_equal_power(radar):
             noise_std=scenarios.NOISE_STD, rng_seed=trial).validate()
         bin_ = beat_range_bin(radar, 48.0)
         best_uav = max(
-            folding_result(compute_map(synthesize_frame(uav_scene, radar, f)).magnitudes[bin_]).folding_result
+            folding_result(compute_map(synthesize_frame(uav_scene, radar, f))[bin_]).folding_result
             for f in range(5))
         best_osc = max(
-            folding_result(compute_map(synthesize_frame(osc_scene, radar, f)).magnitudes[bin_]).folding_result
+            folding_result(compute_map(synthesize_frame(osc_scene, radar, f))[bin_]).folding_result
             for f in range(5))
         wins += best_uav > best_osc
     assert wins >= 0.9 * trials

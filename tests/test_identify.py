@@ -3,11 +3,10 @@ import pytest
 
 from rotorsense.config import derive
 from rotorsense.folding import build_folding_map, folding_result
-from rotorsense.identify import (DopplerTimeDiagram, IdentifyError, Segment,
-                                 binary_metrics, calibrate_threshold, classify,
-                                 dc_removal, diagram_at_bins, extract_doppler_time,
-                                 feature_alignment, load_segments,
-                                 noise_window_max_folds, normalize_segment,
+from rotorsense.identify import (SEGMENT_MAGIC, DopplerTimeDiagram, IdentifyError,
+                                 Segment, binary_metrics, calibrate_threshold, classify,
+                                 dc_removal, diagram_at_bins, feature_alignment,
+                                 load_segments, noise_window_max_folds, normalize_segment,
                                  save_segments, segment_split_filter,
                                  segment_window_frames)
 from rotorsense.lstm import LstmDetector
@@ -43,34 +42,26 @@ def comb_column(center, spacing=5, amp=3.0, base=0.1):
 # --- extraction ----------------------------------------------------------------
 
 def test_single_frame_track_single_column(hover_capture):
-    _, _, maps, fmap, _ = hover_capture
+    _, _, cube, fmap, _ = hover_capture
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
-    diagram = extract_doppler_time(maps[:1], track)
+    diagram = diagram_at_bins(cube[:1], track.range_bins, track.frame_times)
     assert diagram.columns.shape == (1, 100)
-    assert np.array_equal(diagram.columns[0], maps[0].magnitudes[UAV_RANGE_BIN])
+    assert np.array_equal(diagram.columns[0], cube[0, UAV_RANGE_BIN])
 
 
 def test_extract_length_mismatch_errors(hover_capture):
-    _, _, maps, _, _ = hover_capture
+    _, _, cube, _, _ = hover_capture
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
     with pytest.raises(IdentifyError, match="does not match"):
-        extract_doppler_time(maps[:3], track)
-
-
-def test_extract_requires_contiguous_capture(hover_capture):
-    _, _, maps, _, _ = hover_capture
-    track = Track(range_bins=np.array([UAV_RANGE_BIN] * 2), ranges_m=np.zeros(2),
-                  scores=np.zeros(2), k_bins=1, frame_times=np.zeros(2))
-    with pytest.raises(IdentifyError, match="contiguous"):
-        extract_doppler_time([maps[0], maps[2]], track)
+        diagram_at_bins(cube[:3], track.range_bins, track.frame_times)
 
 
 def test_tracked_hover_columns_carry_comb(hover_capture, derived, radar):
-    _, _, maps, fmap, _ = hover_capture
+    _, _, cube, fmap, _ = hover_capture
     track = dp_max_path(fmap, derived.dp_constraint_bins, derived.range_bin_size_m)
-    diagram = extract_doppler_time(maps, track)
+    diagram = diagram_at_bins(cube, track.range_bins, track.frame_times)
     noise_fold = np.median(fmap.values[UAV_RANGE_BIN + 40])
     for col in diagram.columns:
         assert folding_result(col).folding_result > 5 * noise_fold
@@ -85,10 +76,10 @@ def test_off_by_one_bin_keeps_attenuated_comb(radar, derived):
     from rotorsense import synthesize_frames
     range_m = 131.3 * derived.range_bin_size_m
     scene = scenarios.hover_scene(range_m, seed=6)
-    maps = process_frames(synthesize_frames(scene, radar, 10))
-    on = diagram_at_bins(maps, [131] * 10)
-    off = diagram_at_bins(maps, [132] * 10)
-    noise = diagram_at_bins(maps, [171] * 10)
+    cube = process_frames(synthesize_frames(scene, radar, 10))
+    on = diagram_at_bins(cube, [131] * 10)
+    off = diagram_at_bins(cube, [132] * 10)
+    noise = diagram_at_bins(cube, [171] * 10)
     on_f = np.mean([folding_result(c).folding_result for c in on.columns])
     off_f = np.mean([folding_result(c).folding_result for c in off.columns])
     noise_f = np.mean([folding_result(c).folding_result for c in noise.columns])
@@ -212,12 +203,12 @@ def test_segment_filter_thresholding(radar):
 
 
 def test_uav_capture_segments_pass(hover_capture, derived):
-    _, _, maps, fmap, truth = hover_capture
+    _, _, cube, fmap, truth = hover_capture
     window = segment_window_frames(derived)
     assert window == 40
     noise = noise_window_max_folds(fmap, window, exclude_bins=[UAV_RANGE_BIN])
     threshold = calibrate_threshold(noise)
-    diagram = diagram_at_bins(maps, [UAV_RANGE_BIN] * 40)
+    diagram = diagram_at_bins(cube, [UAV_RANGE_BIN] * 40)
     diagram = feature_alignment(dc_removal(diagram))
     segments = segment_split_filter(diagram, window, threshold)
     assert len(segments) == 1
@@ -312,5 +303,8 @@ def test_segment_file_truncated(tmp_path):
     save_segments(path, [seg])
     data = path.read_bytes()
     path.write_bytes(data[:-8])
+    with pytest.raises(IdentifyError, match="truncated"):
+        load_segments(path)
+    path.write_bytes(data[:len(SEGMENT_MAGIC)])
     with pytest.raises(IdentifyError, match="truncated"):
         load_segments(path)

@@ -4,9 +4,10 @@ import pytest
 from rotorsense.config import UavConfig, constant_velocity, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frame
 from rotorsense.folding import folding_result
+from rotorsense.identify import IdentifyError, diagram_at_bins
 from rotorsense.rdmap import (ProcessingError, aliased_doppler_hz, beat_range_bin,
                               compute_map, dc_bin, doppler_axis_hz, doppler_fft,
-                              doppler_row, map_to_csv, process_frames, range_fft)
+                              map_to_csv, range_fft)
 from rotorsense import scenarios
 
 from conftest import UAV_RANGE_BIN, comb_spacing_estimate
@@ -51,7 +52,7 @@ def test_non_finite_input_rejected(radar):
 
 def test_static_point_doppler_at_dc(radar):
     rd = compute_map(_point_frame(radar, 30.0))
-    row = rd.magnitudes[82]
+    row = rd[82]
     assert int(np.argmax(row)) == dc_bin(radar.chirps_per_frame)
 
 
@@ -62,15 +63,15 @@ def test_body_doppler_peak_aliases(radar):
     uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(48.0, 1.5, 4.0)),))
     rd = compute_map(synthesize_frame(scene.validate(), radar, 0))
-    row = rd.magnitudes[int(np.argmax(rd.magnitudes.max(axis=1)))]
+    row = rd[int(np.argmax(rd.max(axis=1)))]
     axis = doppler_axis_hz(radar)
     measured_hz = axis[int(np.argmax(row))]
     assert abs(measured_hz - predicted_hz) <= 11.2  # one Doppler bin
 
 
 def test_uav_comb_spacing_five_bins(radar, hover_capture):
-    _, _, maps, _, _ = hover_capture
-    avg_row = np.mean([m.magnitudes[UAV_RANGE_BIN] for m in maps[:10]], axis=0)
+    _, _, cube, _, _ = hover_capture
+    avg_row = np.mean([rd[UAV_RANGE_BIN] for rd in cube[:10]], axis=0)
     dc = dc_bin(radar.chirps_per_frame)
     spacing = comb_spacing_estimate(avg_row, exclude=(dc - 2, dc + 2))
     assert spacing is not None and abs(spacing - 5) <= 1
@@ -89,7 +90,7 @@ def test_comb_spacing_tracks_rotation_rate(radar):
         uav = scenarios.make_uav(seed=4, rotation_rate_hz=rate)
         scene = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 1.0)),),
                           noise_std=scenarios.NOISE_STD, rng_seed=40).validate()
-        rows = [compute_map(synthesize_frame(scene, radar, f)).magnitudes[UAV_RANGE_BIN]
+        rows = [compute_map(synthesize_frame(scene, radar, f))[UAV_RANGE_BIN]
                 for f in range(8)]
         spacing = comb_spacing_estimate(np.mean(rows, axis=0), exclude=(dc - 2, dc + 2))
         assert spacing is not None and abs(spacing - expected) <= 1, \
@@ -97,25 +98,25 @@ def test_comb_spacing_tracks_rotation_rate(radar):
 
 
 def test_doppler_rows_partition_map(radar, hover_capture):
-    _, _, maps, _, _ = hover_capture
-    rd = maps[0]
-    rebuilt = np.stack([doppler_row(rd, r) for r in range(rd.n_range_bins)])
-    assert np.array_equal(rebuilt, rd.magnitudes)
+    _, frames, cube, _, _ = hover_capture
+    rd = compute_map(frames[0])
+    rebuilt = np.stack([cube[0, r] for r in range(cube.shape[1])])
+    assert np.array_equal(rebuilt, rd)
 
 
 def test_doppler_row_bounds(radar, hover_capture):
-    rd = hover_capture[2][0]
-    with pytest.raises(ProcessingError, match="out of bounds"):
-        doppler_row(rd, rd.n_range_bins)
-    with pytest.raises(ProcessingError, match="out of bounds"):
-        doppler_row(rd, -1)
+    cube = hover_capture[2][:1]
+    with pytest.raises(IdentifyError, match="out of bounds"):
+        diagram_at_bins(cube, [cube.shape[1]])
+    with pytest.raises(IdentifyError, match="out of bounds"):
+        diagram_at_bins(cube, [-1])
 
 
 def test_uav_row_has_comb_neighbor_does_not(radar, hover_capture):
-    _, _, maps, _, _ = hover_capture
-    rd = maps[0]
-    uav_fold = folding_result(doppler_row(rd, UAV_RANGE_BIN)).folding_result
-    empty_fold = folding_result(doppler_row(rd, UAV_RANGE_BIN + 40)).folding_result
+    _, _, cube, _, _ = hover_capture
+    rd = cube[0]
+    uav_fold = folding_result(rd[UAV_RANGE_BIN]).folding_result
+    empty_fold = folding_result(rd[UAV_RANGE_BIN + 40]).folding_result
     assert uav_fold > 5 * empty_fold
 
 
@@ -128,7 +129,7 @@ def test_parseval_through_each_fft(radar):
     mid_energy = np.sum(np.abs(spectrum) ** 2)
     assert abs(mid_energy - in_energy) / in_energy < 1e-6
     rd = doppler_fft(spectrum)
-    out_energy = np.sum(rd.magnitudes ** 2)
+    out_energy = np.sum(rd ** 2)
     assert abs(out_energy - mid_energy) / mid_energy < 1e-6
 
 
@@ -140,24 +141,17 @@ def test_body_argmax_invariant_under_blades(radar):
         SceneSpec(emitters=(UavEmitter(body, traj),)).validate(), radar, 0))
     rd_blade = compute_map(synthesize_frame(
         SceneSpec(emitters=(UavEmitter(bladed, traj),)).validate(), radar, 0))
-    assert np.unravel_index(np.argmax(rd_body.magnitudes), rd_body.magnitudes.shape) \
-        == np.unravel_index(np.argmax(rd_blade.magnitudes), rd_blade.magnitudes.shape)
+    assert np.unravel_index(np.argmax(rd_body), rd_body.shape) \
+        == np.unravel_index(np.argmax(rd_blade), rd_blade.shape)
 
 
 def test_hann_window_option(radar):
     frame = _point_frame(radar, 30.0)
     rd = compute_map(frame, window="hann")
-    assert rd.magnitudes.shape == (256, 100)
-    assert np.all(np.isfinite(rd.magnitudes))
+    assert rd.shape == (256, 100)
+    assert np.all(np.isfinite(rd))
     with pytest.raises(ProcessingError, match="unknown window"):
         range_fft(frame, window="blackman")
-
-
-def test_process_frames_orders_by_index(radar):
-    scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=0).validate()
-    frames = [synthesize_frame(scene, radar, f) for f in (2, 0, 1)]
-    maps = process_frames(frames)
-    assert [m.frame_index for m in maps] == [0, 1, 2]
 
 
 def test_map_csv_dump(radar, tmp_path):
@@ -169,4 +163,4 @@ def test_map_csv_dump(radar, tmp_path):
     assert len(lines) == 1 + 256 * 100
     r, d, mag = lines[1 + 82 * 100 + 50].split(",")
     assert (int(r), int(d)) == (82, 50)
-    assert float(mag) == rd.magnitudes[82, 50]
+    assert float(mag) == rd[82, 50]
