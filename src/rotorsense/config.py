@@ -62,7 +62,8 @@ class RadarConfig:
     def validate(self) -> "RadarConfig":
         for name in ("carrier_freq_hz", "chirp_slope_hz_per_s", "chirp_duration_s",
                      "adc_rate_hz", "speed_of_light_m_per_s"):
-            _require(getattr(self, name) > 0, f"radar.{name} must be > 0")
+            value = getattr(self, name)
+            _require(math.isfinite(value) and value > 0, f"radar.{name} must be finite and > 0")
         _require(self.chirps_per_frame >= 2,
                  "radar.chirps_per_frame must be >= 2 (Doppler FFT needs at least 2 chirps)")
         _require(self.samples_per_chirp >= 2, "radar.samples_per_chirp must be >= 2")

@@ -11,8 +11,16 @@ i.e. the fundamental period rather than its multiples.
 Leftover entries beyond M*j are dropped. Rows are folded as-is, including the
 DC bin; DC handling belongs to the identification preprocessing.
 
+Every folding value comes from one kernel, fold_columns. It takes rows with
+the fold (Doppler) axis first, [L, ...], and folds all their columns at once:
+per size j it adds the M slabs [j, ...] of the folded rows one after another,
+first to last. Each column sum is therefore the plain left-to-right float sum
+of its entries, so a batched value is bit-identical to folding one row alone
+and to a naive per-entry loop.
+
 Folding results of every range bin of every frame of a magnitude cube form the
-range-time folding map that the tracker consumes.
+range-time folding map that the tracker consumes; the cube is folded one frame
+at a time.
 """
 
 from __future__ import annotations
@@ -54,36 +62,12 @@ class FoldingMap:
         return self.values.shape[1]
 
 
-def _check_size(length: int, j: int) -> int:
+def _check_size(length: int, j: int) -> None:
     if j < 2:
         raise FoldingError(f"folding size {j} < 2")
     m = length // j
     if m < 2:
         raise FoldingError(f"folding size {j} leaves {m} < 2 rows for length {length}")
-    return m
-
-
-def _column_sums(rows: np.ndarray, j: int):
-    """Column sums of the folded [M, j] view, batched over leading axis.
-
-    Rows are accumulated one by one so each column sum is the plain
-    left-to-right float sum of its entries; folding_value is therefore
-    bit-identical to a naive per-entry loop.
-    """
-    m = rows.shape[-1] // j
-    cols = rows[..., :m * j].reshape(rows.shape[:-1] + (m, j))
-    sums = cols[..., 0, :].copy()
-    for i in range(1, m):
-        sums += cols[..., i, :]
-    return sums, m
-
-
-def folding_value(d: np.ndarray, j: int) -> float:
-    """Largest column mean of the row folded with size j."""
-    d = np.asarray(d, dtype=float)
-    m = _check_size(d.shape[0], j)
-    sums, _ = _column_sums(d, j)
-    return float(sums.max() / m)
 
 
 def _size_range(length: int, j_min: int, j_max: int) -> np.ndarray:
@@ -95,13 +79,37 @@ def _size_range(length: int, j_min: int, j_max: int) -> np.ndarray:
     return np.arange(j_min, capped + 1)
 
 
+def fold_columns(rows, j_min: int = 2, j_max: int = 20):
+    """Folding values of every column of rows [L, ...] at each size in [j_min, j_max].
+
+    Returns (sizes, values): values[i, ...] is the folding value of each
+    column at sizes[i]. The reduction runs over the slab axis, whose stride
+    always exceeds that of the j axis, so numpy adds whole slabs elementwise
+    in slab order for any layout and never sums a column pairwise. The rows
+    are made C-contiguous first only for speed: each slab is then one block
+    of memory, and a strided input folds several times slower.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    sizes = _size_range(rows.shape[0], j_min, j_max)
+    rest = rows.shape[1:]
+    values = np.empty(sizes.shape + rest)
+    for i, j in enumerate(sizes):
+        m = rows.shape[0] // j
+        sums = np.add.reduce(rows[:m * j].reshape((m, j) + rest), axis=0)
+        values[i] = sums.max(axis=0) / m
+    return sizes, values
+
+
+def folding_value(d: np.ndarray, j: int) -> float:
+    """Largest column mean of the row folded with size j."""
+    d = np.asarray(d, dtype=float)
+    _check_size(d.shape[0], j)
+    return float(fold_columns(d, j, j)[1][0])
+
+
 def folding_result(d: np.ndarray, j_min: int = 2, j_max: int = 20) -> FoldOutcome:
     """Best folding value over sizes [j_min, j_max]; smallest size wins ties."""
-    d = np.asarray(d, dtype=float)
-    sizes = _size_range(d.shape[0], j_min, j_max)
-    values = np.empty(sizes.shape[0])
-    for i, j in enumerate(sizes):
-        values[i] = folding_value(d, int(j))
+    sizes, values = fold_columns(d, j_min, j_max)
     best = int(np.argmax(values))  # first max == smallest size
     return FoldOutcome(folding_result=float(values[best]),
                        best_folding_size=int(sizes[best]),
@@ -115,21 +123,23 @@ def build_folding_map(cube, j_min: int = 2, j_max: int = 20,
     values[r, t] is the folding result of range bin r in frame t; best_sizes
     holds the winning folding size. frame_times defaults to the frame
     positions 0, 1, 2, ...
+
+    Each frame is folded on its own by fold_columns on cube[t].T, the frame
+    with its Doppler axis first. For the cube rdmap.process_frames returns,
+    whose frames are stored Doppler-major, that is a contiguous view and
+    needs no copy. Folding the whole cube in one pass per size would first
+    need a Doppler-first copy of the cube, and measured slower.
     """
     cube = np.asarray(cube, dtype=float)
     if cube.size == 0:
         raise FoldingError("no Range-Doppler maps given")
-    n_t, n_r, n_l = cube.shape
-    sizes = _size_range(n_l, j_min, j_max)
+    n_t, n_r, _ = cube.shape
 
     values = np.empty((n_r, n_t))
     best = np.empty((n_r, n_t), dtype=int)
-    per_size = np.empty((sizes.shape[0], n_r))
     for t in range(n_t):
-        for i, j in enumerate(sizes):
-            sums, m_rows = _column_sums(cube[t], int(j))
-            per_size[i] = sums.max(axis=-1) / m_rows
-        idx = np.argmax(per_size, axis=0)
+        sizes, per_size = fold_columns(cube[t].T, j_min, j_max)
+        idx = np.argmax(per_size, axis=0)  # first max == smallest size
         values[:, t] = per_size[idx, np.arange(n_r)]
         best[:, t] = sizes[idx]
 

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .config import RadarConfig
+from .config import RadarConfig, ValidationError
 from .echo import Frame
 
 FRAME_MAGIC = "rotorsense-raw"
@@ -70,21 +70,36 @@ def read_header(path) -> dict:
     for key in ("L", "Ns", "fs", "Tc", "fc", "K"):
         if key not in header:
             raise FormatError(f"frame header is missing {key!r}")
+        kinds = (int,) if key in ("L", "Ns") else (int, float)
+        if type(header[key]) not in kinds:
+            raise FormatError(f"frame header {key} = {header[key]!r} is not a JSON "
+                              f"{'integer' if key in ('L', 'Ns') else 'number'}")
+    # The value rules are RadarConfig's; a header that breaks them is malformed.
+    try:
+        radar_from_header(header)
+    except ValidationError as exc:
+        raise FormatError(f"frame header does not describe a valid radar: {exc}")
     return header
 
 
 def _decode_frames(data: np.ndarray, chirps: int, samples: int,
                    frame_duration_s: float) -> list[Frame]:
-    """Interleaved (re, im) payload -> complex128 frames of chirps x samples."""
+    """Interleaved (re, im) payload -> complex128 frames of chirps x samples.
+
+    The payload is converted once, into one complex128 cube [frames, chirps,
+    samples]; each frame's samples are a view of it.
+    """
     per_frame = chirps * samples * 2
     if data.size == 0 or data.size % per_frame != 0:
         raise FormatError(
             f"{data.dtype} payload of {data.size} values is not a whole number of "
             f"{chirps}x{samples} frames")
     n_frames = data.size // per_frame
-    cube = data.reshape(n_frames, chirps, samples, 2).astype(np.float64)
-    return [Frame(frame_index=i, start_time_s=i * frame_duration_s,
-                  samples=cube[i, :, :, 0] + 1j * cube[i, :, :, 1])
+    pairs = data.reshape(n_frames, chirps, samples, 2)
+    cube = np.empty(pairs.shape[:3], dtype=np.complex128)
+    cube.real = pairs[..., 0]
+    cube.imag = pairs[..., 1]
+    return [Frame(frame_index=i, start_time_s=i * frame_duration_s, samples=cube[i])
             for i in range(n_frames)]
 
 

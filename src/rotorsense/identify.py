@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DerivedParams
-from .folding import FoldingMap, folding_result
+from .folding import FoldingMap, fold_columns
 from .lstm import LstmDetector
 from .rdmap import dc_bin
 
@@ -170,8 +170,7 @@ def segment_split_filter(diagram: DopplerTimeDiagram, window_frames: int,
     segments = []
     for k in range(n):
         block = diagram.columns[k * window_frames:(k + 1) * window_frames]
-        max_fold = max(folding_result(col, j_min, j_max).folding_result
-                       for col in block)
+        max_fold = fold_columns(block.T, j_min, j_max)[1].max()
         segments.append(Segment(
             values=block.copy(),
             max_folding_result=float(max_fold),

@@ -186,6 +186,17 @@ def test_corrupt_frames_exits_two(tmp_path):
     assert main(["track", "--frames", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("L", 0), ("L", 1), ("L", "x"), ("Ns", -256),
+                                        ("fs", 0)])
+def test_malformed_frame_header_exits_two(tmp_path, capsys, key, value):
+    header = {"magic": "rotorsense-raw", "schema_version": 1, "L": 100, "Ns": 256,
+              "fs": 2.0e6, "Tc": 9.0e-4, "fc": 5.8e9, "K": 2.0e13, key: value}
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode().ljust(256) + b"\x00" * 1024)
+    assert main(["track", "--frames", str(bad), "--out", str(tmp_path)]) == 2
+    assert "frame header" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path):
     assert main(["track", "--frames", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path)]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorsense.echo import SceneSpec, synthesize_frame
 from rotorsense.folding import (FoldingError, build_folding_map, folding_map_to_csv,
@@ -141,12 +142,40 @@ def test_result_bounded_below_by_prefix_mean():
 
 def test_build_single_map_matches_per_row(radar, hover_capture):
     _, _, cube, _, _ = hover_capture
-    fmap = build_folding_map(cube[:1])
-    assert fmap.values.shape == (256, 1)
-    for r in (0, 82, UAV_RANGE_BIN, 255):
-        outcome = folding_result(cube[0, r])
-        assert fmap.values[r, 0] == outcome.folding_result
-        assert fmap.best_sizes[r, 0] == outcome.best_folding_size
+    # process_frames returns a transposed view; fold its copy in C order too
+    assert not cube[0].flags.c_contiguous
+    for layout in (cube, np.ascontiguousarray(cube)):
+        fmap = build_folding_map(layout)
+        assert fmap.values.shape == (256, 40)
+        for t in range(40):
+            for r in range(256):
+                outcome = folding_result(cube[t, r])
+                assert fmap.values[r, t] == outcome.folding_result
+                assert fmap.best_sizes[r, t] == outcome.best_folding_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(4, 64), st.booleans(),
+       st.data())
+def test_build_matches_oracle_and_breaks_ties_small(n_t, n_r, n_l, doppler_major, data):
+    """Integer magnitudes make equal folding values at several sizes common."""
+    shape = (n_t, n_l, n_r) if doppler_major else (n_t, n_r, n_l)
+    flat = data.draw(st.lists(st.integers(0, 3), min_size=n_t * n_r * n_l,
+                              max_size=n_t * n_r * n_l))
+    cube = np.array(flat, dtype=float).reshape(shape)
+    if doppler_major:
+        cube = cube.transpose(0, 2, 1)  # the layout process_frames returns
+    fmap = build_folding_map(cube)
+    sizes = range(2, min(20, n_l // 2) + 1)
+    for t in range(n_t):
+        for r in range(n_r):
+            row = cube[t, r]
+            oracle = [naive_folding_value(row, j) for j in sizes]
+            best = max(oracle)
+            outcome = folding_result(row)
+            assert fmap.values[r, t] == outcome.folding_result == best
+            assert fmap.best_sizes[r, t] == outcome.best_folding_size
+            assert outcome.best_folding_size == sizes[oracle.index(best)]
 
 
 def test_build_rejects_mismatched_shapes():

@@ -84,6 +84,19 @@ def test_missing_header_key_rejected(tmp_path, small_radar):
         read_header(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("L", 8.0), ("L", True), ("L", 1), ("Ns", 0), ("Ns", None), ("Ns", 12),
+    ("Tc", -1e-4), ("fc", float("nan")), ("K", float("inf")), ("fs", "2e6")])
+def test_malformed_header_values_rejected(tmp_path, small_radar, key, value):
+    path = tmp_path / "frames.bin"
+    write_frames(path, [], small_radar)
+    header = json.loads(path.read_text())
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES))
+    with pytest.raises(FormatError, match="frame header"):
+        read_header(path)
+
+
 def test_int16_capture(tmp_path, small_radar):
     rng = np.random.default_rng(0)
     cube = rng.integers(-2000, 2000, (2, 8, 16, 2), dtype=np.int16)

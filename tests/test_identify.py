@@ -200,6 +200,12 @@ def test_segment_filter_thresholding(radar):
     comb_cols = np.stack([comb_column(DC) for _ in range(80)])
     passed = segment_split_filter(diagram_of(comb_cols), 40, threshold)
     assert all(s.passed_filter for s in passed)
+    for cols, segments in ((noise_cols, noise_segments), (fresh, filtered),
+                           (comb_cols, passed)):
+        for k, seg in enumerate(segments):
+            per_column = [folding_result(col).folding_result
+                          for col in cols[40 * k:40 * (k + 1)]]
+            assert seg.max_folding_result == max(per_column)
 
 
 def test_uav_capture_segments_pass(hover_capture, derived):
