@@ -7,7 +7,8 @@ range-time map (folding), recover the range track by spectral subtraction +
 constrained dynamic programming + particle filtering (tracking), then read the
 cube along the track into a Doppler-time diagram and classify its aligned
 segments with a from-scratch LSTM (identify, lstm). The cli module ties the
-stages into reproducible commands and holds the one dataset recipe.
+stages into reproducible commands and holds the one capture recipe
+(track_capture) and the one dataset recipe.
 """
 
 from .config import (DerivedParams, RadarConfig, TrajectorySegment,

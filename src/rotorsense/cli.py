@@ -10,6 +10,9 @@ Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 internal error. Global flags may also be set via environment variables
 ROTORSENSE_SEED, ROTORSENSE_OUT and ROTORSENSE_CONFIG.
 
+track_capture is the one capture recipe: `track`, `identify --frames` and the
+acceptance suite's end-to-end tracking check all track a capture and take its
+noise calibration from it, and capture_segments turns a track into segments.
 background_threshold and scene_segment are the one dataset recipe: `dataset
 gen`, the acceptance suite and the identification demo all build segments
 with them.
@@ -23,12 +26,13 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import echo, frameio, identify, lstm, scenarios, tracking
-from .config import (RadarConfig, TrajectorySegment, TrajectorySpec,
+from .config import (DerivedParams, RadarConfig, TrajectorySegment, TrajectorySpec,
                      ValidationError, derive, load_radar_config)
 from .echo import SceneSpec, SimulationError, StaticClutter, Distractor, UavEmitter
 from .folding import FoldingError, build_folding_map
@@ -134,48 +138,76 @@ def _read_capture(args):
     if getattr(args, "raw_int16", False):
         radar = _radar_for(args)
         frames = frameio.read_frames_int16(args.frames, radar.chirps_per_frame,
-                                           radar.samples_per_chirp,
-                                           radar.frame_duration_s)
+                                           radar.samples_per_chirp)
         return frames, radar
     frames, header = frameio.read_frames(args.frames)
     radar = frameio.radar_from_header(header, frames_per_capture=max(1, len(frames)))
     return frames, radar
 
 
-def _tracking_chain(frames, radar, args, seed):
-    """magnitude cube -> folding map -> background subtraction -> DP -> particle filter."""
-    derived = derive(radar, v_max_m_per_s=args.v_max)
-    times = echo.frame_mid_times(radar, len(frames))
-    cube = process_frames(frames)
-    fmap = build_folding_map(cube, j_min=args.j_min, j_max=args.j_max,
-                             frame_times=times)
-    if args.background:
-        bg_frames, _ = frameio.read_frames(args.background)
-        bg_fmap = build_folding_map(process_frames(bg_frames),
-                                    j_min=args.j_min, j_max=args.j_max)
-        profile = tracking.estimate_noise_profile(bg_fmap)
+@dataclass(frozen=True)
+class CaptureTrack:
+    """What track_capture yields: the track, the grid it lives on, its noise calibration."""
+
+    track: tracking.Track
+    derived: DerivedParams
+    calibration: float | None   # mean + 5 sigma of off-track window maxima
+    profile_source: str         # "background-capture" or "self-median-fallback"
+
+
+def track_capture(cube, radar: RadarConfig, background_cube=None, *, j_min: int = 2,
+                  j_max: int = 20, k_bins: int = 0, v_max: float = 4.0,
+                  pf_seed: int = 0) -> CaptureTrack:
+    """The one capture recipe: folding map -> spectral subtraction -> DP -> particle filter.
+
+    The noise profile is the mean of the background cube's folding map, or the
+    capture's own per-bin median without one; k_bins 0 derives the DP
+    constraint from v_max. The calibration is the mean + 5 sigma of the cleaned
+    map's off-track per-window folding maxima (one segment window, or the whole
+    capture if shorter), None when no off-track range bins remain.
+    """
+    derived = derive(radar, v_max_m_per_s=v_max)
+    fmap = build_folding_map(cube, j_min=j_min, j_max=j_max,
+                             frame_times=echo.frame_mid_times(radar, cube.shape[0]))
+    if background_cube is not None:
+        profile = tracking.estimate_noise_profile(
+            build_folding_map(background_cube, j_min=j_min, j_max=j_max))
         profile_source = "background-capture"
     else:
         profile = tracking.NoiseProfile(values=np.median(fmap.values, axis=1))
         profile_source = "self-median-fallback"
     cleaned = tracking.spectral_subtract(fmap, profile)
-    k_bins = args.k_bins if args.k_bins else derived.dp_constraint_bins
-    track = tracking.dp_max_path(cleaned, k_bins, derived.range_bin_size_m)
-    pf_cfg = tracking.default_pf_config(derived,
-                                        rng_seed=component_seed(seed, "particle-filter"))
-    tracking.particle_filter(track, pf_cfg, derived)
-    return cube, fmap, cleaned, track, derived, profile_source
-
-
-def _low_confidence(cleaned, track, window: int):
-    """Track max score vs mean+5sigma of off-track window maxima."""
+    track = tracking.dp_max_path(cleaned, k_bins or derived.dp_constraint_bins,
+                                 derived.range_bin_size_m)
+    tracking.particle_filter(track, tracking.default_pf_config(derived, rng_seed=pf_seed),
+                             derived)
+    window = identify.segment_window_frames(derived)
     try:
-        noise = identify.noise_window_max_folds(
-            cleaned, min(window, cleaned.n_frames), exclude_bins=track.range_bins)
-        calibration = identify.calibrate_threshold(noise)
+        calibration = identify.calibrate_threshold(identify.noise_window_max_folds(
+            cleaned, min(window, cleaned.n_frames), exclude_bins=track.range_bins))
     except IdentifyError:
-        return False, None
-    return bool(track.scores.max() < calibration), float(calibration)
+        calibration = None
+    return CaptureTrack(track, derived, calibration, profile_source)
+
+
+def _track_files(args):
+    """Reads --frames (and --background); returns the capture's magnitude cube and
+    its CaptureTrack under the pipeline flags."""
+    frames, radar = _read_capture(args)
+    cube = process_frames(frames)
+    background = (process_frames(frameio.read_frames(args.background)[0])
+                  if args.background else None)
+    return cube, track_capture(cube, radar, background, j_min=args.j_min, j_max=args.j_max,
+                               k_bins=args.k_bins, v_max=args.v_max,
+                               pf_seed=component_seed(args.seed, "particle-filter"))
+
+
+def capture_segments(cube, range_bins, frame_times, window: int, threshold: float,
+                     j_min: int = 2, j_max: int = 20) -> list[identify.Segment]:
+    """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows."""
+    diagram = identify.diagram_at_bins(cube, range_bins, frame_times)
+    diagram = identify.feature_alignment(identify.dc_removal(diagram))
+    return identify.segment_split_filter(diagram, window, threshold, j_min, j_max)
 
 
 # --- the dataset recipe --------------------------------------------------------
@@ -212,9 +244,7 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
         label = "other"
         provenance = {"scene": target.kind}
     cube = process_frames(echo.synthesize_frames(scene, radar, window))
-    diagram = identify.diagram_at_bins(cube, bins, times)
-    diagram = identify.feature_alignment(identify.dc_removal(diagram))
-    segment = identify.segment_split_filter(diagram, window, threshold)[0]
+    segment = capture_segments(cube, bins, times, window, threshold)[0]
     segment.label = label
     segment.provenance.update(provenance, source_bins="truth")
     return segment
@@ -249,23 +279,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    frames, radar = _read_capture(args)
-    _, fmap, cleaned, track, derived, profile_source = _tracking_chain(
-        frames, radar, args, args.seed)
+    cube, result = _track_files(args)
+    track = result.track
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tracking.track_to_csv(track, out / "track.csv")
 
-    window = identify.segment_window_frames(derived)
-    low_conf, calibration = _low_confidence(cleaned, track, window)
+    # Low confidence: the track's best score stays below the noise calibration.
+    low_conf = result.calibration is not None and bool(track.scores.max() < result.calibration)
     summary = {
-        "frames": len(frames),
+        "frames": cube.shape[0],
         "k_bins": track.k_bins,
         "max_score": float(track.scores.max()),
         "total_score": track.total_score,
-        "noise_calibration": calibration,
+        "noise_calibration": result.calibration,
         "low_confidence": low_conf,
-        "noise_profile_source": profile_source,
+        "noise_profile_source": result.profile_source,
         "seed": args.seed,
     }
     if args.truth:
@@ -296,19 +325,15 @@ def cmd_identify(args) -> int:
         if not segments:
             raise IdentifyError("dataset contains no segments")
     else:
-        frames, radar = _read_capture(args)
-        cube, fmap, cleaned, track, derived, _ = _tracking_chain(
-            frames, radar, args, args.seed)
-        diagram = identify.diagram_at_bins(cube, track.range_bins, track.frame_times)
-        diagram = identify.feature_alignment(identify.dc_removal(diagram))
-        window = identify.segment_window_frames(derived)
+        cube, result = _track_files(args)
+        threshold = args.threshold
         if args.threshold_mode == "auto":
-            noise = identify.noise_window_max_folds(
-                cleaned, min(window, cleaned.n_frames), exclude_bins=track.range_bins)
-            threshold = identify.calibrate_threshold(noise)
-        else:
-            threshold = args.threshold
-        segments = identify.segment_split_filter(diagram, window, threshold)
+            if result.calibration is None:
+                raise IdentifyError("not enough noise-only data to calibrate a threshold")
+            threshold = result.calibration
+        segments = capture_segments(cube, result.track.range_bins, result.track.frame_times,
+                                    identify.segment_window_frames(result.derived),
+                                    threshold, args.j_min, args.j_max)
         segments = [s for s in segments if s.passed_filter]
         if not segments:
             _write_json(out / "metrics.json",

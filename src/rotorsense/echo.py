@@ -46,7 +46,6 @@ class Frame:
     """One radar frame of complex beat samples, shape [chirps, samples]."""
 
     frame_index: int
-    start_time_s: float
     samples: np.ndarray
 
 
@@ -235,9 +234,7 @@ def synthesize_frame(scene: SceneSpec, radar: RadarConfig, frame_index: int) -> 
         sigma = scene.noise_std / math.sqrt(2.0)
         total += rng.normal(0.0, sigma, (L, N)) + 1j * rng.normal(0.0, sigma, (L, N))
 
-    return Frame(frame_index=frame_index,
-                 start_time_s=frame_index * radar.frame_duration_s,
-                 samples=total)
+    return Frame(frame_index=frame_index, samples=total)
 
 
 def synthesize_frames(scene: SceneSpec, radar: RadarConfig,

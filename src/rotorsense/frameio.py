@@ -82,8 +82,7 @@ def read_header(path) -> dict:
     return header
 
 
-def _decode_frames(data: np.ndarray, chirps: int, samples: int,
-                   frame_duration_s: float) -> list[Frame]:
+def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
     """Interleaved (re, im) payload -> complex128 frames of chirps x samples.
 
     The payload is converted once, into one complex128 cube [frames, chirps,
@@ -99,28 +98,23 @@ def _decode_frames(data: np.ndarray, chirps: int, samples: int,
     cube = np.empty(pairs.shape[:3], dtype=np.complex128)
     cube.real = pairs[..., 0]
     cube.imag = pairs[..., 1]
-    return [Frame(frame_index=i, start_time_s=i * frame_duration_s, samples=cube[i])
-            for i in range(n_frames)]
+    return [Frame(frame_index=i, samples=cube[i]) for i in range(n_frames)]
 
 
 def read_frames(path):
     """Returns (frames, header dict)."""
     header = read_header(path)
-    chirps = int(header["L"])
     data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
-    frames = _decode_frames(data, chirps, int(header["Ns"]), chirps * float(header["Tc"]))
-    return frames, header
+    return _decode_frames(data, int(header["L"]), int(header["Ns"])), header
 
 
-def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int,
-                      frame_duration_s: float):
+def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int):
     """Headerless int16 interleaved capture with caller-supplied layout."""
     return _decode_frames(np.fromfile(path, dtype="<i2"), chirps_per_frame,
-                          samples_per_chirp, frame_duration_s)
+                          samples_per_chirp)
 
 
-def radar_from_header(header: dict, samples_per_chirp: int | None = None,
-                      frames_per_capture: int = 1) -> RadarConfig:
+def radar_from_header(header: dict, frames_per_capture: int = 1) -> RadarConfig:
     """Best-effort RadarConfig from a frame file header."""
     return RadarConfig(
         carrier_freq_hz=float(header["fc"]),
@@ -128,6 +122,6 @@ def radar_from_header(header: dict, samples_per_chirp: int | None = None,
         chirp_duration_s=float(header["Tc"]),
         chirps_per_frame=int(header["L"]),
         adc_rate_hz=float(header["fs"]),
-        samples_per_chirp=int(samples_per_chirp or header["Ns"]),
+        samples_per_chirp=int(header["Ns"]),
         frames_per_capture=frames_per_capture,
     ).validate()

@@ -7,9 +7,7 @@ whose first axis is the frame order.
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
 grid sizes. The Doppler axis is center-shifted: DC sits at bin L // 2, a
-convention shared by every module that touches Doppler spectra. No window is
-applied by default; pass window="hann" per axis to trade comb sharpness for
-leakage suppression.
+convention shared by every module that touches Doppler spectra.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ import numpy as np
 from .config import RadarConfig
 from .echo import Frame
 
-_WINDOWS = ("rect", "hann")
-
 
 class ProcessingError(ValueError):
     """Input violates a processing precondition (non-finite samples, no frames)."""
@@ -33,15 +29,7 @@ def dc_bin(n_doppler_bins: int) -> int:
     return n_doppler_bins // 2
 
 
-def _window(kind: str, n: int) -> np.ndarray | None:
-    if kind == "rect":
-        return None
-    if kind == "hann":
-        return np.hanning(n)
-    raise ProcessingError(f"unknown window {kind!r}; known: {_WINDOWS}")
-
-
-def range_fft(frame: Frame, window: str = "rect") -> np.ndarray:
+def range_fft(frame: Frame) -> np.ndarray:
     """Per-chirp FFT along fast time; returns complex [chirps, range bins].
 
     Range bin b spans beat frequencies [b, b+1) * fs / samples_per_chirp.
@@ -49,13 +37,10 @@ def range_fft(frame: Frame, window: str = "rect") -> np.ndarray:
     samples = frame.samples
     if not np.all(np.isfinite(samples)):
         raise ProcessingError(f"frame {frame.frame_index} contains non-finite samples")
-    w = _window(window, samples.shape[1])
-    if w is not None:
-        samples = samples * w[None, :]
     return np.fft.fft(samples, axis=1) / np.sqrt(samples.shape[1])
 
 
-def doppler_fft(range_matrix: np.ndarray, window: str = "rect") -> np.ndarray:
+def doppler_fft(range_matrix: np.ndarray) -> np.ndarray:
     """Per-range-bin FFT along slow time, center-shifted; magnitude [range, Doppler].
 
     A body at radial velocity v peaks at Doppler frequency 2*v*fc/c, folded
@@ -64,19 +49,16 @@ def doppler_fft(range_matrix: np.ndarray, window: str = "rect") -> np.ndarray:
     if not np.all(np.isfinite(range_matrix)):
         raise ProcessingError("range matrix contains non-finite values")
     mat = np.asarray(range_matrix)
-    w = _window(window, mat.shape[0])
-    if w is not None:
-        mat = mat * w[:, None]
     spec = np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
     spec = np.fft.fftshift(spec, axes=0)
     return np.abs(spec).T
 
 
-def compute_map(frame: Frame, window: str = "rect") -> np.ndarray:
-    return doppler_fft(range_fft(frame, window=window), window=window)
+def compute_map(frame: Frame) -> np.ndarray:
+    return doppler_fft(range_fft(frame))
 
 
-def process_frames(frames, window: str = "rect") -> np.ndarray:
+def process_frames(frames) -> np.ndarray:
     """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
 
     Each frame is stored Doppler-major, the order the Doppler FFT yields it,
@@ -88,7 +70,7 @@ def process_frames(frames, window: str = "rect") -> np.ndarray:
         raise ProcessingError("no frames given")
     buf = np.empty((len(frames),) + frames[0].samples.shape)
     for t, frame in enumerate(frames):
-        buf[t] = compute_map(frame, window=window).T
+        buf[t] = compute_map(frame).T
     return buf.transpose(0, 2, 1)
 
 

@@ -65,7 +65,6 @@ class ParticleFilterConfig:
     process_noise_range_m: float = 0.18
     process_noise_vel_m_per_s: float = 0.5
     measurement_noise_m: float = 0.37
-    resample_scheme: str = "multinomial"
     rng_seed: int = 0
 
     def validate(self) -> "ParticleFilterConfig":
@@ -74,8 +73,6 @@ class ParticleFilterConfig:
         if min(self.process_noise_range_m, self.process_noise_vel_m_per_s,
                self.measurement_noise_m) <= 0:
             raise TrackingError("particle filter noise stds must be > 0")
-        if self.resample_scheme != "multinomial":
-            raise TrackingError(f"unknown resample scheme {self.resample_scheme!r}")
         return self
 
 

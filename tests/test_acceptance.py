@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from rotorsense import scenarios, tracking
-from rotorsense.cli import background_threshold, scene_segment
+from rotorsense.cli import background_threshold, scene_segment, track_capture
 from rotorsense.config import RadarConfig, constant_velocity, derive, hover
-from rotorsense.echo import (SceneSpec, UavEmitter, frame_mid_times, scene_truth,
-                             synthesize_frames)
-from rotorsense.folding import build_folding_map, folding_result, folding_value
+from rotorsense.echo import SceneSpec, UavEmitter, scene_truth, synthesize_frames
+from rotorsense.folding import folding_result, folding_value
 from rotorsense.identify import (LABELS, binary_metrics, classify, feature_alignment,
                                  normalize_segment, segment_window_frames)
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
-from rotorsense.tracking import (default_pf_config, dp_max_path,
-                                 estimate_noise_profile, particle_filter,
+from rotorsense.tracking import (default_pf_config, dp_max_path, particle_filter,
                                  relative_range_error, spectral_subtract)
 
 from conftest import comb_spacing_estimate
@@ -123,21 +121,10 @@ def test_criterion_4_spectral_subtraction():
 
 # --- 5. end-to-end tracking ---------------------------------------------------------
 
-def _track_scenario(scene, background_fmap_profile, n_frames=40):
-    frames = synthesize_frames(scene, RADAR, n_frames)
-    fmap = build_folding_map(process_frames(frames),
-                             frame_times=frame_mid_times(RADAR, n_frames))
-    cleaned = spectral_subtract(fmap, background_fmap_profile)
-    track = dp_max_path(cleaned, DERIVED.dp_constraint_bins, DERIVED.range_bin_size_m)
-    particle_filter(track, default_pf_config(DERIVED, rng_seed=5), DERIVED)
-    return track
-
-
 def test_criterion_5_end_to_end_tracking():
     clutter = scenarios.default_clutter()
     bg = scenarios.background_scene(seed=99, clutter=clutter)
-    bg_fmap = build_folding_map(process_frames(synthesize_frames(bg, RADAR, 40)))
-    profile = estimate_noise_profile(bg_fmap)
+    bg_cube = process_frames(synthesize_frames(bg, RADAR, 40))
 
     details = []
     ok = True
@@ -145,7 +132,8 @@ def test_criterion_5_end_to_end_tracking():
             ("hover-48m", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
             ("ascent-1.5", scenarios.ascent_scene(40.0, 1.5, seed=2, clutter=clutter))):
         t0 = time.perf_counter()
-        track = _track_scenario(scene, profile)
+        cube = process_frames(synthesize_frames(scene, RADAR, 40))
+        track = track_capture(cube, RADAR, bg_cube, pf_seed=5).track
         elapsed = time.perf_counter() - t0
         _, truth_ranges, _ = scene_truth(scene, RADAR, 40)
         err = relative_range_error(track.filtered_ranges_m, truth_ranges)

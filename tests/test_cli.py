@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rotorsense import identify, lstm
+from rotorsense import cli, identify, lstm
 from rotorsense.cli import component_seed, main
 
 HOVER_SCENARIO = {
@@ -256,6 +256,41 @@ def test_identify_no_detection_when_capture_too_short(pipeline_run, tmp_path):
                  "--model", str(model_path), "--out", str(tmp_path)]) == 0
     verdict = json.loads((tmp_path / "metrics.json").read_text())
     assert verdict["verdict"] == "no-detection"
+
+
+def _untrained_model(tmp_path):
+    path = tmp_path / "model.npz"
+    lstm.save_model(lstm.LstmDetector(input_dim=100, hidden_size=4, seed=0), path)
+    return str(path)
+
+
+def test_identify_auto_threshold_is_track_calibration(pipeline_run, tmp_path):
+    """identify's auto threshold is the noise_calibration track wrote for the capture."""
+    summary = json.loads((pipeline_run / "run" / "summary.json").read_text())
+    common = ["identify", "--frames", str(pipeline_run / "run" / "frames.bin"),
+              "--background", str(pipeline_run / "bg" / "frames.bin"),
+              "--model", _untrained_model(tmp_path), "--seed", "5"]
+    assert main(common + ["--out", str(tmp_path / "auto")]) == 0
+    assert main(common + ["--threshold-mode", "fixed",
+                          "--threshold", repr(summary["noise_calibration"]),
+                          "--out", str(tmp_path / "fixed")]) == 0
+    for name in ("metrics.json", "labels.csv"):
+        assert sha256(tmp_path / "auto" / name) == sha256(tmp_path / "fixed" / name)
+
+
+def test_identify_fold_sizes_reach_segment_filter(pipeline_run, tmp_path, monkeypatch):
+    seen = []
+    segment_split_filter = identify.segment_split_filter
+
+    def spy(diagram, window_frames, threshold, j_min=2, j_max=20):
+        seen.append((j_min, j_max))
+        return segment_split_filter(diagram, window_frames, threshold, j_min, j_max)
+
+    monkeypatch.setattr(cli.identify, "segment_split_filter", spy)
+    assert main(["identify", "--frames", str(pipeline_run / "run" / "frames.bin"),
+                 "--model", _untrained_model(tmp_path), "--j-min", "3", "--j-max", "12",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [(3, 12)]
 
 
 def test_dataset_and_training_loop(tmp_path, capsys):

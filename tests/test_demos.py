@@ -1,0 +1,18 @@
+"""The walkthrough demos run to completion against the current API.
+
+Demo 04 trains a detector for about two minutes and is left to be run by hand.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_echo_and_range_doppler.py", "02_spectrum_folding.py",
+                                  "03_tracking.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out

@@ -127,7 +127,6 @@ def test_seeded_determinism(radar):
 def test_frame_timebase(radar):
     scene = SceneSpec(emitters=()).validate()
     frame = synthesize_frame(scene, radar, 7)
-    assert frame.start_time_s == 7 * radar.frame_duration_s
     assert frame.samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
 
 

@@ -27,8 +27,8 @@ def test_static_point_range_bin(radar):
 
 
 def test_zero_input_zero_output(radar):
-    frame = Frame(0, 0.0, np.zeros((radar.chirps_per_frame, radar.samples_per_chirp),
-                                   dtype=complex))
+    frame = Frame(0, np.zeros((radar.chirps_per_frame, radar.samples_per_chirp),
+                              dtype=complex))
     assert np.all(range_fft(frame) == 0)
 
 
@@ -45,7 +45,7 @@ def test_non_finite_input_rejected(radar):
     samples = np.zeros((radar.chirps_per_frame, radar.samples_per_chirp), dtype=complex)
     samples[3, 5] = np.nan
     with pytest.raises(ProcessingError, match="non-finite"):
-        range_fft(Frame(0, 0.0, samples))
+        range_fft(Frame(0, samples))
     with pytest.raises(ProcessingError, match="non-finite"):
         doppler_fft(samples * np.nan)
 
@@ -123,7 +123,7 @@ def test_uav_row_has_comb_neighbor_does_not(radar, hover_capture):
 def test_parseval_through_each_fft(radar):
     rng = np.random.default_rng(0)
     samples = rng.normal(size=(100, 256)) + 1j * rng.normal(size=(100, 256))
-    frame = Frame(0, 0.0, samples)
+    frame = Frame(0, samples)
     in_energy = np.sum(np.abs(samples) ** 2)
     spectrum = range_fft(frame)
     mid_energy = np.sum(np.abs(spectrum) ** 2)
@@ -143,15 +143,6 @@ def test_body_argmax_invariant_under_blades(radar):
         SceneSpec(emitters=(UavEmitter(bladed, traj),)).validate(), radar, 0))
     assert np.unravel_index(np.argmax(rd_body), rd_body.shape) \
         == np.unravel_index(np.argmax(rd_blade), rd_blade.shape)
-
-
-def test_hann_window_option(radar):
-    frame = _point_frame(radar, 30.0)
-    rd = compute_map(frame, window="hann")
-    assert rd.shape == (256, 100)
-    assert np.all(np.isfinite(rd))
-    with pytest.raises(ProcessingError, match="unknown window"):
-        range_fft(frame, window="blackman")
 
 
 def test_map_csv_dump(radar, tmp_path):

@@ -252,8 +252,6 @@ def test_pf_config_validation():
         ParticleFilterConfig(particle_count=10).validate()
     with pytest.raises(TrackingError, match="stds"):
         ParticleFilterConfig(measurement_noise_m=0.0).validate()
-    with pytest.raises(TrackingError, match="resample"):
-        ParticleFilterConfig(resample_scheme="stratified").validate()
 
 
 def test_pf_empty_track_errors(pf_derived):
