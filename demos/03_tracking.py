@@ -28,29 +28,26 @@ times = frame_mid_times(radar, n)
 
 print("=== background capture (clutter + noise, no UAV) ===")
 bg_scene = scenarios.background_scene(seed=99, clutter=clutter)
-bg_map = build_folding_map(process_frames(synthesize_frames(bg_scene, radar, n)),
-                           frame_times=times)
+bg_map = build_folding_map(process_frames(synthesize_frames(bg_scene, radar, n))).values
 profile = tracking.estimate_noise_profile(bg_map)
-print(f"profile peaks at bin {int(np.argmax(profile.values))} "
+print(f"profile peaks at bin {int(np.argmax(profile))} "
       f"(clutter at 12 m is bin {int(12 / derived.range_bin_size_m)})")
 
 for name, scene in (("hover at 48 m", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
                     ("ascent at 1.5 m/s", scenarios.ascent_scene(40.0, 1.5, seed=2,
                                                                  clutter=clutter))):
     print(f"\n=== {name} ===")
-    fmap = build_folding_map(process_frames(synthesize_frames(scene, radar, n)),
-                             frame_times=times)
-    pre_argmax = np.argmax(fmap.values, axis=0)
+    fmap = build_folding_map(process_frames(synthesize_frames(scene, radar, n))).values
+    pre_argmax = np.argmax(fmap, axis=0)
     cleaned = tracking.spectral_subtract(fmap, profile)
-    post_argmax = np.argmax(cleaned.values, axis=0)
+    post_argmax = np.argmax(cleaned, axis=0)
     print(f"columns whose argmax is the clutter ridge: "
           f"{int(np.sum(pre_argmax == pre_argmax.min()))} before, "
           f"{int(np.sum(post_argmax == pre_argmax.min()))} after subtraction")
 
     track = tracking.dp_max_path(cleaned, derived.dp_constraint_bins,
-                                 derived.range_bin_size_m)
-    filtered, reseeds = tracking.particle_filter(
-        track, tracking.default_pf_config(derived, rng_seed=7), derived)
+                                 derived.range_bin_size_m, times)
+    filtered, reseeds = tracking.particle_filter(track.ranges_m, derived, rng_seed=7)
 
     _, truth_ranges, _ = scene_truth(scene, radar, n)
     raw_err = tracking.relative_range_error(track.ranges_m, truth_ranges)

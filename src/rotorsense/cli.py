@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,14 +135,13 @@ def _radar_for(args) -> RadarConfig:
 
 def _read_capture(args):
     """Frames plus a radar config, from either format."""
-    if getattr(args, "raw_int16", False):
+    if args.raw_int16:
         radar = _radar_for(args)
         frames = frameio.read_frames_int16(args.frames, radar.chirps_per_frame,
                                            radar.samples_per_chirp)
         return frames, radar
     frames, header = frameio.read_frames(args.frames)
-    radar = frameio.radar_from_header(header, frames_per_capture=max(1, len(frames)))
-    return frames, radar
+    return frames, frameio.radar_from_header(header)
 
 
 @dataclass(frozen=True)
@@ -167,36 +166,41 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, j_min: int 
     capture if shorter), None when no off-track range bins remain.
     """
     derived = derive(radar, v_max_m_per_s=v_max)
-    fmap = build_folding_map(cube, j_min=j_min, j_max=j_max,
-                             frame_times=echo.frame_mid_times(radar, cube.shape[0]))
+    values = build_folding_map(cube, j_min=j_min, j_max=j_max).values
     if background_cube is not None:
         profile = tracking.estimate_noise_profile(
-            build_folding_map(background_cube, j_min=j_min, j_max=j_max))
+            build_folding_map(background_cube, j_min=j_min, j_max=j_max).values)
         profile_source = "background-capture"
     else:
-        profile = tracking.NoiseProfile(values=np.median(fmap.values, axis=1))
+        profile = np.median(values, axis=1)
         profile_source = "self-median-fallback"
-    cleaned = tracking.spectral_subtract(fmap, profile)
+    cleaned = tracking.spectral_subtract(values, profile)
     track = tracking.dp_max_path(cleaned, k_bins or derived.dp_constraint_bins,
-                                 derived.range_bin_size_m)
-    tracking.particle_filter(track, tracking.default_pf_config(derived, rng_seed=pf_seed),
-                             derived)
+                                 derived.range_bin_size_m,
+                                 echo.frame_mid_times(radar, cube.shape[0]))
+    filtered, _ = tracking.particle_filter(track.ranges_m, derived, pf_seed)
+    track = replace(track, filtered_ranges_m=filtered)
     window = identify.segment_window_frames(derived)
     try:
         calibration = identify.calibrate_threshold(identify.noise_window_max_folds(
-            cleaned, min(window, cleaned.n_frames), exclude_bins=track.range_bins))
+            cleaned, min(window, cleaned.shape[1]), exclude_bins=track.range_bins))
     except IdentifyError:
         calibration = None
     return CaptureTrack(track, derived, calibration, profile_source)
 
 
 def _track_files(args):
-    """Reads --frames (and --background); returns the capture's magnitude cube and
-    its CaptureTrack under the pipeline flags."""
+    """Reads --frames (and --background, which must share the capture's radar); returns
+    the capture's magnitude cube and its CaptureTrack under the pipeline flags."""
     frames, radar = _read_capture(args)
     cube = process_frames(frames)
-    background = (process_frames(frameio.read_frames(args.background)[0])
-                  if args.background else None)
+    background = None
+    if args.background:
+        bg_frames, bg_header = frameio.read_frames(args.background)
+        mismatch = ", ".join(frameio.header_mismatch(bg_header, radar))
+        if mismatch:
+            raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
+        background = process_frames(bg_frames)
     return cube, track_capture(cube, radar, background, j_min=args.j_min, j_max=args.j_max,
                                k_bins=args.k_bins, v_max=args.v_max,
                                pf_seed=component_seed(args.seed, "particle-filter"))
@@ -220,7 +224,7 @@ def background_threshold(radar: RadarConfig, window: int, seed: int) -> float:
     """
     bg = scenarios.background_scene(seed=seed)
     fmap = build_folding_map(process_frames(echo.synthesize_frames(bg, radar, window)))
-    return identify.calibrate_threshold(identify.noise_window_max_folds(fmap, window))
+    return identify.calibrate_threshold(identify.noise_window_max_folds(fmap.values, window))
 
 
 def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
@@ -299,8 +303,8 @@ def cmd_track(args) -> int:
     }
     if args.truth:
         truth = _read_truth_csv(args.truth)
-        ranges = track.filtered_ranges_m if track.filtered_ranges_m is not None else track.ranges_m
-        summary["mean_relative_error"] = tracking.relative_range_error(ranges, truth[1])
+        summary["mean_relative_error"] = tracking.relative_range_error(
+            track.filtered_ranges_m, truth[1])
     _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'track.csv'}; low_confidence={low_conf}")
     return EXIT_OK
@@ -316,6 +320,11 @@ def _read_truth_csv(path):
 
 
 def cmd_identify(args) -> int:
+    if args.dataset:
+        ignored = ", ".join(f"--{dest.replace('_', '-')}" for dest, default
+                            in CAPTURE_FLAG_DEFAULTS.items() if getattr(args, dest) != default)
+        if ignored:
+            raise ValidationError(f"identify --dataset takes no capture flags: {ignored}")
     detector = lstm.load_model(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,15 +515,25 @@ def _add_common(p):
                    help="radar config JSON (defaults: built-in radar)")
 
 
+# The flags only a capture uses, by argparse dest, with their defaults.
+# `identify --dataset` rejects any of them set to another value.
+CAPTURE_FLAG_DEFAULTS = {
+    "background": None, "raw_int16": False,
+    "threshold": identify.DEFAULT_THRESHOLD, "threshold_mode": "auto",
+    "j_min": 2, "j_max": 20, "k_bins": 0, "v_max": 4.0,
+}
+
+
 def _add_pipeline_flags(p):
-    p.add_argument("--j-min", type=int, default=2)
-    p.add_argument("--j-max", type=int, default=20)
-    p.add_argument("--k-bins", type=int, default=0,
+    d = CAPTURE_FLAG_DEFAULTS
+    p.add_argument("--j-min", type=int, default=d["j_min"])
+    p.add_argument("--j-max", type=int, default=d["j_max"])
+    p.add_argument("--k-bins", type=int, default=d["k_bins"],
                    help="DP motion constraint override (0 = derive from --v-max)")
-    p.add_argument("--v-max", type=float, default=4.0)
-    p.add_argument("--background", default=None,
+    p.add_argument("--v-max", type=float, default=d["v_max"])
+    p.add_argument("--background", default=d["background"],
                    help="background frame capture for noise profile estimation")
-    p.add_argument("--raw-int16", action="store_true",
+    p.add_argument("--raw-int16", action="store_true", default=d["raw_int16"],
                    help="frames file is headerless int16; layout from --config")
 
 
@@ -544,8 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=identify.DEFAULT_THRESHOLD)
-    p.add_argument("--threshold-mode", choices=("fixed", "auto"), default="auto")
+    p.add_argument("--threshold", type=float, default=CAPTURE_FLAG_DEFAULTS["threshold"])
+    p.add_argument("--threshold-mode", choices=("fixed", "auto"),
+                   default=CAPTURE_FLAG_DEFAULTS["threshold_mode"])
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_identify)
 

@@ -25,7 +25,6 @@ at a time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +50,6 @@ class FoldingMap:
 
     values: np.ndarray      # [n_range_bins, n_frames]
     best_sizes: np.ndarray  # [n_range_bins, n_frames]
-    frame_times: np.ndarray
-
-    @property
-    def n_range_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 def _check_size(length: int, j: int) -> None:
@@ -116,13 +106,11 @@ def folding_result(d: np.ndarray, j_min: int = 2, j_max: int = 20) -> FoldOutcom
                        sizes=sizes, per_size_values=values)
 
 
-def build_folding_map(cube, j_min: int = 2, j_max: int = 20,
-                      frame_times=None) -> FoldingMap:
+def build_folding_map(cube, j_min: int = 2, j_max: int = 20) -> FoldingMap:
     """Fold every Doppler row of a magnitude cube [frames, range bins, Doppler bins].
 
     values[r, t] is the folding result of range bin r in frame t; best_sizes
-    holds the winning folding size. frame_times defaults to the frame
-    positions 0, 1, 2, ...
+    holds the winning folding size.
 
     Each frame is folded on its own by fold_columns on cube[t].T, the frame
     with its Doppler axis first. For the cube rdmap.process_frames returns,
@@ -142,17 +130,4 @@ def build_folding_map(cube, j_min: int = 2, j_max: int = 20,
         idx = np.argmax(per_size, axis=0)  # first max == smallest size
         values[:, t] = per_size[idx, np.arange(n_r)]
         best[:, t] = sizes[idx]
-
-    if frame_times is None:
-        frame_times = np.arange(n_t)
-    return FoldingMap(values=values, best_sizes=best,
-                      frame_times=np.asarray(frame_times, dtype=float))
-
-
-def folding_map_to_csv(fmap: FoldingMap, path) -> None:
-    """Matrix dump; header row carries the frame timestamps."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["range_bin"] + [repr(float(t)) for t in fmap.frame_times])
-        for r in range(fmap.n_range_bins):
-            writer.writerow([r] + [repr(float(v)) for v in fmap.values[r]])
+    return FoldingMap(values=values, best_sizes=best)

@@ -114,8 +114,13 @@ def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int):
                           samples_per_chirp)
 
 
-def radar_from_header(header: dict, frames_per_capture: int = 1) -> RadarConfig:
-    """Best-effort RadarConfig from a frame file header."""
+def header_mismatch(header: dict, radar: RadarConfig) -> list[str]:
+    """Keys of a read header whose values differ from the radar's, in header order."""
+    return [key for key, value in _header_dict(radar).items() if header[key] != value]
+
+
+def radar_from_header(header: dict) -> RadarConfig:
+    """Best-effort RadarConfig from a frame file header; a header carries no capture length."""
     return RadarConfig(
         carrier_freq_hz=float(header["fc"]),
         chirp_slope_hz_per_s=float(header["K"]),
@@ -123,5 +128,4 @@ def radar_from_header(header: dict, frames_per_capture: int = 1) -> RadarConfig:
         chirps_per_frame=int(header["L"]),
         adc_rate_hz=float(header["fs"]),
         samples_per_chirp=int(header["Ns"]),
-        frames_per_capture=frames_per_capture,
     ).validate()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DerivedParams
-from .folding import FoldingMap, fold_columns
+from .folding import fold_columns
 from .lstm import LstmDetector
 from .rdmap import dc_bin
 
@@ -41,6 +41,9 @@ LABELS = ("other", "uav")  # class index order; "uav" is the positive class
 
 SEGMENT_SECONDS = 3.6
 DEFAULT_THRESHOLD = 30000.0
+DC_EPSILON_BINS = 2     # a frame's peak farther than this from DC qualifies
+THRESHOLD_SIGMAS = 5.0  # calibrated threshold = mean + 5 sigma of noise maxima
+GUARD_BINS = 4          # range bins masked on each side of an excluded bin
 SEGMENT_MAGIC = b"RSSEG1\n"
 SEGMENT_SCHEMA_VERSION = 1
 
@@ -55,7 +58,6 @@ class DopplerTimeDiagram:
 
     columns: np.ndarray
     frame_times: np.ndarray
-    range_bins: np.ndarray
     flags: dict = field(default_factory=dict)
 
     @property
@@ -78,8 +80,8 @@ class Segment:
     provenance: dict = field(default_factory=dict)
 
 
-def segment_window_frames(derived: DerivedParams, seconds: float = SEGMENT_SECONDS) -> int:
-    return int(round(seconds / derived.frame_duration_s))
+def segment_window_frames(derived: DerivedParams) -> int:
+    return int(round(SEGMENT_SECONDS / derived.frame_duration_s))
 
 
 def diagram_at_bins(cube, range_bins, frame_times=None) -> DopplerTimeDiagram:
@@ -98,22 +100,21 @@ def diagram_at_bins(cube, range_bins, frame_times=None) -> DopplerTimeDiagram:
     if frame_times is None:
         frame_times = np.arange(n_frames)
     return DopplerTimeDiagram(columns=cube[np.arange(n_frames), bins],
-                              frame_times=np.asarray(frame_times, dtype=float),
-                              range_bins=bins)
+                              frame_times=np.asarray(frame_times, dtype=float))
 
 
-def dc_removal(diagram: DopplerTimeDiagram, epsilon_bins: int = 2) -> DopplerTimeDiagram:
+def dc_removal(diagram: DopplerTimeDiagram) -> DopplerTimeDiagram:
     """Subtract the qualifying-frame mean from every DC bin, clamped at zero.
 
-    A frame qualifies when its global argmax lies more than epsilon_bins away
-    from the DC bin, i.e. the body-velocity peak is not parked on DC.
+    A frame qualifies when its global argmax lies more than DC_EPSILON_BINS
+    away from the DC bin, i.e. the body-velocity peak is not parked on DC.
     """
     if diagram.n_frames == 0:
         raise IdentifyError("empty Doppler-time diagram")
     cols = diagram.columns.copy()
     dc = dc_bin(diagram.n_doppler_bins)
     peak_bins = np.argmax(cols, axis=1)
-    qualifying = np.abs(peak_bins - dc) > epsilon_bins
+    qualifying = np.abs(peak_bins - dc) > DC_EPSILON_BINS
     flags = dict(diagram.flags)
     if not np.any(qualifying):
         flags["dc_removal_skipped"] = True
@@ -181,27 +182,26 @@ def segment_split_filter(diagram: DopplerTimeDiagram, window_frames: int,
     return segments
 
 
-def calibrate_threshold(noise_max_folds, n_sigma: float = 5.0) -> float:
-    """Threshold = mean + n_sigma * std of noise-only segment max folding results."""
+def calibrate_threshold(noise_max_folds) -> float:
+    """Threshold = mean + THRESHOLD_SIGMAS * std of noise-only segment max folding results."""
     vals = np.asarray(noise_max_folds, dtype=float)
     if vals.size == 0:
         raise IdentifyError("no noise folding samples to calibrate from")
-    return float(vals.mean() + n_sigma * vals.std())
+    return float(vals.mean() + THRESHOLD_SIGMAS * vals.std())
 
 
-def noise_window_max_folds(fmap: FoldingMap, window_frames: int,
-                           exclude_bins=None, guard_bins: int = 4) -> np.ndarray:
-    """Noise-only per-window maxima of folding results, for threshold calibration.
+def noise_window_max_folds(values, window_frames: int, exclude_bins=None) -> np.ndarray:
+    """Noise-only per-window maxima of a folding map [R, T], for threshold calibration.
 
-    exclude_bins (e.g. a track) masks those bins plus a guard band around them.
+    exclude_bins (e.g. a track) masks those bins plus GUARD_BINS on each side.
     """
-    keep = np.ones(fmap.n_range_bins, dtype=bool)
+    keep = np.ones(values.shape[0], dtype=bool)
     if exclude_bins is not None:
         for b in np.unique(np.asarray(exclude_bins, dtype=int)):
-            lo = max(0, b - guard_bins)
-            keep[lo:b + guard_bins + 1] = False
-    rows = fmap.values[keep]
-    n_win = fmap.n_frames // window_frames
+            lo = max(0, b - GUARD_BINS)
+            keep[lo:b + GUARD_BINS + 1] = False
+    rows = values[keep]
+    n_win = values.shape[1] // window_frames
     if n_win == 0 or rows.shape[0] == 0:
         raise IdentifyError("not enough noise-only data to calibrate a threshold")
     trimmed = rows[:, :n_win * window_frames].reshape(rows.shape[0], n_win, window_frames)
@@ -245,7 +245,7 @@ def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     return out
 
 
-def classify(detector: LstmDetector, segments, normalize: bool | None = None):
+def classify(detector: LstmDetector, segments):
     """Predicted labels for the segments, plus metrics where truth is known.
 
     Returns (labels, metrics); metrics is None unless at least one segment
@@ -254,11 +254,8 @@ def classify(detector: LstmDetector, segments, normalize: bool | None = None):
     segments = list(segments)
     if not segments:
         raise IdentifyError("no segments to classify")
-    if normalize is None:
-        normalize = detector.normalize
-    batch = np.stack([
-        normalize_segment(s.values) if normalize else np.asarray(s.values, dtype=float)
-        for s in segments])
+    batch = np.stack([normalize_segment(s.values) if detector.normalize
+                      else np.asarray(s.values, dtype=float) for s in segments])
     scores = detector.forward_batch(batch)
     pred_idx = np.argmax(scores, axis=1)
     labels = [LABELS[i] for i in pred_idx]

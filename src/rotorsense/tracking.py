@@ -16,7 +16,9 @@ prefer the smaller offset |k|, then the smaller bin. Finally a sequential
 importance resampling particle filter over (range, radial velocity) smooths
 the bin-quantized DP track: constant-velocity prediction with Gaussian
 process noise, Gaussian likelihood of the DP range, multinomial resampling
-every step, weighted-mean range as the estimate.
+every step, weighted-mean range as the estimate. Its model is fixed by the
+range grid: 5000 particles, process noise of half a range bin in range and
+0.5 m/s in velocity, measurement noise of one range bin.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DerivedParams
-from .folding import FoldingMap
 
 
 class TrackingError(ValueError):
@@ -36,17 +37,6 @@ class TrackingError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoiseProfile:
-    """Time-averaged background folding map, one value per range bin."""
-
-    values: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values ** 2)))
-
-
-@dataclass
 class Track:
     """Constrained maximum path through a folding map, one bin per frame."""
 
@@ -59,65 +49,37 @@ class Track:
     total_score: float = 0.0
 
 
-@dataclass(frozen=True)
-class ParticleFilterConfig:
-    particle_count: int = 5000
-    process_noise_range_m: float = 0.18
-    process_noise_vel_m_per_s: float = 0.5
-    measurement_noise_m: float = 0.37
-    rng_seed: int = 0
-
-    def validate(self) -> "ParticleFilterConfig":
-        if self.particle_count < 100:
-            raise TrackingError("particle_count must be >= 100")
-        if min(self.process_noise_range_m, self.process_noise_vel_m_per_s,
-               self.measurement_noise_m) <= 0:
-            raise TrackingError("particle filter noise stds must be > 0")
-        return self
+PARTICLES = 5000
 
 
-def default_pf_config(derived: DerivedParams, rng_seed: int = 0) -> ParticleFilterConfig:
-    """Noise scales matched to the range grid: half a bin of process noise, one bin of measurement noise."""
-    return ParticleFilterConfig(
-        particle_count=5000,
-        process_noise_range_m=derived.range_bin_size_m / 2.0,
-        process_noise_vel_m_per_s=0.5,
-        measurement_noise_m=derived.range_bin_size_m,
-        rng_seed=rng_seed,
-    ).validate()
-
-
-def estimate_noise_profile(background: FoldingMap) -> NoiseProfile:
-    """Per-bin time average of a background capture (no target present)."""
-    if background.values.size == 0:
+def estimate_noise_profile(values) -> np.ndarray:
+    """Per-bin time average of a background folding map [R, T] with no target present."""
+    if values.size == 0:
         raise TrackingError("background folding map is empty")
-    return NoiseProfile(values=background.values.mean(axis=1))
+    return values.mean(axis=1)
 
 
-def spectral_subtract(fmap: FoldingMap, noise: NoiseProfile) -> FoldingMap:
-    """Project the background profile out of every column; negatives kept."""
-    if noise.values.shape[0] != fmap.n_range_bins:
+def spectral_subtract(values, profile) -> np.ndarray:
+    """Project the noise profile [R] out of every column of values [R, T]; negatives kept."""
+    if profile.shape[0] != values.shape[0]:
         raise TrackingError(
-            f"noise profile has {noise.values.shape[0]} bins, map has {fmap.n_range_bins}")
-    sq_norm = float(np.sum(noise.values ** 2))
+            f"noise profile has {profile.shape[0]} bins, map has {values.shape[0]}")
+    sq_norm = float(np.sum(profile ** 2))
     if sq_norm == 0.0:
         raise TrackingError("noise profile norm is zero")
-    gains = noise.values @ fmap.values / sq_norm          # G(t), length T
-    cleaned = fmap.values - np.outer(noise.values, gains)
-    return FoldingMap(values=cleaned, best_sizes=fmap.best_sizes,
-                      frame_times=fmap.frame_times)
+    gains = profile @ values / sq_norm          # G(t), length T
+    return values - np.outer(profile, gains)
 
 
 _NEG_INF = -np.inf
 
 
-def dp_max_path(fmap: FoldingMap, k_bins: int, range_bin_size_m: float) -> Track:
-    """Constrained maximum path by dynamic programming plus backtracking."""
-    if fmap.values.size == 0:
+def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Track:
+    """Constrained maximum path through values [R, T] by DP plus backtracking."""
+    if values.size == 0:
         raise TrackingError("folding map is empty")
     if k_bins < 1:
         raise TrackingError("k_bins must be >= 1")
-    values = fmap.values
     n_r, n_t = values.shape
 
     # Offsets probed in order 0, -1, +1, -2, +2, ...: with strict improvement
@@ -153,26 +115,26 @@ def dp_max_path(fmap: FoldingMap, k_bins: int, range_bin_size_m: float) -> Track
     scores = values[path, np.arange(n_t)]
     ranges = (path + 0.5) * range_bin_size_m
     return Track(range_bins=path, ranges_m=ranges, scores=scores, k_bins=k_bins,
-                 frame_times=fmap.frame_times.copy(),
+                 frame_times=np.array(frame_times, dtype=float),
                  total_score=float(theta[path[-1], -1]))
 
 
-def particle_filter(track: Track, cfg: ParticleFilterConfig,
-                    derived: DerivedParams):
-    """Smooth a track with a (range, velocity) SIR particle filter.
+def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
+    """Smooth observed ranges [T] with a (range, velocity) SIR particle filter.
 
-    Returns (filtered_ranges, reseed_count); also stores the filtered ranges
-    on the track. reseed_count counts steps where every particle weight
-    underflowed and the cloud was re-seeded around the observation.
+    Returns (filtered_ranges, reseed_count). reseed_count counts steps where
+    every particle weight underflowed and the cloud was re-seeded around the
+    observation.
     """
-    obs = np.asarray(track.ranges_m, dtype=float)
+    obs = np.asarray(ranges_m, dtype=float)
     if obs.size == 0:
         raise TrackingError("track is empty")
-    cfg.validate()
-    rng = np.random.default_rng(cfg.rng_seed)
-    n = cfg.particle_count
+    rng = np.random.default_rng(rng_seed)
+    n = PARTICLES
     dt = derived.frame_duration_s
     v_max = derived.v_max_m_per_s
+    measurement_noise_m = derived.range_bin_size_m
+    process_noise_m = measurement_noise_m / 2.0
 
     r = rng.uniform(0.0, derived.max_range_m, n)
     v = rng.uniform(-v_max, v_max, n)
@@ -181,13 +143,13 @@ def particle_filter(track: Track, cfg: ParticleFilterConfig,
     reseeds = 0
     for t, z in enumerate(obs):
         if t > 0:
-            r = r + v * dt + rng.normal(0.0, cfg.process_noise_range_m, n)
-            v = v + rng.normal(0.0, cfg.process_noise_vel_m_per_s, n)
-        w = np.exp(-0.5 * ((r - z) / cfg.measurement_noise_m) ** 2)
+            r = r + v * dt + rng.normal(0.0, process_noise_m, n)
+            v = v + rng.normal(0.0, 0.5, n)  # velocity noise, m/s
+        w = np.exp(-0.5 * ((r - z) / measurement_noise_m) ** 2)
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
             reseeds += 1
-            r = z + rng.normal(0.0, 2.0 * cfg.measurement_noise_m, n)
+            r = z + rng.normal(0.0, 2.0 * measurement_noise_m, n)
             v = rng.uniform(-v_max, v_max, n)
             w = np.ones(n)
             total = float(n)
@@ -196,7 +158,6 @@ def particle_filter(track: Track, cfg: ParticleFilterConfig,
         idx = rng.choice(n, size=n, p=w)  # multinomial resampling
         r, v = r[idx], v[idx]
 
-    track.filtered_ranges_m = estimates
     return estimates, reseeds
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rotorsense import derive, process_frames, synthesize_frames
-from rotorsense.echo import frame_mid_times, scene_truth
+from rotorsense.echo import scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios
 
@@ -20,7 +20,7 @@ def derived(radar):
 def _capture(scene, radar, n_frames):
     frames = synthesize_frames(scene, radar, n_frames)
     cube = process_frames(frames)
-    fmap = build_folding_map(cube, frame_times=frame_mid_times(radar, n_frames))
+    fmap = build_folding_map(cube)
     return frames, cube, fmap
 
 

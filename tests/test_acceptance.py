@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from rotorsense import scenarios, tracking
+from rotorsense import scenarios
 from rotorsense.cli import background_threshold, scene_segment, track_capture
 from rotorsense.config import RadarConfig, constant_velocity, derive, hover
 from rotorsense.echo import SceneSpec, UavEmitter, scene_truth, synthesize_frames
@@ -19,12 +19,12 @@ from rotorsense.identify import (LABELS, binary_metrics, classify, feature_align
                                  normalize_segment, segment_window_frames)
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
-from rotorsense.tracking import (default_pf_config, dp_max_path, particle_filter,
-                                 relative_range_error, spectral_subtract)
+from rotorsense.tracking import (dp_max_path, particle_filter, relative_range_error,
+                                 spectral_subtract)
 
 from conftest import comb_spacing_estimate
 from test_folding import naive_folding_value, fig_comb
-from test_tracking import brute_force_max_path, fmap_of
+from test_tracking import brute_force_max_path
 
 RADAR = RadarConfig().validate()
 DERIVED = derive(RADAR, v_max_m_per_s=4.0)
@@ -84,7 +84,7 @@ def test_criterion_3_dp_exactness():
         n_t = int(rng.integers(1, 7))
         k = int(rng.integers(1, 3))
         values = rng.uniform(-5.0, 10.0, (n_r, n_t))
-        track = dp_max_path(fmap_of(values), k, DERIVED.range_bin_size_m)
+        track = dp_max_path(values, k, DERIVED.range_bin_size_m, np.arange(n_t))
         score, path = brute_force_max_path(values, k)
         if not np.array_equal(track.range_bins, path) \
                 or abs(track.total_score - score) > 1e-9:
@@ -101,18 +101,17 @@ def test_criterion_4_spectral_subtraction():
     rng = np.random.default_rng(4)
     profile_vals = rng.uniform(1.0, 6.0, 64)
     scales = rng.uniform(0.5, 2.0, 30)
-    fmap = fmap_of(np.outer(profile_vals, scales))
-    cleaned = spectral_subtract(fmap, tracking.NoiseProfile(profile_vals))
-    residual = np.max(np.sum(cleaned.values ** 2, axis=0)
-                      / np.sum(fmap.values ** 2, axis=0))
+    fmap = np.outer(profile_vals, scales)
+    cleaned = spectral_subtract(fmap, profile_vals)
+    residual = np.max(np.sum(cleaned ** 2, axis=0) / np.sum(fmap ** 2, axis=0))
 
     n_r, n_t, uav_bin = 64, 40, 20
     ramp = np.linspace(1.0, 12.0, n_r)
     values = ramp[:, None] * rng.uniform(0.9, 1.1, (1, n_t))
     values[uav_bin] += 6.0 + rng.uniform(-0.5, 0.5, n_t)
     pre = np.argmax(values, axis=0)
-    cleaned2 = spectral_subtract(fmap_of(values), tracking.NoiseProfile(ramp))
-    post = np.argmax(cleaned2.values, axis=0)
+    cleaned2 = spectral_subtract(values, ramp)
+    post = np.argmax(cleaned2, axis=0)
     recovered = int(np.sum(post == uav_bin))
     report(4, residual <= 1e-10 and np.all(pre == n_r - 1) and recovered >= 0.95 * n_t,
            f"collinear residual {residual:.2e} (<=1e-10), argmax recovered in "
@@ -153,24 +152,16 @@ def test_criterion_6_particle_filter():
         rng = np.random.default_rng(60_000 + seed)
         truth = np.full(40, 48.0)
         obs = truth + rng.normal(0.0, DERIVED.range_bin_size_m, truth.size)
-        bins = np.round(obs / DERIVED.range_bin_size_m - 0.5).astype(int)
-        track = tracking.Track(range_bins=bins, ranges_m=obs,
-                               scores=np.ones_like(obs), k_bins=1,
-                               frame_times=(np.arange(40) + 0.5) * 0.09)
-        filtered, _ = particle_filter(track, default_pf_config(DERIVED, seed), DERIVED)
+        filtered, _ = particle_filter(obs, DERIVED, seed)
         raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
         pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
         improved += pf_rmse < raw_rmse
 
     rng = np.random.default_rng(123)
     obs = 48.0 + rng.normal(0.0, 0.4, 40)
-    bins = np.round(obs / DERIVED.range_bin_size_m - 0.5).astype(int)
 
     def run():
-        track = tracking.Track(range_bins=bins, ranges_m=obs,
-                               scores=np.ones_like(obs), k_bins=1,
-                               frame_times=(np.arange(40) + 0.5) * 0.09)
-        filtered, _ = particle_filter(track, default_pf_config(DERIVED, 77), DERIVED)
+        filtered, _ = particle_filter(obs, DERIVED, 77)
         return filtered
 
     deterministic = np.array_equal(run(), run())
@@ -271,8 +262,7 @@ def test_criterion_9_preprocessing_invariants(identification_experiment):
     rng = np.random.default_rng(9)
     from rotorsense.identify import DopplerTimeDiagram
     cols = rng.uniform(0.0, 5.0, (300, 100))
-    aligned = feature_alignment(DopplerTimeDiagram(
-        columns=cols, frame_times=np.arange(300.0), range_bins=np.zeros(300, dtype=int)))
+    aligned = feature_alignment(DopplerTimeDiagram(columns=cols, frame_times=np.arange(300.0)))
     dc = dc_bin(100)
     aligned_ok = all(col[dc] == col.max() for col in aligned.columns)
 

@@ -4,8 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from rotorsense import cli, identify, lstm
+from rotorsense import cli, frameio, identify, lstm
 from rotorsense.cli import component_seed, main
+from rotorsense.config import RadarConfig
+from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
 
 HOVER_SCENARIO = {
     "schema_version": 1,
@@ -216,6 +218,34 @@ def test_identify_model_dim_mismatch_exits_one(tmp_path):
     identify.save_segments(data_path, [seg])
     assert main(["identify", "--dataset", str(data_path),
                  "--model", str(model_path), "--out", str(tmp_path)]) == 1
+
+
+def test_identify_dataset_rejects_capture_flags(tmp_path, capsys):
+    lstm.save_model(lstm.LstmDetector(input_dim=7, hidden_size=4, seed=0),
+                    tmp_path / "model.npz")
+    identify.save_segments(tmp_path / "segments.bin",
+                           [identify.Segment(values=np.ones((4, 7)), label="uav")])
+    common = ["identify", "--dataset", str(tmp_path / "segments.bin"),
+              "--model", str(tmp_path / "model.npz"), "--out", str(tmp_path)]
+    assert main(common) == 0
+    capsys.readouterr()
+    assert main(common + ["--background", "/nonexistent", "--raw-int16",
+                          "--threshold-mode", "fixed", "--threshold", "1e9",
+                          "--j-min", "3", "--k-bins", "7"]) == 1
+    assert ("no capture flags: --background, --raw-int16, --threshold, --threshold-mode, "
+            "--j-min, --k-bins\n") in capsys.readouterr().err
+
+
+def test_background_from_another_radar_exits_one(pipeline_run, tmp_path, capsys):
+    other = RadarConfig(chirp_duration_s=1.8e-3, carrier_freq_hz=77e9,
+                        adc_rate_hz=3.125e6).validate()
+    scene = SceneSpec(emitters=(StaticClutter(12.0, 2.0),), noise_std=4.0,
+                      rng_seed=3).validate()
+    frameio.write_frames(tmp_path / "bg.bin", synthesize_frames(scene, other, 3), other)
+    assert main(["track", "--frames", str(pipeline_run / "run" / "frames.bin"),
+                 "--background", str(tmp_path / "bg.bin"), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "radar differs from the capture's: fs, Tc, fc" in err
 
 
 def test_unreadable_model_exits_one(tmp_path, capsys):

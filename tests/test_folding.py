@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotorsense.echo import SceneSpec, synthesize_frame
-from rotorsense.folding import (FoldingError, build_folding_map, folding_map_to_csv,
-                                folding_result, folding_value)
+from rotorsense.folding import (FoldingError, build_folding_map, folding_result,
+                                folding_value)
 from rotorsense.rdmap import process_frames
 
 from conftest import UAV_RANGE_BIN
@@ -196,17 +196,3 @@ def test_noise_only_map_has_no_argmax_persistence(radar):
     argmax_bins = np.argmax(fmap.values, axis=0)
     changes = np.count_nonzero(np.diff(argmax_bins) != 0)
     assert changes >= 0.5 * (len(argmax_bins) - 1)
-
-
-def test_folding_map_csv(tmp_path, hover_capture):
-    _, _, _, fmap, _ = hover_capture
-    path = tmp_path / "fold.csv"
-    folding_map_to_csv(fmap, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + fmap.n_range_bins
-    header = lines[0].split(",")
-    assert header[0] == "range_bin"
-    assert float(header[1]) == fmap.frame_times[0]
-    row = lines[1 + UAV_RANGE_BIN].split(",")
-    assert int(row[0]) == UAV_RANGE_BIN
-    assert float(row[1]) == fmap.values[UAV_RANGE_BIN, 0]

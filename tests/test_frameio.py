@@ -113,7 +113,7 @@ def test_int16_capture(tmp_path):
 def test_radar_from_header_round_trip(tmp_path, small_radar):
     path = tmp_path / "frames.bin"
     write_frames(path, [], small_radar)
-    radar = radar_from_header(read_header(path), frames_per_capture=3)
+    radar = radar_from_header(read_header(path))
     assert radar.chirps_per_frame == small_radar.chirps_per_frame
     assert radar.samples_per_chirp == small_radar.samples_per_chirp
     assert radar.carrier_freq_hz == small_radar.carrier_freq_hz

@@ -12,7 +12,7 @@ from rotorsense.identify import (SEGMENT_MAGIC, DopplerTimeDiagram, IdentifyErro
 from rotorsense.lstm import LstmDetector
 from rotorsense.rdmap import dc_bin, process_frames
 from rotorsense.tracking import Track, dp_max_path
-from rotorsense.echo import SceneSpec, synthesize_frame
+from rotorsense.echo import SceneSpec, frame_mid_times, synthesize_frame
 from rotorsense import scenarios
 
 from conftest import UAV_RANGE_BIN
@@ -21,14 +21,10 @@ L = 100
 DC = 50
 
 
-def diagram_of(columns, bins=None):
+def diagram_of(columns):
     columns = np.asarray(columns, dtype=float)
-    t = columns.shape[0]
-    if bins is None:
-        bins = np.zeros(t, dtype=int)
     return DopplerTimeDiagram(columns=columns,
-                              frame_times=np.arange(t, dtype=float),
-                              range_bins=np.asarray(bins))
+                              frame_times=np.arange(columns.shape[0], dtype=float))
 
 
 def comb_column(center, spacing=5, amp=3.0, base=0.1):
@@ -60,7 +56,8 @@ def test_extract_length_mismatch_errors(hover_capture):
 
 def test_tracked_hover_columns_carry_comb(hover_capture, derived, radar):
     _, _, cube, fmap, _ = hover_capture
-    track = dp_max_path(fmap, derived.dp_constraint_bins, derived.range_bin_size_m)
+    track = dp_max_path(fmap.values, derived.dp_constraint_bins, derived.range_bin_size_m,
+                        frame_mid_times(radar, fmap.values.shape[1]))
     diagram = diagram_at_bins(cube, track.range_bins, track.frame_times)
     noise_fold = np.median(fmap.values[UAV_RANGE_BIN + 40])
     for col in diagram.columns:
@@ -212,7 +209,7 @@ def test_uav_capture_segments_pass(hover_capture, derived):
     _, _, cube, fmap, truth = hover_capture
     window = segment_window_frames(derived)
     assert window == 40
-    noise = noise_window_max_folds(fmap, window, exclude_bins=[UAV_RANGE_BIN])
+    noise = noise_window_max_folds(fmap.values, window, exclude_bins=[UAV_RANGE_BIN])
     threshold = calibrate_threshold(noise)
     diagram = diagram_at_bins(cube, [UAV_RANGE_BIN] * 40)
     diagram = feature_alignment(dc_removal(diagram))
@@ -223,7 +220,7 @@ def test_uav_capture_segments_pass(hover_capture, derived):
 
 def test_calibrate_threshold_formula():
     vals = np.array([1.0, 2.0, 3.0])
-    assert calibrate_threshold(vals, n_sigma=5.0) == pytest.approx(
+    assert calibrate_threshold(vals) == pytest.approx(
         vals.mean() + 5.0 * vals.std())
     with pytest.raises(IdentifyError):
         calibrate_threshold([])

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from rotorsense.config import RadarConfig, derive
-from rotorsense.folding import FoldingMap
-from rotorsense.tracking import (NoiseProfile, ParticleFilterConfig, Track,
-                                 TrackingError, default_pf_config, dp_max_path,
+from rotorsense.tracking import (Track, TrackingError, dp_max_path,
                                  estimate_noise_profile, particle_filter,
                                  read_track_csv, relative_range_error,
                                  spectral_subtract, track_to_csv)
@@ -14,38 +12,36 @@ from rotorsense.tracking import (NoiseProfile, ParticleFilterConfig, Track,
 BIN = 0.36643079597758654  # default radar range bin
 
 
-def fmap_of(values, times=None):
+def dp_path(values, k_bins, range_bin_size_m=BIN):
+    """dp_max_path over a plain folding map, on frame positions 0, 1, 2, ..."""
     values = np.asarray(values, dtype=float)
-    if times is None:
-        times = np.arange(values.shape[1], dtype=float)
-    return FoldingMap(values=values, best_sizes=np.zeros_like(values, dtype=int),
-                      frame_times=np.asarray(times, dtype=float))
+    return dp_max_path(values, k_bins, range_bin_size_m, np.arange(values.shape[1]))
 
 
 # --- noise profile ------------------------------------------------------------
 
 def test_profile_of_constant_background():
-    profile = estimate_noise_profile(fmap_of(np.full((6, 9), 2.5)))
-    assert np.all(profile.values == 2.5)
+    profile = estimate_noise_profile(np.full((6, 9), 2.5))
+    assert np.all(profile == 2.5)
 
 
 def test_profile_of_single_column():
     col = np.arange(5.0)
-    profile = estimate_noise_profile(fmap_of(col[:, None]))
-    assert np.array_equal(profile.values, col)
+    profile = estimate_noise_profile(col[:, None])
+    assert np.array_equal(profile, col)
 
 
 def test_profile_matches_naive_mean():
     rng = np.random.default_rng(0)
     values = rng.uniform(0.0, 10.0, (64, 37))
-    profile = estimate_noise_profile(fmap_of(values))
+    profile = estimate_noise_profile(values)
     naive = np.array([sum(values[r]) / values.shape[1] for r in range(values.shape[0])])
-    assert np.max(np.abs(profile.values - naive) / naive) < 1e-12
+    assert np.max(np.abs(profile - naive) / naive) < 1e-12
 
 
 def test_profile_rejects_empty():
     with pytest.raises(TrackingError, match="empty"):
-        estimate_noise_profile(fmap_of(np.zeros((0, 0))))
+        estimate_noise_profile(np.zeros((0, 0)))
 
 
 # --- spectral subtraction -----------------------------------------------------
@@ -54,10 +50,10 @@ def test_subtract_collinear_columns_vanish():
     rng = np.random.default_rng(1)
     profile_vals = rng.uniform(1.0, 5.0, 32)
     scales = rng.uniform(0.5, 2.0, 10)
-    fmap = fmap_of(np.outer(profile_vals, scales))
-    cleaned = spectral_subtract(fmap, NoiseProfile(profile_vals))
-    in_energy = np.sum(fmap.values ** 2, axis=0)
-    out_energy = np.sum(cleaned.values ** 2, axis=0)
+    fmap = np.outer(profile_vals, scales)
+    cleaned = spectral_subtract(fmap, profile_vals)
+    in_energy = np.sum(fmap ** 2, axis=0)
+    out_energy = np.sum(cleaned ** 2, axis=0)
     assert np.all(out_energy <= 1e-10 * in_energy)
 
 
@@ -66,9 +62,9 @@ def test_subtract_orthogonal_columns_unchanged():
     profile_vals[:4] = 1.0
     col = np.zeros(8)
     col[4:] = np.array([1.0, 2.0, 3.0, 4.0])  # orthogonal to the profile
-    fmap = fmap_of(col[:, None])
-    cleaned = spectral_subtract(fmap, NoiseProfile(profile_vals))
-    assert np.array_equal(cleaned.values, fmap.values)
+    fmap = col[:, None]
+    cleaned = spectral_subtract(fmap, profile_vals)
+    assert np.array_equal(cleaned, fmap)
 
 
 def test_subtract_recovers_target_over_ramp():
@@ -78,25 +74,23 @@ def test_subtract_recovers_target_over_ramp():
     ramp = np.linspace(1.0, 12.0, n_r)  # max at the last bin
     values = ramp[:, None] * rng.uniform(0.9, 1.1, (1, n_t))
     values[uav_bin] += 6.0 + rng.uniform(-0.5, 0.5, n_t)
-    fmap = fmap_of(values)
     pre_argmax = np.argmax(values, axis=0)
     assert np.all(pre_argmax == n_r - 1)  # ramp wins everywhere before subtraction
-    cleaned = spectral_subtract(fmap, NoiseProfile(ramp))
-    post_argmax = np.argmax(cleaned.values, axis=0)
+    cleaned = spectral_subtract(values, ramp)
+    post_argmax = np.argmax(cleaned, axis=0)
     assert np.count_nonzero(post_argmax == uav_bin) >= 0.95 * n_t
 
 
 def test_subtract_keeps_negatives():
-    fmap = fmap_of(np.array([[1.0, 4.0], [5.0, 1.0]]))
-    cleaned = spectral_subtract(fmap, NoiseProfile(np.array([1.0, 1.0])))
-    assert np.any(cleaned.values < 0)
+    cleaned = spectral_subtract(np.array([[1.0, 4.0], [5.0, 1.0]]), np.array([1.0, 1.0]))
+    assert np.any(cleaned < 0)
 
 
 def test_subtract_zero_profile_errors():
     with pytest.raises(TrackingError, match="zero"):
-        spectral_subtract(fmap_of(np.ones((4, 3))), NoiseProfile(np.zeros(4)))
+        spectral_subtract(np.ones((4, 3)), np.zeros(4))
     with pytest.raises(TrackingError, match="bins"):
-        spectral_subtract(fmap_of(np.ones((4, 3))), NoiseProfile(np.ones(5)))
+        spectral_subtract(np.ones((4, 3)), np.ones(5))
 
 
 # --- dynamic programming --------------------------------------------------------
@@ -124,8 +118,7 @@ def brute_force_max_path(values, k_bins):
 
 
 def test_dp_single_column():
-    fmap = fmap_of(np.array([[1.0], [9.0], [4.0]]))
-    track = dp_max_path(fmap, 1, BIN)
+    track = dp_path(np.array([[1.0], [9.0], [4.0]]), 1)
     assert list(track.range_bins) == [1]
     assert track.total_score == 9.0
     assert track.ranges_m[0] == pytest.approx(1.5 * BIN)
@@ -136,7 +129,7 @@ def test_dp_recovers_staircase():
     values = np.zeros((n, n))
     for t in range(n):
         values[t, t] = 10.0
-    track = dp_max_path(fmap_of(values), 1, BIN)
+    track = dp_path(values, 1)
     assert np.array_equal(track.range_bins, np.arange(n))
     assert track.total_score == 80.0
 
@@ -148,7 +141,7 @@ def test_dp_matches_brute_force():
         n_t = int(rng.integers(1, 7))
         k = int(rng.integers(1, 3))
         values = rng.uniform(-5.0, 10.0, (n_r, n_t))
-        track = dp_max_path(fmap_of(values), k, BIN)
+        track = dp_path(values, k)
         score, path = brute_force_max_path(values, k)
         assert np.array_equal(track.range_bins, path), f"trial {trial}"
         assert abs(track.total_score - score) < 1e-9
@@ -159,34 +152,26 @@ def test_dp_constraint_always_satisfied():
     for _ in range(30):
         values = rng.uniform(-1.0, 1.0, (40, 25))
         k = int(rng.integers(1, 4))
-        track = dp_max_path(fmap_of(values), k, BIN)
+        track = dp_path(values, k)
         assert np.max(np.abs(np.diff(track.range_bins))) <= k
 
 
 def test_dp_path_invariant_under_constant_offset():
     rng = np.random.default_rng(6)
     values = rng.integers(-5, 15, (12, 9)).astype(float)
-    base = dp_max_path(fmap_of(values), 2, BIN)
-    shifted = dp_max_path(fmap_of(values + 7.0), 2, BIN)
+    base = dp_path(values, 2)
+    shifted = dp_path(values + 7.0, 2)
     assert np.array_equal(base.range_bins, shifted.range_bins)
 
 
 def test_dp_empty_map_errors():
     with pytest.raises(TrackingError, match="empty"):
-        dp_max_path(fmap_of(np.zeros((0, 0))), 1, BIN)
+        dp_path(np.zeros((0, 0)), 1)
     with pytest.raises(TrackingError, match="k_bins"):
-        dp_max_path(fmap_of(np.ones((3, 3))), 0, BIN)
+        dp_path(np.ones((3, 3)), 0)
 
 
 # --- particle filter -----------------------------------------------------------
-
-def _track_from_ranges(ranges, k_bins=1):
-    ranges = np.asarray(ranges, dtype=float)
-    bins = np.round(ranges / BIN - 0.5).astype(int)
-    return Track(range_bins=bins, ranges_m=ranges,
-                 scores=np.ones_like(ranges), k_bins=k_bins,
-                 frame_times=(np.arange(ranges.size) + 0.5) * 0.09)
-
 
 @pytest.fixture(scope="module")
 def pf_derived():
@@ -195,22 +180,20 @@ def pf_derived():
 
 def test_pf_noiseless_constant_velocity(pf_derived):
     truth = 30.0 + 0.5 * np.arange(40) * 0.09
-    track = _track_from_ranges(truth)
-    filtered, reseeds = particle_filter(track, default_pf_config(pf_derived, 3), pf_derived)
-    raw_rmse = np.sqrt(np.mean((track.ranges_m - truth) ** 2))
+    obs = truth.copy()
+    filtered, reseeds = particle_filter(obs, pf_derived, 3)
+    raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
     pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
     assert raw_rmse == 0.0
     assert pf_rmse <= 0.4 * pf_derived.range_bin_size_m  # both ~0
     assert reseeds == 0
-    assert track.filtered_ranges_m is filtered
 
 
 def test_pf_suppresses_outlier_spike(pf_derived):
     truth = np.full(40, 48.0)
     obs = truth.copy()
     obs[20] += 5 * pf_derived.range_bin_size_m
-    track = _track_from_ranges(obs)
-    filtered, _ = particle_filter(track, default_pf_config(pf_derived, 7), pf_derived)
+    filtered, _ = particle_filter(obs, pf_derived, 7)
     assert np.max(np.abs(filtered - truth)) < np.max(np.abs(obs - truth))
 
 
@@ -220,8 +203,7 @@ def test_pf_beats_raw_on_jitter(pf_derived):
         rng = np.random.default_rng(1000 + seed)
         truth = np.full(40, 48.0)
         obs = truth + rng.normal(0.0, pf_derived.range_bin_size_m, truth.size)
-        track = _track_from_ranges(obs)
-        filtered, _ = particle_filter(track, default_pf_config(pf_derived, seed), pf_derived)
+        filtered, _ = particle_filter(obs, pf_derived, seed)
         raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
         pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
         improved += pf_rmse < raw_rmse
@@ -231,32 +213,23 @@ def test_pf_beats_raw_on_jitter(pf_derived):
 def test_pf_deterministic(pf_derived):
     rng = np.random.default_rng(9)
     obs = 48.0 + rng.normal(0.0, 0.4, 30)
-    cfg = default_pf_config(pf_derived, 42)
-    a, _ = particle_filter(_track_from_ranges(obs), cfg, pf_derived)
-    b, _ = particle_filter(_track_from_ranges(obs), cfg, pf_derived)
+    a, _ = particle_filter(obs, pf_derived, 42)
+    b, _ = particle_filter(obs, pf_derived, 42)
     assert np.array_equal(a, b)
 
 
 def test_pf_degenerate_weights_reseed(pf_derived):
-    cfg = ParticleFilterConfig(particle_count=500, process_noise_range_m=0.01,
-                               process_noise_vel_m_per_s=0.01,
-                               measurement_noise_m=1e-6, rng_seed=1).validate()
-    obs = np.array([50.0, 50.0, 50.0])
-    filtered, reseeds = particle_filter(_track_from_ranges(obs), cfg, pf_derived)
+    # A 40 m jump leaves every particle a hundred measurement sigmas away,
+    # so every weight underflows and the cloud is re-seeded at the observation.
+    obs = np.array([90.0, 90.0, 50.0])
+    filtered, reseeds = particle_filter(obs, pf_derived, 1)
     assert reseeds >= 1
     assert abs(filtered[-1] - 50.0) < 0.5
 
 
-def test_pf_config_validation():
-    with pytest.raises(TrackingError, match="particle_count"):
-        ParticleFilterConfig(particle_count=10).validate()
-    with pytest.raises(TrackingError, match="stds"):
-        ParticleFilterConfig(measurement_noise_m=0.0).validate()
-
-
 def test_pf_empty_track_errors(pf_derived):
     with pytest.raises(TrackingError, match="empty"):
-        particle_filter(_track_from_ranges([]), default_pf_config(pf_derived), pf_derived)
+        particle_filter(np.array([]), pf_derived, 0)
 
 
 # --- relative range error -------------------------------------------------------
@@ -281,8 +254,10 @@ def test_relative_error_guards():
 
 def test_track_csv_round_trip(tmp_path, pf_derived):
     obs = 48.0 + np.arange(5) * 0.1
-    track = _track_from_ranges(obs)
-    particle_filter(track, default_pf_config(pf_derived, 0), pf_derived)
+    track = Track(range_bins=np.round(obs / BIN - 0.5).astype(int), ranges_m=obs,
+                  scores=np.ones_like(obs), k_bins=1,
+                  frame_times=(np.arange(obs.size) + 0.5) * 0.09,
+                  filtered_ranges_m=particle_filter(obs, pf_derived, 0)[0])
     path = tmp_path / "track.csv"
     track_to_csv(track, path)
     times, ranges, filtered = read_track_csv(path)
