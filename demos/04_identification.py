@@ -13,7 +13,7 @@ import numpy as np
 
 from rotorsense import RadarConfig, derive
 from rotorsense.cli import background_threshold, scene_segment
-from rotorsense.identify import LABELS, classify, normalize_segment, segment_window_frames
+from rotorsense.identify import LABELS, classify, segment_batch, segment_window_frames
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense import scenarios
 
@@ -43,7 +43,7 @@ print(f"{passed}/{len(segments)} segments pass the folding filter "
 order = rng.permutation(len(segments))
 split = int(0.7 * len(segments))
 train_idx, test_idx = order[:split], order[split:]
-x = np.stack([normalize_segment(segments[i].values) for i in range(len(segments))])
+x = segment_batch(segments)
 y = np.array([LABELS.index(segments[i].label) for i in range(len(segments))])
 
 print("training the detector (two stacked recurrent layers, hidden 128) ...")

@@ -133,14 +133,14 @@ def _radar_for(args) -> RadarConfig:
     return RadarConfig().validate()
 
 
-def _read_capture(args):
-    """Frames plus a radar config, from either format."""
+def _read_capture(path, args):
+    """Frames of a capture file plus the radar that recorded them, from the file's
+    header, or from --config for a headerless int16 file (--raw-int16)."""
     if args.raw_int16:
         radar = _radar_for(args)
-        frames = frameio.read_frames_int16(args.frames, radar.chirps_per_frame,
-                                           radar.samples_per_chirp)
-        return frames, radar
-    frames, header = frameio.read_frames(args.frames)
+        return frameio.read_frames_int16(path, radar.chirps_per_frame,
+                                         radar.samples_per_chirp), radar
+    frames, header = frameio.read_frames(path)
     return frames, frameio.radar_from_header(header)
 
 
@@ -190,14 +190,14 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, j_min: int 
 
 
 def _track_files(args):
-    """Reads --frames (and --background, which must share the capture's radar); returns
-    the capture's magnitude cube and its CaptureTrack under the pipeline flags."""
-    frames, radar = _read_capture(args)
+    """Reads --frames (and --background, in the same format and from the same radar);
+    returns the capture's magnitude cube and its CaptureTrack under the pipeline flags."""
+    frames, radar = _read_capture(args.frames, args)
     cube = process_frames(frames)
     background = None
     if args.background:
-        bg_frames, bg_header = frameio.read_frames(args.background)
-        mismatch = ", ".join(frameio.header_mismatch(bg_header, radar))
+        bg_frames, bg_radar = _read_capture(args.background, args)
+        mismatch = ", ".join(frameio.radar_mismatch(bg_radar, radar))
         if mismatch:
             raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
         background = process_frames(bg_frames)
@@ -209,9 +209,9 @@ def _track_files(args):
 def capture_segments(cube, range_bins, frame_times, window: int, threshold: float,
                      j_min: int = 2, j_max: int = 20) -> list[identify.Segment]:
     """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows."""
-    diagram = identify.diagram_at_bins(cube, range_bins, frame_times)
-    diagram = identify.feature_alignment(identify.dc_removal(diagram))
-    return identify.segment_split_filter(diagram, window, threshold, j_min, j_max)
+    diagram, _ = identify.dc_removal(identify.diagram_at_bins(cube, range_bins))
+    return identify.segment_split_filter(identify.feature_alignment(diagram), frame_times,
+                                         window, threshold, j_min, j_max)
 
 
 # --- the dataset recipe --------------------------------------------------------
@@ -336,7 +336,7 @@ def cmd_identify(args) -> int:
     else:
         cube, result = _track_files(args)
         threshold = args.threshold
-        if args.threshold_mode == "auto":
+        if threshold is None:
             if result.calibration is None:
                 raise IdentifyError("not enough noise-only data to calibrate a threshold")
             threshold = result.calibration
@@ -376,8 +376,7 @@ def _training_tensors(path, normalize: bool):
     labeled = [s for s in identify.load_segments(path) if s.label in identify.LABELS]
     if not labeled:
         raise ModelError(f"dataset {path} contains no labeled segments")
-    x = np.stack([identify.normalize_segment(s.values) if normalize
-                  else np.asarray(s.values, dtype=float) for s in labeled])
+    x = identify.segment_batch(labeled, normalize)
     y = np.array([identify.LABELS.index(s.label) for s in labeled])
     return x, y
 
@@ -518,8 +517,7 @@ def _add_common(p):
 # The flags only a capture uses, by argparse dest, with their defaults.
 # `identify --dataset` rejects any of them set to another value.
 CAPTURE_FLAG_DEFAULTS = {
-    "background": None, "raw_int16": False,
-    "threshold": identify.DEFAULT_THRESHOLD, "threshold_mode": "auto",
+    "background": None, "raw_int16": False, "threshold": None,
     "j_min": 2, "j_max": 20, "k_bins": 0, "v_max": 4.0,
 }
 
@@ -534,7 +532,8 @@ def _add_pipeline_flags(p):
     p.add_argument("--background", default=d["background"],
                    help="background frame capture for noise profile estimation")
     p.add_argument("--raw-int16", action="store_true", default=d["raw_int16"],
-                   help="frames file is headerless int16; layout from --config")
+                   help="frames and background files are headerless int16; layout from "
+                        "--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=CAPTURE_FLAG_DEFAULTS["threshold"])
-    p.add_argument("--threshold-mode", choices=("fixed", "auto"),
-                   default=CAPTURE_FLAG_DEFAULTS["threshold_mode"])
+    p.add_argument("--threshold", type=float, default=CAPTURE_FLAG_DEFAULTS["threshold"],
+                   help="fixed folding-filter threshold (default: the capture's noise "
+                        "calibration)")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_identify)
 

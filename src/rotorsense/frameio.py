@@ -114,9 +114,10 @@ def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int):
                           samples_per_chirp)
 
 
-def header_mismatch(header: dict, radar: RadarConfig) -> list[str]:
-    """Keys of a read header whose values differ from the radar's, in header order."""
-    return [key for key, value in _header_dict(radar).items() if header[key] != value]
+def radar_mismatch(a: RadarConfig, b: RadarConfig) -> list[str]:
+    """Header keys whose values differ between two radars, in header order."""
+    header_b = _header_dict(b)
+    return [key for key, value in _header_dict(a).items() if header_b[key] != value]
 
 
 def radar_from_header(header: dict) -> RadarConfig:

@@ -1,15 +1,15 @@
 """Doppler-time diagrams, their preprocessing, segmentation and classification.
 
 The Doppler rows of a magnitude cube at the tracked range bins, one per
-frame, form a Doppler-time diagram. Before classification the diagram is
-normalized in two steps:
+frame, form a Doppler-time diagram: a plain [frames, Doppler bins] array.
+Before classification the diagram is normalized in two steps:
 
 DC removal     -- frames whose global peak sits away from the zero-Doppler bin
                   carry no body return at DC, so their DC bins estimate the DC
                   noise floor; that average is subtracted from every frame's
-                  DC bin (clamped at zero). If no frame qualifies (hover: the
-                  body peak is at DC everywhere) nothing is subtracted and a
-                  flag is set.
+                  DC bin (clamped at zero) and returned with the diagram. If
+                  no frame qualifies (hover: the body peak is at DC
+                  everywhere) nothing is subtracted and None is returned.
 feature align  -- each column is shifted so its body-velocity peak (global
                   argmax, ties resolved toward DC) lands exactly on the DC
                   bin, stripping the body-velocity dependence; vacated bins
@@ -17,18 +17,17 @@ feature align  -- each column is shifted so its body-velocity peak (global
                   value down to zero. Peak-to-peak comb spacings survive the
                   shift unchanged.
 
-The diagram is then cut into fixed-length windows (3.6 s worth of frames) and
-windows whose maximum per-column folding result stays below a threshold are
-flagged as featureless. The threshold default (30000) matches raw captures of
-the reference hardware scaling; for synthetic data calibrate it from
-noise-only folding results (mean + 5 sigma).
+The diagram is then cut into fixed-length windows (3.6 s worth of frames),
+each a Segment, and windows whose maximum per-column folding result stays
+below a threshold are flagged as featureless. segment_batch stacks segments
+into the LSTM's [segments, frames, Doppler bins] input.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .rdmap import dc_bin
 LABELS = ("other", "uav")  # class index order; "uav" is the positive class
 
 SEGMENT_SECONDS = 3.6
-DEFAULT_THRESHOLD = 30000.0
 DC_EPSILON_BINS = 2     # a frame's peak farther than this from DC qualifies
 THRESHOLD_SIGMAS = 5.0  # calibrated threshold = mean + 5 sigma of noise maxima
 GUARD_BINS = 4          # range bins masked on each side of an excluded bin
@@ -50,23 +48,6 @@ SEGMENT_SCHEMA_VERSION = 1
 
 class IdentifyError(ValueError):
     """Identification precondition violated."""
-
-
-@dataclass(frozen=True)
-class DopplerTimeDiagram:
-    """Doppler rows along a track, shape [frames, doppler bins]."""
-
-    columns: np.ndarray
-    frame_times: np.ndarray
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def n_frames(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def n_doppler_bins(self) -> int:
-        return self.columns.shape[1]
 
 
 @dataclass
@@ -84,12 +65,9 @@ def segment_window_frames(derived: DerivedParams) -> int:
     return int(round(SEGMENT_SECONDS / derived.frame_duration_s))
 
 
-def diagram_at_bins(cube, range_bins, frame_times=None) -> DopplerTimeDiagram:
-    """Column t is the Doppler row of frame t of the magnitude cube at range_bins[t].
-
-    The bins come from a track or from simulation truth; frame_times defaults
-    to the frame positions 0, 1, 2, ...
-    """
+def diagram_at_bins(cube, range_bins) -> np.ndarray:
+    """Row t of the [F, L] diagram is the Doppler row of frame t of the magnitude
+    cube at range_bins[t]; the bins come from a track or from simulation truth."""
     cube = np.asarray(cube, dtype=float)
     bins = np.array(range_bins, dtype=int)
     n_frames, n_range = cube.shape[:2]
@@ -97,32 +75,26 @@ def diagram_at_bins(cube, range_bins, frame_times=None) -> DopplerTimeDiagram:
         raise IdentifyError(f"bin count {bins.shape[0]} does not match {n_frames} frames")
     if np.any((bins < 0) | (bins >= n_range)):
         raise IdentifyError(f"range bin out of bounds [0, {n_range})")
-    if frame_times is None:
-        frame_times = np.arange(n_frames)
-    return DopplerTimeDiagram(columns=cube[np.arange(n_frames), bins],
-                              frame_times=np.asarray(frame_times, dtype=float))
+    return cube[np.arange(n_frames), bins]
 
 
-def dc_removal(diagram: DopplerTimeDiagram) -> DopplerTimeDiagram:
+def dc_removal(diagram) -> tuple[np.ndarray, float | None]:
     """Subtract the qualifying-frame mean from every DC bin, clamped at zero.
 
     A frame qualifies when its global argmax lies more than DC_EPSILON_BINS
     away from the DC bin, i.e. the body-velocity peak is not parked on DC.
+    Returns (diagram, subtracted); subtracted is None when no frame qualifies.
     """
-    if diagram.n_frames == 0:
+    cols = np.array(diagram, dtype=float)
+    if cols.shape[0] == 0:
         raise IdentifyError("empty Doppler-time diagram")
-    cols = diagram.columns.copy()
-    dc = dc_bin(diagram.n_doppler_bins)
-    peak_bins = np.argmax(cols, axis=1)
-    qualifying = np.abs(peak_bins - dc) > DC_EPSILON_BINS
-    flags = dict(diagram.flags)
+    dc = dc_bin(cols.shape[1])
+    qualifying = np.abs(np.argmax(cols, axis=1) - dc) > DC_EPSILON_BINS
     if not np.any(qualifying):
-        flags["dc_removal_skipped"] = True
-        return replace(diagram, columns=cols, flags=flags)
+        return cols, None
     avg = float(cols[qualifying, dc].mean())
     cols[:, dc] = np.maximum(cols[:, dc] - avg, 0.0)
-    flags["dc_removal_subtracted"] = avg
-    return replace(diagram, columns=cols, flags=flags)
+    return cols, avg
 
 
 def _peak_bin_toward_dc(col: np.ndarray, dc: int) -> int:
@@ -133,10 +105,10 @@ def _peak_bin_toward_dc(col: np.ndarray, dc: int) -> int:
     return int(peaks[order[0]])
 
 
-def feature_alignment(diagram: DopplerTimeDiagram) -> DopplerTimeDiagram:
-    """Shift every column so the body-velocity peak sits on the DC bin."""
-    cols = diagram.columns.copy()
-    n_bins = diagram.n_doppler_bins
+def feature_alignment(diagram) -> np.ndarray:
+    """Shift every row of the [F, L] diagram so the body-velocity peak sits on the DC bin."""
+    cols = np.array(diagram, dtype=float)
+    n_bins = cols.shape[1]
     dc = dc_bin(n_bins)
     for t in range(cols.shape[0]):
         col = cols[t]
@@ -154,30 +126,29 @@ def feature_alignment(diagram: DopplerTimeDiagram) -> DopplerTimeDiagram:
             edge = col[-1]
             out[n_bins - s:] = edge * (np.arange(s, 0, -1) / (s + 1))
         cols[t] = out
-    return replace(diagram, columns=cols)
+    return cols
 
 
-def segment_split_filter(diagram: DopplerTimeDiagram, window_frames: int,
-                         threshold: float, j_min: int = 2,
-                         j_max: int = 20) -> list[Segment]:
-    """Cut into non-overlapping windows; flag windows below the folding threshold.
+def segment_split_filter(diagram, frame_times, window_frames: int, threshold: float,
+                         j_min: int = 2, j_max: int = 20) -> list[Segment]:
+    """Cut the [F, L] diagram into non-overlapping windows; flag windows below the
+    folding threshold. frame_times[t] is frame t's time, recorded as each window's start.
 
     The tail remainder shorter than one window is dropped. Returns [] when the
     diagram is shorter than one window.
     """
     if window_frames < 2:
         raise IdentifyError("window_frames must be >= 2")
-    n = diagram.n_frames // window_frames
     segments = []
-    for k in range(n):
-        block = diagram.columns[k * window_frames:(k + 1) * window_frames]
+    for k in range(len(diagram) // window_frames):
+        block = diagram[k * window_frames:(k + 1) * window_frames]
         max_fold = fold_columns(block.T, j_min, j_max)[1].max()
         segments.append(Segment(
             values=block.copy(),
             max_folding_result=float(max_fold),
             passed_filter=bool(max_fold >= threshold),
             provenance={"window": k,
-                        "start_time_s": float(diagram.frame_times[k * window_frames])},
+                        "start_time_s": float(frame_times[k * window_frames])},
         ))
     return segments
 
@@ -211,6 +182,12 @@ def noise_window_max_folds(values, window_frames: int, exclude_bins=None) -> np.
 def normalize_segment(values: np.ndarray) -> np.ndarray:
     peak = float(np.max(np.abs(values)))
     return values / peak if peak > 0 else values.copy()
+
+
+def segment_batch(segments, normalize: bool = True) -> np.ndarray:
+    """The LSTM input [n, W, L]: the segments' values, each max-normalized if normalize."""
+    return np.stack([normalize_segment(s.values) if normalize
+                     else np.asarray(s.values, dtype=float) for s in segments])
 
 
 # --- classification and metrics ----------------------------------------------
@@ -254,29 +231,14 @@ def classify(detector: LstmDetector, segments):
     segments = list(segments)
     if not segments:
         raise IdentifyError("no segments to classify")
-    batch = np.stack([normalize_segment(s.values) if detector.normalize
-                      else np.asarray(s.values, dtype=float) for s in segments])
-    scores = detector.forward_batch(batch)
-    pred_idx = np.argmax(scores, axis=1)
-    labels = [LABELS[i] for i in pred_idx]
-
-    tp = fp = fn = tn = 0
-    any_truth = False
-    for seg, pred in zip(segments, pred_idx):
-        if seg.label not in LABELS:
-            continue
-        any_truth = True
-        truth = LABELS.index(seg.label)
-        if truth == 1 and pred == 1:
-            tp += 1
-        elif truth == 0 and pred == 1:
-            fp += 1
-        elif truth == 1 and pred == 0:
-            fn += 1
-        else:
-            tn += 1
-    metrics = binary_metrics(tp, fp, fn, tn) if any_truth else None
-    return labels, metrics
+    pred = np.argmax(detector.forward_batch(segment_batch(segments, detector.normalize)), axis=1)
+    labels = [LABELS[i] for i in pred]
+    truth = np.array([s.label for s in segments])
+    uav, other, said_uav = truth == "uav", truth == "other", pred == LABELS.index("uav")
+    if not np.any(uav | other):
+        return labels, None
+    return labels, binary_metrics(int(np.sum(uav & said_uav)), int(np.sum(other & said_uav)),
+                                  int(np.sum(uav & ~said_uav)), int(np.sum(other & ~said_uav)))
 
 
 # --- dataset file: one record per segment ------------------------------------

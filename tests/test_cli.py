@@ -230,9 +230,8 @@ def test_identify_dataset_rejects_capture_flags(tmp_path, capsys):
     assert main(common) == 0
     capsys.readouterr()
     assert main(common + ["--background", "/nonexistent", "--raw-int16",
-                          "--threshold-mode", "fixed", "--threshold", "1e9",
-                          "--j-min", "3", "--k-bins", "7"]) == 1
-    assert ("no capture flags: --background, --raw-int16, --threshold, --threshold-mode, "
+                          "--threshold", "1e9", "--j-min", "3", "--k-bins", "7"]) == 1
+    assert ("no capture flags: --background, --raw-int16, --threshold, "
             "--j-min, --k-bins\n") in capsys.readouterr().err
 
 
@@ -246,6 +245,18 @@ def test_background_from_another_radar_exits_one(pipeline_run, tmp_path, capsys)
                  "--background", str(tmp_path / "bg.bin"), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "radar differs from the capture's: fs, Tc, fc" in err
+
+
+def test_raw_int16_background_is_read_as_int16(pipeline_run, tmp_path):
+    """--raw-int16 covers --background too: int16 copies of a capture and its background."""
+    for name in ("run", "bg"):
+        payload = np.fromfile(pipeline_run / name / "frames.bin", dtype="<f4",
+                              offset=frameio.HEADER_BYTES)
+        np.round(payload).astype("<i2").tofile(tmp_path / f"{name}.bin")
+    assert main(["track", "--frames", str(tmp_path / "run.bin"), "--raw-int16",
+                 "--background", str(tmp_path / "bg.bin"), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["noise_profile_source"] == "background-capture"
 
 
 def test_unreadable_model_exits_one(tmp_path, capsys):
@@ -301,20 +312,28 @@ def test_identify_auto_threshold_is_track_calibration(pipeline_run, tmp_path):
               "--background", str(pipeline_run / "bg" / "frames.bin"),
               "--model", _untrained_model(tmp_path), "--seed", "5"]
     assert main(common + ["--out", str(tmp_path / "auto")]) == 0
-    assert main(common + ["--threshold-mode", "fixed",
-                          "--threshold", repr(summary["noise_calibration"]),
+    assert main(common + ["--threshold", repr(summary["noise_calibration"]),
                           "--out", str(tmp_path / "fixed")]) == 0
     for name in ("metrics.json", "labels.csv"):
         assert sha256(tmp_path / "auto" / name) == sha256(tmp_path / "fixed" / name)
+
+
+def test_identify_given_threshold_is_fixed(pipeline_run, tmp_path):
+    """A --threshold value replaces the calibration: no window reaches 1e30."""
+    assert main(["identify", "--frames", str(pipeline_run / "run" / "frames.bin"),
+                 "--model", _untrained_model(tmp_path), "--threshold", "1e30",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["verdict"] == "no-detection"
 
 
 def test_identify_fold_sizes_reach_segment_filter(pipeline_run, tmp_path, monkeypatch):
     seen = []
     segment_split_filter = identify.segment_split_filter
 
-    def spy(diagram, window_frames, threshold, j_min=2, j_max=20):
+    def spy(diagram, frame_times, window_frames, threshold, j_min=2, j_max=20):
         seen.append((j_min, j_max))
-        return segment_split_filter(diagram, window_frames, threshold, j_min, j_max)
+        return segment_split_filter(diagram, frame_times, window_frames, threshold,
+                                    j_min, j_max)
 
     monkeypatch.setattr(cli.identify, "segment_split_filter", spy)
     assert main(["identify", "--frames", str(pipeline_run / "run" / "frames.bin"),

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import RadarConfig
-from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
-from rotorsense.frameio import (FormatError, HEADER_BYTES, radar_from_header,
+from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
+from rotorsense.frameio import (FormatError, HEADER_BYTES, radar_from_header, radar_mismatch,
                                 read_frames, read_frames_int16, read_header,
                                 write_frames)
 
@@ -33,6 +35,26 @@ def test_round_trip(tmp_path, small_radar):
         # storage is float32; equality after the same quantization
         assert np.array_equal(back.samples.real, orig.samples.real.astype("<f4"))
         assert np.array_equal(back.samples.imag, orig.samples.imag.astype("<f4"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
+    radar = RadarConfig(chirps_per_frame=4, samples_per_chirp=8).validate()
+    parts = data.draw(arrays(np.float32, (n_frames, 4, 8, 2),
+                             elements=st.floats(width=32, allow_nan=False)))
+    samples = np.empty(parts.shape[:3], dtype=np.complex128)
+    samples.real, samples.imag = parts[..., 0], parts[..., 1]
+    path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    write_frames(path, [Frame(i, samples[i]) for i in range(n_frames)], radar)
+    loaded, header = read_frames(path)
+    assert radar_mismatch(radar_from_header(header), radar) == []
+    assert len(loaded) == n_frames
+    for i, frame in enumerate(loaded):
+        for back, part in ((frame.samples.real, parts[i, ..., 0]),
+                           (frame.samples.imag, parts[i, ..., 1])):
+            assert np.array_equal(back, part)
+            assert np.array_equal(np.signbit(back), np.signbit(part))
 
 
 def test_header_is_fixed_size(tmp_path, small_radar):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorsense.config import derive
 from rotorsense.folding import build_folding_map, folding_result
-from rotorsense.identify import (SEGMENT_MAGIC, DopplerTimeDiagram, IdentifyError,
+from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
                                  Segment, binary_metrics, calibrate_threshold, classify,
                                  dc_removal, diagram_at_bins, feature_alignment,
                                  load_segments, noise_window_max_folds, normalize_segment,
@@ -22,9 +23,7 @@ DC = 50
 
 
 def diagram_of(columns):
-    columns = np.asarray(columns, dtype=float)
-    return DopplerTimeDiagram(columns=columns,
-                              frame_times=np.arange(columns.shape[0], dtype=float))
+    return np.asarray(columns, dtype=float)
 
 
 def comb_column(center, spacing=5, amp=3.0, base=0.1):
@@ -41,9 +40,9 @@ def test_single_frame_track_single_column(hover_capture):
     _, _, cube, fmap, _ = hover_capture
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
-    diagram = diagram_at_bins(cube[:1], track.range_bins, track.frame_times)
-    assert diagram.columns.shape == (1, 100)
-    assert np.array_equal(diagram.columns[0], cube[0, UAV_RANGE_BIN])
+    diagram = diagram_at_bins(cube[:1], track.range_bins)
+    assert diagram.shape == (1, 100)
+    assert np.array_equal(diagram[0], cube[0, UAV_RANGE_BIN])
 
 
 def test_extract_length_mismatch_errors(hover_capture):
@@ -51,16 +50,16 @@ def test_extract_length_mismatch_errors(hover_capture):
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
     with pytest.raises(IdentifyError, match="does not match"):
-        diagram_at_bins(cube[:3], track.range_bins, track.frame_times)
+        diagram_at_bins(cube[:3], track.range_bins)
 
 
 def test_tracked_hover_columns_carry_comb(hover_capture, derived, radar):
     _, _, cube, fmap, _ = hover_capture
     track = dp_max_path(fmap.values, derived.dp_constraint_bins, derived.range_bin_size_m,
                         frame_mid_times(radar, fmap.values.shape[1]))
-    diagram = diagram_at_bins(cube, track.range_bins, track.frame_times)
+    diagram = diagram_at_bins(cube, track.range_bins)
     noise_fold = np.median(fmap.values[UAV_RANGE_BIN + 40])
-    for col in diagram.columns:
+    for col in diagram:
         assert folding_result(col).folding_result > 5 * noise_fold
 
 
@@ -77,9 +76,9 @@ def test_off_by_one_bin_keeps_attenuated_comb(radar, derived):
     on = diagram_at_bins(cube, [131] * 10)
     off = diagram_at_bins(cube, [132] * 10)
     noise = diagram_at_bins(cube, [171] * 10)
-    on_f = np.mean([folding_result(c).folding_result for c in on.columns])
-    off_f = np.mean([folding_result(c).folding_result for c in off.columns])
-    noise_f = np.mean([folding_result(c).folding_result for c in noise.columns])
+    on_f = np.mean([folding_result(c).folding_result for c in on])
+    off_f = np.mean([folding_result(c).folding_result for c in off])
+    noise_f = np.mean([folding_result(c).folding_result for c in noise])
     assert off_f < 0.9 * on_f
     assert off_f > 3 * noise_f
 
@@ -88,9 +87,9 @@ def test_off_by_one_bin_keeps_attenuated_comb(radar, derived):
 
 def test_dc_removal_hover_unchanged_flagged():
     cols = np.stack([comb_column(DC) for _ in range(6)])  # peak parked at DC
-    out = dc_removal(diagram_of(cols))
-    assert np.array_equal(out.columns, cols)
-    assert out.flags.get("dc_removal_skipped") is True
+    out, subtracted = dc_removal(diagram_of(cols))
+    assert np.array_equal(out, cols)
+    assert subtracted is None
 
 
 def test_dc_removal_subtracts_injected_offset():
@@ -101,24 +100,24 @@ def test_dc_removal_subtracts_injected_offset():
     offset = 1.7
     cols[:, DC] += offset
     before = cols[:, DC].copy()
-    out = dc_removal(diagram_of(cols))
-    reduction = before - out.columns[:, DC]
+    out, subtracted = dc_removal(diagram_of(cols))
+    reduction = before - out[:, DC]
     # removed amount = offset plus the small DC baseline (0.1 + noise)
     assert np.all(np.abs(reduction - offset) < 0.15)
-    assert "dc_removal_subtracted" in out.flags
+    assert subtracted is not None
 
 
 def test_dc_removal_zero_diagram():
-    out = dc_removal(diagram_of(np.zeros((4, L))))
-    assert np.all(out.columns == 0)
+    out, _ = dc_removal(diagram_of(np.zeros((4, L))))
+    assert np.all(out == 0)
 
 
 def test_dc_removal_clamps_at_zero():
     cols = np.stack([comb_column(20) for _ in range(4)])
     cols[0, DC] = 0.05
     cols[1:, DC] = 3.0
-    out = dc_removal(diagram_of(cols))
-    assert np.all(out.columns[:, DC] >= 0.0)
+    out, _ = dc_removal(diagram_of(cols))
+    assert np.all(out[:, DC] >= 0.0)
 
 
 def test_dc_removal_empty_errors():
@@ -131,13 +130,13 @@ def test_dc_removal_empty_errors():
 def test_alignment_peak_already_at_dc_unchanged():
     col = comb_column(DC)
     out = feature_alignment(diagram_of(col[None]))
-    assert np.array_equal(out.columns[0], col)
+    assert np.array_equal(out[0], col)
 
 
 def test_alignment_shifts_peak_to_dc_preserving_spacing():
     col = comb_column(DC + 7)
     out = feature_alignment(diagram_of(col[None]))
-    shifted = out.columns[0]
+    shifted = out[0]
     assert int(np.argmax(shifted)) == DC
     peaks = np.flatnonzero(shifted > 2.9)
     src_peaks = np.flatnonzero(col > 2.9)
@@ -150,7 +149,7 @@ def test_alignment_shifts_peak_to_dc_preserving_spacing():
 def test_alignment_all_equal_column_unchanged():
     col = np.full(L, 2.0)
     out = feature_alignment(diagram_of(col[None]))
-    assert np.array_equal(out.columns[0], col)
+    assert np.array_equal(out[0], col)
 
 
 def test_alignment_vacated_bins_taper_to_zero():
@@ -158,7 +157,7 @@ def test_alignment_vacated_bins_taper_to_zero():
     col[DC - 10] = 5.0
     col[0] = 1.0  # edge value that gets tapered into the vacated region
     out = feature_alignment(diagram_of(col[None]))
-    shifted = out.columns[0]
+    shifted = out[0]
     assert int(np.argmax(shifted)) == DC
     fill = shifted[:10]
     assert fill[0] < fill[-1] < 1.0
@@ -169,7 +168,7 @@ def test_alignment_argmax_always_dc_random_columns():
     rng = np.random.default_rng(1)
     cols = rng.uniform(0.0, 4.0, (200, L))
     out = feature_alignment(diagram_of(cols))
-    for col in out.columns:
+    for col in out:
         assert col[DC] == col.max()
 
 
@@ -177,25 +176,27 @@ def test_alignment_argmax_always_dc_random_columns():
 
 def test_segment_split_counts():
     cols = np.stack([comb_column(DC) for _ in range(80)])
-    segments = segment_split_filter(diagram_of(cols), 40, threshold=0.0)
+    times = np.arange(80.0)
+    segments = segment_split_filter(diagram_of(cols), times, 40, threshold=0.0)
     assert len(segments) == 2
     assert segments[0].values.shape == (40, L)
-    assert segment_split_filter(diagram_of(cols[:39]), 40, 0.0) == []
+    assert segment_split_filter(diagram_of(cols[:39]), times, 40, 0.0) == []
     with pytest.raises(IdentifyError, match=">= 2"):
-        segment_split_filter(diagram_of(cols), 1, 0.0)
+        segment_split_filter(diagram_of(cols), times, 1, 0.0)
 
 
 def test_segment_filter_thresholding(radar):
     rng = np.random.default_rng(2)
     noise_cols = np.abs(rng.normal(size=(120, L)))
     noise_diagram = diagram_of(noise_cols)
-    noise_segments = segment_split_filter(noise_diagram, 40, threshold=0.0)
+    times = np.arange(120.0)
+    noise_segments = segment_split_filter(noise_diagram, times, 40, threshold=0.0)
     threshold = calibrate_threshold([s.max_folding_result for s in noise_segments])
     fresh = np.abs(rng.normal(size=(80, L)))
-    filtered = segment_split_filter(diagram_of(fresh), 40, threshold)
+    filtered = segment_split_filter(diagram_of(fresh), times, 40, threshold)
     assert sum(s.passed_filter for s in filtered) == 0
     comb_cols = np.stack([comb_column(DC) for _ in range(80)])
-    passed = segment_split_filter(diagram_of(comb_cols), 40, threshold)
+    passed = segment_split_filter(diagram_of(comb_cols), times, 40, threshold)
     assert all(s.passed_filter for s in passed)
     for cols, segments in ((noise_cols, noise_segments), (fresh, filtered),
                            (comb_cols, passed)):
@@ -211,9 +212,9 @@ def test_uav_capture_segments_pass(hover_capture, derived):
     assert window == 40
     noise = noise_window_max_folds(fmap.values, window, exclude_bins=[UAV_RANGE_BIN])
     threshold = calibrate_threshold(noise)
-    diagram = diagram_at_bins(cube, [UAV_RANGE_BIN] * 40)
-    diagram = feature_alignment(dc_removal(diagram))
-    segments = segment_split_filter(diagram, window, threshold)
+    diagram, _ = dc_removal(diagram_at_bins(cube, [UAV_RANGE_BIN] * 40))
+    segments = segment_split_filter(feature_alignment(diagram), np.arange(40), window,
+                                    threshold)
     assert len(segments) == 1
     assert all(s.passed_filter for s in segments)
 
@@ -261,6 +262,47 @@ def test_classify_labels_and_metrics():
     assert metrics["tp"] + metrics["fp"] + metrics["fn"] + metrics["tn"] == 3
     with pytest.raises(IdentifyError, match="no segments"):
         classify(det, [])
+
+
+class StubDetector:
+    """forward_batch scores whose argmax is the given class index per segment."""
+
+    normalize = True
+
+    def __init__(self, predictions):
+        self.predictions = predictions
+
+    def forward_batch(self, batch):
+        assert batch.shape[0] == len(self.predictions)
+        return np.eye(len(LABELS))[self.predictions]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("uav", "other", "unlabeled")),
+                          st.sampled_from((0, 1))), min_size=1, max_size=30))
+def test_classify_counts_match_per_segment_loop(cases):
+    segments = [Segment(values=np.ones((3, 4)), label=label) for label, _ in cases]
+    predictions = [pred for _, pred in cases]
+    labels, metrics = classify(StubDetector(predictions), segments)
+    assert labels == [LABELS[pred] for pred in predictions]
+    counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    for label, pred in cases:
+        if label not in LABELS:
+            continue
+        truth = LABELS.index(label)
+        if truth == 1 and pred == 1:
+            counts["tp"] += 1
+        elif truth == 0 and pred == 1:
+            counts["fp"] += 1
+        elif truth == 1 and pred == 0:
+            counts["fn"] += 1
+        else:
+            counts["tn"] += 1
+    if sum(counts.values()) == 0:
+        assert metrics is None
+    else:
+        assert {key: metrics[key] for key in counts} == counts
+        assert all(type(metrics[key]) is int for key in counts)
 
 
 def test_normalize_segment():

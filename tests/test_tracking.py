@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import RadarConfig, derive
 from rotorsense.tracking import (Track, TrackingError, dp_max_path,
@@ -154,6 +156,17 @@ def test_dp_constraint_always_satisfied():
         k = int(rng.integers(1, 4))
         track = dp_path(values, k)
         assert np.max(np.abs(np.diff(track.range_bins))) <= k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 20), st.integers(1, 4), st.data())
+def test_dp_constraint_holds_on_random_maps(n_r, n_t, k, data):
+    values = data.draw(arrays(np.float64, (n_r, n_t),
+                              elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    bins = dp_path(values, k).range_bins
+    assert bins.shape == (n_t,)
+    assert np.all((bins >= 0) & (bins < n_r))
+    assert np.all(np.abs(np.diff(bins)) <= k)
 
 
 def test_dp_path_invariant_under_constant_offset():
