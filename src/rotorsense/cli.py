@@ -69,14 +69,29 @@ def _write_json(path, payload) -> None:
 
 # --- scenario files ----------------------------------------------------------
 
-def _trajectory_from_json(items) -> TrajectorySpec:
-    segs = tuple(TrajectorySegment(
-        start_time_s=float(s["start_time_s"]),
-        duration_s=float(s["duration_s"]),
-        start_range_m=float(s["start_range_m"]),
-        radial_velocity_m_per_s=float(s["radial_velocity_m_per_s"]),
-    ) for s in items)
-    return TrajectorySpec(segments=segs).validate()
+def _json_type(value, cls: type, what: str):
+    if not isinstance(value, cls):
+        name = "object" if cls is dict else "list"
+        raise ValidationError(f"{what} must be a JSON {name}, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(value, what: str, cast: type = float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {json.dumps(value)}")
+
+
+def _trajectory_from_json(items, what: str) -> TrajectorySpec:
+    segs = []
+    for j, seg in enumerate(_json_type(items, list, what)):
+        seg = _json_type(seg, dict, f"{what}[{j}]")
+        segs.append(TrajectorySegment(**{
+            key: _json_number(seg[key], f"{what}[{j}].{key}")
+            for key in ("start_time_s", "duration_s", "start_range_m",
+                        "radial_velocity_m_per_s")}))
+    return TrajectorySpec(segments=tuple(segs)).validate()
 
 
 def load_scenario(path, seed: int) -> SceneSpec:
@@ -88,40 +103,48 @@ def load_scenario(path, seed: int) -> SceneSpec:
     scenarios.make_uav expands deterministically.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _json_type(json.load(fh), dict, "scenario file")
     version = doc.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ValidationError(f"unsupported scenario schema_version {version!r}")
-    scene_seed = int(doc.get("seed", component_seed(seed, "scene")))
+    scene_seed = _json_number(doc.get("seed", component_seed(seed, "scene")),
+                              "scenario seed", int)
     emitters = []
-    for i, item in enumerate(doc.get("emitters", [])):
+    for i, item in enumerate(_json_type(doc.get("emitters", []), list, "scenario emitters")):
+        item = _json_type(item, dict, f"emitter {i}")
         kind = item.get("kind")
         if kind == "uav":
-            uav_doc = dict(item.get("uav", {}))
-            geom_seed = int(uav_doc.pop("geometry_seed", scene_seed))
+            uav_doc = dict(_json_type(item.get("uav", {}), dict, f"emitter {i}: uav"))
+
+            def knob(key, default, cast=float):
+                return _json_number(uav_doc.pop(key, default), f"emitter {i}: uav.{key}", cast)
+
             uav = scenarios.make_uav(
-                seed=geom_seed,
-                rotation_rate_hz=float(uav_doc.pop("rotation_rate_hz",
-                                                   scenarios.ROTATION_RATE_HZ)),
-                rotor_count=int(uav_doc.pop("rotor_count", 6)),
-                scatterers_per_rotor=int(uav_doc.pop("scatterers_per_rotor", 3)),
-                blade_reflectivity=float(uav_doc.pop("blade_reflectivity",
-                                                     scenarios.BLADE_REFLECTIVITY)),
-                body_reflectivity=float(uav_doc.pop("body_reflectivity", 1.0)),
+                seed=knob("geometry_seed", scene_seed, int),
+                rotation_rate_hz=knob("rotation_rate_hz", scenarios.ROTATION_RATE_HZ),
+                rotor_count=knob("rotor_count", 6, int),
+                scatterers_per_rotor=knob("scatterers_per_rotor", 3, int),
+                blade_reflectivity=knob("blade_reflectivity", scenarios.BLADE_REFLECTIVITY),
+                body_reflectivity=knob("body_reflectivity", 1.0),
             )
             if uav_doc:
                 raise ValidationError(f"emitter {i}: unknown uav keys {sorted(uav_doc)}")
-            emitters.append(UavEmitter(uav, _trajectory_from_json(item["trajectory"])))
+            emitters.append(UavEmitter(uav, _trajectory_from_json(
+                item["trajectory"], f"emitter {i}: trajectory")))
         elif kind == "static-clutter":
-            emitters.append(StaticClutter(range_m=float(item["range_m"]),
-                                          reflectivity=float(item["reflectivity"])))
+            emitters.append(StaticClutter(
+                range_m=_json_number(item["range_m"], f"emitter {i}: range_m"),
+                reflectivity=_json_number(item["reflectivity"], f"emitter {i}: reflectivity")))
         elif kind == "distractor":
-            emitters.append(Distractor(kind=item["distractor"],
-                                       params=dict(item.get("params", {}))))
+            params = _json_type(item.get("params", {}), dict, f"emitter {i}: params")
+            emitters.append(Distractor(kind=item["distractor"], params={
+                key: _json_number(value, f"emitter {i}: params.{key}")
+                for key, value in params.items()}))
         else:
             raise ValidationError(f"emitter {i}: unknown kind {kind!r}")
     return SceneSpec(emitters=tuple(emitters),
-                     noise_std=float(doc.get("noise_std", scenarios.NOISE_STD)),
+                     noise_std=_json_number(doc.get("noise_std", scenarios.NOISE_STD),
+                                            "scenario noise_std"),
                      rng_seed=scene_seed).validate()
 
 

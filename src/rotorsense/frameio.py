@@ -1,8 +1,10 @@
 """Raw frame files: float32 interleaved samples behind a fixed JSON header.
 
 Layout: a 256-byte space-padded JSON header (magic, schema_version, L, Ns,
-fs, Tc, fc, K), then little-endian float32 pairs (re, im) in row-major
+fs, Tc, fc, K, c), then little-endian float32 pairs (re, im) in row-major
 [frame][chirp][sample] order. The frame count follows from the file size.
+Schema version 2 added the speed of light c; version 1 files, which lack it,
+still read, with c = 3.0e8 m/s.
 
 Headerless int16 captures (interleaved re, im) are also readable when the
 frame layout is supplied by the caller, e.g. from the command line for
@@ -15,11 +17,13 @@ import json
 
 import numpy as np
 
-from .config import RadarConfig, ValidationError
+from .config import SPEED_OF_LIGHT, RadarConfig, ValidationError
 from .echo import Frame
 
 FRAME_MAGIC = "rotorsense-raw"
-FRAME_SCHEMA_VERSION = 1
+FRAME_SCHEMA_VERSION = 2
+_V1_KEYS = ("L", "Ns", "fs", "Tc", "fc", "K")
+_HEADER_KEYS = {1: _V1_KEYS, 2: _V1_KEYS + ("c",)}  # required keys per schema_version
 HEADER_BYTES = 256
 
 
@@ -37,6 +41,7 @@ def _header_dict(radar: RadarConfig) -> dict:
         "Tc": radar.chirp_duration_s,
         "fc": radar.carrier_freq_hz,
         "K": radar.chirp_slope_hz_per_s,
+        "c": radar.speed_of_light_m_per_s,
     }
 
 
@@ -65,9 +70,10 @@ def read_header(path) -> dict:
         raise FormatError(f"unreadable frame header: {exc}")
     if header.get("magic") != FRAME_MAGIC:
         raise FormatError(f"bad magic {header.get('magic')!r}")
-    if header.get("schema_version") != FRAME_SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema_version {header.get('schema_version')!r}")
-    for key in ("L", "Ns", "fs", "Tc", "fc", "K"):
+    version = header.get("schema_version")
+    if type(version) is not int or version not in _HEADER_KEYS:
+        raise FormatError(f"unsupported schema_version {version!r}")
+    for key in _HEADER_KEYS[version]:
         if key not in header:
             raise FormatError(f"frame header is missing {key!r}")
         kinds = (int,) if key in ("L", "Ns") else (int, float)
@@ -121,7 +127,10 @@ def radar_mismatch(a: RadarConfig, b: RadarConfig) -> list[str]:
 
 
 def radar_from_header(header: dict) -> RadarConfig:
-    """Best-effort RadarConfig from a frame file header; a header carries no capture length."""
+    """Best-effort RadarConfig from a frame file header; a header carries no capture length.
+
+    A version 1 header carries no speed of light; its radar has c = 3.0e8 m/s.
+    """
     return RadarConfig(
         carrier_freq_hz=float(header["fc"]),
         chirp_slope_hz_per_s=float(header["K"]),
@@ -129,4 +138,5 @@ def radar_from_header(header: dict) -> RadarConfig:
         chirps_per_frame=int(header["L"]),
         adc_rate_hz=float(header["fs"]),
         samples_per_chirp=int(header["Ns"]),
+        speed_of_light_m_per_s=float(header.get("c", SPEED_OF_LIGHT)),
     ).validate()

@@ -182,6 +182,29 @@ def test_unknown_emitter_kind_exits_one(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def _malformed(edit):
+    doc = json.loads(json.dumps(HOVER_SCENARIO))
+    doc["emitters"].append({"kind": "distractor", "distractor": "aperiodic-flapper",
+                            "params": {"range_m": 30.0}})
+    return edit(doc) or doc
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d.update(emitters=5), "scenario emitters"),
+    (lambda d: d.update(emitters=["uav"]), "emitter 0"),
+    (lambda d: d["emitters"][0].update(trajectory=5), "emitter 0: trajectory"),
+    (lambda d: d["emitters"][0].update(uav=[1]), "emitter 0: uav"),
+    (lambda d: d["emitters"][1].update(range_m=None), "emitter 1: range_m"),
+    (lambda d: d["emitters"][2].update(params=[1]), "emitter 2: params"),
+    (lambda d: [d], "scenario file"),
+], ids=["emitters-number", "emitter-string", "trajectory-number", "uav-list",
+        "range-null", "params-list", "top-level-list"])
+def test_malformed_scenario_exits_one(tmp_path, capsys, edit, named):
+    scenario = write_scenario(tmp_path, _malformed(edit), "bad.json")
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_corrupt_frames_exits_two(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\x00" * 512)

@@ -1,9 +1,16 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rotorsense.config import RadarConfig, UavConfig, ValidationError, constant_velocity, hover
+from rotorsense.config import (RadarConfig, UavConfig, ValidationError, constant_velocity,
+                               derive, hover)
 from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutter,
                              UavEmitter, scatterer_range, scene_truth,
                              synthesize_distractor_frames, synthesize_frame,
@@ -11,6 +18,9 @@ from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutt
 from rotorsense.folding import folding_result
 from rotorsense.rdmap import compute_map, beat_range_bin, dc_bin, range_fft
 from rotorsense import scenarios
+from rotorsense.cli import load_scenario
+
+HOVER48 = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "hover48.json"
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +223,108 @@ def test_synthesize_frames_count(radar):
     scene = SceneSpec(emitters=(), noise_std=0.5, rng_seed=1).validate()
     frames = synthesize_frames(scene, radar, 3)
     assert [f.frame_index for f in frames] == [0, 1, 2]
+
+
+def _oracle(scene, radar, frame_index):
+    """complex128 reference: one exp per return, each scatterer at scatterer_range."""
+    L, N = radar.chirps_per_frame, radar.samples_per_chirp
+    n = np.arange(N) / radar.adc_rate_hz
+    t = frame_index * radar.frame_duration_s + (np.arange(L) * radar.chirp_duration_s)[:, None] + n
+    scale = 4.0 * math.pi * (radar.carrier_freq_hz + radar.chirp_slope_hz_per_s * n) \
+        / radar.speed_of_light_m_per_s
+    (em,) = scene.emitters
+    uav, traj = em.uav, em.trajectory
+    out = uav.body_reflectivity * np.exp(1j * scale * traj.range_at(t))
+    for q in range(uav.rotor_count):
+        for p in range(uav.scatterers_per_rotor):
+            out += uav.scatterer_reflectivities[q, p] * np.exp(
+                1j * scale * scatterer_range(uav, traj, p, q, t))
+    return out, scale.max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(rotors=st.integers(1, 3), per_rotor=st.integers(1, 3), data=st.data(),
+       rate_hz=st.floats(10.0, 200.0), velocity=st.floats(-2.0, 2.0),
+       body=st.floats(0.0, 2.0), frame_index=st.integers(0, 40))
+def test_blade_kernel_matches_per_scatterer_oracle(radar, rotors, per_rotor, data, rate_hz,
+                                                   velocity, body, frame_index):
+    shape = (rotors, per_rotor)
+
+    def draw(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=rotors * per_rotor,
+                                           max_size=rotors * per_rotor))).reshape(shape)
+
+    uav = UavConfig(rotor_count=rotors, scatterers_per_rotor=per_rotor,
+                    scatterer_radii_m=draw(0.0, 0.25),
+                    rotor_angular_velocity_rad_per_s=2 * math.pi * rate_hz,
+                    initial_phases_rad=draw(0.0, 2 * math.pi),
+                    blade_plane_angle_rad=draw(0.0, math.pi),
+                    body_reflectivity=body,
+                    scatterer_reflectivities=draw(0.0, 1.0)).validate()
+    scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(40.0, velocity, 4.0)),))
+    got = synthesize_frame(scene.validate(), radar, frame_index).samples
+    want, scale_max = _oracle(scene, radar, frame_index)
+    # Each scatterer's blade phase, at most scale_max*|r cos(theta)|, is rounded to
+    # float32, an error of at most |phase|*2**-24 rad, weighted by its reflectivity.
+    # In units u = 2**-24 of the total amplitude body + sum(refl), the rest is: 4 u
+    # for the float32 body phase after reduction to [0, 2*pi), 3 u (1.5 float32 ulps)
+    # for each float32 cos/sin, S u for the float32 sum of S scatterers and 3 u for
+    # the complex64 product: S + 13 u in all.
+    refl = uav.scatterer_reflectivities
+    phase_max = scale_max * np.abs(uav.scatterer_radii_m * np.cos(uav.blade_plane_angle_rad))
+    u = 2.0 ** -24
+    tol = u * (np.sum(refl * phase_max) + (refl.size + 13) * (body + refl.sum()))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_uav_range_check_covers_blade_envelope(radar):
+    uav = UavConfig(scatterer_radii_m=0.25, blade_plane_angle_rad=0.0).validate()
+    reach = 0.25
+    max_range = derive(radar).max_range_m
+    # the hub stays inside; only the blades cross max range
+    near = SceneSpec(emitters=(UavEmitter(uav, hover(max_range - reach / 2, 4.0)),))
+    with pytest.raises(SimulationError, match="emitter 0"):
+        synthesize_frame(near.validate(), radar, 0)
+    clear = SceneSpec(emitters=(UavEmitter(uav, hover(max_range - 2 * reach, 4.0)),))
+    synthesize_frame(clear.validate(), radar, 0)
+
+
+def test_hover_uav_range_loss_scales_at_hub_range(radar):
+    uav = scenarios.make_uav(seed=4)
+    plain = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),)).validate()
+    lossy = SceneSpec(emitters=plain.emitters, range_loss_ref_m=20.0).validate()
+    f0 = synthesize_frame(plain, radar, 3).samples
+    f1 = synthesize_frame(lossy, radar, 3).samples
+    assert np.allclose(f1, (20.0 / 48.0) ** 2 * f0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("scene", [
+    scenarios.distractor_scene("aperiodic-flapper", seed=3),
+    scenarios.distractor_scene("slow-oscillator", seed=4),
+    scenarios.hover_scene(48.0, seed=5),
+], ids=["flapper", "slow-oscillator", "hover48"])
+def test_capture_frames_equal_lone_frames(radar, scene):
+    frames = synthesize_frames(scene, radar, 6)
+    for f, frame in enumerate(frames):
+        assert frame.samples.tobytes() == synthesize_frame(scene, radar, f).samples.tobytes()
+
+
+_HASH_HOVER48 = """
+import hashlib, sys
+from rotorsense.cli import load_scenario
+from rotorsense.config import RadarConfig
+from rotorsense.echo import synthesize_frames
+frames = synthesize_frames(load_scenario(sys.argv[1], 0), RadarConfig().validate(), 3)
+print(hashlib.sha256(b"".join(f.samples.tobytes() for f in frames)).hexdigest())
+"""
+
+
+def test_hover48_bytes_do_not_depend_on_blas_threads(radar):
+    frames = synthesize_frames(load_scenario(HOVER48, 0), radar, 3)
+    here = hashlib.sha256(b"".join(f.samples.tobytes() for f in frames)).hexdigest()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _HASH_HOVER48, str(HOVER48)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == here

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rotorsense.config import RadarConfig
+from rotorsense.config import RadarConfig, derive
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
 from rotorsense.frameio import (FormatError, HEADER_BYTES, radar_from_header, radar_mismatch,
                                 read_frames, read_frames_int16, read_header,
@@ -107,7 +107,8 @@ def test_missing_header_key_rejected(tmp_path, small_radar):
 
 @pytest.mark.parametrize("key, value", [
     ("L", 8.0), ("L", True), ("L", 1), ("Ns", 0), ("Ns", None), ("Ns", 12),
-    ("Tc", -1e-4), ("fc", float("nan")), ("K", float("inf")), ("fs", "2e6")])
+    ("Tc", -1e-4), ("fc", float("nan")), ("K", float("inf")), ("fs", "2e6"),
+    ("c", None), ("c", 0.0)])
 def test_malformed_header_values_rejected(tmp_path, small_radar, key, value):
     path = tmp_path / "frames.bin"
     write_frames(path, [], small_radar)
@@ -115,6 +116,17 @@ def test_malformed_header_values_rejected(tmp_path, small_radar, key, value):
     header[key] = value
     path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES))
     with pytest.raises(FormatError, match="frame header"):
+        read_header(path)
+
+
+@pytest.mark.parametrize("version", [True, 2.0, 3, None])
+def test_unknown_schema_version_rejected(tmp_path, small_radar, version):
+    path = tmp_path / "frames.bin"
+    write_frames(path, [], small_radar)
+    header = json.loads(path.read_text())
+    header["schema_version"] = version
+    path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES))
+    with pytest.raises(FormatError, match="schema_version"):
         read_header(path)
 
 
@@ -140,3 +152,30 @@ def test_radar_from_header_round_trip(tmp_path, small_radar):
     assert radar.samples_per_chirp == small_radar.samples_per_chirp
     assert radar.carrier_freq_hz == small_radar.carrier_freq_hz
     assert radar.chirp_duration_s == small_radar.chirp_duration_s
+
+
+def test_speed_of_light_round_trip(tmp_path):
+    radar = RadarConfig(speed_of_light_m_per_s=299792458.0).validate()
+    path = tmp_path / "frames.bin"
+    write_frames(path, [], radar)
+    header = read_header(path)
+    assert header["schema_version"] == 2 and header["c"] == 299792458.0
+    back = radar_from_header(header)
+    assert back.speed_of_light_m_per_s == 299792458.0
+    assert derive(back).max_range_m == derive(radar).max_range_m
+    assert radar_mismatch(back, radar) == []
+    assert radar_mismatch(back, RadarConfig().validate()) == ["c"]
+
+
+def test_version_1_header_reads_with_default_speed_of_light(tmp_path, small_radar):
+    header = {"magic": "rotorsense-raw", "schema_version": 1, "L": 8, "Ns": 16,
+              "fs": small_radar.adc_rate_hz, "Tc": small_radar.chirp_duration_s,
+              "fc": small_radar.carrier_freq_hz, "K": small_radar.chirp_slope_hz_per_s}
+    cube = np.arange(2 * 8 * 16 * 2, dtype="<f4")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES) + cube.tobytes())
+    frames, read = read_frames(path)
+    assert len(frames) == 2 and frames[1].samples[0, 0] == complex(256, 257)
+    radar = radar_from_header(read)
+    assert radar.speed_of_light_m_per_s == 3.0e8
+    assert radar_mismatch(radar, small_radar) == []
