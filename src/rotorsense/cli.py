@@ -7,8 +7,10 @@ outputs. Outputs are plain CSV/JSON plus the documented binary frame, dataset
 and model formats; no wall-clock timestamps are written.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
-3 internal error. Global flags may also be set via environment variables
-ROTORSENSE_SEED, ROTORSENSE_OUT and ROTORSENSE_CONFIG.
+3 internal error (any other exception, a KeyError included).
+
+Each subcommand takes only the flags it reads; one that it would leave unread
+exits 1 (_reject_unread). --v-max is the one motion assumption.
 
 track_capture is the one capture recipe: `track`, `identify --frames` and the
 acceptance suite's end-to-end tracking check all track a capture and take its
@@ -24,8 +26,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,7 +52,7 @@ EXIT_INTERNAL = 3
 
 _VALIDATION_ERRORS = (ValidationError, SimulationError, ProcessingError,
                       FoldingError, TrackingError, IdentifyError, ModelError,
-                      json.JSONDecodeError, KeyError, ValueError)
+                      json.JSONDecodeError, ValueError)
 
 
 def component_seed(root_seed: int, component: str) -> int:
@@ -76,6 +78,12 @@ def _json_type(value, cls: type, what: str):
     return value
 
 
+def _json_key(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise ValidationError(f"scenario {what} has no key {key!r}")
+    return doc[key]
+
+
 def _json_number(value, what: str, cast: type = float):
     try:
         return cast(value)
@@ -88,7 +96,7 @@ def _trajectory_from_json(items, what: str) -> TrajectorySpec:
     for j, seg in enumerate(_json_type(items, list, what)):
         seg = _json_type(seg, dict, f"{what}[{j}]")
         segs.append(TrajectorySegment(**{
-            key: _json_number(seg[key], f"{what}[{j}].{key}")
+            key: _json_number(_json_key(seg, key, f"{what}[{j}]"), f"{what}[{j}].{key}")
             for key in ("start_time_s", "duration_s", "start_range_m",
                         "radial_velocity_m_per_s")}))
     return TrajectorySpec(segments=tuple(segs)).validate()
@@ -130,16 +138,17 @@ def load_scenario(path, seed: int) -> SceneSpec:
             if uav_doc:
                 raise ValidationError(f"emitter {i}: unknown uav keys {sorted(uav_doc)}")
             emitters.append(UavEmitter(uav, _trajectory_from_json(
-                item["trajectory"], f"emitter {i}: trajectory")))
+                _json_key(item, "trajectory", f"emitter {i}"), f"emitter {i}: trajectory")))
         elif kind == "static-clutter":
-            emitters.append(StaticClutter(
-                range_m=_json_number(item["range_m"], f"emitter {i}: range_m"),
-                reflectivity=_json_number(item["reflectivity"], f"emitter {i}: reflectivity")))
+            emitters.append(StaticClutter(**{
+                key: _json_number(_json_key(item, key, f"emitter {i}"), f"emitter {i}: {key}")
+                for key in ("range_m", "reflectivity")}))
         elif kind == "distractor":
             params = _json_type(item.get("params", {}), dict, f"emitter {i}: params")
-            emitters.append(Distractor(kind=item["distractor"], params={
-                key: _json_number(value, f"emitter {i}: params.{key}")
-                for key, value in params.items()}))
+            emitters.append(Distractor(
+                kind=_json_key(item, "distractor", f"emitter {i}"),
+                params={key: _json_number(value, f"emitter {i}: params.{key}")
+                        for key, value in params.items()}))
         else:
             raise ValidationError(f"emitter {i}: unknown kind {kind!r}")
     return SceneSpec(emitters=tuple(emitters),
@@ -177,28 +186,26 @@ class CaptureTrack:
     profile_source: str         # "background-capture" or "self-median-fallback"
 
 
-def track_capture(cube, radar: RadarConfig, background_cube=None, *, j_min: int = 2,
-                  j_max: int = 20, k_bins: int = 0, v_max: float = 4.0,
+def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: float = 4.0,
                   pf_seed: int = 0) -> CaptureTrack:
     """The one capture recipe: folding map -> spectral subtraction -> DP -> particle filter.
 
     The noise profile is the mean of the background cube's folding map, or the
-    capture's own per-bin median without one; k_bins 0 derives the DP
-    constraint from v_max. The calibration is the mean + 5 sigma of the cleaned
-    map's off-track per-window folding maxima (one segment window, or the whole
-    capture if shorter), None when no off-track range bins remain.
+    capture's own per-bin median without one; v_max sets the DP constraint and
+    the particle filter's velocity prior. The calibration is the mean + 5 sigma
+    of the cleaned map's off-track per-window folding maxima (one segment window,
+    or the whole capture if shorter), None when no off-track range bins remain.
     """
     derived = derive(radar, v_max_m_per_s=v_max)
-    values = build_folding_map(cube, j_min=j_min, j_max=j_max).values
+    values = build_folding_map(cube).values
     if background_cube is not None:
-        profile = tracking.estimate_noise_profile(
-            build_folding_map(background_cube, j_min=j_min, j_max=j_max).values)
+        profile = tracking.estimate_noise_profile(build_folding_map(background_cube).values)
         profile_source = "background-capture"
     else:
         profile = np.median(values, axis=1)
         profile_source = "self-median-fallback"
     cleaned = tracking.spectral_subtract(values, profile)
-    track = tracking.dp_max_path(cleaned, k_bins or derived.dp_constraint_bins,
+    track = tracking.dp_max_path(cleaned, derived.dp_constraint_bins,
                                  derived.range_bin_size_m,
                                  echo.frame_mid_times(radar, cube.shape[0]))
     filtered, _ = tracking.particle_filter(track.ranges_m, derived, pf_seed)
@@ -214,7 +221,7 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, j_min: int 
 
 def _track_files(args):
     """Reads --frames (and --background, in the same format and from the same radar);
-    returns the capture's magnitude cube and its CaptureTrack under the pipeline flags."""
+    returns the capture's magnitude cube and its CaptureTrack under --v-max and --seed."""
     frames, radar = _read_capture(args.frames, args)
     cube = process_frames(frames)
     background = None
@@ -224,17 +231,16 @@ def _track_files(args):
         if mismatch:
             raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
         background = process_frames(bg_frames)
-    return cube, track_capture(cube, radar, background, j_min=args.j_min, j_max=args.j_max,
-                               k_bins=args.k_bins, v_max=args.v_max,
+    return cube, track_capture(cube, radar, background, v_max=args.v_max,
                                pf_seed=component_seed(args.seed, "particle-filter"))
 
 
-def capture_segments(cube, range_bins, frame_times, window: int, threshold: float,
-                     j_min: int = 2, j_max: int = 20) -> list[identify.Segment]:
+def capture_segments(cube, range_bins, frame_times, window: int,
+                     threshold: float) -> list[identify.Segment]:
     """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows."""
     diagram, _ = identify.dc_removal(identify.diagram_at_bins(cube, range_bins))
     return identify.segment_split_filter(identify.feature_alignment(diagram), frame_times,
-                                         window, threshold, j_min, j_max)
+                                         window, threshold)
 
 
 # --- the dataset recipe --------------------------------------------------------
@@ -306,6 +312,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _reject_unread(args)
     cube, result = _track_files(args)
     track = result.track
     out = Path(args.out)
@@ -336,18 +343,18 @@ def cmd_track(args) -> int:
 def _read_truth_csv(path):
     times, ranges = [], []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for key in ("time_s", "range_m"):
+            if key not in (reader.fieldnames or ()):
+                raise ValidationError(f"truth CSV {path} has no {key!r} column")
+        for row in reader:
             times.append(float(row["time_s"]))
             ranges.append(float(row["range_m"]))
     return np.array(times), np.array(ranges)
 
 
 def cmd_identify(args) -> int:
-    if args.dataset:
-        ignored = ", ".join(f"--{dest.replace('_', '-')}" for dest, default
-                            in CAPTURE_FLAG_DEFAULTS.items() if getattr(args, dest) != default)
-        if ignored:
-            raise ValidationError(f"identify --dataset takes no capture flags: {ignored}")
+    _reject_unread(args)
     detector = lstm.load_model(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -365,7 +372,7 @@ def cmd_identify(args) -> int:
             threshold = result.calibration
         segments = capture_segments(cube, result.track.range_bins, result.track.frame_times,
                                     identify.segment_window_frames(result.derived),
-                                    threshold, args.j_min, args.j_max)
+                                    threshold)
         segments = [s for s in segments if s.passed_filter]
         if not segments:
             _write_json(out / "metrics.json",
@@ -394,23 +401,21 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _training_tensors(path, normalize: bool):
+def _training_tensors(path):
     """Labelled segments of a dataset file as (x [n, steps, bins], y [n])."""
     labeled = [s for s in identify.load_segments(path) if s.label in identify.LABELS]
     if not labeled:
         raise ModelError(f"dataset {path} contains no labeled segments")
-    x = identify.segment_batch(labeled, normalize)
+    x = identify.segment_batch(labeled)
     y = np.array([identify.LABELS.index(s.label) for s in labeled])
     return x, y
 
 
 def cmd_train(args) -> int:
-    normalize = not args.no_normalize
-    x, y = _training_tensors(args.dataset, normalize)
-    detector = lstm.LstmDetector(
-        input_dim=x.shape[2], hidden_size=args.hidden,
-        seed=component_seed(args.seed, "lstm-init"), normalize=normalize)
-    val = _training_tensors(args.val_dataset, normalize) if args.val_dataset else None
+    x, y = _training_tensors(args.dataset)
+    detector = lstm.LstmDetector(input_dim=x.shape[2], hidden_size=args.hidden,
+                                 seed=component_seed(args.seed, "lstm-init"))
+    val = _training_tensors(args.val_dataset) if args.val_dataset else None
     _, history = lstm.lstm_train(
         detector, x, y, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, rng_seed=component_seed(args.seed, "lstm-batches"),
@@ -454,9 +459,9 @@ def _save_split(segments, args, out: Path) -> int:
     return n_train
 
 
-def _dataset_gen(args) -> int:
+def cmd_dataset_gen(args) -> int:
     radar = _radar_for(args)
-    window = identify.segment_window_frames(derive(radar, v_max_m_per_s=args.v_max))
+    window = identify.segment_window_frames(derive(radar))
     rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))
     threshold = background_threshold(radar, window,
                                      component_seed(args.seed, "dataset-background"))
@@ -479,7 +484,7 @@ def _dataset_gen(args) -> int:
     return EXIT_OK
 
 
-def _dataset_split(args) -> int:
+def cmd_dataset_split(args) -> int:
     segments = identify.load_segments(args.dataset)
     if not segments:
         raise IdentifyError("dataset contains no segments")
@@ -491,70 +496,55 @@ def _dataset_split(args) -> int:
     return EXIT_OK
 
 
-def _dataset_stats(args) -> int:
+def cmd_dataset_stats(args) -> int:
     segments = identify.load_segments(args.dataset)
-    counts: dict[str, int] = {}
-    passed = 0
-    for seg in segments:
-        counts[seg.label] = counts.get(seg.label, 0) + 1
-        passed += bool(seg.passed_filter)
-    n = len(segments)
-    uav = counts.get("uav", 0)
+    counts = Counter(seg.label for seg in segments)
     stats = {
-        "segments": n,
+        "segments": len(segments),
         "labels": counts,
-        "class_balance": (uav / n) if n else 0.0,
-        "passed_filter": passed,
+        "class_balance": counts["uav"] / len(segments) if segments else 0.0,
+        "passed_filter": sum(bool(seg.passed_filter) for seg in segments),
     }
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_dataset(args) -> int:
-    return {"gen": _dataset_gen, "split": _dataset_split,
-            "stats": _dataset_stats}[args.action](args)
-
-
 # --- parser -------------------------------------------------------------------
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"ROTORSENSE_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"warning: ignoring malformed ROTORSENSE_{name}={raw!r}", file=sys.stderr)
-        return fallback
+# The flags a capture command may leave unread, by argparse dest, with their parser
+# defaults; a flag counts as set when its value differs from its default.
+CAPTURE_FLAG_DEFAULTS = {"background": None, "raw_int16": False, "threshold": None,
+                         "v_max": 4.0, "config": None}
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0),
-                   help="root seed; all component randomness derives from it")
-    p.add_argument("--out", default=_env_default("OUT", str, "."),
-                   help="output directory")
-    p.add_argument("--config", default=_env_default("CONFIG", str, None),
-                   help="radar config JSON (defaults: built-in radar)")
+def _reject_unread(args) -> None:
+    """Exit 1 naming the flags `track` or `identify` would not read: every capture flag
+    under identify --dataset, and --config without --raw-int16 (headers name the radar)."""
+    if getattr(args, "dataset", None):
+        dests, why = CAPTURE_FLAG_DEFAULTS, "identify --dataset takes no capture flags"
+    elif not args.raw_int16:
+        dests, why = ("config",), "--config is read only with --raw-int16"
+    else:
+        return
+    unread = ", ".join(f"--{dest.replace('_', '-')}" for dest in dests
+                       if getattr(args, dest) != CAPTURE_FLAG_DEFAULTS[dest])
+    if unread:
+        raise ValidationError(f"{why}: {unread}")
 
 
-# The flags only a capture uses, by argparse dest, with their defaults.
-# `identify --dataset` rejects any of them set to another value.
-CAPTURE_FLAG_DEFAULTS = {
-    "background": None, "raw_int16": False, "threshold": None,
-    "j_min": 2, "j_max": 20, "k_bins": 0, "v_max": 4.0,
-}
+def _add_seed_out(p, seed_help="root seed; all component randomness derives from it"):
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--out", default=".", help="output directory")
 
 
-def _add_pipeline_flags(p):
-    d = CAPTURE_FLAG_DEFAULTS
-    p.add_argument("--j-min", type=int, default=d["j_min"])
-    p.add_argument("--j-max", type=int, default=d["j_max"])
-    p.add_argument("--k-bins", type=int, default=d["k_bins"],
-                   help="DP motion constraint override (0 = derive from --v-max)")
-    p.add_argument("--v-max", type=float, default=d["v_max"])
-    p.add_argument("--background", default=d["background"],
-                   help="background frame capture for noise profile estimation")
-    p.add_argument("--raw-int16", action="store_true", default=d["raw_int16"],
+def _add_capture_flags(p):
+    p.add_argument("--config", help="radar config JSON giving the layout of --raw-int16 "
+                                    "files; read only with --raw-int16")
+    p.add_argument("--v-max", type=float, default=CAPTURE_FLAG_DEFAULTS["v_max"],
+                   help="largest radial speed in m/s: sets the DP motion constraint and "
+                        "the particle filter's velocity prior")
+    p.add_argument("--background", help="background capture for noise profile estimation")
+    p.add_argument("--raw-int16", action="store_true",
                    help="frames and background files are headerless int16; layout from "
                         "--config")
 
@@ -567,58 +557,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a scenario into a frame file")
-    _add_common(p)
+    _add_seed_out(p)
+    p.add_argument("--config", help="radar config JSON (default: the built-in radar)")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--frames", type=int, default=0,
                    help="frame count (default: radar frames_per_capture)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="recover the range track from a frame file")
-    _add_common(p)
+    _add_seed_out(p)
     p.add_argument("--frames", required=True)
     p.add_argument("--truth", default=None, help="truth CSV for summary error")
-    _add_pipeline_flags(p)
+    _add_capture_flags(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("identify", help="classify a capture or a segment dataset")
-    _add_common(p)
+    _add_seed_out(p, seed_help="root seed; today it seeds only the particle filter, "
+                               "whose output identify does not read")
     p.add_argument("--frames", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=CAPTURE_FLAG_DEFAULTS["threshold"],
+    p.add_argument("--threshold", type=float,
                    help="fixed folding-filter threshold (default: the capture's noise "
                         "calibration)")
-    _add_pipeline_flags(p)
+    _add_capture_flags(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("train", help="train the LSTM detector on a dataset")
-    _add_common(p)
+    _add_seed_out(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--val-dataset", default=None)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=10)
     p.add_argument("--lr", type=float, default=5e-5)
     p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--no-normalize", action="store_true",
-                   help="feed raw magnitudes instead of per-segment max-normalized")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="relative range error of a track vs truth")
-    _add_common(p)
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--track", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--budget", type=float, default=0.02)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dataset", help="generate, split or inspect segment datasets")
-    _add_common(p)
-    p.add_argument("action", choices=("gen", "split", "stats"))
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("gen", help="synthesize a labelled dataset and its split")
+    _add_seed_out(p)
+    p.add_argument("--config", help="radar config JSON (default: the built-in radar)")
     p.add_argument("--uav", type=int, default=200)
     p.add_argument("--distractor", type=int, default=200)
-    p.add_argument("--dataset", default=None, help="input for split/stats")
     p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--v-max", type=float, default=4.0)
-    p.set_defaults(func=cmd_dataset)
+    p.set_defaults(func=cmd_dataset_gen)
+    p = actions.add_parser("split", help="seeded train/test split of a dataset")
+    _add_seed_out(p)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--train-frac", type=float, default=0.7)
+    p.set_defaults(func=cmd_dataset_split)
+    p = actions.add_parser("stats", help="print a dataset's label counts")
+    p.add_argument("--dataset", required=True)
+    p.set_defaults(func=cmd_dataset_stats)
     return parser
 
 
@@ -631,9 +629,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "identify" and bool(args.frames) == bool(args.dataset):
             raise ValidationError("identify needs exactly one of --frames / --dataset")
-        if args.command == "dataset" and args.action in ("split", "stats") \
-                and not args.dataset:
-            raise ValidationError(f"dataset {args.action} needs --dataset")
         return args.func(args)
     except frameio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,9 +4,9 @@ Folding a length-L Doppler row with size j reshapes the first M*j entries
 (M = floor(L/j)) into an M x j matrix and takes the largest column mean. When
 the row carries a peak comb whose spacing equals j bins, the peaks stack in
 one column and the folding value jumps; for any other j the column means stay
-near the row average. The folding result is the best folding value over a
-fixed size range (default 2..20), with ties broken toward the smallest size,
-i.e. the fundamental period rather than its multiples.
+near the row average. The folding result is the best folding value over the
+method's fixed size range J_MIN..J_MAX = 2..20, with ties broken toward the
+smallest size, i.e. the fundamental period rather than its multiples.
 
 Leftover entries beyond M*j are dropped. Rows are folded as-is, including the
 DC bin; DC handling belongs to the identification preprocessing.
@@ -28,6 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 
 
 class FoldingError(ValueError):
@@ -52,24 +55,17 @@ class FoldingMap:
     best_sizes: np.ndarray  # [n_range_bins, n_frames]
 
 
-def _check_size(length: int, j: int) -> None:
-    if j < 2:
-        raise FoldingError(f"folding size {j} < 2")
-    m = length // j
-    if m < 2:
-        raise FoldingError(f"folding size {j} leaves {m} < 2 rows for length {length}")
-
-
 def _size_range(length: int, j_min: int, j_max: int) -> np.ndarray:
     if j_min < 2:
         raise FoldingError(f"j_min {j_min} < 2")
     capped = min(j_max, length // 2)  # keeps at least 2 folded rows
     if capped < j_min:
-        raise FoldingError(f"empty folding size range [{j_min}, {j_max}] for length {length}")
+        raise FoldingError(f"empty folding size range [{j_min}, {j_max}]: length {length} "
+                           "leaves fewer than 2 rows")
     return np.arange(j_min, capped + 1)
 
 
-def fold_columns(rows, j_min: int = 2, j_max: int = 20):
+def fold_columns(rows, j_min: int = J_MIN, j_max: int = J_MAX):
     """Folding values of every column of rows [L, ...] at each size in [j_min, j_max].
 
     Returns (sizes, values): values[i, ...] is the folding value of each
@@ -92,12 +88,10 @@ def fold_columns(rows, j_min: int = 2, j_max: int = 20):
 
 def folding_value(d: np.ndarray, j: int) -> float:
     """Largest column mean of the row folded with size j."""
-    d = np.asarray(d, dtype=float)
-    _check_size(d.shape[0], j)
     return float(fold_columns(d, j, j)[1][0])
 
 
-def folding_result(d: np.ndarray, j_min: int = 2, j_max: int = 20) -> FoldOutcome:
+def folding_result(d: np.ndarray, j_min: int = J_MIN, j_max: int = J_MAX) -> FoldOutcome:
     """Best folding value over sizes [j_min, j_max]; smallest size wins ties."""
     sizes, values = fold_columns(d, j_min, j_max)
     best = int(np.argmax(values))  # first max == smallest size
@@ -106,11 +100,11 @@ def folding_result(d: np.ndarray, j_min: int = 2, j_max: int = 20) -> FoldOutcom
                        sizes=sizes, per_size_values=values)
 
 
-def build_folding_map(cube, j_min: int = 2, j_max: int = 20) -> FoldingMap:
+def build_folding_map(cube) -> FoldingMap:
     """Fold every Doppler row of a magnitude cube [frames, range bins, Doppler bins].
 
-    values[r, t] is the folding result of range bin r in frame t; best_sizes
-    holds the winning folding size.
+    values[r, t] is the folding result of range bin r in frame t over sizes
+    J_MIN..J_MAX; best_sizes holds the winning folding size.
 
     Each frame is folded on its own by fold_columns on cube[t].T, the frame
     with its Doppler axis first. For the cube rdmap.process_frames returns,
@@ -126,7 +120,7 @@ def build_folding_map(cube, j_min: int = 2, j_max: int = 20) -> FoldingMap:
     values = np.empty((n_r, n_t))
     best = np.empty((n_r, n_t), dtype=int)
     for t in range(n_t):
-        sizes, per_size = fold_columns(cube[t].T, j_min, j_max)
+        sizes, per_size = fold_columns(cube[t].T)
         idx = np.argmax(per_size, axis=0)  # first max == smallest size
         values[:, t] = per_size[idx, np.arange(n_r)]
         best[:, t] = sizes[idx]

@@ -19,8 +19,8 @@ feature align  -- each column is shifted so its body-velocity peak (global
 
 The diagram is then cut into fixed-length windows (3.6 s worth of frames),
 each a Segment, and windows whose maximum per-column folding result stays
-below a threshold are flagged as featureless. segment_batch stacks segments
-into the LSTM's [segments, frames, Doppler bins] input.
+below a threshold are flagged as featureless. segment_batch stacks segments,
+each max-normalized, into the LSTM's [segments, frames, Doppler bins] input.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def feature_alignment(diagram) -> np.ndarray:
     return cols
 
 
-def segment_split_filter(diagram, frame_times, window_frames: int, threshold: float,
-                         j_min: int = 2, j_max: int = 20) -> list[Segment]:
+def segment_split_filter(diagram, frame_times, window_frames: int,
+                         threshold: float) -> list[Segment]:
     """Cut the [F, L] diagram into non-overlapping windows; flag windows below the
     folding threshold. frame_times[t] is frame t's time, recorded as each window's start.
 
@@ -142,7 +142,7 @@ def segment_split_filter(diagram, frame_times, window_frames: int, threshold: fl
     segments = []
     for k in range(len(diagram) // window_frames):
         block = diagram[k * window_frames:(k + 1) * window_frames]
-        max_fold = fold_columns(block.T, j_min, j_max)[1].max()
+        max_fold = fold_columns(block.T)[1].max()
         segments.append(Segment(
             values=block.copy(),
             max_folding_result=float(max_fold),
@@ -184,10 +184,9 @@ def normalize_segment(values: np.ndarray) -> np.ndarray:
     return values / peak if peak > 0 else values.copy()
 
 
-def segment_batch(segments, normalize: bool = True) -> np.ndarray:
-    """The LSTM input [n, W, L]: the segments' values, each max-normalized if normalize."""
-    return np.stack([normalize_segment(s.values) if normalize
-                     else np.asarray(s.values, dtype=float) for s in segments])
+def segment_batch(segments) -> np.ndarray:
+    """The LSTM input [n, W, L]: the segments' values, each max-normalized."""
+    return np.stack([normalize_segment(s.values) for s in segments])
 
 
 # --- classification and metrics ----------------------------------------------
@@ -231,7 +230,7 @@ def classify(detector: LstmDetector, segments):
     segments = list(segments)
     if not segments:
         raise IdentifyError("no segments to classify")
-    pred = np.argmax(detector.forward_batch(segment_batch(segments, detector.normalize)), axis=1)
+    pred = np.argmax(detector.forward_batch(segment_batch(segments)), axis=1)
     labels = [LABELS[i] for i in pred]
     truth = np.array([s.label for s in segments])
     uav, other, said_uav = truth == "uav", truth == "other", pred == LABELS.index("uav")
@@ -283,7 +282,10 @@ def load_segments(path) -> list[Segment]:
                 raise IdentifyError("truncated dataset record header")
             (hlen,) = struct.unpack("<I", raw)
             header = json.loads(fh.read(hlen).decode())
-            w, l = header["W"], header["L"]
+            try:
+                w, l = header["W"], header["L"]
+            except KeyError as exc:
+                raise IdentifyError(f"dataset record {len(segments)} has no key {exc}") from None
             data = fh.read(w * l * 4)
             if len(data) < w * l * 4:
                 raise IdentifyError("truncated dataset record payload")

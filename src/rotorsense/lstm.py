@@ -42,32 +42,31 @@ def _sigmoid(z):
 
 
 class LstmDetector:
-    """Two-layer LSTM + affine head producing one score per class."""
+    """Two-layer LSTM + affine head scoring the two classes; depth and classes are fixed."""
 
-    def __init__(self, input_dim: int, hidden_size: int = 128, num_layers: int = 2,
-                 num_classes: int = 2, seed: int = 0, normalize: bool = True):
-        if min(input_dim, hidden_size, num_layers, num_classes) < 1:
-            raise ModelError("all detector dimensions must be >= 1")
+    num_layers = 2
+    num_classes = 2
+
+    def __init__(self, input_dim: int, hidden_size: int = 128, seed: int = 0):
+        if min(input_dim, hidden_size) < 1:
+            raise ModelError("input_dim and hidden_size must be >= 1")
         self.input_dim = input_dim
         self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.num_classes = num_classes
         self.seed = seed
-        self.normalize = normalize
         self.training_config: dict = {}
 
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(hidden_size)
         self.params: dict[str, np.ndarray] = {}
-        for layer in range(num_layers):
+        for layer in range(self.num_layers):
             d_in = input_dim if layer == 0 else hidden_size
             self.params[f"wx{layer}"] = rng.uniform(-bound, bound, (4 * hidden_size, d_in))
             self.params[f"wh{layer}"] = rng.uniform(-bound, bound, (4 * hidden_size, hidden_size))
             b = np.zeros(4 * hidden_size)
             b[hidden_size:2 * hidden_size] = 1.0  # forget gate
             self.params[f"b{layer}"] = b
-        self.params["w_out"] = rng.uniform(-bound, bound, (num_classes, hidden_size))
-        self.params["b_out"] = np.zeros(num_classes)
+        self.params["w_out"] = rng.uniform(-bound, bound, (self.num_classes, hidden_size))
+        self.params["b_out"] = np.zeros(self.num_classes)
 
     def param_names(self) -> list[str]:
         names = []
@@ -280,16 +279,19 @@ def evaluate_loss(detector: LstmDetector, segments, labels) -> float:
 
 # --- model file: parameter blob with a JSON manifest -------------------------
 
+# Manifest entries every model file carries and load_model requires.
+FIXED_MANIFEST = {"num_layers": LstmDetector.num_layers,
+                  "num_classes": LstmDetector.num_classes, "normalize": True}
+
+
 def save_model(detector: LstmDetector, path) -> None:
     manifest = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "input_dim": detector.input_dim,
         "hidden_size": detector.hidden_size,
-        "num_layers": detector.num_layers,
-        "num_classes": detector.num_classes,
         "seed": detector.seed,
-        "normalize": detector.normalize,
         "training": detector.training_config,
+        **FIXED_MANIFEST,
     }
     arrays = {name: detector.params[name] for name in detector.param_names()}
     np.savez(path, manifest=np.frombuffer(
@@ -311,12 +313,14 @@ def load_model(path) -> LstmDetector:
         if manifest.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ModelError(
                 f"unsupported model schema_version {manifest.get('schema_version')!r}")
-        det = LstmDetector(input_dim=manifest["input_dim"],
-                           hidden_size=manifest["hidden_size"],
-                           num_layers=manifest["num_layers"],
-                           num_classes=manifest["num_classes"],
-                           seed=manifest["seed"],
-                           normalize=manifest["normalize"])
+        for key, value in FIXED_MANIFEST.items():
+            if manifest.get(key) != value:
+                raise ModelError(f"model manifest {key} is {manifest.get(key)!r}, not {value!r}")
+        try:
+            dims = manifest["input_dim"], manifest["hidden_size"], manifest["seed"]
+        except KeyError as exc:
+            raise ModelError(f"model manifest has no key {exc}") from None
+        det = LstmDetector(*dims)
         det.training_config = manifest.get("training", {})
         for name in det.param_names():
             if name not in data:

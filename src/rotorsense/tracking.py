@@ -193,6 +193,9 @@ def read_track_csv(path):
     times, ranges, filtered = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        for key in ("time_s", "range_m", "filtered_range_m"):
+            if key not in (reader.fieldnames or ()):
+                raise TrackingError(f"track CSV {path} has no {key!r} column")
         for row in reader:
             times.append(float(row["time_s"]))
             ranges.append(float(row["range_m"]))

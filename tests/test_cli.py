@@ -1,5 +1,7 @@
 import json
 import hashlib
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,15 @@ def _malformed(edit):
     return edit(doc) or doc
 
 
+def _drop(*path):
+    """A scenario edit that deletes the key at the end of path."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda d: d.update(emitters=5), "scenario emitters"),
     (lambda d: d.update(emitters=["uav"]), "emitter 0"),
@@ -197,8 +208,14 @@ def _malformed(edit):
     (lambda d: d["emitters"][1].update(range_m=None), "emitter 1: range_m"),
     (lambda d: d["emitters"][2].update(params=[1]), "emitter 2: params"),
     (lambda d: [d], "scenario file"),
+    (_drop("emitters", 0, "trajectory"), "scenario emitter 0 has no key 'trajectory'"),
+    (_drop("emitters", 1, "range_m"), "scenario emitter 1 has no key 'range_m'"),
+    (_drop("emitters", 2, "distractor"), "scenario emitter 2 has no key 'distractor'"),
+    (_drop("emitters", 0, "trajectory", 0, "duration_s"),
+     "scenario emitter 0: trajectory[0] has no key 'duration_s'"),
 ], ids=["emitters-number", "emitter-string", "trajectory-number", "uav-list",
-        "range-null", "params-list", "top-level-list"])
+        "range-null", "params-list", "top-level-list", "no-trajectory", "no-range",
+        "no-distractor-kind", "no-duration"])
 def test_malformed_scenario_exits_one(tmp_path, capsys, edit, named):
     scenario = write_scenario(tmp_path, _malformed(edit), "bad.json")
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
@@ -253,9 +270,9 @@ def test_identify_dataset_rejects_capture_flags(tmp_path, capsys):
     assert main(common) == 0
     capsys.readouterr()
     assert main(common + ["--background", "/nonexistent", "--raw-int16",
-                          "--threshold", "1e9", "--j-min", "3", "--k-bins", "7"]) == 1
+                          "--threshold", "1e9", "--v-max", "5", "--config", "c.json"]) == 1
     assert ("no capture flags: --background, --raw-int16, --threshold, "
-            "--j-min, --k-bins\n") in capsys.readouterr().err
+            "--v-max, --config\n") in capsys.readouterr().err
 
 
 def test_background_from_another_radar_exits_one(pipeline_run, tmp_path, capsys):
@@ -349,22 +366,6 @@ def test_identify_given_threshold_is_fixed(pipeline_run, tmp_path):
     assert json.loads((tmp_path / "metrics.json").read_text())["verdict"] == "no-detection"
 
 
-def test_identify_fold_sizes_reach_segment_filter(pipeline_run, tmp_path, monkeypatch):
-    seen = []
-    segment_split_filter = identify.segment_split_filter
-
-    def spy(diagram, frame_times, window_frames, threshold, j_min=2, j_max=20):
-        seen.append((j_min, j_max))
-        return segment_split_filter(diagram, frame_times, window_frames, threshold,
-                                    j_min, j_max)
-
-    monkeypatch.setattr(cli.identify, "segment_split_filter", spy)
-    assert main(["identify", "--frames", str(pipeline_run / "run" / "frames.bin"),
-                 "--model", _untrained_model(tmp_path), "--j-min", "3", "--j-max", "12",
-                 "--out", str(tmp_path)]) == 0
-    assert seen == [(3, 12)]
-
-
 def test_dataset_and_training_loop(tmp_path, capsys):
     assert main(["dataset", "gen", "--uav", "3", "--distractor", "3",
                  "--seed", "13", "--out", str(tmp_path)]) == 0
@@ -384,8 +385,7 @@ def test_dataset_and_training_loop(tmp_path, capsys):
     assert len(train) == 3 and len(test) == 3
 
     capsys.readouterr()
-    assert main(["dataset", "stats", "--dataset", str(data),
-                 "--out", str(tmp_path)]) == 0
+    assert main(["dataset", "stats", "--dataset", str(data)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["class_balance"] == 0.5
     assert stats["segments"] == 6
@@ -425,3 +425,110 @@ def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.echo, "synthesize_frames", boom)
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_key_error_inside_a_stage_exits_three(tmp_path, monkeypatch, capsys):
+    """A KeyError from a fault in the code is internal, not a user error."""
+    scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+
+    def boom(*a, **k):
+        raise KeyError("induced fault")
+
+    monkeypatch.setattr(cli.echo, "synthesize_frames", boom)
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
+TRACK_CSV = ("frame_index,time_s,range_bin,range_m,filtered_range_m,score\n"
+             "0,0.045,131,48.0,48.0,1.0\n")
+TRUTH_CSV = "time_s,range_m,velocity_m_per_s\n0.045,48.0,0.0\n"
+
+
+def _model_without_input_dim(tmp_path):
+    path = tmp_path / "model.npz"
+    lstm.save_model(lstm.LstmDetector(input_dim=7, hidden_size=4, seed=0), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = json.loads(bytes(arrays.pop("manifest")).decode())
+    del manifest["input_dim"]
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
+             **arrays)
+    identify.save_segments(tmp_path / "segments.bin",
+                           [identify.Segment(values=np.ones((4, 7)), label="uav")])
+    return ["identify", "--dataset", str(tmp_path / "segments.bin"), "--model", str(path)]
+
+
+def _record_without_w(tmp_path):
+    blob = json.dumps({"L": 7, "label": "uav"}).encode()
+    path = tmp_path / "segments.bin"
+    path.write_bytes(identify.SEGMENT_MAGIC + (1).to_bytes(4, "little")
+                     + len(blob).to_bytes(4, "little") + blob)
+    return ["dataset", "stats", "--dataset", str(path)]
+
+
+def _evaluate(tmp_path, track_csv, truth_csv):
+    (tmp_path / "track.csv").write_text(track_csv)
+    (tmp_path / "truth.csv").write_text(truth_csv)
+    return ["evaluate", "--track", str(tmp_path / "track.csv"),
+            "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("argv, kind, key", [
+    (_model_without_input_dim, "model manifest", "input_dim"),
+    (_record_without_w, "dataset record 0", "W"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV, "time_s,velocity_m_per_s\n0.045,0.0\n"),
+     "truth CSV", "range_m"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace(",range_m,", ",range,"), TRUTH_CSV),
+     "track CSV", "range_m"),
+], ids=["model-manifest", "segment-record", "truth-csv", "track-csv"])
+def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert kind in err and repr(key) in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["track", "--frames", "f.bin", "--k-bins", "3"], "--k-bins"),
+    (["identify", "--frames", "f.bin", "--model", "m.npz", "--j-min", "3"], "--j-min"),
+    (["train", "--dataset", "d.bin", "--no-normalize"], "--no-normalize"),
+    (["train", "--dataset", "d.bin", "--config", "c.json"], "--config"),
+    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--seed", "1"], "--seed"),
+    (["dataset", "gen", "--v-max", "5"], "--v-max"),
+    (["dataset", "stats", "--dataset", "d.bin", "--seed", "1"], "--seed"),
+    (["track", "--frames", "f.bin", "--config", "c.json"], "--config"),
+    (["identify", "--dataset", "d.bin", "--model", "m.npz", "--config", "c.json"],
+     "--config"),
+], ids=["track-k-bins", "identify-j-min", "train-no-normalize", "train-config",
+        "evaluate-seed", "dataset-gen-v-max", "dataset-stats-seed",
+        "track-config-without-raw-int16", "identify-dataset-config"])
+def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
+    """No file named here exists: each command must stop at its flags, before any read."""
+    monkeypatch.chdir(tmp_path)  # the default --out
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_environment_sets_no_flag(tmp_path, monkeypatch):
+    scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+    argv = ["simulate", "--scenario", str(scenario), "--frames", "2"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("ROTORSENSE_SEED", "7")
+    monkeypatch.setenv("ROTORSENSE_CONFIG", str(tmp_path / "no-such-config.json"))
+    assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+    for name in ("frames.bin", "truth.csv", "simulate_meta.json"):
+        assert sha256(tmp_path / "env" / name) == sha256(tmp_path / "plain" / name)
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rotorsense ")]
+
+
+def test_readme_command_lines_parse():
+    """Every `rotorsense ...` line of the README parses, so the docs name no removed flag."""
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

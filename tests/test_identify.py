@@ -267,8 +267,6 @@ def test_classify_labels_and_metrics():
 class StubDetector:
     """forward_batch scores whose argmax is the given class index per segment."""
 
-    normalize = True
-
     def __init__(self, predictions):
         self.predictions = predictions
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -167,18 +168,31 @@ def test_evaluate_loss_matches_manual_log_softmax():
 
 
 def test_model_file_round_trip(tmp_path):
-    det = LstmDetector(input_dim=7, hidden_size=5, seed=8, normalize=False)
+    det = LstmDetector(input_dim=7, hidden_size=5, seed=8)
     det.training_config = {"epochs": 3, "learning_rate": 5e-5}
     path = tmp_path / "model.npz"
     save_model(det, path)
     loaded = load_model(path)
     assert loaded.input_dim == 7 and loaded.hidden_size == 5
-    assert loaded.normalize is False
     assert loaded.training_config["epochs"] == 3
     for name in det.param_names():
         assert np.array_equal(loaded.params[name], det.params[name])
     segment = np.random.default_rng(1).normal(size=(4, 7))
     assert np.array_equal(loaded.forward(segment), det.forward(segment))
+
+
+@pytest.mark.parametrize("key, value", [("normalize", False), ("num_layers", 3)])
+def test_load_model_rejects_other_fixed_values(tmp_path, key, value):
+    path = tmp_path / "model.npz"
+    save_model(LstmDetector(input_dim=3, hidden_size=2, seed=0), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = json.loads(bytes(arrays.pop("manifest")).decode())
+    manifest[key] = value
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
+             **arrays)
+    with pytest.raises(ModelError, match=f"model manifest {key} is {value!r}"):
+        load_model(path)
 
 
 def test_forward_shape_checks():
