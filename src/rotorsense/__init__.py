@@ -13,10 +13,9 @@ stages into reproducible commands and holds the one capture recipe
 
 from .config import (DerivedParams, RadarConfig, TrajectorySegment,
                      TrajectorySpec, UavConfig, ValidationError,
-                     constant_velocity, derive, hover, validate)
+                     constant_velocity, derive, hover)
 from .echo import (Distractor, Frame, SceneSpec, SimulationError, StaticClutter,
-                   UavEmitter, scatterer_range, synthesize_distractor_frames,
-                   synthesize_frame, synthesize_frames)
+                   UavEmitter, scatterer_range, synthesize_frame, synthesize_frames)
 from .folding import (FoldingMap, FoldOutcome, build_folding_map, folding_result,
                       folding_value)
 from .rdmap import compute_map, dc_bin, doppler_fft, process_frames, range_fft

@@ -260,15 +260,6 @@ def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
     )
 
 
-def validate(cfg):
-    """Validate any config object; returns the normalized config or raises ValidationError."""
-    if isinstance(cfg, (RadarConfig, UavConfig)):
-        return cfg.validate()
-    if isinstance(cfg, TrajectorySpec):
-        return cfg.validate()
-    raise ValidationError(f"unknown config type {type(cfg).__name__}")
-
-
 # --- structured config file (JSON, SI units, versioned) ---------------------
 
 def radar_to_dict(radar: RadarConfig) -> dict:
@@ -284,12 +275,25 @@ def radar_to_dict(radar: RadarConfig) -> dict:
     }
 
 
+def require_json_numbers(values: dict, int_keys, where: str) -> None:
+    """The type rule of radar files: JSON integers for int_keys, JSON numbers for the rest.
+
+    A bool is neither. Raises ValidationError naming where, the key and the value.
+    """
+    for key, value in values.items():
+        kind = "integer" if key in int_keys else "number"
+        _require(type(value) is int or (kind == "number" and type(value) is float),
+                 f"{where} {key} = {value!r} is not a JSON {kind}")
+
+
 def radar_from_dict(d: dict) -> RadarConfig:
+    _require(isinstance(d, dict), f"radar config must be a JSON object, not {d!r}")
     known = set(radar_to_dict(RadarConfig()))
     unknown = set(d) - known
     _require(not unknown, f"unknown radar config keys: {sorted(unknown)}")
-    ints = {"chirps_per_frame", "samples_per_chirp", "frames_per_capture"}
-    kwargs = {k: (int(v) if k in ints else float(v)) for k, v in d.items()}
+    ints = ("chirps_per_frame", "samples_per_chirp", "frames_per_capture")
+    require_json_numbers(d, ints, "radar")
+    kwargs = {k: (v if k in ints else float(v)) for k, v in d.items()}
     return RadarConfig(**kwargs).validate()
 
 

@@ -298,15 +298,6 @@ def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
             for f in range(n)]
 
 
-def synthesize_distractor_frames(kind: str, params: dict, radar: RadarConfig,
-                                 n_frames: int | None = None, noise_std: float = 0.0,
-                                 rng_seed: int = 0) -> list[Frame]:
-    """Frames of a lone distractor; unknown kinds raise SimulationError."""
-    scene = SceneSpec(emitters=(Distractor(kind=kind, params=params),),
-                      noise_std=noise_std, rng_seed=rng_seed).validate()
-    return synthesize_frames(scene, radar, n_frames)
-
-
 def frame_mid_times(radar: RadarConfig, n_frames: int) -> np.ndarray:
     """Frame midpoints; the time base used for truth and track outputs."""
     return (np.arange(n_frames) + 0.5) * radar.frame_duration_s

@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, RadarConfig, ValidationError
+from .config import SPEED_OF_LIGHT, RadarConfig, ValidationError, require_json_numbers
 from .echo import Frame
 
 FRAME_MAGIC = "rotorsense-raw"
@@ -76,10 +76,11 @@ def read_header(path) -> dict:
     for key in _HEADER_KEYS[version]:
         if key not in header:
             raise FormatError(f"frame header is missing {key!r}")
-        kinds = (int,) if key in ("L", "Ns") else (int, float)
-        if type(header[key]) not in kinds:
-            raise FormatError(f"frame header {key} = {header[key]!r} is not a JSON "
-                              f"{'integer' if key in ('L', 'Ns') else 'number'}")
+    try:
+        require_json_numbers({key: header[key] for key in _HEADER_KEYS[version]},
+                             ("L", "Ns"), "frame header")
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
     # The value rules are RadarConfig's; a header that breaks them is malformed.
     try:
         radar_from_header(header)

@@ -281,11 +281,20 @@ def load_segments(path) -> list[Segment]:
             if len(raw) < 4:
                 raise IdentifyError("truncated dataset record header")
             (hlen,) = struct.unpack("<I", raw)
-            header = json.loads(fh.read(hlen).decode())
+            record = f"dataset record {len(segments)}"
             try:
-                w, l = header["W"], header["L"]
-            except KeyError as exc:
-                raise IdentifyError(f"dataset record {len(segments)} has no key {exc}") from None
+                header = json.loads(fh.read(hlen).decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise IdentifyError(f"{record} has an unreadable header: {exc}") from None
+            if not isinstance(header, dict):
+                raise IdentifyError(f"{record} header is not a JSON object")
+            for key in ("W", "L"):
+                if key not in header:
+                    raise IdentifyError(f"{record} has no key {key!r}")
+                if type(header[key]) is not int or header[key] < 1:
+                    raise IdentifyError(
+                        f"{record} {key} = {header[key]!r} is not a positive JSON integer")
+            w, l = header["W"], header["L"]
             data = fh.read(w * l * 4)
             if len(data) < w * l * 4:
                 raise IdentifyError("truncated dataset record payload")

@@ -12,6 +12,20 @@ reproduce final parameters bit for bit. Gradients come from full
 backpropagation through time; tests check them against central finite
 differences.
 
+The forward pass works on whole-sequence arrays. For a batch [B, T, D] each
+layer caches four of them, (layer_in, gates, cs, hs):
+
+- layer_in [B, T, D or H]: the layer's input sequence;
+- gates [B, T, 4H]: the input, forget, candidate and output activations, in
+  that order along the last axis;
+- cs, hs [B, T, H]: the cell and hidden states after each step.
+
+The input projection layer_in @ wx.T is one GEMM per layer, outside the time
+loop. Each step then adds h @ wh.T and the bias, in that order, and overwrites
+its slice of gates with the activations. The backward pass reads the gates as
+views and accumulates the weight gradients step by step: whole-sequence
+gradient GEMMs were tried and made the bytes depend on the BLAS thread count.
+
 Weights initialize uniform in +-1/sqrt(hidden); biases start at zero except
 the forget gate (1.0, the usual stabilizer).
 """
@@ -20,7 +34,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +82,7 @@ class LstmDetector:
         self.params["b_out"] = np.zeros(self.num_classes)
 
     def param_names(self) -> list[str]:
-        names = []
-        for layer in range(self.num_layers):
-            names.extend((f"wx{layer}", f"wh{layer}", f"b{layer}"))
-        names.extend(("w_out", "b_out"))
-        return names
+        return list(self.params)
 
     # --- forward -----------------------------------------------------------
 
@@ -87,7 +96,7 @@ class LstmDetector:
         return x
 
     def _forward_cached(self, x: np.ndarray):
-        """Returns (scores [B, C], cache) for backprop."""
+        """Returns (scores [B, C], cache) for backprop; the cache layout is in the module doc."""
         b, t_steps, _ = x.shape
         h_dim = self.hidden_size
         cache = []
@@ -95,30 +104,27 @@ class LstmDetector:
         for layer in range(self.num_layers):
             wx, wh, bias = (self.params[f"wx{layer}"], self.params[f"wh{layer}"],
                             self.params[f"b{layer}"])
-            h = np.zeros((b, h_dim))
-            c = np.zeros((b, h_dim))
-            steps = []
-            outs = np.empty((b, t_steps, h_dim))
+            gates = (layer_in.reshape(b * t_steps, -1) @ wx.T).reshape(b, t_steps, -1)
+            cs = np.empty((b, t_steps, h_dim))
+            hs = np.empty((b, t_steps, h_dim))
+            h = c = np.zeros((b, h_dim))
             for t in range(t_steps):
-                xt = layer_in[:, t, :]
-                z = xt @ wx.T + h @ wh.T + bias
-                gi = _sigmoid(z[:, :h_dim])
-                gf = _sigmoid(z[:, h_dim:2 * h_dim])
-                gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-                go = _sigmoid(z[:, 3 * h_dim:])
-                c_new = gf * c + gi * gg
-                tanh_c = np.tanh(c_new)
-                h_new = go * tanh_c
-                steps.append((xt, h, c, gi, gf, gg, go, tanh_c))
-                h, c = h_new, c_new
-                outs[:, t, :] = h
-            cache.append((steps, outs))
-            layer_in = outs
+                z = gates[:, t]
+                z += h @ wh.T
+                z += bias
+                z[:, :2 * h_dim] = _sigmoid(z[:, :2 * h_dim])
+                np.tanh(z[:, 2 * h_dim:3 * h_dim], out=z[:, 2 * h_dim:3 * h_dim])
+                z[:, 3 * h_dim:] = _sigmoid(z[:, 3 * h_dim:])
+                gi, gf, gg, go = np.split(z, 4, axis=1)
+                c = cs[:, t] = gf * c + gi * gg
+                h = hs[:, t] = go * np.tanh(c)
+            cache.append((layer_in, gates, cs, hs))
+            layer_in = hs
         scores = h @ self.params["w_out"].T + self.params["b_out"]
-        return scores, cache, h
+        return scores, cache
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        scores, _, _ = self._forward_cached(self._check_batch(x))
+        scores, _ = self._forward_cached(self._check_batch(x))
         return scores
 
     def forward(self, segment: np.ndarray) -> np.ndarray:
@@ -134,12 +140,9 @@ class LstmDetector:
         """Mean cross-entropy over the batch and gradients for every parameter."""
         x = self._check_batch(x)
         labels = np.asarray(labels, dtype=int)
-        b = x.shape[0]
-        scores, cache, h_last = self._forward_cached(x)
-
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1))
-        loss = float(np.mean(log_z - shifted[np.arange(b), labels]))
+        b, t_steps, _ = x.shape
+        scores, cache = self._forward_cached(x)
+        loss, shifted = _cross_entropy(scores, labels)
 
         dscores = np.exp(shifted)
         dscores /= dscores.sum(axis=1, keepdims=True)
@@ -147,73 +150,52 @@ class LstmDetector:
         dscores /= b
 
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        grads["w_out"] = dscores.T @ h_last
+        _, _, _, top_hs = cache[-1]
+        grads["w_out"] = dscores.T @ top_hs[:, -1]
         grads["b_out"] = dscores.sum(axis=0)
 
         h_dim = self.hidden_size
-        t_steps = x.shape[1]
+        zeros = np.zeros((b, h_dim))
         # Gradient w.r.t. each layer's output sequence; top layer only gets a
         # contribution at the final step, from the head.
         dh_seq = np.zeros((b, t_steps, h_dim))
-        dh_seq[:, -1, :] = dscores @ self.params["w_out"]
+        dh_seq[:, -1] = dscores @ self.params["w_out"]
 
         for layer in range(self.num_layers - 1, -1, -1):
-            steps, _ = cache[layer]
+            layer_in, gates, cs, hs = cache[layer]
             wx, wh = self.params[f"wx{layer}"], self.params[f"wh{layer}"]
             gwx, gwh, gb = grads[f"wx{layer}"], grads[f"wh{layer}"], grads[f"b{layer}"]
-            d_in = wx.shape[1]
-            dx_seq = np.zeros((b, t_steps, d_in))
-            dh_next = np.zeros((b, h_dim))
-            dc_next = np.zeros((b, h_dim))
+            gates_by_kind = np.split(gates, 4, axis=2)
+            tanh_cs = np.tanh(cs)
+            dx_seq = np.empty_like(layer_in)
+            dh_next = dc_next = zeros
             for t in range(t_steps - 1, -1, -1):
-                xt, h_prev, c_prev, gi, gf, gg, go, tanh_c = steps[t]
-                dh = dh_seq[:, t, :] + dh_next
-                do = dh * tanh_c
+                gi, gf, gg, go = (g[:, t] for g in gates_by_kind)
+                h_prev, c_prev = (hs[:, t - 1], cs[:, t - 1]) if t else (zeros, zeros)
+                tanh_c = tanh_cs[:, t]
+                dh = dh_seq[:, t] + dh_next
                 dc = dh * go * (1.0 - tanh_c ** 2) + dc_next
-                di = dc * gg
-                dg = dc * gi
-                df = dc * c_prev
-                dc_next = dc * gf
                 dz = np.concatenate([
-                    di * gi * (1.0 - gi),
-                    df * gf * (1.0 - gf),
-                    dg * (1.0 - gg ** 2),
-                    do * go * (1.0 - go),
+                    dc * gg * gi * (1.0 - gi),
+                    dc * c_prev * gf * (1.0 - gf),
+                    dc * gi * (1.0 - gg ** 2),
+                    dh * tanh_c * go * (1.0 - go),
                 ], axis=1)
-                gwx += dz.T @ xt
+                dc_next = dc * gf
+                gwx += dz.T @ layer_in[:, t]
                 gwh += dz.T @ h_prev
                 gb += dz.sum(axis=0)
-                dx_seq[:, t, :] = dz @ wx
+                dx_seq[:, t] = dz @ wx
                 dh_next = dz @ wh
             dh_seq = dx_seq  # feeds the layer below
         return loss, grads
 
 
-@dataclass
-class AdamState:
-    m: dict
-    v: dict
-    step: int = 0
-
-
-def _adam_init(detector: LstmDetector) -> AdamState:
-    return AdamState(m={k: np.zeros_like(p) for k, p in detector.params.items()},
-                     v={k: np.zeros_like(p) for k, p in detector.params.items()})
-
-
-def _adam_update(detector: LstmDetector, grads: dict, state: AdamState,
-                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
-    state.step += 1
-    corr1 = 1.0 - beta1 ** state.step
-    corr2 = 1.0 - beta2 ** state.step
-    for name in detector.param_names():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / corr1
-        v_hat = state.v[name] / corr2
-        detector.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+def _cross_entropy(scores: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy, and the row-max-shifted scores it came from."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    return float(np.mean(log_z - shifted[np.arange(scores.shape[0]), labels])), shifted
 
 
 def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
@@ -238,7 +220,10 @@ def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
         raise ModelError("epochs must be >= 0 and batch_size >= 1")
 
     rng = np.random.default_rng(rng_seed)
-    state = _adam_init(detector)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = {name: np.zeros_like(p) for name, p in detector.params.items()}
+    v = {name: np.zeros_like(p) for name, p in detector.params.items()}
+    step = 0
     history = []
     n = x.shape[0]
     for epoch in range(epochs):
@@ -247,7 +232,14 @@ def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             loss, grads = detector.loss_and_grads(x[idx], y[idx])
-            _adam_update(detector, grads, state, learning_rate)
+            step += 1
+            corr1 = 1.0 - beta1 ** step
+            corr2 = 1.0 - beta2 ** step
+            for name, p in detector.params.items():
+                g = grads[name]
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                p -= learning_rate * (m[name] / corr1) / (np.sqrt(v[name] / corr2) + eps)
             total += loss * idx.shape[0]
             seen += idx.shape[0]
         entry = {"epoch": epoch, "train_loss": total / seen}
@@ -269,12 +261,7 @@ def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
 
 
 def evaluate_loss(detector: LstmDetector, segments, labels) -> float:
-    x = np.asarray(segments, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    scores = detector.forward_batch(x)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    return float(np.mean(log_z - shifted[np.arange(x.shape[0]), y]))
+    return _cross_entropy(detector.forward_batch(segments), np.asarray(labels, dtype=int))[0]
 
 
 # --- model file: parameter blob with a JSON manifest -------------------------
@@ -310,16 +297,21 @@ def load_model(path) -> LstmDetector:
             manifest = json.loads(bytes(data["manifest"]).decode())
         except Exception as exc:
             raise ModelError(f"model file has no readable manifest: {exc}")
+        if not isinstance(manifest, dict):
+            raise ModelError("model manifest is not a JSON object")
         if manifest.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ModelError(
                 f"unsupported model schema_version {manifest.get('schema_version')!r}")
         for key, value in FIXED_MANIFEST.items():
             if manifest.get(key) != value:
                 raise ModelError(f"model manifest {key} is {manifest.get(key)!r}, not {value!r}")
-        try:
-            dims = manifest["input_dim"], manifest["hidden_size"], manifest["seed"]
-        except KeyError as exc:
-            raise ModelError(f"model manifest has no key {exc}") from None
+        dims = []
+        for key in ("input_dim", "hidden_size", "seed"):
+            if key not in manifest:
+                raise ModelError(f"model manifest has no key {key!r}")
+            if type(manifest[key]) is not int:
+                raise ModelError(f"model manifest {key} = {manifest[key]!r} is not a JSON integer")
+            dims.append(manifest[key])
         det = LstmDetector(*dims)
         det.training_config = manifest.get("training", {})
         for name in det.param_names():

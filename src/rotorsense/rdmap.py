@@ -12,8 +12,6 @@ convention shared by every module that touches Doppler spectra.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .config import RadarConfig
@@ -92,12 +90,3 @@ def aliased_doppler_hz(radar: RadarConfig, velocity_m_per_s: float) -> float:
     return (f + prf / 2.0) % prf - prf / 2.0
 
 
-def map_to_csv(rd_map: np.ndarray, path) -> None:
-    """Dump (range_bin, doppler_bin, magnitude) rows of one map for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["range_bin", "doppler_bin", "magnitude"])
-        n_r, n_l = rd_map.shape
-        for r in range(n_r):
-            for d in range(n_l):
-                writer.writerow([r, d, repr(float(rd_map[r, d]))])

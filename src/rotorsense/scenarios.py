@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .config import RadarConfig, TrajectorySpec, UavConfig, constant_velocity, hover
+from .config import TrajectorySpec, UavConfig, constant_velocity, hover
 from .echo import Distractor, SceneSpec, StaticClutter, UavEmitter
 
 BLADE_REFLECTIVITY = 0.18
@@ -26,10 +26,6 @@ BLADE_RADII_RANGE_M = (0.06, 0.25)
 NOISE_STD = 4.0
 DATASET_NOISE_STD = 2.0  # identification corpus: comb peaks ~6 dB clearer
 ROTATION_RATE_HZ = 55.6
-
-
-def default_radar() -> RadarConfig:
-    return RadarConfig().validate()
 
 
 def make_uav(seed: int = 0, rotation_rate_hz: float = ROTATION_RATE_HZ,

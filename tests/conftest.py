@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotorsense import derive, process_frames, synthesize_frames
+from rotorsense import RadarConfig, derive, process_frames, synthesize_frames
 from rotorsense.echo import scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios
@@ -9,7 +9,7 @@ from rotorsense import scenarios
 
 @pytest.fixture(scope="session")
 def radar():
-    return scenarios.default_radar()
+    return RadarConfig().validate()
 
 
 @pytest.fixture(scope="session")

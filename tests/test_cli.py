@@ -444,18 +444,31 @@ TRACK_CSV = ("frame_index,time_s,range_bin,range_m,filtered_range_m,score\n"
 TRUTH_CSV = "time_s,range_m,velocity_m_per_s\n0.045,48.0,0.0\n"
 
 
-def _model_without_input_dim(tmp_path):
+def _identify_dataset(tmp_path, edit_manifest=lambda manifest: None, record=None):
+    """Argv of identify --dataset on a small saved model and a one-segment dataset.
+
+    edit_manifest changes the model's manifest in place; record, when given, replaces
+    the dataset with one record whose header is these raw bytes.
+    """
     path = tmp_path / "model.npz"
     lstm.save_model(lstm.LstmDetector(input_dim=7, hidden_size=4, seed=0), path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     manifest = json.loads(bytes(arrays.pop("manifest")).decode())
-    del manifest["input_dim"]
+    edit_manifest(manifest)
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
              **arrays)
-    identify.save_segments(tmp_path / "segments.bin",
-                           [identify.Segment(values=np.ones((4, 7)), label="uav")])
-    return ["identify", "--dataset", str(tmp_path / "segments.bin"), "--model", str(path)]
+    segments = tmp_path / "segments.bin"
+    identify.save_segments(segments, [identify.Segment(values=np.ones((4, 7)), label="uav")])
+    if record is not None:
+        segments.write_bytes(identify.SEGMENT_MAGIC + (1).to_bytes(4, "little")
+                             + len(record).to_bytes(4, "little") + record)
+    return ["identify", "--dataset", str(segments), "--model", str(path),
+            "--out", str(tmp_path)]
+
+
+def _model_without_input_dim(tmp_path):
+    return _identify_dataset(tmp_path, lambda manifest: manifest.pop("input_dim"))
 
 
 def _record_without_w(tmp_path):
@@ -485,6 +498,54 @@ def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
     assert main(argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert kind in err and repr(key) in err
+
+
+def _manifest_value(key, value):
+    return lambda tmp: _identify_dataset(tmp, lambda manifest: manifest.update({key: value}))
+
+
+def _record_header(raw):
+    return lambda tmp: _identify_dataset(tmp, record=raw)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_manifest_value("input_dim", "x"), "model manifest input_dim = 'x' is not a JSON integer"),
+    (_manifest_value("input_dim", None), "model manifest input_dim = None"),
+    (_manifest_value("input_dim", 2.5), "model manifest input_dim = 2.5"),
+    (_manifest_value("hidden_size", True), "model manifest hidden_size = True"),
+    (_manifest_value("seed", "0"), "model manifest seed = '0'"),
+    (_record_header(b'{"W": "x", "L": 7}'),
+     "dataset record 0 W = 'x' is not a positive JSON integer"),
+    (_record_header(b'{"W": null, "L": 7}'), "dataset record 0 W = None"),
+    (_record_header(b'{"W": 2.5, "L": 7}'), "dataset record 0 W = 2.5"),
+    (_record_header(b'{"W": -1, "L": 7}'), "dataset record 0 W = -1"),
+    (_record_header(b'{"W": 4, "L": 0}'), "dataset record 0 L = 0"),
+    (_record_header(b'\xff{"W": 4, "L": 7}'), "dataset record 0 has an unreadable header"),
+    (_record_header(b'{"W": 4,'), "dataset record 0 has an unreadable header"),
+    (_record_header(b'[4, 7]'), "dataset record 0 header is not a JSON object"),
+], ids=["input-dim-string", "input-dim-null", "input-dim-float", "hidden-size-bool",
+        "seed-string", "w-string", "w-null", "w-float", "w-negative", "l-zero",
+        "header-not-utf8", "header-not-json", "header-list"])
+def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
+    assert main(argv(tmp_path)) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radar, named", [
+    ({"chirps_per_frame": None}, "radar chirps_per_frame = None is not a JSON integer"),
+    ([], "radar config must be a JSON object"),
+    ({"adc_rate_hz": "x"}, "radar adc_rate_hz = 'x' is not a JSON number"),
+    ({"samples_per_chirp": 256.5}, "radar samples_per_chirp = 256.5 is not a JSON integer"),
+    ({"frames_per_capture": True}, "radar frames_per_capture = True is not a JSON integer"),
+], ids=["int-null", "not-an-object", "float-string", "int-fraction", "int-bool"])
+def test_malformed_radar_config_exits_one(tmp_path, capsys, radar, named):
+    config = tmp_path / "radar.json"
+    config.write_text(json.dumps({"schema_version": 1, "radar": radar}))
+    scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+    argv = ["simulate", "--config", str(config), "--scenario", str(scenario), "--frames", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -6,7 +6,7 @@ import pytest
 from rotorsense.config import (RadarConfig, TrajectorySegment, TrajectorySpec,
                                UavConfig, ValidationError, constant_velocity,
                                derive, hover, load_radar_config,
-                               save_radar_config, validate)
+                               save_radar_config)
 
 
 def test_default_radar_is_valid():
@@ -141,18 +141,19 @@ def test_trajectory_range_bounds():
         hover(100.0, 1.0).validate(max_range_m=93.8)
 
 
-def test_validate_dispatch():
-    assert validate(RadarConfig()) is not None
-    with pytest.raises(ValidationError, match="unknown config type"):
-        validate(42)
-
-
 def test_config_file_round_trip(tmp_path):
     radar = RadarConfig(samples_per_chirp=128, frames_per_capture=7).validate()
     path = tmp_path / "radar.json"
     save_radar_config(radar, path)
     loaded = load_radar_config(path)
     assert loaded == radar
+
+
+def test_config_file_reads_integer_numbers_as_floats(tmp_path):
+    path = tmp_path / "radar.json"
+    path.write_text('{"schema_version": 1, "radar": {"adc_rate_hz": 6250000}}')
+    radar = load_radar_config(path)
+    assert radar == RadarConfig() and type(radar.adc_rate_hz) is float
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

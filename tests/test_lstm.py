@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +142,36 @@ def test_loss_decreases_on_separable_toy():
     losses = [h["train_loss"] for h in history]
     assert all(losses[i + 1] <= losses[i] + 1e-9 for i in range(9))
     assert losses[-1] < losses[0]
+
+
+# Two epochs at the shapes of the benchmark's train workload: 40 segments of
+# 40 steps x 100 Doppler bins, hidden size 128, batches of 10.
+_TRAIN_AND_HASH = """
+import hashlib
+import numpy as np
+from rotorsense.lstm import LstmDetector, lstm_train
+rng = np.random.default_rng(12)
+x = rng.random((40, 40, 100))
+y = np.arange(40) % 2
+det = LstmDetector(input_dim=100, hidden_size=128, seed=4)
+lstm_train(det, x, y, epochs=2, batch_size=10, learning_rate=1e-3, rng_seed=5)
+digest = hashlib.sha256()
+for name in det.param_names():
+    digest.update(det.params[name].tobytes())
+digest.update(det.forward_batch(x).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(_TRAIN_AND_HASH, {})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == out.getvalue().strip()
 
 
 def test_single_class_dataset_rejected():

@@ -7,7 +7,7 @@ from rotorsense.folding import folding_result
 from rotorsense.identify import IdentifyError, diagram_at_bins
 from rotorsense.rdmap import (ProcessingError, aliased_doppler_hz, beat_range_bin,
                               compute_map, dc_bin, doppler_axis_hz, doppler_fft,
-                              map_to_csv, range_fft)
+                              range_fft)
 from rotorsense import scenarios
 
 from conftest import UAV_RANGE_BIN, comb_spacing_estimate
@@ -143,15 +143,3 @@ def test_body_argmax_invariant_under_blades(radar):
         SceneSpec(emitters=(UavEmitter(bladed, traj),)).validate(), radar, 0))
     assert np.unravel_index(np.argmax(rd_body), rd_body.shape) \
         == np.unravel_index(np.argmax(rd_blade), rd_blade.shape)
-
-
-def test_map_csv_dump(radar, tmp_path):
-    rd = compute_map(_point_frame(radar, 30.0))
-    path = tmp_path / "map.csv"
-    map_to_csv(rd, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "range_bin,doppler_bin,magnitude"
-    assert len(lines) == 1 + 256 * 100
-    r, d, mag = lines[1 + 82 * 100 + 50].split(",")
-    assert (int(r), int(d)) == (82, 50)
-    assert float(mag) == rd[82, 50]
