@@ -12,19 +12,24 @@ reproduce final parameters bit for bit. Gradients come from full
 backpropagation through time; tests check them against central finite
 differences.
 
-The forward pass works on whole-sequence arrays. For a batch [B, T, D] each
-layer caches four of them, (layer_in, gates, cs, hs):
+The forward pass works on whole-sequence time-major arrays: the batch
+[B, T, D] is transposed once to [T, B, D], so each step's rows are one
+contiguous block. Each layer caches four arrays, (layer_in, gates, cs, hs):
 
-- layer_in [B, T, D or H]: the layer's input sequence;
-- gates [B, T, 4H]: the input, forget, candidate and output activations, in
+- layer_in [T, B, D or H]: the layer's input sequence;
+- gates [T, B, 4H]: the input, forget, candidate and output activations, in
   that order along the last axis;
-- cs, hs [B, T, H]: the cell and hidden states after each step.
+- cs, hs [T, B, H]: the cell and hidden states after each step.
 
 The input projection layer_in @ wx.T is one GEMM per layer, outside the time
-loop. Each step then adds h @ wh.T and the bias, in that order, and overwrites
-its slice of gates with the activations. The backward pass reads the gates as
-views and accumulates the weight gradients step by step: whole-sequence
-gradient GEMMs were tried and made the bytes depend on the BLAS thread count.
+loop. Each step then adds h @ wh.T (none at step 0, where h is zero) and the
+bias, in that order, and overwrites its [B, 4H] slice of gates with the
+activations. The gates take one tanh over the whole slice:
+sigmoid(z) = 0.5 * (1 + tanh(z / 2)), so the i, f and o rows are halved
+before the tanh and halved and shifted by 0.5 after it (halving is exact).
+The backward pass reads the gates as views and accumulates the weight
+gradients step by step: whole-sequence gradient GEMMs were tried and made the
+bytes depend on the BLAS thread count.
 
 Weights initialize uniform in +-1/sqrt(hidden); biases start at zero except
 the forget gate (1.0, the usual stabilizer).
@@ -43,15 +48,6 @@ class ModelError(ValueError):
 
 
 MODEL_SCHEMA_VERSION = 1
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class LstmDetector:
@@ -99,28 +95,37 @@ class LstmDetector:
         """Returns (scores [B, C], cache) for backprop; the cache layout is in the module doc."""
         b, t_steps, _ = x.shape
         h_dim = self.hidden_size
+        # Halves the i, f, o rows around the tanh: sigmoid(z) = 0.5 * (1 + tanh(z / 2)).
+        scale = np.full(4 * h_dim, 0.5)
+        scale[2 * h_dim:3 * h_dim] = 1.0
+        zeros = np.zeros((b, h_dim))
         cache = []
-        layer_in = x
+        layer_in = np.ascontiguousarray(x.transpose(1, 0, 2))
         for layer in range(self.num_layers):
             wx, wh, bias = (self.params[f"wx{layer}"], self.params[f"wh{layer}"],
                             self.params[f"b{layer}"])
-            gates = (layer_in.reshape(b * t_steps, -1) @ wx.T).reshape(b, t_steps, -1)
-            cs = np.empty((b, t_steps, h_dim))
-            hs = np.empty((b, t_steps, h_dim))
-            h = c = np.zeros((b, h_dim))
+            gates = (layer_in.reshape(t_steps * b, -1) @ wx.T).reshape(t_steps, b, -1)
+            cs = np.empty((t_steps, b, h_dim))
+            hs = np.empty((t_steps, b, h_dim))
             for t in range(t_steps):
-                z = gates[:, t]
-                z += h @ wh.T
+                z = gates[t]
+                if t:
+                    z += hs[t - 1] @ wh.T
                 z += bias
-                z[:, :2 * h_dim] = _sigmoid(z[:, :2 * h_dim])
-                np.tanh(z[:, 2 * h_dim:3 * h_dim], out=z[:, 2 * h_dim:3 * h_dim])
-                z[:, 3 * h_dim:] = _sigmoid(z[:, 3 * h_dim:])
-                gi, gf, gg, go = np.split(z, 4, axis=1)
-                c = cs[:, t] = gf * c + gi * gg
-                h = hs[:, t] = go * np.tanh(c)
+                z *= scale
+                np.tanh(z, out=z)
+                z *= scale
+                z[:, :2 * h_dim] += 0.5
+                z[:, 3 * h_dim:] += 0.5
+                gi, gf, gg, go = (z[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
+                c, h = cs[t], hs[t]
+                np.multiply(gf, cs[t - 1] if t else zeros, out=c)
+                c += gi * gg
+                np.tanh(c, out=h)
+                h *= go
             cache.append((layer_in, gates, cs, hs))
             layer_in = hs
-        scores = h @ self.params["w_out"].T + self.params["b_out"]
+        scores = layer_in[-1] @ self.params["w_out"].T + self.params["b_out"]
         return scores, cache
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
@@ -151,29 +156,28 @@ class LstmDetector:
 
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         _, _, _, top_hs = cache[-1]
-        grads["w_out"] = dscores.T @ top_hs[:, -1]
+        grads["w_out"] = dscores.T @ top_hs[-1]
         grads["b_out"] = dscores.sum(axis=0)
 
         h_dim = self.hidden_size
         zeros = np.zeros((b, h_dim))
         # Gradient w.r.t. each layer's output sequence; top layer only gets a
         # contribution at the final step, from the head.
-        dh_seq = np.zeros((b, t_steps, h_dim))
-        dh_seq[:, -1] = dscores @ self.params["w_out"]
+        dh_seq = np.zeros((t_steps, b, h_dim))
+        dh_seq[-1] = dscores @ self.params["w_out"]
 
         for layer in range(self.num_layers - 1, -1, -1):
             layer_in, gates, cs, hs = cache[layer]
             wx, wh = self.params[f"wx{layer}"], self.params[f"wh{layer}"]
             gwx, gwh, gb = grads[f"wx{layer}"], grads[f"wh{layer}"], grads[f"b{layer}"]
-            gates_by_kind = np.split(gates, 4, axis=2)
             tanh_cs = np.tanh(cs)
-            dx_seq = np.empty_like(layer_in)
+            dx_seq = np.empty_like(layer_in) if layer else None  # layer 0's is unread
             dh_next = dc_next = zeros
             for t in range(t_steps - 1, -1, -1):
-                gi, gf, gg, go = (g[:, t] for g in gates_by_kind)
-                h_prev, c_prev = (hs[:, t - 1], cs[:, t - 1]) if t else (zeros, zeros)
-                tanh_c = tanh_cs[:, t]
-                dh = dh_seq[:, t] + dh_next
+                gi, gf, gg, go = (gates[t, :, k * h_dim:(k + 1) * h_dim] for k in range(4))
+                c_prev = cs[t - 1] if t else zeros
+                tanh_c = tanh_cs[t]
+                dh = dh_seq[t] + dh_next
                 dc = dh * go * (1.0 - tanh_c ** 2) + dc_next
                 dz = np.concatenate([
                     dc * gg * gi * (1.0 - gi),
@@ -182,11 +186,13 @@ class LstmDetector:
                     dh * tanh_c * go * (1.0 - go),
                 ], axis=1)
                 dc_next = dc * gf
-                gwx += dz.T @ layer_in[:, t]
-                gwh += dz.T @ h_prev
+                gwx += dz.T @ layer_in[t]
                 gb += dz.sum(axis=0)
-                dx_seq[:, t] = dz @ wx
-                dh_next = dz @ wh
+                if layer:
+                    np.matmul(dz, wx, out=dx_seq[t])
+                if t:  # h before step 0 is zero: no gradient for wh, nothing earlier
+                    gwh += dz.T @ hs[t - 1]
+                    dh_next = dz @ wh
             dh_seq = dx_seq  # feeds the layer below
         return loss, grads
 
@@ -285,10 +291,26 @@ def save_model(detector: LstmDetector, path) -> None:
         json.dumps(manifest, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+# What reading a damaged archive raises: a bad CRC or header, a cut-off stream,
+# a compression method or zip version zipfile does not know, a stray
+# encryption flag.
+_DAMAGED_ARCHIVE = (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,
+                    ValueError)
+
+
+def _read_member(data, name: str) -> np.ndarray:
+    if name not in data:
+        raise ModelError(f"model file is missing parameter {name!r}")
+    try:
+        return data[name]
+    except _DAMAGED_ARCHIVE as exc:
+        raise ModelError(f"model file member {name!r} is unreadable: {exc}")
+
+
 def load_model(path) -> LstmDetector:
     try:
         archive = np.load(path)
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+    except _DAMAGED_ARCHIVE as exc:
         raise ModelError(f"model file is not a readable archive: {exc}")
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ModelError("model file is not a readable archive: a bare array, not .npz")
@@ -305,19 +327,25 @@ def load_model(path) -> LstmDetector:
         for key, value in FIXED_MANIFEST.items():
             if manifest.get(key) != value:
                 raise ModelError(f"model manifest {key} is {manifest.get(key)!r}, not {value!r}")
-        dims = []
         for key in ("input_dim", "hidden_size", "seed"):
             if key not in manifest:
                 raise ModelError(f"model manifest has no key {key!r}")
             if type(manifest[key]) is not int:
                 raise ModelError(f"model manifest {key} = {manifest[key]!r} is not a JSON integer")
-            dims.append(manifest[key])
-        det = LstmDetector(*dims)
+        input_dim, hidden_size, seed = (manifest[k] for k in ("input_dim", "hidden_size", "seed"))
+        if seed < 0:
+            raise ModelError(f"model manifest seed = {seed} is negative")
+        # The stored layer-0 weights bound the dims before anything is allocated.
+        for key, name, expected in (("hidden_size", "wh0", (4 * hidden_size, hidden_size)),
+                                    ("input_dim", "wx0", (4 * hidden_size, input_dim))):
+            shape = _read_member(data, name).shape
+            if shape != expected:
+                raise ModelError(f"model manifest {key} = {manifest[key]} does not match "
+                                 f"stored {name} of shape {shape}")
+        det = LstmDetector(input_dim, hidden_size, seed)
         det.training_config = manifest.get("training", {})
         for name in det.param_names():
-            if name not in data:
-                raise ModelError(f"model file is missing parameter {name!r}")
-            arr = data[name]
+            arr = _read_member(data, name)
             if arr.shape != det.params[name].shape:
                 raise ModelError(
                     f"parameter {name!r} has shape {arr.shape}, expected {det.params[name].shape}")

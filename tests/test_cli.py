@@ -514,6 +514,11 @@ def _record_header(raw):
     (_manifest_value("input_dim", 2.5), "model manifest input_dim = 2.5"),
     (_manifest_value("hidden_size", True), "model manifest hidden_size = True"),
     (_manifest_value("seed", "0"), "model manifest seed = '0'"),
+    (_manifest_value("seed", -1), "model manifest seed = -1 is negative"),
+    (_manifest_value("input_dim", 10**12),
+     "model manifest input_dim = 1000000000000 does not match stored wx0 of shape (16, 7)"),
+    (_manifest_value("hidden_size", 10**6),
+     "model manifest hidden_size = 1000000 does not match stored wh0 of shape (16, 4)"),
     (_record_header(b'{"W": "x", "L": 7}'),
      "dataset record 0 W = 'x' is not a positive JSON integer"),
     (_record_header(b'{"W": null, "L": 7}'), "dataset record 0 W = None"),
@@ -524,11 +529,24 @@ def _record_header(raw):
     (_record_header(b'{"W": 4,'), "dataset record 0 has an unreadable header"),
     (_record_header(b'[4, 7]'), "dataset record 0 header is not a JSON object"),
 ], ids=["input-dim-string", "input-dim-null", "input-dim-float", "hidden-size-bool",
-        "seed-string", "w-string", "w-null", "w-float", "w-negative", "l-zero",
+        "seed-string", "seed-negative", "input-dim-huge", "hidden-size-huge", "w-string",
+        "w-null", "w-float", "w-negative", "l-zero",
         "header-not-utf8", "header-not-json", "header-list"])
 def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
+
+
+def test_model_with_a_damaged_member_exits_one(tmp_path, capsys):
+    argv = _identify_dataset(tmp_path)
+    model_path = tmp_path / "model.npz"
+    with np.load(model_path) as data:
+        stored = data["wh0"].tobytes()
+    blob = bytearray(model_path.read_bytes())
+    blob[blob.index(stored)] ^= 0xFF  # the member's CRC no longer matches
+    model_path.write_bytes(bytes(blob))
+    assert main(argv) == 1
+    assert "model file member 'wh0' is unreadable: Bad CRC-32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radar, named", [

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorsense.lstm import (LstmDetector, ModelError, evaluate_loss, load_model,
                              lstm_train, save_model)
@@ -59,13 +60,28 @@ def _reference_forward(det, segment):
 
 
 def test_forward_matches_reference_recurrence():
-    det = LstmDetector(input_dim=3, hidden_size=2, seed=5)
+    det = LstmDetector(input_dim=3, hidden_size=4, seed=5)
     rng = np.random.default_rng(2)
     for name in det.param_names():  # tiny fixed weights
         det.params[name] = rng.uniform(-0.3, 0.3, det.params[name].shape)
-    segment = rng.normal(size=(2, 3))
-    expected = _reference_forward(det, segment)
-    assert np.max(np.abs(det.forward(segment) - np.array(expected))) < 1e-10
+    batch = rng.normal(size=(3, 5, 3))  # batch != steps: rows must not mix
+    for row, segment in zip(det.forward_batch(batch), batch):
+        expected = np.array(_reference_forward(det, segment))
+        assert np.max(np.abs(row - expected)) < 1e-10
+        assert np.max(np.abs(det.forward(segment) - expected)) < 1e-10  # a batch of one
+
+
+def test_saturated_gates_stay_finite_without_fp_errors():
+    det = LstmDetector(input_dim=3, hidden_size=4, seed=0)
+    rng = np.random.default_rng(8)
+    for name in det.param_names():
+        det.params[name] = np.zeros_like(det.params[name])
+    for layer in range(det.num_layers):  # every pre-activation is +-1e3
+        det.params[f"b{layer}"] = rng.choice([-1e3, 1e3], det.params[f"b{layer}"].shape)
+    det.params["w_out"] = rng.uniform(-1.0, 1.0, det.params["w_out"].shape)
+    with np.errstate(all="raise"):
+        scores = det.forward_batch(rng.normal(size=(2, 6, 3)))
+    assert np.all(np.isfinite(scores))
 
 
 def test_head_permutation_permutes_scores():
@@ -237,3 +253,32 @@ def test_forward_shape_checks():
         det.forward(np.zeros((5, 3)))  # wrong input dim
     with pytest.raises(ModelError, match="2-d"):
         det.forward(np.zeros(4))
+
+
+def _saved_model_bytes():
+    buffer = io.BytesIO()
+    save_model(LstmDetector(input_dim=7, hidden_size=4, seed=0), buffer)
+    return buffer.getvalue()
+
+
+_MODEL_BYTES = _saved_model_bytes()
+
+
+def _overwrite(edits):
+    blob = bytearray(_MODEL_BYTES)
+    for at, value in edits:
+        blob[at] = value
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.integers(0, len(_MODEL_BYTES) - 1).map(lambda cut: _MODEL_BYTES[:cut]),
+    st.lists(st.tuples(st.integers(0, len(_MODEL_BYTES) - 1), st.integers(0, 255)),
+             min_size=1, max_size=3).map(_overwrite)))
+def test_damaged_model_file_loads_or_raises_model_error(blob):
+    """A truncated or overwritten model file never escapes as a non-model error."""
+    try:
+        load_model(io.BytesIO(blob))
+    except ModelError:
+        pass
