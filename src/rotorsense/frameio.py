@@ -92,8 +92,9 @@ def read_header(path) -> dict:
 def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
     """Interleaved (re, im) payload -> complex128 frames of chirps x samples.
 
-    The payload is converted once, into one complex128 cube [frames, chirps,
-    samples]; each frame's samples are a view of it.
+    The payload is widened once, to float64, and that buffer is viewed as one
+    complex128 cube [frames, chirps, samples]; each frame's samples are a view
+    of it.
     """
     per_frame = chirps * samples * 2
     if data.size == 0 or data.size % per_frame != 0:
@@ -101,10 +102,7 @@ def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
             f"{data.dtype} payload of {data.size} values is not a whole number of "
             f"{chirps}x{samples} frames")
     n_frames = data.size // per_frame
-    pairs = data.reshape(n_frames, chirps, samples, 2)
-    cube = np.empty(pairs.shape[:3], dtype=np.complex128)
-    cube.real = pairs[..., 0]
-    cube.imag = pairs[..., 1]
+    cube = data.astype(np.float64).view(np.complex128).reshape(n_frames, chirps, samples)
     return [Frame(frame_index=i, samples=cube[i]) for i in range(n_frames)]
 
 

@@ -15,10 +15,13 @@ Ties: the final-column argmax prefers the smaller range bin; predecessor ties
 prefer the smaller offset |k|, then the smaller bin. Finally a sequential
 importance resampling particle filter over (range, radial velocity) smooths
 the bin-quantized DP track: constant-velocity prediction with Gaussian
-process noise, Gaussian likelihood of the DP range, multinomial resampling
-every step, weighted-mean range as the estimate. Its model is fixed by the
-range grid: 5000 particles, process noise of half a range bin in range and
-0.5 m/s in velocity, measurement noise of one range bin.
+process noise, Gaussian likelihood of the DP range, weighted-mean range as
+the estimate, then multinomial resampling every step. The resampling draw is
+the inverse-CDF lookup `rng.choice(n, size=n, p=w)` makes, from the same
+uniforms, searched in sorted order: same indices, same stream, less time.
+Its model is fixed by the range grid: 5000 particles, process noise of half
+a range bin in range and 0.5 m/s in velocity, measurement noise of one range
+bin.
 """
 
 from __future__ import annotations
@@ -143,9 +146,14 @@ def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
     reseeds = 0
     for t, z in enumerate(obs):
         if t > 0:
-            r = r + v * dt + rng.normal(0.0, process_noise_m, n)
-            v = v + rng.normal(0.0, 0.5, n)  # velocity noise, m/s
-        w = np.exp(-0.5 * ((r - z) / measurement_noise_m) ** 2)
+            r += v * dt
+            r += rng.normal(0.0, process_noise_m, n)
+            v += rng.normal(0.0, 0.5, n)  # velocity noise, m/s
+        w = r - z
+        w /= measurement_noise_m
+        np.square(w, out=w)
+        w *= -0.5
+        np.exp(w, out=w)
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
             reseeds += 1
@@ -153,12 +161,32 @@ def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
             v = rng.uniform(-v_max, v_max, n)
             w = np.ones(n)
             total = float(n)
+        # w is exp(.) >= 0 over a finite positive total, so the checks
+        # rng.choice makes on p (non-negative, sums to 1) cannot fail here.
         w /= total
         estimates[t] = float(np.dot(w, r))
-        idx = rng.choice(n, size=n, p=w)  # multinomial resampling
+        idx = _multinomial_indices(rng, w)
         r, v = r[idx], v[idx]
 
     return estimates, reseeds
+
+
+def _multinomial_indices(rng, w) -> np.ndarray:
+    """Indices equal to rng.choice(len(w), size=len(w), p=w), drawn from the same stream.
+
+    It is numpy's own recipe for that call (cumsum, divide by the last entry,
+    one random(n) draw, searchsorted side="right"), run on the uniforms in
+    sorted order: a key's answer does not depend on the order of the keys,
+    and sorted keys make the search several times faster.
+    """
+    n = w.shape[0]
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    order = np.argsort(u)
+    idx = np.empty(n, dtype=np.int64)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    return idx
 
 
 def relative_range_error(track_ranges, truth_ranges) -> float:

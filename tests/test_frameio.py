@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import RadarConfig, derive
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
-from rotorsense.frameio import (FormatError, HEADER_BYTES, radar_from_header, radar_mismatch,
-                                read_frames, read_frames_int16, read_header,
+from rotorsense.frameio import (FormatError, HEADER_BYTES, _decode_frames, radar_from_header,
+                                radar_mismatch, read_frames, read_frames_int16, read_header,
                                 write_frames)
 
 
@@ -142,6 +142,35 @@ def test_int16_capture(tmp_path):
     path.write_bytes(cube.astype("<i2").tobytes()[:-2])
     with pytest.raises(FormatError, match="whole number"):
         read_frames_int16(path, 8, 16)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<i2"])
+def test_decode_matches_explicit_re_im_assembly(dtype):
+    """The one widening conversion gives the bytes of filling re and im separately."""
+    rng = np.random.default_rng(4)
+    n_frames, chirps, samples = 3, 4, 5
+    if dtype == "<i2":
+        data = rng.integers(-32768, 32768, n_frames * chirps * samples * 2).astype(dtype)
+        extremes = [-32768, 32767, 0, -1]
+    else:
+        data = rng.standard_normal(n_frames * chirps * samples * 2).astype(dtype)
+        f4 = np.finfo(np.float32)
+        extremes = [-0.0, np.inf, -np.inf, np.nan, f4.max, -f4.max, f4.smallest_subnormal]
+    data[:len(extremes)] = extremes
+    data[-len(extremes):] = extremes[::-1]
+
+    pairs = data.reshape(n_frames, chirps, samples, 2)
+    expected = np.empty((n_frames, chirps, samples), dtype=np.complex128)
+    expected.real = pairs[..., 0]
+    expected.imag = pairs[..., 1]
+
+    frames = _decode_frames(data, chirps, samples)
+    assert len(frames) == n_frames
+    for i, frame in enumerate(frames):
+        assert frame.frame_index == i
+        assert frame.samples.dtype == np.complex128
+        assert frame.samples.shape == (chirps, samples)
+        assert frame.samples.tobytes() == expected[i].tobytes()
 
 
 def test_radar_from_header_round_trip(tmp_path, small_radar):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import RadarConfig, derive
-from rotorsense.tracking import (Track, TrackingError, dp_max_path,
-                                 estimate_noise_profile, particle_filter,
+from rotorsense.tracking import (PARTICLES, Track, TrackingError, _multinomial_indices,
+                                 dp_max_path, estimate_noise_profile, particle_filter,
                                  read_track_csv, relative_range_error,
                                  spectral_subtract, track_to_csv)
 
@@ -238,11 +238,119 @@ def test_pf_degenerate_weights_reseed(pf_derived):
     filtered, reseeds = particle_filter(obs, pf_derived, 1)
     assert reseeds >= 1
     assert abs(filtered[-1] - 50.0) < 0.5
+    ref_filtered, ref_reseeds = _reference_particle_filter(obs, pf_derived, 1)
+    assert np.array_equal(filtered, ref_filtered)
+    assert reseeds == ref_reseeds
 
 
 def test_pf_empty_track_errors(pf_derived):
     with pytest.raises(TrackingError, match="empty"):
         particle_filter(np.array([]), pf_derived, 0)
+
+
+def _resampling_weights(kind, n, rng):
+    """Normalized weights [n] of one shape the resampler must handle."""
+    if kind == "random":
+        w = rng.random(n)
+    elif kind == "zero_runs":  # flat stretches of the cdf, at either end too
+        w = rng.random(n)
+        for start in rng.integers(0, n, 3):
+            w[start:start + int(rng.integers(1, n + 1))] = 0.0
+        w[rng.integers(n)] = 1.0
+    elif kind == "one_nonzero":
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+    elif kind == "equal":  # the reseed branch
+        w = np.ones(n)
+    else:  # "subnormal": tiny weights stay subnormal after normalization
+        w = rng.random(n)
+        tiny = rng.random(n) < 0.5
+        w[tiny] = rng.integers(1, 2 ** 20, int(tiny.sum())) * 5e-324
+    w /= w.sum()
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, PARTICLES),
+       st.sampled_from(["random", "zero_runs", "one_nonzero", "equal", "subnormal"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_multinomial_indices_match_rng_choice(n, kind, weight_seed, seed):
+    w = _resampling_weights(kind, n, np.random.default_rng(weight_seed))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx = _multinomial_indices(ours, w)
+    ref = theirs.choice(n, size=n, p=w)
+    assert idx.dtype == ref.dtype
+    assert np.array_equal(idx, ref)
+    assert np.array_equal(ours.random(4), theirs.random(4))  # same stream consumed
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns the given keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, n):
+        assert n == self.keys.size
+        return self.keys.copy()
+
+
+def test_multinomial_indices_on_cdf_steps_and_ties():
+    # Keys that land exactly on cdf values (0.0 under a leading zero weight,
+    # every step of a flat run), each repeated, in shuffled order. The cdf of
+    # nine 1/9 weights ends at 1.0000000000000002 before it is normalized.
+    w = np.r_[0.0, 0.0, np.full(9, 1.0 / 9.0), 0.0, 0.0]
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    keys = np.random.default_rng(0).permutation(np.r_[0.0, cdf[cdf < 1.0]].repeat(2))[:w.size]
+    idx = _multinomial_indices(_FixedUniforms(keys), w)
+    assert np.array_equal(idx, (cdf[None, :] <= keys[:, None]).sum(axis=1))  # first cdf > key
+
+
+def _reference_particle_filter(ranges_m, derived, rng_seed):
+    """The filter as first written, resampling with rng.choice."""
+    obs = np.asarray(ranges_m, dtype=float)
+    rng = np.random.default_rng(rng_seed)
+    n = PARTICLES
+    dt = derived.frame_duration_s
+    v_max = derived.v_max_m_per_s
+    measurement_noise_m = derived.range_bin_size_m
+    process_noise_m = measurement_noise_m / 2.0
+
+    r = rng.uniform(0.0, derived.max_range_m, n)
+    v = rng.uniform(-v_max, v_max, n)
+
+    estimates = np.empty(obs.shape[0])
+    reseeds = 0
+    for t, z in enumerate(obs):
+        if t > 0:
+            r = r + v * dt + rng.normal(0.0, process_noise_m, n)
+            v = v + rng.normal(0.0, 0.5, n)
+        w = np.exp(-0.5 * ((r - z) / measurement_noise_m) ** 2)
+        total = w.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            reseeds += 1
+            r = z + rng.normal(0.0, 2.0 * measurement_noise_m, n)
+            v = rng.uniform(-v_max, v_max, n)
+            w = np.ones(n)
+            total = float(n)
+        w /= total
+        estimates[t] = float(np.dot(w, r))
+        idx = rng.choice(n, size=n, p=w)
+        r, v = r[idx], v[idx]
+
+    return estimates, reseeds
+
+
+@pytest.mark.parametrize("n_steps", [1, 40, 400])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pf_matches_rng_choice_reference(pf_derived, n_steps, seed):
+    rng = np.random.default_rng(500 + seed)
+    obs = 48.0 + np.cumsum(rng.normal(0.0, 0.05, n_steps)) + rng.normal(0.0, 0.4, n_steps)
+    estimates, reseeds = particle_filter(obs, pf_derived, seed)
+    ref_estimates, ref_reseeds = _reference_particle_filter(obs, pf_derived, seed)
+    assert np.array_equal(estimates, ref_estimates)
+    assert reseeds == ref_reseeds
 
 
 # --- relative range error -------------------------------------------------------
