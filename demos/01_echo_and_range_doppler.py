@@ -14,7 +14,7 @@ Run: python demos/01_echo_and_range_doppler.py
 import numpy as np
 
 from rotorsense import (RadarConfig, SceneSpec, StaticClutter, UavConfig, UavEmitter,
-                        compute_map, dc_bin, derive, synthesize_frame)
+                        dc_bin, derive, process_frames, synthesize_frames)
 from rotorsense.config import constant_velocity, hover
 from rotorsense.rdmap import aliased_doppler_hz, beat_range_bin, doppler_axis_hz
 from rotorsense import scenarios
@@ -31,7 +31,7 @@ print(f"Doppler bin      : {derived.doppler_bin_hz:8.3f} Hz"
 # --- 1. static reflector ------------------------------------------------------
 print("\n=== static reflector at 30 m ===")
 scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),)).validate()
-rd = compute_map(synthesize_frame(scene, radar, 0))
+rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 r_bin, d_bin = np.unravel_index(np.argmax(rd), rd.shape)
 print(f"predicted range bin {beat_range_bin(radar, 30.0)}, measured argmax {r_bin}")
 print(f"Doppler argmax at bin {d_bin} (DC bin is {dc_bin(radar.chirps_per_frame)})")
@@ -40,7 +40,7 @@ print(f"Doppler argmax at bin {d_bin} (DC bin is {dc_bin(radar.chirps_per_frame)
 print("\n=== body-only target ascending at 1.5 m/s ===")
 body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
 scene = SceneSpec(emitters=(UavEmitter(body, constant_velocity(48.0, 1.5, 4.0)),)).validate()
-rd = compute_map(synthesize_frame(scene, radar, 0))
+rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 row = rd[int(np.argmax(rd.max(axis=1)))]
 axis = doppler_axis_hz(radar)
 raw_hz = 2 * 1.5 * radar.carrier_freq_hz / radar.speed_of_light_m_per_s
@@ -51,7 +51,7 @@ print(f"wrapped prediction {aliased_doppler_hz(radar, 1.5):7.1f} Hz, "
 # --- 3. blades stamp a comb ----------------------------------------------------
 print("\n=== UAV with rotors at 55.6 rev/s, hovering at 48 m ===")
 scene = scenarios.hover_scene(48.0, seed=1)
-rd = compute_map(synthesize_frame(scene, radar, 0))
+rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 row = rd[beat_range_bin(radar, 48.0)]
 dc = dc_bin(radar.chirps_per_frame)
 print(f"body peak sits at DC (bin {dc}): argmax = {int(np.argmax(row))}")

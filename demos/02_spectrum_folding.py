@@ -11,7 +11,7 @@ Run: python demos/02_spectrum_folding.py
 
 import numpy as np
 
-from rotorsense import RadarConfig, compute_map, synthesize_frame
+from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.folding import folding_result, folding_value
 from rotorsense.rdmap import beat_range_bin
 from rotorsense import scenarios
@@ -30,7 +30,7 @@ print(f"folding result {out.folding_result:.3f} at size {out.best_folding_size} 
 print("\n=== simulated hover at 48 m, rotors at 55.6 rev/s ===")
 radar = RadarConfig().validate()
 scene = scenarios.hover_scene(48.0, seed=1)
-rd = compute_map(synthesize_frame(scene, radar, 0))
+rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 uav_bin = beat_range_bin(radar, 48.0)
 
 uav = folding_result(rd[uav_bin])

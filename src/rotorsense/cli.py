@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 internal error (any other exception, a KeyError included).
 
 Each subcommand takes only the flags it reads; one that it would leave unread
-exits 1 (_reject_unread). --v-max is the one motion assumption.
+exits 1 (_reject_unread), and so does a numeric flag out of its range, checked
+at parse time. --v-max is the one motion assumption.
 
 track_capture is the one capture recipe: `track`, `identify --frames` and the
 acceptance suite's end-to-end tracking check all track a capture and take its
@@ -26,6 +27,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -532,6 +534,25 @@ def _reject_unread(args) -> None:
         raise ValidationError(f"{why}: {unread}")
 
 
+def _number(cast, rule: str, ok):
+    """argparse type: `cast` of a flag's text that passes `ok`; else argparse names the flag."""
+    def parse(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_COUNT = _number(int, "an integer >= 0", lambda v: v >= 0)
+_FRACTION = _number(float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_FINITE = _number(float, "a finite number", math.isfinite)
+_POSITIVE = _number(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+
+
 def _add_seed_out(p, seed_help="root seed; all component randomness derives from it"):
     p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--out", default=".", help="output directory")
@@ -560,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out(p)
     p.add_argument("--config", help="radar config JSON (default: the built-in radar)")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--frames", type=int, default=0,
+    p.add_argument("--frames", type=_COUNT, default=0,
                    help="frame count (default: radar frames_per_capture)")
     p.set_defaults(func=cmd_simulate)
 
@@ -577,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=_FINITE,
                    help="fixed folding-filter threshold (default: the capture's noise "
                         "calibration)")
     _add_capture_flags(p)
@@ -589,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-dataset", default=None)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--lr", type=float, default=5e-5)
+    p.add_argument("--lr", type=_POSITIVE, default=5e-5)
     p.add_argument("--hidden", type=int, default=128)
     p.set_defaults(func=cmd_train)
 
@@ -605,14 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = actions.add_parser("gen", help="synthesize a labelled dataset and its split")
     _add_seed_out(p)
     p.add_argument("--config", help="radar config JSON (default: the built-in radar)")
-    p.add_argument("--uav", type=int, default=200)
-    p.add_argument("--distractor", type=int, default=200)
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--uav", type=_COUNT, default=200)
+    p.add_argument("--distractor", type=_COUNT, default=200)
+    p.add_argument("--train-frac", type=_FRACTION, default=0.7)
     p.set_defaults(func=cmd_dataset_gen)
     p = actions.add_parser("split", help="seeded train/test split of a dataset")
     _add_seed_out(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=_FRACTION, default=0.7)
     p.set_defaults(func=cmd_dataset_split)
     p = actions.add_parser("stats", help="print a dataset's label counts")
     p.add_argument("--dataset", required=True)

@@ -241,7 +241,8 @@ class DerivedParams:
 
 def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
     """Compute processing parameters for a validated radar config."""
-    _require(v_max_m_per_s > 0, "v_max_m_per_s must be > 0")
+    _require(math.isfinite(v_max_m_per_s) and v_max_m_per_s > 0,
+             "v_max_m_per_s must be finite and > 0")
     c = radar.speed_of_light_m_per_s
     max_range = c * radar.adc_rate_hz / (2.0 * radar.chirp_slope_hz_per_s)
     bin_size = max_range / radar.samples_per_chirp

@@ -34,11 +34,10 @@ consumes downstream.
 
 Noise is circularly symmetric complex Gaussian: noise_std is the total
 per-sample standard deviation (each component gets noise_std/sqrt(2)). All
-randomness derives from SceneSpec.rng_seed; frames use independent
-per-frame substreams so captures can be synthesized in any order. A moving
-distractor's phase path is one random walk per emitter: synthesize_frames
-draws it once for the whole capture, synthesize_frame up to its own frame,
-and both give the same bytes.
+randomness derives from SceneSpec.rng_seed: each frame draws its noise from
+its own substream, and a moving distractor's phase path is one random walk
+per emitter, drawn once for the whole capture. synthesize_frames is the one
+way to synthesize a capture.
 """
 
 from __future__ import annotations
@@ -60,9 +59,13 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One radar frame of complex beat samples, shape [chirps, samples]."""
+    """One radar frame of complex beat samples, shape [chirps, samples].
 
-    frame_index: int
+    A frame's index is its position in the capture's list. Frame stays only
+    because the benchmark's counters read `.samples`; ROADMAP items 3 and 4
+    replace the list with one [frames, chirps, samples] array.
+    """
+
     samples: np.ndarray
 
 
@@ -160,12 +163,7 @@ def _distractor_phase_path(kind: str, params: dict, radar: RadarConfig,
 
 
 def _distractor_paths(scene: SceneSpec, radar: RadarConfig, n_frames: int) -> dict:
-    """Phase path of each moving distractor over chirps 0..n_frames*L, by emitter index.
-
-    A longer draw from the emitter's generator keeps a shorter one as its exact
-    prefix, so one path built for the whole capture serves every frame with the
-    same bytes as a path built for that frame alone.
-    """
+    """Phase path of each moving distractor over chirps 0..n_frames*L, by emitter index."""
     n_chirps = n_frames * radar.chirps_per_frame
     return {i: _distractor_phase_path(em.kind, em.params, radar, n_chirps,
                                       _emitter_rng(scene.rng_seed, i))
@@ -259,14 +257,9 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
             amp = _blade_amplitude(em.uav, radar, frame_index, phase_scale)
         elif isinstance(em, StaticClutter):
             amp, rng_m = em.reflectivity, np.full_like(t_abs, em.range_m)
-        elif isinstance(em, Distractor):
-            if em.kind not in DISTRACTOR_KINDS:
-                raise SimulationError(
-                    f"unknown distractor kind {em.kind!r}; known: {DISTRACTOR_KINDS}")
+        else:  # a Distractor of a known kind: SceneSpec.validate admits nothing else
             amp = float(em.params.get("reflectivity", 1.0))
             rng_m = _distractor_range(em, radar, paths.get(i), frame_index, t_abs)
-        else:
-            raise ValidationError(f"unknown emitter type {type(em)}")
         if np.any(rng_m - reach <= 0.0) or np.any(rng_m + reach >= max_range):
             raise SimulationError(
                 f"emitter {i} ({type(em).__name__}) leaves (0, {max_range:.2f}) m "
@@ -282,20 +275,13 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
     return total
 
 
-def synthesize_frame(scene: SceneSpec, radar: RadarConfig, frame_index: int) -> Frame:
-    """Synthesize one frame of the scene. Pure in (scene, radar, frame_index)."""
-    paths = _distractor_paths(scene, radar, frame_index + 1)
-    return Frame(frame_index=frame_index,
-                 samples=_frame_samples(scene, radar, frame_index, paths))
-
-
 def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
                       n_frames: int | None = None) -> list[Frame]:
-    scene.validate()
+    """The first n_frames frames (default: radar.frames_per_capture) of the validated scene."""
+    scene = scene.validate()
     n = radar.frames_per_capture if n_frames is None else n_frames
     paths = _distractor_paths(scene, radar, n)
-    return [Frame(frame_index=f, samples=_frame_samples(scene, radar, f, paths))
-            for f in range(n)]
+    return [Frame(_frame_samples(scene, radar, f, paths)) for f in range(n)]
 
 
 def frame_mid_times(radar: RadarConfig, n_frames: int) -> np.ndarray:

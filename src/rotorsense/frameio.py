@@ -2,7 +2,8 @@
 
 Layout: a 256-byte space-padded JSON header (magic, schema_version, L, Ns,
 fs, Tc, fc, K, c), then little-endian float32 pairs (re, im) in row-major
-[frame][chirp][sample] order. The frame count follows from the file size.
+[frame][chirp][sample] order: each frame's samples as little-endian
+complex64. The frame count follows from the file size.
 Schema version 2 added the speed of light c; version 1 files, which lack it,
 still read, with c = 3.0e8 m/s.
 
@@ -52,11 +53,7 @@ def write_frames(path, frames, radar: RadarConfig) -> None:
     with open(path, "wb") as fh:
         fh.write(header.ljust(HEADER_BYTES))
         for frame in frames:
-            samples = np.asarray(frame.samples)
-            inter = np.empty(samples.shape + (2,), dtype="<f4")
-            inter[..., 0] = samples.real
-            inter[..., 1] = samples.imag
-            fh.write(inter.tobytes(order="C"))
+            fh.write(np.asarray(frame.samples).astype("<c8").tobytes())
 
 
 def read_header(path) -> dict:
@@ -90,7 +87,7 @@ def read_header(path) -> dict:
 
 
 def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
-    """Interleaved (re, im) payload -> complex128 frames of chirps x samples.
+    """Interleaved (re, im) payload -> complex128 frames of chirps x samples, in file order.
 
     The payload is widened once, to float64, and that buffer is viewed as one
     complex128 cube [frames, chirps, samples]; each frame's samples are a view
@@ -103,7 +100,7 @@ def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
             f"{chirps}x{samples} frames")
     n_frames = data.size // per_frame
     cube = data.astype(np.float64).view(np.complex128).reshape(n_frames, chirps, samples)
-    return [Frame(frame_index=i, samples=cube[i]) for i in range(n_frames)]
+    return [Frame(cube[i]) for i in range(n_frames)]
 
 
 def read_frames(path):

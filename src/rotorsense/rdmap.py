@@ -2,12 +2,15 @@
 
 A frame's Range-Doppler map is a float64 magnitude array [range bins, Doppler
 bins]; a capture's maps stack into one cube [frames, range bins, Doppler bins]
-whose first axis is the frame order.
+whose first axis is the frame order. process_frames is the one way to build
+it.
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
-grid sizes. The Doppler axis is center-shifted: DC sits at bin L // 2, a
-convention shared by every module that touches Doppler spectra.
+grid sizes. Range bin b spans beat frequencies [b, b+1) * fs / samples_per_chirp.
+The Doppler axis is center-shifted: DC sits at bin L // 2, a convention shared
+by every module that touches Doppler spectra. A body at radial velocity v peaks
+at Doppler frequency 2*v*fc/c, folded into the +-1/(2*Tc) unambiguous span.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RadarConfig
-from .echo import Frame
 
 
 class ProcessingError(ValueError):
@@ -27,48 +29,30 @@ def dc_bin(n_doppler_bins: int) -> int:
     return n_doppler_bins // 2
 
 
-def range_fft(frame: Frame) -> np.ndarray:
-    """Per-chirp FFT along fast time; returns complex [chirps, range bins].
-
-    Range bin b spans beat frequencies [b, b+1) * fs / samples_per_chirp.
-    """
-    samples = frame.samples
-    if not np.all(np.isfinite(samples)):
-        raise ProcessingError(f"frame {frame.frame_index} contains non-finite samples")
-    return np.fft.fft(samples, axis=1) / np.sqrt(samples.shape[1])
-
-
-def doppler_fft(range_matrix: np.ndarray) -> np.ndarray:
-    """Per-range-bin FFT along slow time, center-shifted; magnitude [range, Doppler].
-
-    A body at radial velocity v peaks at Doppler frequency 2*v*fc/c, folded
-    into the +-1/(2*Tc) unambiguous span.
-    """
-    if not np.all(np.isfinite(range_matrix)):
-        raise ProcessingError("range matrix contains non-finite values")
-    mat = np.asarray(range_matrix)
-    spec = np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
-    spec = np.fft.fftshift(spec, axes=0)
-    return np.abs(spec).T
-
-
-def compute_map(frame: Frame) -> np.ndarray:
-    return doppler_fft(range_fft(frame))
-
-
 def process_frames(frames) -> np.ndarray:
     """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
 
-    Each frame is stored Doppler-major, the order the Doppler FFT yields it,
-    so filling the cube copies contiguous memory instead of transposing; the
+    Per frame: the range FFT along fast time, fft(axis=1) / sqrt(N); the Doppler
+    FFT along slow time, fft(axis=0) / sqrt(L), center-shifted; the magnitude.
+    Each map is written Doppler-major, the order the FFTs yield it, so the
     returned cube is a transposed view of that buffer.
+
+    Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
+    FFT overflows to inf, leaves the magnitude map non-finite: one check per map
+    covers both transforms, and numpy's warnings on the way are silenced.
     """
     frames = list(frames)
     if not frames:
         raise ProcessingError("no frames given")
     buf = np.empty((len(frames),) + frames[0].samples.shape)
-    for t, frame in enumerate(frames):
-        buf[t] = compute_map(frame).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, frame in enumerate(frames):
+            spec = np.fft.fft(frame.samples, axis=1) / np.sqrt(frame.samples.shape[1])
+            spec = np.fft.fft(spec, axis=0) / np.sqrt(spec.shape[0])
+            np.abs(np.fft.fftshift(spec, axes=0), out=buf[t])
+            if not np.all(np.isfinite(buf[t])):
+                raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
+                                      "(non-finite samples or FFT overflow)")
     return buf.transpose(0, 2, 1)
 
 

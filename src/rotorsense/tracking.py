@@ -86,9 +86,10 @@ def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Tr
     n_r, n_t = values.shape
 
     # Offsets probed in order 0, -1, +1, -2, +2, ...: with strict improvement
-    # this prefers smaller |k|, then the smaller predecessor bin.
+    # this prefers smaller |k|, then the smaller predecessor bin. No offset of
+    # n_r or more has a predecessor inside the map, so the probe stops there.
     offsets = [0]
-    for k in range(1, k_bins + 1):
+    for k in range(1, min(k_bins, n_r - 1) + 1):
         offsets.extend((-k, k))
 
     theta = np.empty((n_r, n_t))

@@ -587,6 +587,34 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--scenario", "s.json", "--frames", "-3"], "--frames"),
+    (["dataset", "gen", "--uav", "0", "--distractor", "0", "--train-frac", "1.5"],
+     "--train-frac"),
+    (["dataset", "split", "--dataset", "d.bin", "--train-frac", "-0.1"], "--train-frac"),
+    (["dataset", "gen", "--uav", "-2", "--distractor", "0"], "--uav"),
+    (["dataset", "gen", "--uav", "0", "--distractor", "-2"], "--distractor"),
+    (["train", "--dataset", "d.bin", "--lr", "nan"], "--lr"),
+    (["train", "--dataset", "d.bin", "--lr", "0"], "--lr"),
+    (["identify", "--frames", "f.bin", "--model", "m.npz", "--threshold", "inf"],
+     "--threshold"),
+], ids=["simulate-frames", "gen-train-frac", "split-train-frac", "gen-uav", "gen-distractor",
+        "train-lr-nan", "train-lr-zero", "identify-threshold-inf"])
+def test_out_of_range_numeric_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
+    """No file named here exists: each command must stop at its flags and write nothing."""
+    monkeypatch.chdir(tmp_path)  # the default --out
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_v_max_exits_one(pipeline_run, tmp_path, capsys):
+    argv = ["track", "--frames", str(pipeline_run / "run" / "frames.bin"), "--v-max", "inf",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "v_max_m_per_s must be finite" in capsys.readouterr().err
+
+
 def test_environment_sets_no_flag(tmp_path, monkeypatch):
     scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
     argv = ["simulate", "--scenario", str(scenario), "--frames", "2"]

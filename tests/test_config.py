@@ -53,6 +53,12 @@ def test_derive_default_grid():
                - derived.doppler_bin_hz * 3e8 / (2 * 60.25e9)) < 1e-12
 
 
+@pytest.mark.parametrize("v_max", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_derive_rejects_non_finite_or_non_positive_v_max(v_max):
+    with pytest.raises(ValidationError, match="v_max_m_per_s must be finite and > 0"):
+        derive(RadarConfig().validate(), v_max)
+
+
 def test_dp_constraint_default_is_one_bin():
     derived = derive(RadarConfig().validate(), 4.0)
     # 4 m/s * 0.09 s / 0.3664 m = 0.982 -> ceil = 1

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from rotorsense.config import (RadarConfig, UavConfig, ValidationError, constant_velocity,
                                derive, hover)
 from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutter,
-                             UavEmitter, scatterer_range, scene_truth,
-                             synthesize_frame, synthesize_frames)
+                             UavEmitter, _frame_samples, scatterer_range, scene_truth,
+                             synthesize_frames)
 from rotorsense.folding import folding_result
-from rotorsense.rdmap import compute_map, beat_range_bin, dc_bin, range_fft
+from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
 from rotorsense import scenarios
 from rotorsense.cli import load_scenario
 
@@ -59,18 +59,23 @@ def test_scatterer_range_outside_trajectory_errors():
         scatterer_range(uav, hover(40.0, 1.0), 0, 0, 2.0)
 
 
+def _lone_frame(scene, radar, f):
+    """Frame f of a scene with no moving distractor, synthesized alone."""
+    return _frame_samples(scene.validate(), radar, f, {})
+
+
 def test_static_point_rows_identical_constant_modulus(radar):
     scene = SceneSpec(emitters=(StaticClutter(30.0, 0.7),)).validate()
-    frame = synthesize_frame(scene, radar, 0)
-    assert np.array_equal(frame.samples[0], frame.samples[17])
-    assert np.array_equal(frame.samples[1], frame.samples[99])
-    assert np.allclose(np.abs(frame.samples), 0.7, atol=1e-6)
+    samples = synthesize_frames(scene, radar, 1)[0].samples
+    assert np.array_equal(samples[0], samples[17])
+    assert np.array_equal(samples[1], samples[99])
+    assert np.allclose(np.abs(samples), 0.7, atol=1e-6)
 
 
 def test_noise_statistics(radar):
     scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=123).validate()
-    samples = np.concatenate([synthesize_frame(scene, radar, f).samples.ravel()
-                              for f in range(5)])
+    samples = np.concatenate([frame.samples.ravel()
+                              for frame in synthesize_frames(scene, radar, 5)])
     n = samples.size
     assert n >= 1e5
     # per-component variance 0.5; sample variance sd ~ var * sqrt(2/n)
@@ -87,8 +92,7 @@ def test_body_slow_time_phase_advance(radar):
     # the slope-time cross term shifts it by ~0.4%, hence the loose tolerance
     uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(48.0, 1.5, 4.0)),))
-    frame = synthesize_frame(scene.validate(), radar, 0)
-    spectrum = range_fft(frame)
+    spectrum = np.fft.fft(synthesize_frames(scene, radar, 1)[0].samples, axis=1)
     peak_bin = int(np.argmax(np.abs(spectrum[0])))
     steps = np.diff(np.unwrap(np.angle(spectrum[:, peak_bin])))
     predicted = 2 * math.pi * (2 * 1.5 * 60.25e9 / 3e8) * 900e-6
@@ -101,9 +105,9 @@ def test_linearity(radar):
     a = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),)).validate()
     b = SceneSpec(emitters=(StaticClutter(20.0, 1.1), StaticClutter(33.0, 0.4))).validate()
     both = SceneSpec(emitters=a.emitters + b.emitters).validate()
-    fa = synthesize_frame(a, radar, 2).samples
-    fb = synthesize_frame(b, radar, 2).samples
-    fab = synthesize_frame(both, radar, 2).samples
+    fa = _lone_frame(a, radar, 2)
+    fb = _lone_frame(b, radar, 2)
+    fab = _lone_frame(both, radar, 2)
     assert np.allclose(fab, fa + fb, rtol=1e-12, atol=1e-9)
 
 
@@ -113,44 +117,44 @@ def test_blade_off_reduction(radar):
                           scatterer_reflectivities=0.0).validate()
     zero_radius = UavConfig(body_reflectivity=1.0, scatterer_radii_m=0.0,
                             scatterer_reflectivities=0.1).validate()
-    f_body = synthesize_frame(SceneSpec(emitters=(UavEmitter(body_only, traj),)), radar, 1)
-    f_flat = synthesize_frame(SceneSpec(emitters=(UavEmitter(zero_radius, traj),)), radar, 1)
+    f_body = _lone_frame(SceneSpec(emitters=(UavEmitter(body_only, traj),)), radar, 1)
+    f_flat = _lone_frame(SceneSpec(emitters=(UavEmitter(zero_radius, traj),)), radar, 1)
     # scatterers collapsed onto the hub act as extra body amplitude
     scale = 1.0 + 0.1 * zero_radius.rotor_count * zero_radius.scatterers_per_rotor
-    assert np.allclose(f_flat.samples, scale * f_body.samples, rtol=1e-6, atol=1e-9)
+    assert np.allclose(f_flat, scale * f_body, rtol=1e-6, atol=1e-9)
     # with zero reflectivity they vanish exactly
     silent = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
-    f_silent = synthesize_frame(SceneSpec(emitters=(UavEmitter(silent, traj),)), radar, 1)
-    assert np.array_equal(f_silent.samples, f_body.samples)
+    f_silent = _lone_frame(SceneSpec(emitters=(UavEmitter(silent, traj),)), radar, 1)
+    assert np.array_equal(f_silent, f_body)
 
 
 def test_seeded_determinism(radar):
     scene = scenarios.hover_scene(48.0, seed=5)
-    f1 = synthesize_frame(scene, radar, 3)
-    f2 = synthesize_frame(scene, radar, 3)
-    assert np.array_equal(f1.samples, f2.samples)
+    f1 = _lone_frame(scene, radar, 3)
+    f2 = _lone_frame(scene, radar, 3)
+    assert np.array_equal(f1, f2)
     other_seed = scenarios.hover_scene(48.0, seed=6)
-    assert not np.array_equal(f1.samples, synthesize_frame(other_seed, radar, 3).samples)
+    assert not np.array_equal(f1, _lone_frame(other_seed, radar, 3))
 
 
 def test_frame_timebase(radar):
     scene = SceneSpec(emitters=()).validate()
-    frame = synthesize_frame(scene, radar, 7)
-    assert frame.samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
+    samples = _lone_frame(scene, radar, 7)
+    assert samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
 
 
 def test_emitter_out_of_range_errors(radar):
     scene = SceneSpec(emitters=(StaticClutter(100.0, 1.0),)).validate()
     with pytest.raises(SimulationError, match="emitter 0"):
-        synthesize_frame(scene, radar, 0)
+        synthesize_frames(scene, radar, 1)
 
 
 def test_range_loss_scaling(radar):
     base = SceneSpec(emitters=(StaticClutter(40.0, 1.0),)).validate()
     flagged = SceneSpec(emitters=(StaticClutter(40.0, 1.0),),
                         range_loss_ref_m=20.0).validate()
-    f0 = synthesize_frame(base, radar, 0).samples
-    f1 = synthesize_frame(flagged, radar, 0).samples
+    f0 = synthesize_frames(base, radar, 1)[0].samples
+    f1 = synthesize_frames(flagged, radar, 1)[0].samples
     assert np.allclose(f1, 0.25 * f0, rtol=1e-6)
 
 
@@ -160,7 +164,7 @@ def _lone_distractor(kind, params, rng_seed=0):
 
 def test_static_blob_energy_confined_to_dc(radar):
     frames = synthesize_frames(_lone_distractor("static-blob", {"range_m": 30.0}), radar, 1)
-    rd = compute_map(frames[0])
+    rd = process_frames(frames)[0]
     row = rd[beat_range_bin(radar, 30.0)]
     dc = dc_bin(radar.chirps_per_frame)
     assert int(np.argmax(row)) == dc
@@ -175,9 +179,6 @@ def test_flapper_deterministic_stream(radar):
                           radar, 3)
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.samples, fb.samples)
-    # frames synthesize independently yet consistently
-    lone = synthesize_frame(scene, radar, 2)
-    assert np.array_equal(lone.samples, a[2].samples)
 
 
 def test_unknown_distractor_kind_errors(radar):
@@ -199,12 +200,10 @@ def test_slow_oscillator_folds_below_uav_at_equal_power(radar):
                                   "amplitude_m": 0.02}),),
             noise_std=scenarios.NOISE_STD, rng_seed=trial).validate()
         bin_ = beat_range_bin(radar, 48.0)
-        best_uav = max(
-            folding_result(compute_map(synthesize_frame(uav_scene, radar, f))[bin_]).folding_result
-            for f in range(5))
-        best_osc = max(
-            folding_result(compute_map(synthesize_frame(osc_scene, radar, f))[bin_]).folding_result
-            for f in range(5))
+        best_uav, best_osc = (
+            max(folding_result(row).folding_result
+                for row in process_frames(synthesize_frames(scene, radar, 5))[:, bin_])
+            for scene in (uav_scene, osc_scene))
         wins += best_uav > best_osc
     assert wins >= 0.9 * trials
 
@@ -223,7 +222,18 @@ def test_scene_truth(radar):
 def test_synthesize_frames_count(radar):
     scene = SceneSpec(emitters=(), noise_std=0.5, rng_seed=1).validate()
     frames = synthesize_frames(scene, radar, 3)
-    assert [f.frame_index for f in frames] == [0, 1, 2]
+    assert len(frames) == 3
+    assert all(f.samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
+               for f in frames)
+    assert len({f.samples.tobytes() for f in frames}) == 3  # per-frame noise substreams
+
+
+def test_synthesize_frames_uses_the_validated_scene(radar):
+    """A default UavConfig keeps scalar blade fields until validate() broadcasts them
+    to rotors x scatterers; synthesis must run on that validated scene."""
+    raw = SceneSpec(emitters=(UavEmitter(UavConfig(), hover(48.0, 1.0)),))
+    got = synthesize_frames(raw, radar, 1)[0].samples
+    assert got.tobytes() == _frame_samples(raw.validate(), radar, 0, {}).tobytes()
 
 
 def _oracle(scene, radar, frame_index):
@@ -263,7 +273,7 @@ def test_blade_kernel_matches_per_scatterer_oracle(radar, rotors, per_rotor, dat
                     body_reflectivity=body,
                     scatterer_reflectivities=draw(0.0, 1.0)).validate()
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(40.0, velocity, 4.0)),))
-    got = synthesize_frame(scene.validate(), radar, frame_index).samples
+    got = _lone_frame(scene, radar, frame_index)
     want, scale_max = _oracle(scene, radar, frame_index)
     # Each scatterer's blade phase, at most scale_max*|r cos(theta)|, is rounded to
     # float32, an error of at most |phase|*2**-24 rad, weighted by its reflectivity.
@@ -289,29 +299,18 @@ def test_uav_range_check_covers_blade_envelope(radar):
     # the hub stays inside; only the blades cross max range
     near = SceneSpec(emitters=(UavEmitter(uav, hover(max_range - reach / 2, 4.0)),))
     with pytest.raises(SimulationError, match="emitter 0"):
-        synthesize_frame(near.validate(), radar, 0)
+        synthesize_frames(near, radar, 1)
     clear = SceneSpec(emitters=(UavEmitter(uav, hover(max_range - 2 * reach, 4.0)),))
-    synthesize_frame(clear.validate(), radar, 0)
+    synthesize_frames(clear, radar, 1)
 
 
 def test_hover_uav_range_loss_scales_at_hub_range(radar):
     uav = scenarios.make_uav(seed=4)
     plain = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),)).validate()
     lossy = SceneSpec(emitters=plain.emitters, range_loss_ref_m=20.0).validate()
-    f0 = synthesize_frame(plain, radar, 3).samples
-    f1 = synthesize_frame(lossy, radar, 3).samples
+    f0 = _lone_frame(plain, radar, 3)
+    f1 = _lone_frame(lossy, radar, 3)
     assert np.allclose(f1, (20.0 / 48.0) ** 2 * f0, rtol=1e-6)
-
-
-@pytest.mark.parametrize("scene", [
-    scenarios.distractor_scene("aperiodic-flapper", seed=3),
-    scenarios.distractor_scene("slow-oscillator", seed=4),
-    scenarios.hover_scene(48.0, seed=5),
-], ids=["flapper", "slow-oscillator", "hover48"])
-def test_capture_frames_equal_lone_frames(radar, scene):
-    frames = synthesize_frames(scene, radar, 6)
-    for f, frame in enumerate(frames):
-        assert frame.samples.tobytes() == synthesize_frame(scene, radar, f).samples.tobytes()
 
 
 _HASH_HOVER48 = """

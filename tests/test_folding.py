@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotorsense.echo import SceneSpec, synthesize_frame
+from rotorsense.echo import SceneSpec, synthesize_frames
 from rotorsense.folding import (FoldingError, build_folding_map, folding_result,
                                 folding_value)
 from rotorsense.rdmap import process_frames
@@ -191,8 +191,7 @@ def test_hover_fold_map_argmax_tracks_uav(hover_capture):
 
 def test_noise_only_map_has_no_argmax_persistence(radar):
     scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=31).validate()
-    frames = [synthesize_frame(scene, radar, f) for f in range(100)]
-    fmap = build_folding_map(process_frames(frames))
+    fmap = build_folding_map(process_frames(synthesize_frames(scene, radar, 100)))
     argmax_bins = np.argmax(fmap.values, axis=0)
     changes = np.count_nonzero(np.diff(argmax_bins) != 0)
     assert changes >= 0.5 * (len(argmax_bins) - 1)

@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import RadarConfig, derive
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
-from rotorsense.frameio import (FormatError, HEADER_BYTES, _decode_frames, radar_from_header,
-                                radar_mismatch, read_frames, read_frames_int16, read_header,
-                                write_frames)
+from rotorsense.frameio import (FormatError, HEADER_BYTES, _decode_frames, _header_dict,
+                                radar_from_header, radar_mismatch, read_frames,
+                                read_frames_int16, read_header, write_frames)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,6 @@ def test_round_trip(tmp_path, small_radar):
     assert header["K"] == small_radar.chirp_slope_hz_per_s
     assert len(loaded) == 3
     for orig, back in zip(frames, loaded):
-        assert back.frame_index == orig.frame_index
         # storage is float32; equality after the same quantization
         assert np.array_equal(back.samples.real, orig.samples.real.astype("<f4"))
         assert np.array_equal(back.samples.imag, orig.samples.imag.astype("<f4"))
@@ -46,7 +45,7 @@ def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
     samples = np.empty(parts.shape[:3], dtype=np.complex128)
     samples.real, samples.imag = parts[..., 0], parts[..., 1]
     path = tmp_path_factory.getbasetemp() / "round_trip.bin"
-    write_frames(path, [Frame(i, samples[i]) for i in range(n_frames)], radar)
+    write_frames(path, [Frame(s) for s in samples], radar)
     loaded, header = read_frames(path)
     assert radar_mismatch(radar_from_header(header), radar) == []
     assert len(loaded) == n_frames
@@ -55,6 +54,42 @@ def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
                            (frame.samples.imag, parts[i, ..., 1])):
             assert np.array_equal(back, part)
             assert np.array_equal(np.signbit(back), np.signbit(part))
+
+
+def _reference_write(path, frames, radar):
+    """The float32 (re, im) interleave writer write_frames replaced, kept as its reference."""
+    header = json.dumps(_header_dict(radar), sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(header.ljust(HEADER_BYTES))
+        for frame in frames:
+            samples = np.asarray(frame.samples)
+            inter = np.empty(samples.shape + (2,), dtype="<f4")
+            inter[..., 0] = samples.real
+            inter[..., 1] = samples.imag
+            fh.write(inter.tobytes(order="C"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_write_frames_bytes_equal_reference_writer(tmp_path, small_radar):
+    shape = (small_radar.chirps_per_frame, small_radar.samples_per_chirp)
+    rng = np.random.default_rng(7)
+    samples = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+               for scale in (1e-300, 1e-42, 1.0, 1e30, 1e39, 1e150)]
+    f4 = np.finfo(np.float32)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, f4.max, -f4.max,
+                         f4.smallest_subnormal, -f4.smallest_subnormal, 2e-45, 1e39, -1e300])
+    mixed = np.empty(shape, dtype=complex)
+    mixed.real = np.resize(specials, shape)
+    mixed.imag = np.resize(specials[::-1], shape)
+    samples += [np.zeros(shape, dtype=complex), mixed, np.asfortranarray(mixed),
+                np.resize(specials, shape)]  # a real array writes a zero imaginary part
+    scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),), noise_std=0.3,
+                      rng_seed=5).validate()
+    samples += [f.samples for f in synthesize_frames(scene, small_radar, 2)]
+    frames = [Frame(s) for s in samples]
+    write_frames(tmp_path / "new.bin", frames, small_radar)
+    _reference_write(tmp_path / "ref.bin", frames, small_radar)
+    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
 
 
 def test_header_is_fixed_size(tmp_path, small_radar):
@@ -167,7 +202,6 @@ def test_decode_matches_explicit_re_im_assembly(dtype):
     frames = _decode_frames(data, chirps, samples)
     assert len(frames) == n_frames
     for i, frame in enumerate(frames):
-        assert frame.frame_index == i
         assert frame.samples.dtype == np.complex128
         assert frame.samples.shape == (chirps, samples)
         assert frame.samples.tobytes() == expected[i].tobytes()

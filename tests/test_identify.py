@@ -13,7 +13,7 @@ from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
 from rotorsense.lstm import LstmDetector
 from rotorsense.rdmap import dc_bin, process_frames
 from rotorsense.tracking import Track, dp_max_path
-from rotorsense.echo import SceneSpec, frame_mid_times, synthesize_frame
+from rotorsense.echo import frame_mid_times
 from rotorsense import scenarios
 
 from conftest import UAV_RANGE_BIN

@@ -169,6 +169,15 @@ def test_dp_constraint_holds_on_random_maps(n_r, n_t, k, data):
     assert np.all(np.abs(np.diff(bins)) <= k)
 
 
+def test_dp_k_bins_beyond_map_height_changes_nothing():
+    """No offset of n_r bins or more has a predecessor inside the map."""
+    values = np.random.default_rng(8).uniform(-5.0, 10.0, (6, 5))
+    capped, huge = dp_path(values, 5), dp_path(values, 10**12)
+    assert np.array_equal(huge.range_bins, capped.range_bins)
+    assert huge.total_score == capped.total_score
+    assert huge.k_bins == 10**12
+
+
 def test_dp_path_invariant_under_constant_offset():
     rng = np.random.default_rng(6)
     values = rng.integers(-5, 15, (12, 9)).astype(float)
