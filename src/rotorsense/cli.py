@@ -6,8 +6,9 @@ fanned out per component by hashing the component name into a child seed
 outputs. Outputs are plain CSV/JSON plus the documented binary frame, dataset
 and model formats; no wall-clock timestamps are written.
 
-Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
-3 internal error (any other exception, a KeyError included).
+Exit codes: 0 success, 1 a config.ValidationError (every stage's typed error
+is one), 2 an OSError or frameio.FormatError, 3 any other exception, a bare
+ValueError or KeyError included: a fault in the code.
 
 Each subcommand takes only the flags it reads; one that it would leave unread
 exits 1 (_reject_unread), and so does a numeric flag out of its range, checked
@@ -37,13 +38,13 @@ import numpy as np
 
 from . import echo, frameio, identify, lstm, scenarios, tracking
 from .config import (DerivedParams, RadarConfig, TrajectorySegment, TrajectorySpec,
-                     ValidationError, derive, load_radar_config)
-from .echo import SceneSpec, SimulationError, StaticClutter, Distractor, UavEmitter
-from .folding import FoldingError, build_folding_map
+                     ValidationError, csv_columns, derive, json_document, json_field,
+                     json_fields, load_radar_config)
+from .echo import SceneSpec, StaticClutter, Distractor, UavEmitter
+from .folding import build_folding_map
 from .identify import IdentifyError
 from .lstm import ModelError
-from .rdmap import ProcessingError, beat_range_bin, process_frames
-from .tracking import TrackingError
+from .rdmap import beat_range_bin, process_frames
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -51,10 +52,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
-
-_VALIDATION_ERRORS = (ValidationError, SimulationError, ProcessingError,
-                      FoldingError, TrackingError, IdentifyError, ModelError,
-                      json.JSONDecodeError, ValueError)
 
 
 def component_seed(root_seed: int, component: str) -> int:
@@ -73,89 +70,68 @@ def _write_json(path, payload) -> None:
 
 # --- scenario files ----------------------------------------------------------
 
-def _json_type(value, cls: type, what: str):
-    if not isinstance(value, cls):
-        name = "object" if cls is dict else "list"
-        raise ValidationError(f"{what} must be a JSON {name}, got {json.dumps(value)}")
+# The kind of every key each level of a scenario file may carry; any other key
+# exits 1. A distractor's params are the numbers echo.DISTRACTOR_PARAMS names.
+SCENARIO_FIELDS = {"schema_version": "integer", "seed": "integer", "noise_std": "number",
+                   "emitters": "list"}
+EMITTER_FIELDS = {"uav": {"uav": "object", "trajectory": "list"},  # by "kind"
+                  "static-clutter": {"range_m": "number", "reflectivity": "number"},
+                  "distractor": {"distractor": "string", "params": "object"}}
+UAV_FIELDS = {"geometry_seed": "integer", "rotation_rate_hz": "number", "rotor_count": "integer",
+              "scatterers_per_rotor": "integer", "blade_reflectivity": "number",
+              "body_reflectivity": "number"}
+LEG_FIELDS = dict.fromkeys(("start_time_s", "duration_s", "start_range_m",
+                            "radial_velocity_m_per_s"), "number")
+
+
+def _seed(value: int, what: str) -> int:
+    if value < 0:  # a numpy SeedSequence takes no negative entropy
+        raise ValidationError(f"{what} = {value} is negative")
     return value
-
-
-def _json_key(doc: dict, key: str, what: str):
-    if key not in doc:
-        raise ValidationError(f"scenario {what} has no key {key!r}")
-    return doc[key]
-
-
-def _json_number(value, what: str, cast: type = float):
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a number, got {json.dumps(value)}")
-
-
-def _trajectory_from_json(items, what: str) -> TrajectorySpec:
-    segs = []
-    for j, seg in enumerate(_json_type(items, list, what)):
-        seg = _json_type(seg, dict, f"{what}[{j}]")
-        segs.append(TrajectorySegment(**{
-            key: _json_number(_json_key(seg, key, f"{what}[{j}]"), f"{what}[{j}].{key}")
-            for key in ("start_time_s", "duration_s", "start_range_m",
-                        "radial_velocity_m_per_s")}))
-    return TrajectorySpec(segments=tuple(segs)).validate()
 
 
 def load_scenario(path, seed: int) -> SceneSpec:
     """Build a SceneSpec from a scenario JSON file.
 
     The file may pin its own "seed"; otherwise the scene seed derives from
-    --seed. A "uav" emitter either spells out the full geometry arrays or
-    gives summary knobs (rotation_rate_hz, blade_reflectivity, ...) that
-    scenarios.make_uav expands deterministically.
+    --seed. A "uav" emitter gives summary knobs (rotation_rate_hz,
+    blade_reflectivity, ...) that scenarios.make_uav expands deterministically.
     """
-    with open(path) as fh:
-        doc = _json_type(json.load(fh), dict, "scenario file")
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported scenario schema_version {version!r}")
-    scene_seed = _json_number(doc.get("seed", component_seed(seed, "scene")),
-                              "scenario seed", int)
+    with open(path, "rb") as fh:
+        doc = json_fields(json_document(fh.read(), "scenario file"), SCENARIO_FIELDS, "scenario")
+    if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
+        raise ValidationError(f"unsupported scenario schema_version {doc.get('schema_version')!r}")
+    scene_seed = _seed(doc.get("seed", component_seed(seed, "scene")), "scenario seed")
     emitters = []
-    for i, item in enumerate(_json_type(doc.get("emitters", []), list, "scenario emitters")):
-        item = _json_type(item, dict, f"emitter {i}")
-        kind = item.get("kind")
+    for i in range(len(doc.get("emitters", []))):
+        where = f"scenario emitter {i}"
+        item = dict(json_field(doc["emitters"], i, "object", "scenario emitter"))
+        kind = json_field(item, "kind", "string", where)
+        if kind not in EMITTER_FIELDS:
+            raise ValidationError(f"{where} has unknown kind {kind!r}")
+        del item["kind"]
+        item = json_fields(item, EMITTER_FIELDS[kind], where)
         if kind == "uav":
-            uav_doc = dict(_json_type(item.get("uav", {}), dict, f"emitter {i}: uav"))
-
-            def knob(key, default, cast=float):
-                return _json_number(uav_doc.pop(key, default), f"emitter {i}: uav.{key}", cast)
-
-            uav = scenarios.make_uav(
-                seed=knob("geometry_seed", scene_seed, int),
-                rotation_rate_hz=knob("rotation_rate_hz", scenarios.ROTATION_RATE_HZ),
-                rotor_count=knob("rotor_count", 6, int),
-                scatterers_per_rotor=knob("scatterers_per_rotor", 3, int),
-                blade_reflectivity=knob("blade_reflectivity", scenarios.BLADE_REFLECTIVITY),
-                body_reflectivity=knob("body_reflectivity", 1.0),
-            )
-            if uav_doc:
-                raise ValidationError(f"emitter {i}: unknown uav keys {sorted(uav_doc)}")
-            emitters.append(UavEmitter(uav, _trajectory_from_json(
-                _json_key(item, "trajectory", f"emitter {i}"), f"emitter {i}: trajectory")))
+            knobs = json_fields(item.get("uav", {}), UAV_FIELDS, f"{where} uav")
+            knobs["seed"] = _seed(knobs.pop("geometry_seed", scene_seed),
+                                  f"{where} uav geometry_seed")
+            legs = json_field(item, "trajectory", "list", where)
+            trajectory = TrajectorySpec(tuple(TrajectorySegment(**json_fields(
+                json_field(legs, j, "object", f"{where} trajectory"), LEG_FIELDS,
+                f"{where} trajectory {j}", required=True)) for j in range(len(legs))))
+            emitters.append(UavEmitter(scenarios.make_uav(**knobs), trajectory.validate()))
         elif kind == "static-clutter":
-            emitters.append(StaticClutter(**{
-                key: _json_number(_json_key(item, key, f"emitter {i}"), f"emitter {i}: {key}")
-                for key in ("range_m", "reflectivity")}))
-        elif kind == "distractor":
-            params = _json_type(item.get("params", {}), dict, f"emitter {i}: params")
-            emitters.append(Distractor(
-                kind=_json_key(item, "distractor", f"emitter {i}"),
-                params={key: _json_number(value, f"emitter {i}: params.{key}")
-                        for key, value in params.items()}))
+            emitters.append(StaticClutter(**json_fields(item, EMITTER_FIELDS[kind], where,
+                                                    required=True)))
         else:
-            raise ValidationError(f"emitter {i}: unknown kind {kind!r}")
+            name = json_field(item, "distractor", "string", where)
+            if name not in echo.DISTRACTOR_PARAMS:
+                raise ValidationError(f"{where} has unknown distractor {name!r}")
+            emitters.append(Distractor(kind=name, params=json_fields(
+                item.get("params", {}), dict.fromkeys(echo.DISTRACTOR_PARAMS[name], "number"),
+                f"{where} params")))
     return SceneSpec(emitters=tuple(emitters),
-                     noise_std=_json_number(doc.get("noise_std", scenarios.NOISE_STD),
-                                            "scenario noise_std"),
+                     noise_std=doc.get("noise_std", scenarios.NOISE_STD),
                      rng_seed=scene_seed).validate()
 
 
@@ -343,16 +319,7 @@ def cmd_track(args) -> int:
 
 
 def _read_truth_csv(path):
-    times, ranges = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for key in ("time_s", "range_m"):
-            if key not in (reader.fieldnames or ()):
-                raise ValidationError(f"truth CSV {path} has no {key!r} column")
-        for row in reader:
-            times.append(float(row["time_s"]))
-            ranges.append(float(row["range_m"]))
-    return np.array(times), np.array(ranges)
+    return csv_columns(path, ("time_s", "range_m"), f"truth CSV {path}")
 
 
 def cmd_identify(args) -> int:
@@ -554,7 +521,7 @@ _POSITIVE = _number(float, "a finite number > 0", lambda v: math.isfinite(v) and
 
 
 def _add_seed_out(p, seed_help="root seed; all component randomness derives from it"):
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--seed", type=_COUNT, default=0, help=seed_help)
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -618,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--track", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--budget", type=float, default=0.02)
+    p.add_argument("--budget", type=_FINITE, default=0.02)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dataset", help="generate, split or inspect segment datasets")
@@ -651,16 +618,13 @@ def main(argv=None) -> int:
         if args.command == "identify" and bool(args.frames) == bool(args.dataset):
             raise ValidationError("identify needs exactly one of --frames / --dataset")
         return args.func(args)
-    except frameio.FormatError as exc:
+    except (frameio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # stable contract: anything else is internal
+    except Exception as exc:  # a bare ValueError included: a fault in the code
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

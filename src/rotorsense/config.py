@@ -9,13 +9,19 @@ Units are SI throughout (Hz, s, m, rad). The speed of light defaults to
 3.0e8 m/s so that derived quantities land on round numbers (max range 93.8 m
 for the default radar); pass 299792458.0 explicitly if you need the exact
 constant.
+
+json_document, json_field, json_fields and csv_columns are the one reader
+contract of every input file: each raises ValidationError (exit 1), or the
+reader's own subclass, naming the file, the key and the value.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +30,11 @@ SPEED_OF_LIGHT = 3.0e8
 CONFIG_SCHEMA_VERSION = 1
 
 
+MAX_ELEMENTS = 2**24  # bounds a radar frame's samples and a UAV's blade scatterers
+
+
 class ValidationError(ValueError):
-    """A configuration invariant does not hold. Message names the invariant."""
+    """An input breaks an invariant; every stage's typed error subclasses it."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -33,10 +42,73 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _readonly(arr) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+# --- the reader contract: JSON objects, their fields, CSV columns -------------
+
+_REQUIRED = object()
+_JSON_TYPES = {"integer": int, "string": str, "bool": bool, "object": dict, "list": list}
+
+
+def json_document(data, where: str, error=ValidationError) -> dict:
+    """The JSON object in UTF-8 text or bytes; else `error`. Too long an integer and too
+    deep a nesting for Python's parser count as unreadable too."""
+    try:
+        doc = json.loads(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"unreadable {where}: {exc}") from None
+    if type(doc) is not dict:
+        raise error(f"{where} is not a JSON object")
+    return doc
+
+
+def json_field(doc, key, kind: str, where: str, error=ValidationError, default=_REQUIRED):
+    """doc[key] as a JSON integer, number, string, bool, object or list, or `default` if
+    missing. A bool is neither integer nor number; a number is finite, returned as float."""
+    if isinstance(doc, dict) and key not in doc:
+        if default is _REQUIRED:
+            raise error(f"{where} has no key {key!r}")
+        return default
+    value = doc[key]
+    if kind == "number":
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is _JSON_TYPES[kind]:
+        return value
+    raise error(f"{where} {key} = {value!r} is not a JSON {kind}")
+
+
+def json_fields(doc: dict, kinds: dict, where: str, required: bool = False) -> dict:
+    """doc's keys typed by `kinds` (every key of kinds if required); unknown keys raise."""
+    unknown = sorted(set(doc) - set(kinds))
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys {unknown}")
+    return {key: json_field(doc, key, kinds[key], where) for key in (kinds if required else doc)}
+
+
+def csv_columns(path, columns, where: str, error=ValidationError, blank=()) -> list:
+    """Columns of a headed CSV file as arrays of finite numbers; an empty cell of a
+    `blank` column reads as NaN. Else `error` names the column and the line."""
+    values = [[] for _ in columns]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for key in columns:
+                if key not in (reader.fieldnames or ()):
+                    raise error(f"{where} has no {key!r} column")
+            for row in reader:
+                for key, out in zip(columns, values):
+                    if key in blank and not row[key]:
+                        out.append(math.nan)
+                        continue
+                    try:
+                        out.append(float(row[key]))
+                    except (TypeError, ValueError):
+                        out.append(math.nan)
+                    if not math.isfinite(out[-1]):
+                        raise error(f"{where} line {reader.line_num} {key} = {row[key]!r} "
+                                    f"is not a finite number")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"unreadable {where}: {exc}") from None
+    return [np.array(column) for column in values]
 
 
 @dataclass(frozen=True)
@@ -67,16 +139,25 @@ class RadarConfig:
         _require(self.chirps_per_frame >= 2,
                  "radar.chirps_per_frame must be >= 2 (Doppler FFT needs at least 2 chirps)")
         _require(self.samples_per_chirp >= 2, "radar.samples_per_chirp must be >= 2")
+        _require(self.chirps_per_frame * self.samples_per_chirp <= MAX_ELEMENTS,
+                 f"radar.chirps_per_frame * samples_per_chirp must be <= {MAX_ELEMENTS}")
         _require(self.samples_per_chirp & (self.samples_per_chirp - 1) == 0,
                  "radar.samples_per_chirp must be a power of two")
         _require(self.frames_per_capture >= 1, "radar.frames_per_capture must be >= 1")
         _require(self.samples_per_chirp / self.adc_rate_hz <= self.chirp_duration_s,
                  "radar sampling window samples_per_chirp/adc_rate_hz exceeds chirp_duration_s")
+        _require(math.isfinite(self.frame_duration_s), "radar frame duration must be finite")
+        _require(0 < self.max_range_m / self.samples_per_chirp < math.inf,
+                 "radar range bin must be finite and > 0")
         return self
 
     @property
     def frame_duration_s(self) -> float:
         return self.chirps_per_frame * self.chirp_duration_s
+
+    @property
+    def max_range_m(self) -> float:  # the sampled-bandwidth range limit
+        return self.speed_of_light_m_per_s * self.adc_rate_hz / (2.0 * self.chirp_slope_hz_per_s)
 
     @property
     def pulse_rate_hz(self) -> float:
@@ -107,6 +188,8 @@ class UavConfig:
     def validate(self) -> "UavConfig":
         _require(self.rotor_count >= 1, "uav.rotor_count must be >= 1")
         _require(self.scatterers_per_rotor >= 1, "uav.scatterers_per_rotor must be >= 1")
+        _require(self.rotor_count * self.scatterers_per_rotor <= MAX_ELEMENTS,
+                 f"uav.rotor_count * scatterers_per_rotor must be <= {MAX_ELEMENTS}")
         _require(self.rotor_angular_velocity_rad_per_s > 0,
                  "uav.rotor_angular_velocity_rad_per_s must be > 0")
         _require(self.body_reflectivity >= 0, "uav.body_reflectivity must be >= 0")
@@ -120,7 +203,7 @@ class UavConfig:
                 raise ValidationError(
                     f"uav.{name} must broadcast to (rotor_count, scatterers_per_rotor)={shape}")
             _require(np.all(np.isfinite(arr)), f"uav.{name} must be finite")
-            normalized[name] = _readonly(arr)
+            normalized[name] = arr  # a broadcast_to view: read-only
         _require(np.all(normalized["scatterer_radii_m"] >= 0),
                  "uav.scatterer_radii_m must be >= 0")
         _require(np.all(normalized["scatterer_reflectivities"] >= 0),
@@ -181,30 +264,26 @@ class TrajectorySpec:
     def end_time_s(self) -> float:
         return self.segments[-1].end_time_s
 
-    def _segment_index(self, t: np.ndarray) -> np.ndarray:
-        starts = np.array([s.start_time_s for s in self.segments])
-        idx = np.searchsorted(starts, t, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
-
-    def range_at(self, t) -> np.ndarray:
-        """Radial range at absolute time t (scalar or array). t must lie in the span."""
+    def _legs_at(self, t):
+        """t as an array, and the index of the leg each time falls in; t must lie in the span."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.start_time_s - 1e-12) or np.any(t > self.end_time_s + 1e-12):
             raise ValidationError(
                 f"time outside trajectory span [{self.start_time_s}, {self.end_time_s}]")
-        idx = self._segment_index(t)
+        starts = np.array([s.start_time_s for s in self.segments])
+        idx = np.searchsorted(starts, t, side="right") - 1
+        return t, np.clip(idx, 0, len(self.segments) - 1)
+
+    def range_at(self, t) -> np.ndarray:
+        """Radial range at absolute time t (scalar or array). t must lie in the span."""
+        t, idx = self._legs_at(t)
         r0 = np.array([s.start_range_m for s in self.segments])[idx]
         v = np.array([s.radial_velocity_m_per_s for s in self.segments])[idx]
         t0 = np.array([s.start_time_s for s in self.segments])[idx]
         return r0 + v * (t - t0)
 
     def velocity_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.start_time_s - 1e-12) or np.any(t > self.end_time_s + 1e-12):
-            raise ValidationError(
-                f"time outside trajectory span [{self.start_time_s}, {self.end_time_s}]")
-        idx = self._segment_index(t)
-        return np.array([s.radial_velocity_m_per_s for s in self.segments])[idx]
+        return np.array([s.radial_velocity_m_per_s for s in self.segments])[self._legs_at(t)[1]]
 
 
 def hover(range_m: float, duration_s: float, start_time_s: float = 0.0) -> TrajectorySpec:
@@ -240,16 +319,19 @@ class DerivedParams:
 
 
 def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
-    """Compute processing parameters for a validated radar config."""
-    _require(math.isfinite(v_max_m_per_s) and v_max_m_per_s > 0,
-             "v_max_m_per_s must be finite and > 0")
+    """Processing parameters for a validated radar config and a v_max in (0, c)."""
     c = radar.speed_of_light_m_per_s
-    max_range = c * radar.adc_rate_hz / (2.0 * radar.chirp_slope_hz_per_s)
+    _require(0 < v_max_m_per_s < c,
+             f"v_max_m_per_s must be finite and > 0, below the speed of light {c!r} m/s")
+    max_range = radar.max_range_m
     bin_size = max_range / radar.samples_per_chirp
     t_frame = radar.frame_duration_s
     doppler_bin_hz = 1.0 / t_frame
     doppler_bin_mps = doppler_bin_hz * c / (2.0 * radar.carrier_freq_hz)
-    k_bins = max(1, math.ceil(v_max_m_per_s * t_frame / bin_size))
+    motion_bins = v_max_m_per_s * t_frame / bin_size
+    _require(math.isfinite(motion_bins),
+             f"v_max_m_per_s * frame duration / range bin = {motion_bins} must be finite")
+    k_bins = max(1, math.ceil(motion_bins))
     return DerivedParams(
         max_range_m=max_range,
         range_bin_size_m=bin_size,
@@ -263,54 +345,21 @@ def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
 
 # --- structured config file (JSON, SI units, versioned) ---------------------
 
-def radar_to_dict(radar: RadarConfig) -> dict:
-    return {
-        "carrier_freq_hz": radar.carrier_freq_hz,
-        "chirp_slope_hz_per_s": radar.chirp_slope_hz_per_s,
-        "chirp_duration_s": radar.chirp_duration_s,
-        "chirps_per_frame": radar.chirps_per_frame,
-        "adc_rate_hz": radar.adc_rate_hz,
-        "samples_per_chirp": radar.samples_per_chirp,
-        "frames_per_capture": radar.frames_per_capture,
-        "speed_of_light_m_per_s": radar.speed_of_light_m_per_s,
-    }
-
-
-def require_json_numbers(values: dict, int_keys, where: str) -> None:
-    """The type rule of radar files: JSON integers for int_keys, JSON numbers for the rest.
-
-    A bool is neither. Raises ValidationError naming where, the key and the value.
-    """
-    for key, value in values.items():
-        kind = "integer" if key in int_keys else "number"
-        _require(type(value) is int or (kind == "number" and type(value) is float),
-                 f"{where} {key} = {value!r} is not a JSON {kind}")
-
-
-def radar_from_dict(d: dict) -> RadarConfig:
-    _require(isinstance(d, dict), f"radar config must be a JSON object, not {d!r}")
-    known = set(radar_to_dict(RadarConfig()))
-    unknown = set(d) - known
-    _require(not unknown, f"unknown radar config keys: {sorted(unknown)}")
-    ints = ("chirps_per_frame", "samples_per_chirp", "frames_per_capture")
-    require_json_numbers(d, ints, "radar")
-    kwargs = {k: (v if k in ints else float(v)) for k, v in d.items()}
-    return RadarConfig(**kwargs).validate()
-
-
 def save_radar_config(radar: RadarConfig, path) -> None:
-    payload = {"schema_version": CONFIG_SCHEMA_VERSION, "radar": radar_to_dict(radar)}
+    payload = {"schema_version": CONFIG_SCHEMA_VERSION, "radar": asdict(radar)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_radar_config(path) -> RadarConfig:
-    with open(path) as fh:
-        payload = json.load(fh)
-    _require(isinstance(payload, dict) and "radar" in payload,
-             "config file must contain a 'radar' object")
-    version = payload.get("schema_version")
+    """The radar of a config file: integer fields are JSON integers, the rest JSON numbers."""
+    with open(path, "rb") as fh:
+        payload = json_document(fh.read(), "radar config file")
+    version = json_field(payload, "schema_version", "integer", "radar config file")
     _require(version == CONFIG_SCHEMA_VERSION,
              f"unsupported config schema_version {version!r}")
-    return radar_from_dict(payload["radar"])
+    kinds = {key: "integer" if type(default) is int else "number"
+             for key, default in asdict(RadarConfig()).items()}
+    radar = json_field(payload, "radar", "object", "radar config file")
+    return RadarConfig(**json_fields(radar, kinds, "radar")).validate()

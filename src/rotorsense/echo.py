@@ -50,10 +50,15 @@ import numpy as np
 from .config import (RadarConfig, TrajectorySpec, UavConfig, ValidationError,
                      derive)
 
-DISTRACTOR_KINDS = ("static-blob", "aperiodic-flapper", "slow-oscillator")
+# The parameters each distractor kind reads; a scenario file may set no other.
+_STATIC = ("range_m", "reflectivity")
+_MOVING = _STATIC + ("base_rate_hz", "amplitude_m")
+DISTRACTOR_PARAMS = {"static-blob": _STATIC, "aperiodic-flapper": _MOVING + ("phase_jitter_rad",),
+                     "slow-oscillator": _MOVING + ("drift_per_frame",)}
+DISTRACTOR_KINDS = tuple(DISTRACTOR_PARAMS)
 
 
-class SimulationError(RuntimeError):
+class SimulationError(ValidationError):
     """Scene cannot be synthesized (emitter out of range, bad kind, ...)."""
 
 
@@ -111,6 +116,10 @@ class SceneSpec:
                 if em.kind not in DISTRACTOR_KINDS:
                     raise SimulationError(
                         f"unknown distractor kind {em.kind!r}; known: {DISTRACTOR_KINDS}")
+                for key in ("phase_jitter_rad", "drift_per_frame"):  # numpy normal scales
+                    if np.signbit(em.params.get(key, 0.0)):
+                        raise ValidationError(f"scene emitter {i}: {key} must be >= +0.0, "
+                                              f"got {em.params[key]!r}")
             else:
                 raise ValidationError(f"scene emitter {i}: unknown emitter type {type(em)}")
             emitters.append(em)
@@ -272,6 +281,8 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
         rng = _frame_rng(scene.rng_seed, frame_index)
         sigma = scene.noise_std / math.sqrt(2.0)
         total += rng.normal(0.0, sigma, (L, N)) + 1j * rng.normal(0.0, sigma, (L, N))
+    if not np.isfinite(total).all():  # finite but extreme scene values can overflow
+        raise SimulationError(f"frame {frame_index}: the scene's samples are not finite")
     return total
 
 

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ValidationError
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 
 
-class FoldingError(ValueError):
+class FoldingError(ValidationError):
     """Folding size out of range or an empty magnitude cube."""
 
 

@@ -18,13 +18,16 @@ import json
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, RadarConfig, ValidationError, require_json_numbers
+from .config import RadarConfig, ValidationError, json_document, json_field
 from .echo import Frame
 
 FRAME_MAGIC = "rotorsense-raw"
 FRAME_SCHEMA_VERSION = 2
-_V1_KEYS = ("L", "Ns", "fs", "Tc", "fc", "K")
-_HEADER_KEYS = {1: _V1_KEYS, 2: _V1_KEYS + ("c",)}  # required keys per schema_version
+# The radar field under each header key, in header order; L and Ns are integers.
+HEADER_FIELDS = {"L": "chirps_per_frame", "Ns": "samples_per_chirp", "fs": "adc_rate_hz",
+                 "Tc": "chirp_duration_s", "fc": "carrier_freq_hz", "K": "chirp_slope_hz_per_s",
+                 "c": "speed_of_light_m_per_s"}
+_HEADER_KEYS = {1: tuple(HEADER_FIELDS)[:-1], 2: tuple(HEADER_FIELDS)}  # required keys
 HEADER_BYTES = 256
 
 
@@ -33,17 +36,8 @@ class FormatError(ValueError):
 
 
 def _header_dict(radar: RadarConfig) -> dict:
-    return {
-        "magic": FRAME_MAGIC,
-        "schema_version": FRAME_SCHEMA_VERSION,
-        "L": radar.chirps_per_frame,
-        "Ns": radar.samples_per_chirp,
-        "fs": radar.adc_rate_hz,
-        "Tc": radar.chirp_duration_s,
-        "fc": radar.carrier_freq_hz,
-        "K": radar.chirp_slope_hz_per_s,
-        "c": radar.speed_of_light_m_per_s,
-    }
+    return {"magic": FRAME_MAGIC, "schema_version": FRAME_SCHEMA_VERSION,
+            **{key: getattr(radar, field) for key, field in HEADER_FIELDS.items()}}
 
 
 def write_frames(path, frames, radar: RadarConfig) -> None:
@@ -61,23 +55,17 @@ def read_header(path) -> dict:
         raw = fh.read(HEADER_BYTES)
     if len(raw) < HEADER_BYTES:
         raise FormatError("file shorter than the frame header")
-    try:
-        header = json.loads(raw.decode().strip())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable frame header: {exc}")
+    header = json_document(raw, "frame header", FormatError)
     if header.get("magic") != FRAME_MAGIC:
         raise FormatError(f"bad magic {header.get('magic')!r}")
-    version = header.get("schema_version")
-    if type(version) is not int or version not in _HEADER_KEYS:
+    version = json_field(header, "schema_version", "integer", "frame header", FormatError)
+    if version not in _HEADER_KEYS:
         raise FormatError(f"unsupported schema_version {version!r}")
-    for key in _HEADER_KEYS[version]:
-        if key not in header:
-            raise FormatError(f"frame header is missing {key!r}")
-    try:
-        require_json_numbers({key: header[key] for key in _HEADER_KEYS[version]},
-                             ("L", "Ns"), "frame header")
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from None
+    for key in HEADER_FIELDS:
+        # A version 1 header needs no c, but one it carries is typed all the same.
+        if key in header or key in _HEADER_KEYS[version]:
+            json_field(header, key, "integer" if key in ("L", "Ns") else "number",
+                       "frame header", FormatError)
     # The value rules are RadarConfig's; a header that breaks them is malformed.
     try:
         radar_from_header(header)
@@ -118,8 +106,7 @@ def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int):
 
 def radar_mismatch(a: RadarConfig, b: RadarConfig) -> list[str]:
     """Header keys whose values differ between two radars, in header order."""
-    header_b = _header_dict(b)
-    return [key for key, value in _header_dict(a).items() if header_b[key] != value]
+    return [key for key, field in HEADER_FIELDS.items() if getattr(a, field) != getattr(b, field)]
 
 
 def radar_from_header(header: dict) -> RadarConfig:
@@ -127,12 +114,5 @@ def radar_from_header(header: dict) -> RadarConfig:
 
     A version 1 header carries no speed of light; its radar has c = 3.0e8 m/s.
     """
-    return RadarConfig(
-        carrier_freq_hz=float(header["fc"]),
-        chirp_slope_hz_per_s=float(header["K"]),
-        chirp_duration_s=float(header["Tc"]),
-        chirps_per_frame=int(header["L"]),
-        adc_rate_hz=float(header["fs"]),
-        samples_per_chirp=int(header["Ns"]),
-        speed_of_light_m_per_s=float(header.get("c", SPEED_OF_LIGHT)),
-    ).validate()
+    return RadarConfig(**{field: (int if key in ("L", "Ns") else float)(header[key])
+                          for key, field in HEADER_FIELDS.items() if key in header}).validate()

@@ -26,12 +26,13 @@ each max-normalized, into the LSTM's [segments, frames, Doppler bins] input.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DerivedParams
+from .config import DerivedParams, ValidationError, json_document, json_field
 from .folding import fold_columns
 from .lstm import LstmDetector
 from .rdmap import dc_bin
@@ -46,7 +47,7 @@ SEGMENT_MAGIC = b"RSSEG1\n"
 SEGMENT_SCHEMA_VERSION = 1
 
 
-class IdentifyError(ValueError):
+class IdentifyError(ValidationError):
     """Identification precondition violated."""
 
 
@@ -166,6 +167,8 @@ def noise_window_max_folds(values, window_frames: int, exclude_bins=None) -> np.
 
     exclude_bins (e.g. a track) masks those bins plus GUARD_BINS on each side.
     """
+    if window_frames < 1:  # a frame longer than two segments rounds the window to 0
+        raise IdentifyError(f"window_frames {window_frames} must be >= 1")
     keep = np.ones(values.shape[0], dtype=bool)
     if exclude_bins is not None:
         for b in np.unique(np.asarray(exclude_bins, dtype=int)):
@@ -186,6 +189,9 @@ def normalize_segment(values: np.ndarray) -> np.ndarray:
 
 def segment_batch(segments) -> np.ndarray:
     """The LSTM input [n, W, L]: the segments' values, each max-normalized."""
+    shapes = sorted({s.values.shape for s in segments})
+    if len(shapes) > 1:
+        raise IdentifyError(f"segments of different shapes {shapes} do not form one batch")
     return np.stack([normalize_segment(s.values) for s in segments])
 
 
@@ -265,6 +271,7 @@ def save_segments(path, segments) -> None:
 def load_segments(path) -> list[Segment]:
     segments = []
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(SEGMENT_MAGIC))
         if magic != SEGMENT_MAGIC:
             raise IdentifyError(f"not a segment dataset file: bad magic {magic!r}")
@@ -282,28 +289,23 @@ def load_segments(path) -> list[Segment]:
                 raise IdentifyError("truncated dataset record header")
             (hlen,) = struct.unpack("<I", raw)
             record = f"dataset record {len(segments)}"
-            try:
-                header = json.loads(fh.read(hlen).decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise IdentifyError(f"{record} has an unreadable header: {exc}") from None
-            if not isinstance(header, dict):
-                raise IdentifyError(f"{record} header is not a JSON object")
-            for key in ("W", "L"):
-                if key not in header:
-                    raise IdentifyError(f"{record} has no key {key!r}")
-                if type(header[key]) is not int or header[key] < 1:
-                    raise IdentifyError(
-                        f"{record} {key} = {header[key]!r} is not a positive JSON integer")
-            w, l = header["W"], header["L"]
-            data = fh.read(w * l * 4)
-            if len(data) < w * l * 4:
+            header = json_document(fh.read(hlen), f"{record} header", IdentifyError)
+
+            def get(key, kind, *default):
+                return json_field(header, key, kind, record, IdentifyError, *default)
+
+            w, l = get("W", "integer"), get("L", "integer")
+            for key, n in (("W", w), ("L", l)):
+                if n < 1:
+                    raise IdentifyError(f"{record} {key} = {n} is not positive")
+            if w * l * 4 > size - fh.tell():
                 raise IdentifyError("truncated dataset record payload")
-            values = np.frombuffer(data, dtype=np.float32).reshape(w, l).astype(float)
+            values = np.frombuffer(fh.read(w * l * 4), dtype=np.float32).reshape(w, l)
             segments.append(Segment(
-                values=values,
-                label=header.get("label", "unlabeled"),
-                max_folding_result=header.get("max_folding_result", 0.0),
-                passed_filter=header.get("passed_filter", True),
-                provenance=header.get("provenance", {}),
+                values=values.astype(float),
+                label=get("label", "string", "unlabeled"),
+                max_folding_result=get("max_folding_result", "number", 0.0),
+                passed_filter=get("passed_filter", "bool", True),
+                provenance=get("provenance", "object", {}),
             ))
     return segments

@@ -39,11 +39,14 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 
 import numpy as np
 
+from .config import ValidationError, json_document, json_field
 
-class ModelError(ValueError):
+
+class ModelError(ValidationError):
     """Shape/manifest mismatch or invalid training input."""
 
 
@@ -293,14 +296,14 @@ def save_model(detector: LstmDetector, path) -> None:
 
 # What reading a damaged archive raises: a bad CRC or header, a cut-off stream,
 # a compression method or zip version zipfile does not know, a stray
-# encryption flag.
+# encryption flag, a stream that does not inflate.
 _DAMAGED_ARCHIVE = (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,
-                    ValueError)
+                    ValueError, zlib.error)
 
 
 def _read_member(data, name: str) -> np.ndarray:
     if name not in data:
-        raise ModelError(f"model file is missing parameter {name!r}")
+        raise ModelError(f"model file has no member {name!r}")
     try:
         return data[name]
     except _DAMAGED_ARCHIVE as exc:
@@ -315,24 +318,20 @@ def load_model(path) -> LstmDetector:
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ModelError("model file is not a readable archive: a bare array, not .npz")
     with archive as data:
-        try:
-            manifest = json.loads(bytes(data["manifest"]).decode())
-        except Exception as exc:
-            raise ModelError(f"model file has no readable manifest: {exc}")
-        if not isinstance(manifest, dict):
-            raise ModelError("model manifest is not a JSON object")
-        if manifest.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ModelError(
-                f"unsupported model schema_version {manifest.get('schema_version')!r}")
+        manifest = json_document(bytes(_read_member(data, "manifest")), "model manifest",
+                                 ModelError)
+
+        def get(key, kind, *default):
+            return json_field(manifest, key, kind, "model manifest", ModelError, *default)
+
+        version = get("schema_version", "integer")
+        if version != MODEL_SCHEMA_VERSION:
+            raise ModelError(f"unsupported model schema_version {version!r}")
         for key, value in FIXED_MANIFEST.items():
-            if manifest.get(key) != value:
+            if type(manifest.get(key)) is not type(value) or manifest[key] != value:
                 raise ModelError(f"model manifest {key} is {manifest.get(key)!r}, not {value!r}")
-        for key in ("input_dim", "hidden_size", "seed"):
-            if key not in manifest:
-                raise ModelError(f"model manifest has no key {key!r}")
-            if type(manifest[key]) is not int:
-                raise ModelError(f"model manifest {key} = {manifest[key]!r} is not a JSON integer")
-        input_dim, hidden_size, seed = (manifest[k] for k in ("input_dim", "hidden_size", "seed"))
+        input_dim, hidden_size, seed = (get(key, "integer")
+                                        for key in ("input_dim", "hidden_size", "seed"))
         if seed < 0:
             raise ModelError(f"model manifest seed = {seed} is negative")
         # The stored layer-0 weights bound the dims before anything is allocated.
@@ -343,7 +342,7 @@ def load_model(path) -> LstmDetector:
                 raise ModelError(f"model manifest {key} = {manifest[key]} does not match "
                                  f"stored {name} of shape {shape}")
         det = LstmDetector(input_dim, hidden_size, seed)
-        det.training_config = manifest.get("training", {})
+        det.training_config = get("training", "object", {})
         for name in det.param_names():
             arr = _read_member(data, name)
             if arr.shape != det.params[name].shape:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RadarConfig
+from .config import RadarConfig, ValidationError
 
 
-class ProcessingError(ValueError):
+class ProcessingError(ValidationError):
     """Input violates a processing precondition (non-finite samples, no frames)."""
 
 

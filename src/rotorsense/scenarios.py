@@ -33,6 +33,8 @@ def make_uav(seed: int = 0, rotation_rate_hz: float = ROTATION_RATE_HZ,
              blade_reflectivity: float = BLADE_REFLECTIVITY,
              body_reflectivity: float = 1.0) -> UavConfig:
     """UAV with randomized blade geometry drawn from the seed."""
+    # The counts size the draws, so they are checked first.
+    UavConfig(rotor_count=rotor_count, scatterers_per_rotor=scatterers_per_rotor).validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     shape = (rotor_count, scatterers_per_rotor)
     return UavConfig(

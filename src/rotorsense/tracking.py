@@ -27,15 +27,14 @@ bin.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DerivedParams
+from .config import DerivedParams, ValidationError, csv_columns
 
 
-class TrackingError(ValueError):
+class TrackingError(ValidationError):
     """Tracker precondition violated (empty map, zero profile, bad lengths)."""
 
 
@@ -219,16 +218,7 @@ def track_to_csv(track: Track, path) -> None:
 
 def read_track_csv(path):
     """Returns (times, ranges_m, filtered_ranges_m or None)."""
-    times, ranges, filtered = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for key in ("time_s", "range_m", "filtered_range_m"):
-            if key not in (reader.fieldnames or ()):
-                raise TrackingError(f"track CSV {path} has no {key!r} column")
-        for row in reader:
-            times.append(float(row["time_s"]))
-            ranges.append(float(row["range_m"]))
-            filtered.append(float(row["filtered_range_m"]) if row["filtered_range_m"] else math.nan)
-    filt = np.array(filtered)
-    return (np.array(times), np.array(ranges),
-            None if np.all(np.isnan(filt)) else filt)
+    times, ranges, filtered = csv_columns(
+        path, ("time_s", "range_m", "filtered_range_m"), f"track CSV {path}", TrackingError,
+        blank=("filtered_range_m",))
+    return times, ranges, None if np.all(np.isnan(filtered)) else filtered

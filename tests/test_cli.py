@@ -1,5 +1,6 @@
 import json
 import hashlib
+import math
 import shlex
 from pathlib import Path
 
@@ -201,25 +202,101 @@ def _drop(*path):
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda d: d.update(emitters=5), "scenario emitters"),
-    (lambda d: d.update(emitters=["uav"]), "emitter 0"),
-    (lambda d: d["emitters"][0].update(trajectory=5), "emitter 0: trajectory"),
-    (lambda d: d["emitters"][0].update(uav=[1]), "emitter 0: uav"),
-    (lambda d: d["emitters"][1].update(range_m=None), "emitter 1: range_m"),
-    (lambda d: d["emitters"][2].update(params=[1]), "emitter 2: params"),
-    (lambda d: [d], "scenario file"),
+    (lambda d: d.update(emitters=5), "scenario emitters = 5 is not a JSON list"),
+    (lambda d: d.update(emitters=["uav"]), "scenario emitter 0 = 'uav' is not a JSON object"),
+    (lambda d: d["emitters"][0].update(trajectory=5),
+     "scenario emitter 0 trajectory = 5 is not a JSON list"),
+    (lambda d: d["emitters"][0].update(uav=[1]),
+     "scenario emitter 0 uav = [1] is not a JSON object"),
+    (lambda d: d["emitters"][1].update(range_m=None),
+     "scenario emitter 1 range_m = None is not a JSON number"),
+    (lambda d: d["emitters"][2].update(params=[1]),
+     "scenario emitter 2 params = [1] is not a JSON object"),
+    (lambda d: [d], "scenario file is not a JSON object"),
     (_drop("emitters", 0, "trajectory"), "scenario emitter 0 has no key 'trajectory'"),
     (_drop("emitters", 1, "range_m"), "scenario emitter 1 has no key 'range_m'"),
     (_drop("emitters", 2, "distractor"), "scenario emitter 2 has no key 'distractor'"),
     (_drop("emitters", 0, "trajectory", 0, "duration_s"),
-     "scenario emitter 0: trajectory[0] has no key 'duration_s'"),
+     "scenario emitter 0 trajectory 0 has no key 'duration_s'"),
+    (lambda d: d.update(noise_sd=0.5), "scenario has unknown keys ['noise_sd']"),
+    (lambda d: d["emitters"][1].update(extra=1), "scenario emitter 1 has unknown keys ['extra']"),
+    (lambda d: d["emitters"][0]["trajectory"][0].update(end_time_s=1.0),
+     "scenario emitter 0 trajectory 0 has unknown keys ['end_time_s']"),
+    (lambda d: d["emitters"][2]["params"].update(rnage_m=30.0),
+     "scenario emitter 2 params has unknown keys ['rnage_m']"),
+    (lambda d: d["emitters"][2]["params"].update(drift_per_frame=0.3),
+     "scenario emitter 2 params has unknown keys ['drift_per_frame']"),
+    (lambda d: d["emitters"][2].update(distractor="ghost"),
+     "scenario emitter 2 has unknown distractor 'ghost'"),
 ], ids=["emitters-number", "emitter-string", "trajectory-number", "uav-list",
         "range-null", "params-list", "top-level-list", "no-trajectory", "no-range",
-        "no-distractor-kind", "no-duration"])
+        "no-distractor-kind", "no-duration", "unknown-top-level-key", "unknown-emitter-key",
+        "unknown-leg-key", "unknown-params-key", "params-of-another-kind",
+        "unknown-distractor-kind"])
 def test_malformed_scenario_exits_one(tmp_path, capsys, edit, named):
     scenario = write_scenario(tmp_path, _malformed(edit), "bad.json")
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
     assert named in capsys.readouterr().err
+
+
+def _set(*path, raw=None):
+    """A scenario edit that sets the key at the end of path[:-1] to path[-1]; with raw,
+    to the JSON text raw, which json.dumps cannot write (1e400 reads as infinity)."""
+    def edit(doc):
+        for key in path[:-2]:
+            doc = doc[key]
+        doc[path[-2]] = "RAW" if raw is not None else path[-1]
+    return edit, raw
+
+
+UAV, LEG = ("emitters", 0, "uav"), ("emitters", 0, "trajectory", 0)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set(*UAV, "rotor_count", 4.9),
+     "scenario emitter 0 uav rotor_count = 4.9 is not a JSON integer"),
+    (_set(*UAV, "rotor_count", True), "uav rotor_count = True is not a JSON integer"),
+    (_set(*UAV, "rotor_count", "4"), "uav rotor_count = '4' is not a JSON integer"),
+    (_set("seed", 1.5), "scenario seed = 1.5 is not a JSON integer"),
+    (_set("noise_std", math.nan), "scenario noise_std = nan is not a JSON number"),
+    (_set("noise_std", math.inf), "scenario noise_std = inf is not a JSON number"),
+    (_set(*UAV, "rotation_rate_hz", math.inf), "uav rotation_rate_hz = inf is not a JSON number"),
+    (_set(*LEG, "start_time_s", math.nan),
+     "scenario emitter 0 trajectory 0 start_time_s = nan is not a JSON number"),
+    (_set("seed", None, raw="1e400"), "scenario seed = inf is not a JSON integer"),
+    (_set(*UAV, "rotor_count", None, raw="1e400"), "uav rotor_count = inf is not a JSON integer"),
+    (_set("noise_std", 10**400), "scenario noise_std = 1000"),
+    (_set(*LEG, "start_range_m", -10**400), "trajectory 0 start_range_m = -1000"),
+    (_set("seed", -1), "scenario seed = -1 is negative"),
+    (_set(*UAV, "geometry_seed", -1), "scenario emitter 0 uav geometry_seed = -1 is negative"),
+    (_set(*UAV, "rotor_count", -1), "uav.rotor_count must be >= 1"),
+    (_set(*UAV, "rotor_count", 2**40), "uav.rotor_count * scatterers_per_rotor must be <="),
+], ids=["rotor-count-fraction", "rotor-count-bool", "rotor-count-string", "seed-fraction",
+        "noise-nan", "noise-inf", "rotation-rate-inf", "leg-start-nan", "seed-1e400",
+        "rotor-count-1e400", "noise-400-digits", "range-400-digits", "seed-negative",
+        "geometry-seed-negative", "rotor-count-negative", "rotor-count-huge"])
+def test_mistyped_scenario_value_exits_one(tmp_path, capsys, edit, named):
+    """Each of these ran with a coerced value, or exited 3, before scenario fields were typed."""
+    edit, raw = edit
+    text = json.dumps(_malformed(edit))
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(text.replace('"RAW"', raw) if raw is not None else text)
+    assert main(["simulate", "--scenario", str(scenario), "--frames", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["scenario", "radar"])
+def test_non_utf8_scenario_or_radar_config_exits_one(tmp_path, capsys, name):
+    scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+    config = tmp_path / "radar.json"
+    config.write_text(json.dumps({"schema_version": 1, "radar": {}}))
+    bad = {"scenario": scenario, "radar": config}[name]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    assert main(["simulate", "--config", str(config), "--scenario", str(scenario),
+                 "--frames", "1", "--out", str(tmp_path / "out")]) == 1
+    assert f"unreadable {name}" in capsys.readouterr().err
 
 
 def test_corrupt_frames_exits_two(tmp_path):
@@ -415,12 +492,16 @@ def test_bad_arguments_exit_one():
     assert main(["no-such-command"]) == 1
 
 
-def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fault", [RuntimeError("induced fault"), ValueError("induced fault"),
+                                   json.JSONDecodeError("induced fault", "{", 0)],
+                         ids=["RuntimeError", "ValueError", "JSONDecodeError"])
+def test_internal_error_exits_three(tmp_path, monkeypatch, capsys, fault):
+    """Only a ValidationError is the user's: a bare ValueError inside a stage is a fault."""
     scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
     import rotorsense.cli as cli_mod
 
     def boom(*a, **k):
-        raise RuntimeError("induced fault")
+        raise fault
 
     monkeypatch.setattr(cli_mod.echo, "synthesize_frames", boom)
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
@@ -500,6 +581,23 @@ def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
     assert kind in err and repr(key) in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (lambda tmp: _evaluate(tmp, TRACK_CSV, TRUTH_CSV.replace(",48.0,", ",x,")),
+     "truth.csv line 2 range_m = 'x' is not a finite number"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV, TRUTH_CSV.replace("0.045,", "nan,")),
+     "truth.csv line 2 time_s = 'nan' is not a finite number"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace(",48.0,48.0,", ",48.0,inf,"), TRUTH_CSV),
+     "track.csv line 2 filtered_range_m = 'inf' is not a finite number"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace("0.045", ""), TRUTH_CSV),
+     "track.csv line 2 time_s = '' is not a finite number"),
+    (lambda tmp: _evaluate(tmp, TRACK_CSV + "1,0.135\n", TRUTH_CSV),
+     "track.csv line 3 range_m = None is not a finite number"),
+], ids=["truth-text", "truth-nan", "track-inf", "track-empty", "track-short-row"])
+def test_non_number_csv_cell_exits_one(tmp_path, capsys, argv, named):
+    assert main(argv(tmp_path)) == 1
+    assert named in capsys.readouterr().err
+
+
 def _manifest_value(key, value):
     return lambda tmp: _identify_dataset(tmp, lambda manifest: manifest.update({key: value}))
 
@@ -520,13 +618,13 @@ def _record_header(raw):
     (_manifest_value("hidden_size", 10**6),
      "model manifest hidden_size = 1000000 does not match stored wh0 of shape (16, 4)"),
     (_record_header(b'{"W": "x", "L": 7}'),
-     "dataset record 0 W = 'x' is not a positive JSON integer"),
+     "dataset record 0 W = 'x' is not a JSON integer"),
     (_record_header(b'{"W": null, "L": 7}'), "dataset record 0 W = None"),
     (_record_header(b'{"W": 2.5, "L": 7}'), "dataset record 0 W = 2.5"),
     (_record_header(b'{"W": -1, "L": 7}'), "dataset record 0 W = -1"),
     (_record_header(b'{"W": 4, "L": 0}'), "dataset record 0 L = 0"),
-    (_record_header(b'\xff{"W": 4, "L": 7}'), "dataset record 0 has an unreadable header"),
-    (_record_header(b'{"W": 4,'), "dataset record 0 has an unreadable header"),
+    (_record_header(b'\xff{"W": 4, "L": 7}'), "unreadable dataset record 0 header"),
+    (_record_header(b'{"W": 4,'), "unreadable dataset record 0 header"),
     (_record_header(b'[4, 7]'), "dataset record 0 header is not a JSON object"),
 ], ids=["input-dim-string", "input-dim-null", "input-dim-float", "hidden-size-bool",
         "seed-string", "seed-negative", "input-dim-huge", "hidden-size-huge", "w-string",
@@ -535,6 +633,57 @@ def _record_header(raw):
 def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
+
+
+def _record_command(command, header):
+    """Argv of a command reading a one-record dataset whose header is `header`."""
+    def argv(tmp):
+        argv = _identify_dataset(tmp)
+        dataset, blob = argv[2], json.dumps(header).encode()
+        Path(dataset).write_bytes(identify.SEGMENT_MAGIC + (1).to_bytes(4, "little")
+                                  + len(blob).to_bytes(4, "little") + blob
+                                  + np.ones((4, 7), dtype=np.float32).tobytes())
+        return {"identify": argv,
+                "stats": ["dataset", "stats", "--dataset", dataset],
+                "split": ["dataset", "split", "--dataset", dataset, "--out", str(tmp / "split")],
+                }[command]
+    return argv
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_record_command("stats", {"W": 4, "L": 7, "label": [1]}),
+     "dataset record 0 label = [1] is not a JSON string"),
+    (_record_command("identify", {"W": 4, "L": 7, "max_folding_result": None}),
+     "dataset record 0 max_folding_result = None is not a JSON number"),
+    (_record_command("split", {"W": 4, "L": 7, "max_folding_result": None}),
+     "dataset record 0 max_folding_result = None is not a JSON number"),
+    (_record_command("identify", {"W": 4, "L": 7, "passed_filter": "no"}),
+     "dataset record 0 passed_filter = 'no' is not a JSON bool"),
+    (_record_command("split", {"W": 4, "L": 7, "passed_filter": "no"}),
+     "dataset record 0 passed_filter = 'no' is not a JSON bool"),
+    (_record_command("stats", {"W": 4, "L": 7, "provenance": [1]}),
+     "dataset record 0 provenance = [1] is not a JSON object"),
+    (_record_command("stats", {"W": 10**30, "L": 7}), "truncated dataset record payload"),
+    (_manifest_value("training", [1]), "model manifest training = [1] is not a JSON object"),
+    (_manifest_value("normalize", 1), "model manifest normalize is 1, not True"),
+    (_manifest_value("schema_version", True), "model manifest schema_version = True"),
+], ids=["label-list", "max-fold-null-identify", "max-fold-null-split",
+        "passed-string-identify", "passed-string-split", "provenance-list", "w-huge",
+        "training-list", "normalize-int", "schema-version-bool"])
+def test_mistyped_record_or_manifest_field_exits_one(tmp_path, capsys, argv, named):
+    """Each of these exited 3, or exited 0 with a coerced value, before the fields were typed."""
+    assert main(argv(tmp_path)) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "split").exists()
+
+
+def test_segments_of_two_shapes_exit_one(tmp_path, capsys):
+    identify.save_segments(tmp_path / "mixed.bin",
+                           [identify.Segment(values=np.ones((4, 7)), label="uav"),
+                            identify.Segment(values=np.ones((5, 7)), label="other")])
+    assert main(["train", "--dataset", str(tmp_path / "mixed.bin"), "--epochs", "1",
+                 "--hidden", "4", "--out", str(tmp_path)]) == 1
+    assert "segments of different shapes [(4, 7), (5, 7)]" in capsys.readouterr().err
 
 
 def test_model_with_a_damaged_member_exits_one(tmp_path, capsys):
@@ -551,7 +700,7 @@ def test_model_with_a_damaged_member_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("radar, named", [
     ({"chirps_per_frame": None}, "radar chirps_per_frame = None is not a JSON integer"),
-    ([], "radar config must be a JSON object"),
+    ([], "radar config file radar = [] is not a JSON object"),
     ({"adc_rate_hz": "x"}, "radar adc_rate_hz = 'x' is not a JSON number"),
     ({"samples_per_chirp": 256.5}, "radar samples_per_chirp = 256.5 is not a JSON integer"),
     ({"frames_per_capture": True}, "radar frames_per_capture = True is not a JSON integer"),
@@ -598,14 +747,31 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["train", "--dataset", "d.bin", "--lr", "0"], "--lr"),
     (["identify", "--frames", "f.bin", "--model", "m.npz", "--threshold", "inf"],
      "--threshold"),
+    (["simulate", "--scenario", "s.json", "--seed", "-1"], "--seed"),
+    (["track", "--frames", "f.bin", "--seed", "-1"], "--seed"),
+    (["train", "--dataset", "d.bin", "--seed", "-5"], "--seed"),
+    (["dataset", "gen", "--uav", "0", "--distractor", "0", "--seed", "-1"], "--seed"),
+    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "nan"], "--budget"),
+    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "-inf"], "--budget"),
 ], ids=["simulate-frames", "gen-train-frac", "split-train-frac", "gen-uav", "gen-distractor",
-        "train-lr-nan", "train-lr-zero", "identify-threshold-inf"])
+        "train-lr-nan", "train-lr-zero", "identify-threshold-inf", "simulate-seed",
+        "track-seed", "train-seed", "gen-seed", "evaluate-budget-nan", "evaluate-budget-inf"])
 def test_out_of_range_numeric_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     """No file named here exists: each command must stop at its flags and write nothing."""
     monkeypatch.chdir(tmp_path)  # the default --out
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("v_max", ["1e308", "1e300", "3e8"])
+def test_v_max_at_or_above_the_speed_of_light_exits_one(pipeline_run, tmp_path, capsys, v_max):
+    """1e308 overflowed the particle filter's velocity draw (exit 3); 1e300 ran."""
+    argv = ["track", "--frames", str(pipeline_run / "run" / "frames.bin"), "--v-max", v_max,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "below the speed of light 300000000.0 m/s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_v_max_exits_one(pipeline_run, tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rotorsense.config import (RadarConfig, TrajectorySegment, TrajectorySpec,
-                               UavConfig, ValidationError, constant_velocity,
-                               derive, hover, load_radar_config,
-                               save_radar_config)
+                               UavConfig, ValidationError, constant_velocity, csv_columns,
+                               derive, hover, json_document, json_field, json_fields,
+                               load_radar_config, save_radar_config)
 
 
 def test_default_radar_is_valid():
@@ -53,7 +53,8 @@ def test_derive_default_grid():
                - derived.doppler_bin_hz * 3e8 / (2 * 60.25e9)) < 1e-12
 
 
-@pytest.mark.parametrize("v_max", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("v_max", [math.inf, -math.inf, math.nan, 0.0, -1.0, 3.0e8, 1e300,
+                                   1e308])
 def test_derive_rejects_non_finite_or_non_positive_v_max(v_max):
     with pytest.raises(ValidationError, match="v_max_m_per_s must be finite and > 0"):
         derive(RadarConfig().validate(), v_max)
@@ -174,3 +175,100 @@ def test_config_file_rejects_wrong_version(tmp_path):
     path.write_text('{"schema_version": 99, "radar": {}}')
     with pytest.raises(ValidationError, match="schema_version"):
         load_radar_config(path)
+
+
+@pytest.mark.parametrize("radar, named", [
+    (dict(chirps_per_frame=2**20, samples_per_chirp=32), "samples_per_chirp must be <= 16777216"),
+    (dict(samples_per_chirp=2**1100), "samples_per_chirp must be <= 16777216"),
+    (dict(chirp_duration_s=1e307), "frame duration"),
+    (dict(chirp_slope_hz_per_s=1e308), "range bin"),
+    (dict(speed_of_light_m_per_s=1e300, adc_rate_hz=1e300), "range bin"),
+], ids=["frame-samples", "samples-2**1100", "frame-duration-overflow", "range-bin-underflow",
+        "range-bin-overflow"])
+def test_radar_grid_must_be_finite(radar, named):
+    """Counts and grids that would overflow or size an impossible array are rejected."""
+    with pytest.raises(ValidationError, match=named):
+        RadarConfig(**radar).validate()
+
+
+def test_derive_rejects_non_finite_motion_bound():
+    radar = RadarConfig(chirp_duration_s=1e305, chirps_per_frame=2).validate()
+    with pytest.raises(ValidationError, match="must be finite"):
+        derive(radar, 1e8)
+
+
+# --- the reader contract ------------------------------------------------------
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (3, "integer", 3), (3, "number", 3.0), (2.5, "number", 2.5), (-0.0, "number", -0.0),
+    (10**300, "number", 1e300), ("x", "string", "x"), (False, "bool", False),
+    ({"a": 1}, "object", {"a": 1}), ([1], "list", [1]), (2**70, "integer", 2**70),
+])
+def test_json_field_accepts_its_kind(value, kind, expected):
+    got = json_field({"k": value}, "k", kind, "doc")
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (True, "integer"), (True, "number"), (1, "bool"), (2.0, "integer"), ("3", "number"),
+    (None, "number"), (math.nan, "number"), (math.inf, "number"), (-math.inf, "number"),
+    (10**400, "number"), ([], "object"), ({}, "list"), (1, "string"),
+])
+def test_json_field_rejects_other_values(value, kind):
+    with pytest.raises(ValidationError) as info:
+        json_field({"k": value}, "k", kind, "doc")
+    assert str(info.value) == f"doc k = {value!r} is not a JSON {kind}"
+
+
+def test_json_field_missing_key_and_default():
+    with pytest.raises(ValidationError, match="^doc has no key 'k'$"):
+        json_field({}, "k", "number", "doc")
+    assert json_field({}, "k", "number", "doc", default=None) is None
+    assert json_field(["a", 2], 1, "integer", "doc list") == 2
+
+
+def test_json_field_raises_the_readers_error():
+    class ReaderError(ValidationError):
+        pass
+
+    with pytest.raises(ReaderError, match="doc k = 'x' is not a JSON integer"):
+        json_field({"k": "x"}, "k", "integer", "doc", ReaderError)
+
+
+@pytest.mark.parametrize("data, named", [
+    (b"\xff{}", "unreadable doc: 'utf-8' codec"), (b'{"a": ', "unreadable doc: Expecting value"),
+    ("[1]", "doc is not a JSON object"), ("null", "doc is not a JSON object"),
+    ("[" * 100000 + "]" * 100000, "unreadable doc: maximum recursion depth"),
+])
+def test_json_document_rejects(data, named):
+    with pytest.raises(ValidationError, match=named):
+        json_document(data, "doc")
+
+
+def test_json_document_reads_bytes_and_text():
+    assert json_document(b' {"a": NaN} ', "doc")["a"] != 0
+    assert json_document('{"a": 1}', "doc") == {"a": 1}
+
+
+def test_json_fields_types_known_keys_and_names_every_unknown_one():
+    kinds = {"a": "integer", "b": "number"}
+    assert json_fields({"a": 1}, kinds, "doc") == {"a": 1}
+    assert json_fields({"a": 1, "b": 2}, kinds, "doc", required=True) == {"a": 1, "b": 2.0}
+    with pytest.raises(ValidationError, match="^doc has no key 'b'$"):
+        json_fields({"a": 1}, kinds, "doc", required=True)
+    with pytest.raises(ValidationError, match=r"^doc has unknown keys \['c', 'd'\]$"):
+        json_fields({"d": 1, "a": 1, "c": 2}, kinds, "doc")
+
+
+def test_csv_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2.5,\n-3,1e3,4\n")
+    a, c = csv_columns(path, ("a", "c"), "table", blank=("c",))
+    assert a.tolist() == [1.0, -3.0] and np.isnan(c[0]) and c[1] == 4.0
+    with pytest.raises(ValidationError, match="^table line 2 c = '' is not a finite number$"):
+        csv_columns(path, ("a", "c"), "table")
+    with pytest.raises(ValidationError, match="^table has no 'd' column$"):
+        csv_columns(path, ("a", "d"), "table")
+    path.write_bytes(b"a\n\xff\n")
+    with pytest.raises(ValidationError, match="^unreadable table: 'utf-8' codec"):
+        csv_columns(path, ("a",), "table")

@@ -186,6 +186,26 @@ def test_unknown_distractor_kind_errors(radar):
         synthesize_frames(_lone_distractor("wobbler", {}), radar, 1)
 
 
+@pytest.mark.parametrize("scene", [
+    SceneSpec(emitters=(StaticClutter(12.0, 1e300),)),
+    SceneSpec(noise_std=1e308),
+    scenarios.hover_scene(48.0, rotation_rate_hz=1e308, noise_std=0.0),
+], ids=["reflectivity", "noise", "rotation-rate"])
+def test_scene_whose_samples_overflow_errors(radar, scene):
+    """Finite but extreme values once wrote a NaN capture that only `track` refused."""
+    with pytest.raises(SimulationError, match="frame 0: the scene's samples are not finite"):
+        synthesize_frames(scene, radar, 1)
+
+
+@pytest.mark.parametrize("kind, key", [("aperiodic-flapper", "phase_jitter_rad"),
+                                       ("slow-oscillator", "drift_per_frame")])
+@pytest.mark.parametrize("value", [-1.0, -0.0])
+def test_negative_distractor_spread_errors(kind, key, value):
+    """numpy's normal refuses a scale whose sign bit is set, -0.0 included."""
+    with pytest.raises(ValidationError, match=f"scene emitter 0: {key} must be >= \\+0.0"):
+        _lone_distractor(kind, {"range_m": 30.0, key: value})
+
+
 def test_slow_oscillator_folds_below_uav_at_equal_power(radar):
     """Drifting-period oscillator lacks a stable comb: folding separates them."""
     uav_power = 1.0 + 18 * scenarios.BLADE_REFLECTIVITY ** 2

@@ -136,7 +136,7 @@ def test_missing_header_key_rejected(tmp_path, small_radar):
     path = tmp_path / "frames.bin"
     header = {"magic": "rotorsense-raw", "schema_version": 1, "L": 8}
     path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES))
-    with pytest.raises(FormatError, match="missing"):
+    with pytest.raises(FormatError, match="frame header has no key 'Ns'"):
         read_header(path)
 
 
@@ -151,6 +151,19 @@ def test_malformed_header_values_rejected(tmp_path, small_radar, key, value):
     header[key] = value
     path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES))
     with pytest.raises(FormatError, match="frame header"):
+        read_header(path)
+
+
+def test_header_that_is_no_object_or_has_a_mistyped_c_is_rejected(tmp_path, small_radar):
+    path = tmp_path / "frames.bin"
+    path.write_bytes(b"[1, 2]".ljust(HEADER_BYTES))
+    with pytest.raises(FormatError, match="frame header is not a JSON object"):
+        read_header(path)
+    v1 = {"magic": "rotorsense-raw", "schema_version": 1, "L": 8, "Ns": 16,
+          "fs": small_radar.adc_rate_hz, "Tc": small_radar.chirp_duration_s,
+          "fc": small_radar.carrier_freq_hz, "K": small_radar.chirp_slope_hz_per_s, "c": "x"}
+    path.write_bytes(json.dumps(v1).encode().ljust(HEADER_BYTES))
+    with pytest.raises(FormatError, match="frame header c = 'x' is not a JSON number"):
         read_header(path)
 
 

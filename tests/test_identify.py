@@ -8,7 +8,7 @@ from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
                                  Segment, binary_metrics, calibrate_threshold, classify,
                                  dc_removal, diagram_at_bins, feature_alignment,
                                  load_segments, noise_window_max_folds, normalize_segment,
-                                 save_segments, segment_split_filter,
+                                 save_segments, segment_batch, segment_split_filter,
                                  segment_window_frames)
 from rotorsense.lstm import LstmDetector
 from rotorsense.rdmap import dc_bin, process_frames
@@ -351,3 +351,28 @@ def test_segment_file_truncated(tmp_path):
     path.write_bytes(data[:len(SEGMENT_MAGIC)])
     with pytest.raises(IdentifyError, match="truncated"):
         load_segments(path)
+
+
+def test_segment_file_record_larger_than_the_file(tmp_path):
+    """W * L beyond the file's end is a truncated payload, whatever its size."""
+    save_segments(tmp_path / "one.bin", [Segment(values=np.ones((4, 6)))])
+    data = (tmp_path / "one.bin").read_bytes()
+    start = len(SEGMENT_MAGIC) + 4  # the first record's header length
+    header_len = int.from_bytes(data[start:start + 4], "little")
+    header = data[start + 4:start + 4 + header_len]
+    for w in (5, 10**30):
+        bigger = header.replace(b'"W": 4', b'"W": %d' % w)
+        (tmp_path / "big.bin").write_bytes(data[:start] + len(bigger).to_bytes(4, "little")
+                                           + bigger + data[start + 4 + header_len:])
+        with pytest.raises(IdentifyError, match="truncated dataset record payload"):
+            load_segments(tmp_path / "big.bin")
+
+
+def test_segment_batch_rejects_mixed_shapes():
+    with pytest.raises(IdentifyError, match=r"different shapes \[\(4, 6\), \(5, 6\)\]"):
+        segment_batch([Segment(values=np.ones((5, 6))), Segment(values=np.ones((4, 6)))])
+
+
+def test_noise_window_of_zero_frames_errors():
+    with pytest.raises(IdentifyError, match="window_frames 0 must be >= 1"):
+        noise_window_max_folds(np.ones((8, 10)), 0)
