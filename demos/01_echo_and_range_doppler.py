@@ -19,7 +19,7 @@ from rotorsense.config import constant_velocity, hover
 from rotorsense.rdmap import aliased_doppler_hz, beat_range_bin, doppler_axis_hz
 from rotorsense import scenarios
 
-radar = RadarConfig().validate()
+radar = RadarConfig()
 derived = derive(radar, v_max_m_per_s=4.0)
 print("=== radar grid ===")
 print(f"max range        : {derived.max_range_m:8.2f} m")
@@ -30,7 +30,7 @@ print(f"Doppler bin      : {derived.doppler_bin_hz:8.3f} Hz"
 
 # --- 1. static reflector ------------------------------------------------------
 print("\n=== static reflector at 30 m ===")
-scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),)).validate()
+scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),))
 rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 r_bin, d_bin = np.unravel_index(np.argmax(rd), rd.shape)
 print(f"predicted range bin {beat_range_bin(radar, 30.0)}, measured argmax {r_bin}")
@@ -38,8 +38,8 @@ print(f"Doppler argmax at bin {d_bin} (DC bin is {dc_bin(radar.chirps_per_frame)
 
 # --- 2. moving body wraps in Doppler -----------------------------------------
 print("\n=== body-only target ascending at 1.5 m/s ===")
-body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
-scene = SceneSpec(emitters=(UavEmitter(body, constant_velocity(48.0, 1.5, 4.0)),)).validate()
+body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0)
+scene = SceneSpec(emitters=(UavEmitter(body, constant_velocity(48.0, 1.5, 4.0)),))
 rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 row = rd[int(np.argmax(rd.max(axis=1)))]
 axis = doppler_axis_hz(radar)

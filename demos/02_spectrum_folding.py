@@ -28,7 +28,7 @@ print(f"folding result {out.folding_result:.3f} at size {out.best_folding_size} 
 
 # --- the same idea on simulated radar data -------------------------------------
 print("\n=== simulated hover at 48 m, rotors at 55.6 rev/s ===")
-radar = RadarConfig().validate()
+radar = RadarConfig()
 scene = scenarios.hover_scene(48.0, seed=1)
 rd = process_frames(synthesize_frames(scene, radar, 1))[0]
 uav_bin = beat_range_bin(radar, 48.0)

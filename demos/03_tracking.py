@@ -20,7 +20,7 @@ from rotorsense.echo import frame_mid_times, scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios, tracking
 
-radar = RadarConfig().validate()
+radar = RadarConfig()
 derived = derive(radar, v_max_m_per_s=4.0)
 clutter = scenarios.default_clutter()
 n = 40

@@ -17,7 +17,7 @@ from rotorsense.identify import LABELS, classify, segment_batch, segment_window_
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense import scenarios
 
-radar = RadarConfig().validate()
+radar = RadarConfig()
 derived = derive(radar, v_max_m_per_s=4.0)
 window = segment_window_frames(derived)
 rng = np.random.default_rng(2024)

@@ -116,10 +116,10 @@ def load_scenario(path, seed: int) -> SceneSpec:
             knobs["seed"] = _seed(knobs.pop("geometry_seed", scene_seed),
                                   f"{where} uav geometry_seed")
             legs = json_field(item, "trajectory", "list", where)
-            trajectory = TrajectorySpec(tuple(TrajectorySegment(**json_fields(
+            segments = tuple(TrajectorySegment(**json_fields(
                 json_field(legs, j, "object", f"{where} trajectory"), LEG_FIELDS,
-                f"{where} trajectory {j}", required=True)) for j in range(len(legs))))
-            emitters.append(UavEmitter(scenarios.make_uav(**knobs), trajectory.validate()))
+                f"{where} trajectory {j}", required=True)) for j in range(len(legs)))
+            emitters.append(UavEmitter(scenarios.make_uav(**knobs), TrajectorySpec(segments)))
         elif kind == "static-clutter":
             emitters.append(StaticClutter(**json_fields(item, EMITTER_FIELDS[kind], where,
                                                     required=True)))
@@ -132,7 +132,7 @@ def load_scenario(path, seed: int) -> SceneSpec:
                 f"{where} params")))
     return SceneSpec(emitters=tuple(emitters),
                      noise_std=doc.get("noise_std", scenarios.NOISE_STD),
-                     rng_seed=scene_seed).validate()
+                     rng_seed=scene_seed)
 
 
 # --- shared pipeline pieces ---------------------------------------------------
@@ -140,7 +140,7 @@ def load_scenario(path, seed: int) -> SceneSpec:
 def _radar_for(args) -> RadarConfig:
     if args.config:
         return load_radar_config(args.config)
-    return RadarConfig().validate()
+    return RadarConfig()
 
 
 def _read_capture(path, args):

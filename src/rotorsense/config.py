@@ -1,9 +1,10 @@
 """Radar, UAV and trajectory configuration plus derived processing parameters.
 
 Everything downstream (echo synthesis, Range-Doppler processing, folding,
-tracking, identification) reads its physical constants from here. Configs are
-validated once and then treated as immutable; numpy-array fields are marked
-read-only so they can be shared across pipeline stages.
+tracking, identification) reads its physical constants from here. Each config
+checks itself when it is built (dataclasses.replace checks again), so every
+instance is valid and immutable; numpy-array fields are read-only so they can
+be shared across pipeline stages.
 
 Units are SI throughout (Hz, s, m, rad). The speed of light defaults to
 3.0e8 m/s so that derived quantities land on round numbers (max range 93.8 m
@@ -21,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ SPEED_OF_LIGHT = 3.0e8
 CONFIG_SCHEMA_VERSION = 1
 
 
-MAX_ELEMENTS = 2**24  # bounds a radar frame's samples and a UAV's blade scatterers
+MAX_ELEMENTS = 2**24  # bounds a radar frame, a UAV's blade scatterers, an LSTM weight matrix
 
 
 class ValidationError(ValueError):
@@ -131,7 +132,7 @@ class RadarConfig:
     frames_per_capture: int = 40
     speed_of_light_m_per_s: float = SPEED_OF_LIGHT
 
-    def validate(self) -> "RadarConfig":
+    def __post_init__(self) -> None:
         for name in ("carrier_freq_hz", "chirp_slope_hz_per_s", "chirp_duration_s",
                      "adc_rate_hz", "speed_of_light_m_per_s"):
             value = getattr(self, name)
@@ -149,7 +150,6 @@ class RadarConfig:
         _require(math.isfinite(self.frame_duration_s), "radar frame duration must be finite")
         _require(0 < self.max_range_m / self.samples_per_chirp < math.inf,
                  "radar range bin must be finite and > 0")
-        return self
 
     @property
     def frame_duration_s(self) -> float:
@@ -185,16 +185,17 @@ class UavConfig:
     body_reflectivity: float = 1.0
     scatterer_reflectivities: np.ndarray = field(default_factory=lambda: np.array(0.3))
 
-    def validate(self) -> "UavConfig":
+    def __post_init__(self) -> None:
         _require(self.rotor_count >= 1, "uav.rotor_count must be >= 1")
         _require(self.scatterers_per_rotor >= 1, "uav.scatterers_per_rotor must be >= 1")
         _require(self.rotor_count * self.scatterers_per_rotor <= MAX_ELEMENTS,
                  f"uav.rotor_count * scatterers_per_rotor must be <= {MAX_ELEMENTS}")
         _require(self.rotor_angular_velocity_rad_per_s > 0,
                  "uav.rotor_angular_velocity_rad_per_s must be > 0")
+        _require(math.isfinite(self.rotor_angular_velocity_rad_per_s),
+                 "uav.rotor_angular_velocity_rad_per_s must be finite")
         _require(self.body_reflectivity >= 0, "uav.body_reflectivity must be >= 0")
         shape = (self.rotor_count, self.scatterers_per_rotor)
-        normalized = {}
         for name in ("scatterer_radii_m", "initial_phases_rad",
                      "blade_plane_angle_rad", "scatterer_reflectivities"):
             try:
@@ -203,12 +204,10 @@ class UavConfig:
                 raise ValidationError(
                     f"uav.{name} must broadcast to (rotor_count, scatterers_per_rotor)={shape}")
             _require(np.all(np.isfinite(arr)), f"uav.{name} must be finite")
-            normalized[name] = arr  # a broadcast_to view: read-only
-        _require(np.all(normalized["scatterer_radii_m"] >= 0),
-                 "uav.scatterer_radii_m must be >= 0")
-        _require(np.all(normalized["scatterer_reflectivities"] >= 0),
+            object.__setattr__(self, name, arr)  # a broadcast_to view: read-only
+        _require(np.all(self.scatterer_radii_m >= 0), "uav.scatterer_radii_m must be >= 0")
+        _require(np.all(self.scatterer_reflectivities >= 0),
                  "uav.scatterer_reflectivities must be >= 0")
-        return replace(self, **normalized)
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,9 @@ class TrajectorySpec:
 
     segments: tuple = ()
 
-    def validate(self, max_range_m: float | None = None) -> "TrajectorySpec":
-        _require(len(self.segments) >= 1, "trajectory must contain at least one segment")
+    def __post_init__(self) -> None:
         segs = tuple(self.segments)
+        _require(len(segs) >= 1, "trajectory must contain at least one segment")
         for i, seg in enumerate(segs):
             _require(seg.duration_s > 0, f"trajectory segment {i} duration must be > 0")
             if i > 0:
@@ -251,10 +250,7 @@ class TrajectorySpec:
         for i, seg in enumerate(segs):
             for r in (seg.start_range_m, seg.end_range_m):
                 _require(r > 0, f"trajectory segment {i} leaves range <= 0")
-                if max_range_m is not None:
-                    _require(r < max_range_m,
-                             f"trajectory segment {i} exceeds max range {max_range_m:.3f} m")
-        return replace(self, segments=segs)
+        object.__setattr__(self, "segments", segs)
 
     @property
     def start_time_s(self) -> float:
@@ -287,13 +283,13 @@ class TrajectorySpec:
 
 
 def hover(range_m: float, duration_s: float, start_time_s: float = 0.0) -> TrajectorySpec:
-    return TrajectorySpec((TrajectorySegment(start_time_s, duration_s, range_m, 0.0),)).validate()
+    return TrajectorySpec((TrajectorySegment(start_time_s, duration_s, range_m, 0.0),))
 
 
 def constant_velocity(start_range_m: float, velocity_m_per_s: float, duration_s: float,
                       start_time_s: float = 0.0) -> TrajectorySpec:
     return TrajectorySpec((TrajectorySegment(
-        start_time_s, duration_s, start_range_m, velocity_m_per_s),)).validate()
+        start_time_s, duration_s, start_range_m, velocity_m_per_s),))
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ class DerivedParams:
 
 
 def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
-    """Processing parameters for a validated radar config and a v_max in (0, c)."""
+    """Processing parameters for a radar config and a v_max in (0, c)."""
     c = radar.speed_of_light_m_per_s
     _require(0 < v_max_m_per_s < c,
              f"v_max_m_per_s must be finite and > 0, below the speed of light {c!r} m/s")
@@ -362,4 +358,4 @@ def load_radar_config(path) -> RadarConfig:
     kinds = {key: "integer" if type(default) is int else "number"
              for key, default in asdict(RadarConfig()).items()}
     radar = json_field(payload, "radar", "object", "radar config file")
-    return RadarConfig(**json_fields(radar, kinds, "radar")).validate()
+    return RadarConfig(**json_fields(radar, kinds, "radar"))

@@ -101,15 +101,12 @@ class SceneSpec:
     rng_seed: int = 0
     range_loss_ref_m: float | None = None  # if set, amplitudes scale by (ref/R)^2
 
-    def validate(self) -> "SceneSpec":
-        from dataclasses import replace
+    def __post_init__(self) -> None:
         if self.noise_std < 0:
             raise ValidationError("scene.noise_std must be >= 0")
-        emitters = []
-        for i, em in enumerate(self.emitters):
-            if isinstance(em, UavEmitter):
-                em = UavEmitter(em.uav.validate(), em.trajectory.validate())
-            elif isinstance(em, StaticClutter):
+        emitters = tuple(self.emitters)
+        for i, em in enumerate(emitters):  # a UavEmitter's configs checked themselves
+            if isinstance(em, StaticClutter):
                 if not (em.range_m > 0 and em.reflectivity >= 0):
                     raise ValidationError(f"scene emitter {i}: bad static clutter parameters")
             elif isinstance(em, Distractor):
@@ -120,10 +117,9 @@ class SceneSpec:
                     if np.signbit(em.params.get(key, 0.0)):
                         raise ValidationError(f"scene emitter {i}: {key} must be >= +0.0, "
                                               f"got {em.params[key]!r}")
-            else:
+            elif not isinstance(em, UavEmitter):
                 raise ValidationError(f"scene emitter {i}: unknown emitter type {type(em)}")
-            emitters.append(em)
-        return replace(self, emitters=tuple(emitters))
+        object.__setattr__(self, "emitters", emitters)
 
 
 def scatterer_range(uav: UavConfig, traj: TrajectorySpec, p: int, q: int, t):
@@ -266,7 +262,7 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
             amp = _blade_amplitude(em.uav, radar, frame_index, phase_scale)
         elif isinstance(em, StaticClutter):
             amp, rng_m = em.reflectivity, np.full_like(t_abs, em.range_m)
-        else:  # a Distractor of a known kind: SceneSpec.validate admits nothing else
+        else:  # a Distractor of a known kind: a SceneSpec admits nothing else
             amp = float(em.params.get("reflectivity", 1.0))
             rng_m = _distractor_range(em, radar, paths.get(i), frame_index, t_abs)
         if np.any(rng_m - reach <= 0.0) or np.any(rng_m + reach >= max_range):
@@ -288,8 +284,7 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
 
 def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
                       n_frames: int | None = None) -> list[Frame]:
-    """The first n_frames frames (default: radar.frames_per_capture) of the validated scene."""
-    scene = scene.validate()
+    """The first n_frames frames (default: radar.frames_per_capture) of the scene."""
     n = radar.frames_per_capture if n_frames is None else n_frames
     paths = _distractor_paths(scene, radar, n)
     return [Frame(_frame_samples(scene, radar, f, paths)) for f in range(n)]

@@ -50,10 +50,9 @@ class FoldOutcome:
 
 @dataclass(frozen=True)
 class FoldingMap:
-    """Folding results over range bins x frames, plus the winning sizes."""
+    """Folding results over range bins x frames."""
 
-    values: np.ndarray      # [n_range_bins, n_frames]
-    best_sizes: np.ndarray  # [n_range_bins, n_frames]
+    values: np.ndarray  # [n_range_bins, n_frames]
 
 
 def _size_range(length: int, j_min: int, j_max: int) -> np.ndarray:
@@ -104,8 +103,7 @@ def folding_result(d: np.ndarray, j_min: int = J_MIN, j_max: int = J_MAX) -> Fol
 def build_folding_map(cube) -> FoldingMap:
     """Fold every Doppler row of a magnitude cube [frames, range bins, Doppler bins].
 
-    values[r, t] is the folding result of range bin r in frame t over sizes
-    J_MIN..J_MAX; best_sizes holds the winning folding size.
+    values[r, t] is the folding result of range bin r in frame t over J_MIN..J_MAX.
 
     Each frame is folded on its own by fold_columns on cube[t].T, the frame
     with its Doppler axis first. For the cube rdmap.process_frames returns,
@@ -119,10 +117,6 @@ def build_folding_map(cube) -> FoldingMap:
     n_t, n_r, _ = cube.shape
 
     values = np.empty((n_r, n_t))
-    best = np.empty((n_r, n_t), dtype=int)
     for t in range(n_t):
-        sizes, per_size = fold_columns(cube[t].T)
-        idx = np.argmax(per_size, axis=0)  # first max == smallest size
-        values[:, t] = per_size[idx, np.arange(n_r)]
-        best[:, t] = sizes[idx]
-    return FoldingMap(values=values, best_sizes=best)
+        values[:, t] = fold_columns(cube[t].T)[1].max(axis=0)
+    return FoldingMap(values)

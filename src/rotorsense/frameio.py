@@ -115,4 +115,4 @@ def radar_from_header(header: dict) -> RadarConfig:
     A version 1 header carries no speed of light; its radar has c = 3.0e8 m/s.
     """
     return RadarConfig(**{field: (int if key in ("L", "Ns") else float)(header[key])
-                          for key, field in HEADER_FIELDS.items() if key in header}).validate()
+                          for key, field in HEADER_FIELDS.items() if key in header})

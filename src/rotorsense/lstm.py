@@ -43,7 +43,7 @@ import zlib
 
 import numpy as np
 
-from .config import ValidationError, json_document, json_field
+from .config import MAX_ELEMENTS, ValidationError, json_document, json_field
 
 
 class ModelError(ValidationError):
@@ -62,6 +62,10 @@ class LstmDetector:
     def __init__(self, input_dim: int, hidden_size: int = 128, seed: int = 0):
         if min(input_dim, hidden_size) < 1:
             raise ModelError("input_dim and hidden_size must be >= 1")
+        size = 4 * hidden_size * max(input_dim, hidden_size)  # the largest weight matrix
+        if size > MAX_ELEMENTS:  # checked before any draw or allocation
+            raise ModelError(f"hidden_size {hidden_size} with input_dim {input_dim} gives a "
+                             f"weight matrix of {size} elements, more than {MAX_ELEMENTS}")
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         self.seed = seed

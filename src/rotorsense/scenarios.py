@@ -34,7 +34,7 @@ def make_uav(seed: int = 0, rotation_rate_hz: float = ROTATION_RATE_HZ,
              body_reflectivity: float = 1.0) -> UavConfig:
     """UAV with randomized blade geometry drawn from the seed."""
     # The counts size the draws, so they are checked first.
-    UavConfig(rotor_count=rotor_count, scatterers_per_rotor=scatterers_per_rotor).validate()
+    UavConfig(rotor_count=rotor_count, scatterers_per_rotor=scatterers_per_rotor)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     shape = (rotor_count, scatterers_per_rotor)
     return UavConfig(
@@ -46,14 +46,14 @@ def make_uav(seed: int = 0, rotation_rate_hz: float = ROTATION_RATE_HZ,
         blade_plane_angle_rad=BLADE_PLANE_ANGLE_RAD + rng.uniform(-0.04, 0.04, shape),
         body_reflectivity=body_reflectivity,
         scatterer_reflectivities=blade_reflectivity,
-    ).validate()
+    )
 
 
 def uav_scene(trajectory: TrajectorySpec, seed: int = 0,
               rotation_rate_hz: float = ROTATION_RATE_HZ,
               noise_std: float = NOISE_STD, clutter=()) -> SceneSpec:
     emitters = (UavEmitter(make_uav(seed, rotation_rate_hz), trajectory),) + tuple(clutter)
-    return SceneSpec(emitters=emitters, noise_std=noise_std, rng_seed=seed).validate()
+    return SceneSpec(emitters=emitters, noise_std=noise_std, rng_seed=seed)
 
 
 def hover_scene(range_m: float = 48.0, duration_s: float = 3.7, seed: int = 0,
@@ -70,8 +70,7 @@ def ascent_scene(start_range_m: float = 40.0, velocity_m_per_s: float = 1.5,
 def background_scene(seed: int = 0, noise_std: float = NOISE_STD,
                      clutter=()) -> SceneSpec:
     """No UAV; used to estimate the background profile."""
-    return SceneSpec(emitters=tuple(clutter), noise_std=noise_std,
-                     rng_seed=seed).validate()
+    return SceneSpec(emitters=tuple(clutter), noise_std=noise_std, rng_seed=seed)
 
 
 def default_clutter() -> tuple:
@@ -89,7 +88,7 @@ def distractor_scene(kind: str, seed: int = 0, range_m: float = 48.0,
     elif kind == "slow-oscillator":
         params.update({"amplitude_m": 0.02, "drift_per_frame": 0.35})
     return SceneSpec(emitters=(Distractor(kind=kind, params=params),),
-                     noise_std=noise_std, rng_seed=seed).validate()
+                     noise_std=noise_std, rng_seed=seed)
 
 
 def sample_uav_scene(rng: np.random.Generator, duration_s: float = 3.7) -> SceneSpec:
@@ -109,8 +108,7 @@ def sample_uav_scene(rng: np.random.Generator, duration_s: float = 3.7) -> Scene
                    rotor_count=int(rng.choice([4, 6])), scatterers_per_rotor=2,
                    blade_reflectivity=float(rng.uniform(0.16, 0.26)))
     emitters = (UavEmitter(uav, traj),)
-    return SceneSpec(emitters=emitters, noise_std=DATASET_NOISE_STD,
-                     rng_seed=seed).validate()
+    return SceneSpec(emitters=emitters, noise_std=DATASET_NOISE_STD, rng_seed=seed)
 
 
 def sample_distractor_scene(rng: np.random.Generator) -> SceneSpec:

@@ -9,7 +9,7 @@ from rotorsense import scenarios
 
 @pytest.fixture(scope="session")
 def radar():
-    return RadarConfig().validate()
+    return RadarConfig()
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from conftest import comb_spacing_estimate
 from test_folding import naive_folding_value, fig_comb
 from test_tracking import brute_force_max_path
 
-RADAR = RadarConfig().validate()
+RADAR = RadarConfig()
 DERIVED = derive(RADAR, v_max_m_per_s=4.0)
 
 
@@ -275,7 +275,7 @@ def test_criterion_9_preprocessing_invariants(identification_experiment):
                                  blade_reflectivity=0.2)
         traj = hover(48.0, 3.7) if v == 0 else constant_velocity(48.0, v, 3.7)
         scene = SceneSpec(emitters=(UavEmitter(uav, traj),),
-                          noise_std=scenarios.DATASET_NOISE_STD, rng_seed=seed).validate()
+                          noise_std=scenarios.DATASET_NOISE_STD, rng_seed=seed)
         seg = scene_segment(scene, RADAR, WINDOW, threshold=0.0)
         scores = detector.forward(normalize_segment(seg.values))
         exp = np.exp(scores - scores.max())

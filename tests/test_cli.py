@@ -271,10 +271,12 @@ UAV, LEG = ("emitters", 0, "uav"), ("emitters", 0, "trajectory", 0)
     (_set(*UAV, "geometry_seed", -1), "scenario emitter 0 uav geometry_seed = -1 is negative"),
     (_set(*UAV, "rotor_count", -1), "uav.rotor_count must be >= 1"),
     (_set(*UAV, "rotor_count", 2**40), "uav.rotor_count * scatterers_per_rotor must be <="),
+    (_set(*UAV, "rotation_rate_hz", 1e308), "uav.rotor_angular_velocity_rad_per_s must be finite"),
 ], ids=["rotor-count-fraction", "rotor-count-bool", "rotor-count-string", "seed-fraction",
         "noise-nan", "noise-inf", "rotation-rate-inf", "leg-start-nan", "seed-1e400",
         "rotor-count-1e400", "noise-400-digits", "range-400-digits", "seed-negative",
-        "geometry-seed-negative", "rotor-count-negative", "rotor-count-huge"])
+        "geometry-seed-negative", "rotor-count-negative", "rotor-count-huge",
+        "rotation-rate-1e308"])
 def test_mistyped_scenario_value_exits_one(tmp_path, capsys, edit, named):
     """Each of these ran with a coerced value, or exited 3, before scenario fields were typed."""
     edit, raw = edit
@@ -354,9 +356,9 @@ def test_identify_dataset_rejects_capture_flags(tmp_path, capsys):
 
 def test_background_from_another_radar_exits_one(pipeline_run, tmp_path, capsys):
     other = RadarConfig(chirp_duration_s=1.8e-3, carrier_freq_hz=77e9,
-                        adc_rate_hz=3.125e6).validate()
+                        adc_rate_hz=3.125e6)
     scene = SceneSpec(emitters=(StaticClutter(12.0, 2.0),), noise_std=4.0,
-                      rng_seed=3).validate()
+                      rng_seed=3)
     frameio.write_frames(tmp_path / "bg.bin", synthesize_frames(scene, other, 3), other)
     assert main(["track", "--frames", str(pipeline_run / "run" / "frames.bin"),
                  "--background", str(tmp_path / "bg.bin"), "--out", str(tmp_path)]) == 1
@@ -675,6 +677,19 @@ def test_mistyped_record_or_manifest_field_exits_one(tmp_path, capsys, argv, nam
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "split").exists()
+
+
+def test_train_hidden_size_too_large_exits_one(tmp_path, capsys):
+    """--hidden 10000000 asks for 4e14 weights per matrix; it is refused before any
+    draw or allocation, where it once ended in a MemoryError (exit 3)."""
+    identify.save_segments(tmp_path / "train.bin",
+                           [identify.Segment(values=np.ones((4, 7)), label=lab)
+                            for lab in ("uav", "other")])
+    assert main(["train", "--dataset", str(tmp_path / "train.bin"), "--epochs", "1",
+                 "--hidden", "10000000", "--out", str(tmp_path / "out")]) == 1
+    assert "hidden_size 10000000 with input_dim 7 gives a weight matrix of" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_segments_of_two_shapes_exit_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rotorsense.config import (RadarConfig, TrajectorySegment, TrajectorySpec,
 
 
 def test_default_radar_is_valid():
-    radar = RadarConfig().validate()
+    radar = RadarConfig()
     assert radar.carrier_freq_hz == 60.25e9
     assert radar.chirp_slope_hz_per_s == 9.994e12
     assert radar.chirp_duration_s == 900e-6
@@ -20,32 +21,42 @@ def test_default_radar_is_valid():
 
 def test_single_chirp_frame_rejected():
     with pytest.raises(ValidationError, match="chirps_per_frame"):
-        RadarConfig(chirps_per_frame=1).validate()
+        RadarConfig(chirps_per_frame=1)
+
+
+def test_replace_checks_the_new_config():
+    """Construction is the check, so dataclasses.replace cannot build an invalid copy."""
+    with pytest.raises(ValidationError, match="radar.chirps_per_frame must be >= 2"):
+        replace(RadarConfig(), chirps_per_frame=1)
+    with pytest.raises(ValidationError, match="uav.scatterer_radii_m must be >= 0"):
+        replace(UavConfig(), scatterer_radii_m=-0.1)
+    with pytest.raises(ValidationError, match="trajectory must contain at least one segment"):
+        replace(hover(48.0, 1.0), segments=())
 
 
 def test_sampling_window_must_fit_in_chirp():
     # 8192 samples at 6.25 MHz is a 1.31 ms window, longer than the 0.9 ms chirp
     with pytest.raises(ValidationError, match="window"):
-        RadarConfig(samples_per_chirp=8192).validate()
+        RadarConfig(samples_per_chirp=8192)
 
 
 def test_samples_per_chirp_power_of_two():
     with pytest.raises(ValidationError, match="power of two"):
-        RadarConfig(samples_per_chirp=200).validate()
+        RadarConfig(samples_per_chirp=200)
 
 
 def test_negative_rate_rejected():
     with pytest.raises(ValidationError):
-        RadarConfig(adc_rate_hz=-1.0).validate()
+        RadarConfig(adc_rate_hz=-1.0)
 
 
 def test_derive_max_range_matches_published_figure():
-    derived = derive(RadarConfig().validate(), 4.0)
+    derived = derive(RadarConfig(), 4.0)
     assert round(derived.max_range_m, 1) == 93.8
 
 
 def test_derive_default_grid():
-    derived = derive(RadarConfig().validate(), 4.0)
+    derived = derive(RadarConfig(), 4.0)
     assert abs(derived.range_bin_size_m - 0.3664) < 1e-4
     assert abs(derived.frame_duration_s - 0.090) < 1e-12
     assert abs(derived.doppler_bin_hz - 11.11) < 1e-2
@@ -57,11 +68,11 @@ def test_derive_default_grid():
                                    1e308])
 def test_derive_rejects_non_finite_or_non_positive_v_max(v_max):
     with pytest.raises(ValidationError, match="v_max_m_per_s must be finite and > 0"):
-        derive(RadarConfig().validate(), v_max)
+        derive(RadarConfig(), v_max)
 
 
 def test_dp_constraint_default_is_one_bin():
-    derived = derive(RadarConfig().validate(), 4.0)
+    derived = derive(RadarConfig(), 4.0)
     # 4 m/s * 0.09 s / 0.3664 m = 0.982 -> ceil = 1
     assert derived.dp_constraint_bins == 1
     assert derived.v_max_m_per_s == 4.0
@@ -70,36 +81,36 @@ def test_dp_constraint_default_is_one_bin():
 def test_dp_constraint_finer_grid_is_five_bins():
     # adc rate chosen so the range bin lands at 0.078 m
     target_bin = 0.078
-    radar = RadarConfig(adc_rate_hz=target_bin * 256 * 2 * 9.994e12 / 3e8).validate()
+    radar = RadarConfig(adc_rate_hz=target_bin * 256 * 2 * 9.994e12 / 3e8)
     derived = derive(radar, 4.0)
     assert abs(derived.range_bin_size_m - target_bin) < 1e-9
     assert derived.dp_constraint_bins == math.ceil(4.0 * 0.09 / target_bin) == 5
 
 
 def test_derive_scale_consistency():
-    base = RadarConfig().validate()
-    doubled = RadarConfig(adc_rate_hz=base.adc_rate_hz * 2).validate()
+    base = RadarConfig()
+    doubled = RadarConfig(adc_rate_hz=base.adc_rate_hz * 2)
     assert derive(doubled, 4.0).max_range_m == 2 * derive(base, 4.0).max_range_m
 
 
 def test_dp_constraint_monotonicity():
-    radar = RadarConfig().validate()
+    radar = RadarConfig()
     ks = [derive(radar, v).dp_constraint_bins for v in (0.5, 2.0, 4.0, 8.0, 16.0)]
     assert ks == sorted(ks)
-    slow_frame = RadarConfig(chirps_per_frame=200).validate()  # doubles frame time
+    slow_frame = RadarConfig(chirps_per_frame=200)  # doubles frame time
     assert derive(slow_frame, 4.0).dp_constraint_bins >= derive(radar, 4.0).dp_constraint_bins
-    fine = RadarConfig(adc_rate_hz=radar.adc_rate_hz / 4).validate()  # smaller bins
+    fine = RadarConfig(adc_rate_hz=radar.adc_rate_hz / 4)  # smaller bins
     assert derive(fine, 4.0).dp_constraint_bins >= derive(radar, 4.0).dp_constraint_bins
 
 
 def test_v_max_must_be_positive():
     with pytest.raises(ValidationError):
-        derive(RadarConfig().validate(), 0.0)
+        derive(RadarConfig(), 0.0)
 
 
 def test_uav_broadcasts_scalars():
     uav = UavConfig(rotor_count=2, scatterers_per_rotor=3,
-                    scatterer_radii_m=0.1, scatterer_reflectivities=0.2).validate()
+                    scatterer_radii_m=0.1, scatterer_reflectivities=0.2)
     assert uav.scatterer_radii_m.shape == (2, 3)
     assert not uav.scatterer_radii_m.flags.writeable
 
@@ -107,23 +118,34 @@ def test_uav_broadcasts_scalars():
 def test_uav_rejects_bad_shapes_and_values():
     with pytest.raises(ValidationError, match="broadcast"):
         UavConfig(rotor_count=2, scatterers_per_rotor=2,
-                  scatterer_radii_m=np.ones((3, 3))).validate()
+                  scatterer_radii_m=np.ones((3, 3)))
     with pytest.raises(ValidationError, match="radii"):
-        UavConfig(scatterer_radii_m=-0.1).validate()
+        UavConfig(scatterer_radii_m=-0.1)
     with pytest.raises(ValidationError):
-        UavConfig(rotor_angular_velocity_rad_per_s=0.0).validate()
+        UavConfig(rotor_angular_velocity_rad_per_s=0.0)
+
+
+@pytest.mark.parametrize("rate, named", [
+    (math.inf, "must be finite"), (2 * math.pi * 1e308, "must be finite"),
+    (math.nan, "must be > 0"),
+], ids=["inf", "2pi-1e308", "nan"])
+def test_uav_rotor_rate_must_be_finite_and_positive(rate, named):
+    """A scenario rotation_rate_hz of 1e308 gives an infinite rate that synthesis
+    once ran on, warning, until the non-finite samples were refused."""
+    with pytest.raises(ValidationError, match=f"uav.rotor_angular_velocity_rad_per_s {named}"):
+        UavConfig(rotor_angular_velocity_rad_per_s=rate)
 
 
 def test_trajectory_contiguity_enforced():
     segs = (TrajectorySegment(0.0, 1.0, 40.0, 0.0),
             TrajectorySegment(1.5, 1.0, 40.0, 0.0))
     with pytest.raises(ValidationError, match="contiguous"):
-        TrajectorySpec(segs).validate()
+        TrajectorySpec(segs)
 
 
 def test_trajectory_piecewise_evaluation():
     spec = TrajectorySpec((TrajectorySegment(0.0, 2.0, 40.0, 1.0),
-                           TrajectorySegment(2.0, 2.0, 42.0, -0.5))).validate()
+                           TrajectorySegment(2.0, 2.0, 42.0, -0.5)))
     assert spec.range_at(0.0) == 40.0
     assert spec.range_at(2.0) == 42.0
     assert abs(spec.range_at(3.0) - 41.5) < 1e-12
@@ -144,12 +166,10 @@ def test_trajectory_time_bounds():
 def test_trajectory_range_bounds():
     with pytest.raises(ValidationError, match="range"):
         constant_velocity(1.0, -2.0, 1.0)  # goes through zero
-    with pytest.raises(ValidationError, match="max range"):
-        hover(100.0, 1.0).validate(max_range_m=93.8)
 
 
 def test_config_file_round_trip(tmp_path):
-    radar = RadarConfig(samples_per_chirp=128, frames_per_capture=7).validate()
+    radar = RadarConfig(samples_per_chirp=128, frames_per_capture=7)
     path = tmp_path / "radar.json"
     save_radar_config(radar, path)
     loaded = load_radar_config(path)
@@ -188,11 +208,11 @@ def test_config_file_rejects_wrong_version(tmp_path):
 def test_radar_grid_must_be_finite(radar, named):
     """Counts and grids that would overflow or size an impossible array are rejected."""
     with pytest.raises(ValidationError, match=named):
-        RadarConfig(**radar).validate()
+        RadarConfig(**radar)
 
 
 def test_derive_rejects_non_finite_motion_bound():
-    radar = RadarConfig(chirp_duration_s=1e305, chirps_per_frame=2).validate()
+    radar = RadarConfig(chirp_duration_s=1e305, chirps_per_frame=2)
     with pytest.raises(ValidationError, match="must be finite"):
         derive(radar, 1e8)
 

@@ -42,8 +42,8 @@ SCENARIO = {
 }
 
 # Small grids keep one command run to a few milliseconds.
-CAPTURE_RADAR = RadarConfig(chirps_per_frame=40, samples_per_chirp=16).validate()
-SCENARIO_RADAR = RadarConfig(chirps_per_frame=8, samples_per_chirp=16).validate()
+CAPTURE_RADAR = RadarConfig(chirps_per_frame=40, samples_per_chirp=16)
+SCENARIO_RADAR = RadarConfig(chirps_per_frame=8, samples_per_chirp=16)
 
 RECORD = {"W": 4, "L": 7, "label": "uav", "max_folding_result": 2.5, "passed_filter": True,
           "provenance": {"scene": "uav"}}

@@ -24,18 +24,18 @@ HOVER48 = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "hover48
 
 @pytest.fixture(scope="module")
 def radar():
-    return RadarConfig().validate()
+    return RadarConfig()
 
 
 def test_scatterer_range_zero_radius_is_hub_range():
-    uav = UavConfig(scatterer_radii_m=0.0).validate()
+    uav = UavConfig(scatterer_radii_m=0.0)
     traj = constant_velocity(40.0, 1.0, 2.0)
     t = np.linspace(0.0, 2.0, 11)
     assert np.array_equal(scatterer_range(uav, traj, 0, 0, t), traj.range_at(t))
 
 
 def test_scatterer_range_perpendicular_blade_plane_has_no_projection():
-    uav = UavConfig(scatterer_radii_m=0.3, blade_plane_angle_rad=math.pi / 2).validate()
+    uav = UavConfig(scatterer_radii_m=0.3, blade_plane_angle_rad=math.pi / 2)
     traj = hover(40.0, 2.0)
     t = np.linspace(0.0, 2.0, 50)
     assert np.max(np.abs(scatterer_range(uav, traj, 0, 0, t) - 40.0)) < 1e-12
@@ -45,7 +45,7 @@ def test_scatterer_range_matches_formula_transcription():
     # independent transcription: hub + r cos(w t + phi) cos(theta)
     uav = UavConfig(scatterer_radii_m=0.25, initial_phases_rad=0.0,
                     blade_plane_angle_rad=0.0,
-                    rotor_angular_velocity_rad_per_s=2 * math.pi * 55.6).validate()
+                    rotor_angular_velocity_rad_per_s=2 * math.pi * 55.6)
     traj = hover(48.0, 2.0)
     assert abs(scatterer_range(uav, traj, 0, 0, 0.0) - 48.25) < 1e-12
     for t in (0.0, 0.013, 0.5, 1.9):
@@ -54,18 +54,18 @@ def test_scatterer_range_matches_formula_transcription():
 
 
 def test_scatterer_range_outside_trajectory_errors():
-    uav = UavConfig().validate()
+    uav = UavConfig()
     with pytest.raises(ValidationError, match="span"):
         scatterer_range(uav, hover(40.0, 1.0), 0, 0, 2.0)
 
 
 def _lone_frame(scene, radar, f):
     """Frame f of a scene with no moving distractor, synthesized alone."""
-    return _frame_samples(scene.validate(), radar, f, {})
+    return _frame_samples(scene, radar, f, {})
 
 
 def test_static_point_rows_identical_constant_modulus(radar):
-    scene = SceneSpec(emitters=(StaticClutter(30.0, 0.7),)).validate()
+    scene = SceneSpec(emitters=(StaticClutter(30.0, 0.7),))
     samples = synthesize_frames(scene, radar, 1)[0].samples
     assert np.array_equal(samples[0], samples[17])
     assert np.array_equal(samples[1], samples[99])
@@ -73,7 +73,7 @@ def test_static_point_rows_identical_constant_modulus(radar):
 
 
 def test_noise_statistics(radar):
-    scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=123).validate()
+    scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=123)
     samples = np.concatenate([frame.samples.ravel()
                               for frame in synthesize_frames(scene, radar, 5)])
     n = samples.size
@@ -90,7 +90,7 @@ def test_noise_statistics(radar):
 def test_body_slow_time_phase_advance(radar):
     # expected chirp-to-chirp phase step 2*pi*(2 v fc / c)*Tc, v = 1.5 m/s;
     # the slope-time cross term shifts it by ~0.4%, hence the loose tolerance
-    uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
+    uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0)
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(48.0, 1.5, 4.0)),))
     spectrum = np.fft.fft(synthesize_frames(scene, radar, 1)[0].samples, axis=1)
     peak_bin = int(np.argmax(np.abs(spectrum[0])))
@@ -102,9 +102,9 @@ def test_body_slow_time_phase_advance(radar):
 
 def test_linearity(radar):
     uav = scenarios.make_uav(seed=3)
-    a = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),)).validate()
-    b = SceneSpec(emitters=(StaticClutter(20.0, 1.1), StaticClutter(33.0, 0.4))).validate()
-    both = SceneSpec(emitters=a.emitters + b.emitters).validate()
+    a = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),))
+    b = SceneSpec(emitters=(StaticClutter(20.0, 1.1), StaticClutter(33.0, 0.4)))
+    both = SceneSpec(emitters=a.emitters + b.emitters)
     fa = _lone_frame(a, radar, 2)
     fb = _lone_frame(b, radar, 2)
     fab = _lone_frame(both, radar, 2)
@@ -114,16 +114,16 @@ def test_linearity(radar):
 def test_blade_off_reduction(radar):
     traj = constant_velocity(48.0, 1.0, 4.0)
     body_only = UavConfig(body_reflectivity=1.0, scatterer_radii_m=0.0,
-                          scatterer_reflectivities=0.0).validate()
+                          scatterer_reflectivities=0.0)
     zero_radius = UavConfig(body_reflectivity=1.0, scatterer_radii_m=0.0,
-                            scatterer_reflectivities=0.1).validate()
+                            scatterer_reflectivities=0.1)
     f_body = _lone_frame(SceneSpec(emitters=(UavEmitter(body_only, traj),)), radar, 1)
     f_flat = _lone_frame(SceneSpec(emitters=(UavEmitter(zero_radius, traj),)), radar, 1)
     # scatterers collapsed onto the hub act as extra body amplitude
     scale = 1.0 + 0.1 * zero_radius.rotor_count * zero_radius.scatterers_per_rotor
     assert np.allclose(f_flat, scale * f_body, rtol=1e-6, atol=1e-9)
     # with zero reflectivity they vanish exactly
-    silent = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
+    silent = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0)
     f_silent = _lone_frame(SceneSpec(emitters=(UavEmitter(silent, traj),)), radar, 1)
     assert np.array_equal(f_silent, f_body)
 
@@ -138,28 +138,28 @@ def test_seeded_determinism(radar):
 
 
 def test_frame_timebase(radar):
-    scene = SceneSpec(emitters=()).validate()
+    scene = SceneSpec(emitters=())
     samples = _lone_frame(scene, radar, 7)
     assert samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
 
 
 def test_emitter_out_of_range_errors(radar):
-    scene = SceneSpec(emitters=(StaticClutter(100.0, 1.0),)).validate()
+    scene = SceneSpec(emitters=(StaticClutter(100.0, 1.0),))
     with pytest.raises(SimulationError, match="emitter 0"):
         synthesize_frames(scene, radar, 1)
 
 
 def test_range_loss_scaling(radar):
-    base = SceneSpec(emitters=(StaticClutter(40.0, 1.0),)).validate()
+    base = SceneSpec(emitters=(StaticClutter(40.0, 1.0),))
     flagged = SceneSpec(emitters=(StaticClutter(40.0, 1.0),),
-                        range_loss_ref_m=20.0).validate()
+                        range_loss_ref_m=20.0)
     f0 = synthesize_frames(base, radar, 1)[0].samples
     f1 = synthesize_frames(flagged, radar, 1)[0].samples
     assert np.allclose(f1, 0.25 * f0, rtol=1e-6)
 
 
 def _lone_distractor(kind, params, rng_seed=0):
-    return SceneSpec((Distractor(kind, params),), rng_seed=rng_seed).validate()
+    return SceneSpec((Distractor(kind, params),), rng_seed=rng_seed)
 
 
 def test_static_blob_energy_confined_to_dc(radar):
@@ -189,8 +189,7 @@ def test_unknown_distractor_kind_errors(radar):
 @pytest.mark.parametrize("scene", [
     SceneSpec(emitters=(StaticClutter(12.0, 1e300),)),
     SceneSpec(noise_std=1e308),
-    scenarios.hover_scene(48.0, rotation_rate_hz=1e308, noise_std=0.0),
-], ids=["reflectivity", "noise", "rotation-rate"])
+], ids=["reflectivity", "noise"])
 def test_scene_whose_samples_overflow_errors(radar, scene):
     """Finite but extreme values once wrote a NaN capture that only `track` refused."""
     with pytest.raises(SimulationError, match="frame 0: the scene's samples are not finite"):
@@ -218,7 +217,7 @@ def test_slow_oscillator_folds_below_uav_at_equal_power(radar):
                                  {"range_m": 48.0, "reflectivity": math.sqrt(uav_power),
                                   "base_rate_hz": 55.6, "drift_per_frame": 0.35,
                                   "amplitude_m": 0.02}),),
-            noise_std=scenarios.NOISE_STD, rng_seed=trial).validate()
+            noise_std=scenarios.NOISE_STD, rng_seed=trial)
         bin_ = beat_range_bin(radar, 48.0)
         best_uav, best_osc = (
             max(folding_result(row).folding_result
@@ -240,7 +239,7 @@ def test_scene_truth(radar):
 
 
 def test_synthesize_frames_count(radar):
-    scene = SceneSpec(emitters=(), noise_std=0.5, rng_seed=1).validate()
+    scene = SceneSpec(emitters=(), noise_std=0.5, rng_seed=1)
     frames = synthesize_frames(scene, radar, 3)
     assert len(frames) == 3
     assert all(f.samples.shape == (radar.chirps_per_frame, radar.samples_per_chirp)
@@ -249,11 +248,15 @@ def test_synthesize_frames_count(radar):
 
 
 def test_synthesize_frames_uses_the_validated_scene(radar):
-    """A default UavConfig keeps scalar blade fields until validate() broadcasts them
-    to rotors x scatterers; synthesis must run on that validated scene."""
-    raw = SceneSpec(emitters=(UavEmitter(UavConfig(), hover(48.0, 1.0)),))
-    got = synthesize_frames(raw, radar, 1)[0].samples
-    assert got.tobytes() == _frame_samples(raw.validate(), radar, 0, {}).tobytes()
+    """A freshly built UavConfig() already holds [rotor, scatterer] arrays, because
+    construction is the check: synthesis once ran a raw default config as 1 blade
+    scatterer instead of its 6 x 3."""
+    uav = UavConfig()
+    assert uav.scatterer_radii_m.shape == uav.initial_phases_rad.shape == (6, 3)
+    six_by_three, one = (
+        synthesize_frames(SceneSpec(emitters=(UavEmitter(u, hover(48.0, 1.0)),)), radar, 1)
+        for u in (uav, UavConfig(rotor_count=1, scatterers_per_rotor=1)))
+    assert not np.array_equal(six_by_three[0].samples, one[0].samples)
 
 
 def _oracle(scene, radar, frame_index):
@@ -291,7 +294,7 @@ def test_blade_kernel_matches_per_scatterer_oracle(radar, rotors, per_rotor, dat
                     initial_phases_rad=draw(0.0, 2 * math.pi),
                     blade_plane_angle_rad=draw(0.0, math.pi),
                     body_reflectivity=body,
-                    scatterer_reflectivities=draw(0.0, 1.0)).validate()
+                    scatterer_reflectivities=draw(0.0, 1.0))
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(40.0, velocity, 4.0)),))
     got = _lone_frame(scene, radar, frame_index)
     want, scale_max = _oracle(scene, radar, frame_index)
@@ -313,7 +316,7 @@ def test_blade_kernel_matches_per_scatterer_oracle(radar, rotors, per_rotor, dat
 
 
 def test_uav_range_check_covers_blade_envelope(radar):
-    uav = UavConfig(scatterer_radii_m=0.25, blade_plane_angle_rad=0.0).validate()
+    uav = UavConfig(scatterer_radii_m=0.25, blade_plane_angle_rad=0.0)
     reach = 0.25
     max_range = derive(radar).max_range_m
     # the hub stays inside; only the blades cross max range
@@ -326,8 +329,8 @@ def test_uav_range_check_covers_blade_envelope(radar):
 
 def test_hover_uav_range_loss_scales_at_hub_range(radar):
     uav = scenarios.make_uav(seed=4)
-    plain = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),)).validate()
-    lossy = SceneSpec(emitters=plain.emitters, range_loss_ref_m=20.0).validate()
+    plain = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 4.0)),))
+    lossy = SceneSpec(emitters=plain.emitters, range_loss_ref_m=20.0)
     f0 = _lone_frame(plain, radar, 3)
     f1 = _lone_frame(lossy, radar, 3)
     assert np.allclose(f1, (20.0 / 48.0) ** 2 * f0, rtol=1e-6)
@@ -338,7 +341,7 @@ import hashlib, sys
 from rotorsense.cli import load_scenario
 from rotorsense.config import RadarConfig
 from rotorsense.echo import synthesize_frames
-frames = synthesize_frames(load_scenario(sys.argv[1], 0), RadarConfig().validate(), 3)
+frames = synthesize_frames(load_scenario(sys.argv[1], 0), RadarConfig(), 3)
 print(hashlib.sha256(b"".join(f.samples.tobytes() for f in frames)).hexdigest())
 """
 

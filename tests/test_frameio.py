@@ -15,12 +15,12 @@ from rotorsense.frameio import (FormatError, HEADER_BYTES, _decode_frames, _head
 @pytest.fixture(scope="module")
 def small_radar():
     return RadarConfig(chirps_per_frame=8, samples_per_chirp=16,
-                       frames_per_capture=3).validate()
+                       frames_per_capture=3)
 
 
 def test_round_trip(tmp_path, small_radar):
     scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),), noise_std=0.3,
-                      rng_seed=5).validate()
+                      rng_seed=5)
     frames = synthesize_frames(scene, small_radar, 3)
     path = tmp_path / "frames.bin"
     write_frames(path, frames, small_radar)
@@ -39,7 +39,7 @@ def test_round_trip(tmp_path, small_radar):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
-    radar = RadarConfig(chirps_per_frame=4, samples_per_chirp=8).validate()
+    radar = RadarConfig(chirps_per_frame=4, samples_per_chirp=8)
     parts = data.draw(arrays(np.float32, (n_frames, 4, 8, 2),
                              elements=st.floats(width=32, allow_nan=False)))
     samples = np.empty(parts.shape[:3], dtype=np.complex128)
@@ -84,7 +84,7 @@ def test_write_frames_bytes_equal_reference_writer(tmp_path, small_radar):
     samples += [np.zeros(shape, dtype=complex), mixed, np.asfortranarray(mixed),
                 np.resize(specials, shape)]  # a real array writes a zero imaginary part
     scene = SceneSpec(emitters=(StaticClutter(30.0, 1.0),), noise_std=0.3,
-                      rng_seed=5).validate()
+                      rng_seed=5)
     samples += [f.samples for f in synthesize_frames(scene, small_radar, 2)]
     frames = [Frame(s) for s in samples]
     write_frames(tmp_path / "new.bin", frames, small_radar)
@@ -122,7 +122,7 @@ def test_corrupt_header_rejected(tmp_path):
 
 
 def test_partial_frame_payload_rejected(tmp_path, small_radar):
-    scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=0).validate()
+    scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=0)
     frames = synthesize_frames(scene, small_radar, 1)
     path = tmp_path / "frames.bin"
     write_frames(path, frames, small_radar)
@@ -231,7 +231,7 @@ def test_radar_from_header_round_trip(tmp_path, small_radar):
 
 
 def test_speed_of_light_round_trip(tmp_path):
-    radar = RadarConfig(speed_of_light_m_per_s=299792458.0).validate()
+    radar = RadarConfig(speed_of_light_m_per_s=299792458.0)
     path = tmp_path / "frames.bin"
     write_frames(path, [], radar)
     header = read_header(path)
@@ -240,7 +240,7 @@ def test_speed_of_light_round_trip(tmp_path):
     assert back.speed_of_light_m_per_s == 299792458.0
     assert derive(back).max_range_m == derive(radar).max_range_m
     assert radar_mismatch(back, radar) == []
-    assert radar_mismatch(back, RadarConfig().validate()) == ["c"]
+    assert radar_mismatch(back, RadarConfig()) == ["c"]
 
 
 def test_version_1_header_reads_with_default_speed_of_light(tmp_path, small_radar):

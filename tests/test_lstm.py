@@ -190,6 +190,36 @@ def test_training_bytes_do_not_depend_on_blas_threads():
     assert run.stdout.strip() == out.getvalue().strip()
 
 
+@pytest.mark.parametrize("input_dim, hidden_size", [
+    (1, 2049), (100, 10**7), (2**22 + 1, 1), (2**40, 2**40)])
+def test_oversized_detector_rejected_before_any_draw_or_allocation(monkeypatch, input_dim,
+                                                                    hidden_size):
+    """4 * H * max(D, H) weights in the largest matrix may not exceed MAX_ELEMENTS; the
+    check runs before the generator exists, so nothing is drawn or allocated."""
+    def no_draws(*args):
+        raise AssertionError("the detector drew weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ModelError, match=f"hidden_size {hidden_size} with input_dim "
+                                         f"{input_dim} gives a weight matrix of "
+                                         f"{4 * hidden_size * max(input_dim, hidden_size)} "
+                                         f"elements, more than 16777216"):
+        LstmDetector(input_dim, hidden_size)
+
+
+def test_detector_size_bound_is_inclusive(monkeypatch):
+    """4 * 4 * 2**20 is exactly MAX_ELEMENTS: no error, the draw is reached."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(np.random, "default_rng", reached)
+    with pytest.raises(Reached):
+        LstmDetector(2**20, 4)
+
+
 def test_single_class_dataset_rejected():
     det = LstmDetector(input_dim=2, hidden_size=3, seed=0)
     x = np.zeros((4, 3, 2))

@@ -135,7 +135,7 @@ def test_body_doppler_peak_aliases(radar):
     # 1.5 m/s -> 602.5 Hz, beyond PRF/2, aliases to -508.6 Hz
     predicted_hz = aliased_doppler_hz(radar, 1.5)
     assert abs(predicted_hz - (-508.6)) < 0.1
-    uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
+    uav = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0)
     scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(48.0, 1.5, 4.0)),))
     rd = _first_map(scene, radar)
     row = rd[int(np.argmax(rd.max(axis=1)))]
@@ -164,7 +164,7 @@ def test_comb_spacing_tracks_rotation_rate(radar):
     for rate, expected in ((22.3, 2), (33.3, 3), (55.6, 5), (111.1, 10), (222.2, 20)):
         uav = scenarios.make_uav(seed=4, rotation_rate_hz=rate)
         scene = SceneSpec(emitters=(UavEmitter(uav, hover(48.0, 1.0)),),
-                          noise_std=scenarios.NOISE_STD, rng_seed=40).validate()
+                          noise_std=scenarios.NOISE_STD, rng_seed=40)
         rows = process_frames(synthesize_frames(scene, radar, 8))[:, UAV_RANGE_BIN]
         spacing = comb_spacing_estimate(np.mean(rows, axis=0), exclude=(dc - 2, dc + 2))
         assert spacing is not None and abs(spacing - expected) <= 1, \
@@ -204,7 +204,7 @@ def test_parseval_through_both_ffts(radar):
 
 def test_body_argmax_invariant_under_blades(radar):
     traj = constant_velocity(48.0, 1.5, 4.0)
-    body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0).validate()
+    body = UavConfig(scatterer_radii_m=0.0, scatterer_reflectivities=0.0)
     bladed = scenarios.make_uav(seed=5)
     rd_body = _first_map(SceneSpec(emitters=(UavEmitter(body, traj),)), radar)
     rd_blade = _first_map(SceneSpec(emitters=(UavEmitter(bladed, traj),)), radar)

@@ -197,7 +197,7 @@ def test_dp_empty_map_errors():
 
 @pytest.fixture(scope="module")
 def pf_derived():
-    return derive(RadarConfig().validate(), 4.0)
+    return derive(RadarConfig(), 4.0)
 
 
 def test_pf_noiseless_constant_velocity(pf_derived):
