@@ -12,7 +12,9 @@ ValueError or KeyError included: a fault in the code.
 
 Each subcommand takes only the flags it reads; one that it would leave unread
 exits 1 (_reject_unread), and so does a numeric flag out of its range, checked
-at parse time. --v-max is the one motion assumption.
+at parse time. --v-max is the one motion assumption. A capture's radar is the
+one frameio.read_frames returns: its header's, or for a headerless int16
+capture the --raw-int16 radar config (default: the built-in radar).
 
 track_capture is the one capture recipe: `track`, `identify --frames` and the
 acceptance suite's end-to-end tracking check all track a capture and take its
@@ -137,21 +139,9 @@ def load_scenario(path, seed: int) -> SceneSpec:
 
 # --- shared pipeline pieces ---------------------------------------------------
 
-def _radar_for(args) -> RadarConfig:
-    if args.config:
-        return load_radar_config(args.config)
-    return RadarConfig()
-
-
-def _read_capture(path, args):
-    """Frames of a capture file plus the radar that recorded them, from the file's
-    header, or from --config for a headerless int16 file (--raw-int16)."""
-    if args.raw_int16:
-        radar = _radar_for(args)
-        return frameio.read_frames_int16(path, radar.chirps_per_frame,
-                                         radar.samples_per_chirp), radar
-    frames, header = frameio.read_frames(path)
-    return frames, frameio.radar_from_header(header)
+def _radar_for(config) -> RadarConfig:
+    """The radar of a config file, or the built-in radar without one."""
+    return load_radar_config(config) if config else RadarConfig()
 
 
 @dataclass(frozen=True)
@@ -200,11 +190,12 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: floa
 def _track_files(args):
     """Reads --frames (and --background, in the same format and from the same radar);
     returns the capture's magnitude cube and its CaptureTrack under --v-max and --seed."""
-    frames, radar = _read_capture(args.frames, args)
+    layout = None if args.raw_int16 is None else _radar_for(args.raw_int16)
+    frames, radar = frameio.read_frames(args.frames, layout)
     cube = process_frames(frames)
     background = None
     if args.background:
-        bg_frames, bg_radar = _read_capture(args.background, args)
+        bg_frames, bg_radar = frameio.read_frames(args.background, layout)
         mismatch = ", ".join(frameio.radar_mismatch(bg_radar, radar))
         if mismatch:
             raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
@@ -264,7 +255,7 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
 # --- subcommands --------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    radar = _radar_for(args)
+    radar = _radar_for(args.config)
     scene = load_scenario(args.scenario, args.seed)
     n_frames = args.frames or radar.frames_per_capture
     frames = echo.synthesize_frames(scene, radar, n_frames)
@@ -290,7 +281,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    _reject_unread(args)
     cube, result = _track_files(args)
     track = result.track
     out = Path(args.out)
@@ -429,7 +419,7 @@ def _save_split(segments, args, out: Path) -> int:
 
 
 def cmd_dataset_gen(args) -> int:
-    radar = _radar_for(args)
+    radar = _radar_for(args.config)
     window = identify.segment_window_frames(derive(radar))
     rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))
     threshold = background_threshold(radar, window,
@@ -480,25 +470,19 @@ def cmd_dataset_stats(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-# The flags a capture command may leave unread, by argparse dest, with their parser
+# The capture flags identify --dataset leaves unread, by argparse dest, with their parser
 # defaults; a flag counts as set when its value differs from its default.
-CAPTURE_FLAG_DEFAULTS = {"background": None, "raw_int16": False, "threshold": None,
-                         "v_max": 4.0, "config": None}
+CAPTURE_FLAG_DEFAULTS = {"background": None, "raw_int16": None, "threshold": None,
+                         "v_max": 4.0}
 
 
 def _reject_unread(args) -> None:
-    """Exit 1 naming the flags `track` or `identify` would not read: every capture flag
-    under identify --dataset, and --config without --raw-int16 (headers name the radar)."""
-    if getattr(args, "dataset", None):
-        dests, why = CAPTURE_FLAG_DEFAULTS, "identify --dataset takes no capture flags"
-    elif not args.raw_int16:
-        dests, why = ("config",), "--config is read only with --raw-int16"
-    else:
-        return
-    unread = ", ".join(f"--{dest.replace('_', '-')}" for dest in dests
-                       if getattr(args, dest) != CAPTURE_FLAG_DEFAULTS[dest])
-    if unread:
-        raise ValidationError(f"{why}: {unread}")
+    """Exit 1 naming the capture flags identify --dataset would not read."""
+    if args.dataset:
+        unread = ", ".join(f"--{dest.replace('_', '-')}" for dest in CAPTURE_FLAG_DEFAULTS
+                           if getattr(args, dest) != CAPTURE_FLAG_DEFAULTS[dest])
+        if unread:
+            raise ValidationError(f"identify --dataset takes no capture flags: {unread}")
 
 
 def _number(cast, rule: str, ok):
@@ -526,15 +510,13 @@ def _add_seed_out(p, seed_help="root seed; all component randomness derives from
 
 
 def _add_capture_flags(p):
-    p.add_argument("--config", help="radar config JSON giving the layout of --raw-int16 "
-                                    "files; read only with --raw-int16")
     p.add_argument("--v-max", type=float, default=CAPTURE_FLAG_DEFAULTS["v_max"],
                    help="largest radial speed in m/s: sets the DP motion constraint and "
                         "the particle filter's velocity prior")
     p.add_argument("--background", help="background capture for noise profile estimation")
-    p.add_argument("--raw-int16", action="store_true",
-                   help="frames and background files are headerless int16; layout from "
-                        "--config")
+    p.add_argument("--raw-int16", nargs="?", const="", metavar="CONFIG",
+                   help="frames and background files are headerless int16 in the layout "
+                        "of the radar config JSON CONFIG (default: the built-in radar)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="classify a capture or a segment dataset")
     _add_seed_out(p, seed_help="root seed; today it seeds only the particle filter, "
                                "whose output identify does not read")
-    p.add_argument("--frames", default=None)
-    p.add_argument("--dataset", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--frames")
+    source.add_argument("--dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=_FINITE,
                    help="fixed folding-filter threshold (default: the capture's noise "
@@ -615,8 +598,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "identify" and bool(args.frames) == bool(args.dataset):
-            raise ValidationError("identify needs exactly one of --frames / --dataset")
         return args.func(args)
     except (frameio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (RadarConfig, TrajectorySpec, UavConfig, ValidationError,
-                     derive)
+from .config import RadarConfig, TrajectorySpec, UavConfig, ValidationError
 
 # The parameters each distractor kind reads; a scenario file may set no other.
 _STATIC = ("range_m", "reflectivity")
@@ -249,7 +248,7 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
     tau = np.arange(N) / radar.adc_rate_hz
     c = radar.speed_of_light_m_per_s
     phase_scale = 4.0 * math.pi * (radar.carrier_freq_hz + radar.chirp_slope_hz_per_s * tau) / c
-    max_range = derive(radar).max_range_m
+    max_range = radar.max_range_m
 
     total = np.zeros((L, N), dtype=np.complex128)
     for i, em in enumerate(scene.emitters):
@@ -286,8 +285,10 @@ def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
                       n_frames: int | None = None) -> list[Frame]:
     """The first n_frames frames (default: radar.frames_per_capture) of the scene."""
     n = radar.frames_per_capture if n_frames is None else n_frames
-    paths = _distractor_paths(scene, radar, n)
-    return [Frame(_frame_samples(scene, radar, f, paths)) for f in range(n)]
+    # Extreme scene values may overflow; each frame's finiteness check refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _distractor_paths(scene, radar, n)
+        return [Frame(_frame_samples(scene, radar, f, paths)) for f in range(n)]
 
 
 def frame_mid_times(radar: RadarConfig, n_frames: int) -> np.ndarray:

@@ -7,9 +7,10 @@ complex64. The frame count follows from the file size.
 Schema version 2 added the speed of light c; version 1 files, which lack it,
 still read, with c = 3.0e8 m/s.
 
-Headerless int16 captures (interleaved re, im) are also readable when the
-frame layout is supplied by the caller, e.g. from the command line for
-recorded hardware data.
+read_frames is the one capture reader: it returns a capture's frames and the
+radar that recorded them. A frame file's header describes its radar; a
+headerless int16 capture (interleaved re, im, e.g. recorded hardware data) is
+read in the layout of a radar the caller supplies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .echo import Frame
 FRAME_MAGIC = "rotorsense-raw"
 FRAME_SCHEMA_VERSION = 2
 # The radar field under each header key, in header order; L and Ns are integers.
+# read_header builds the radar from them; write_frames writes them.
 HEADER_FIELDS = {"L": "chirps_per_frame", "Ns": "samples_per_chirp", "fs": "adc_rate_hz",
                  "Tc": "chirp_duration_s", "fc": "carrier_freq_hz", "K": "chirp_slope_hz_per_s",
                  "c": "speed_of_light_m_per_s"}
@@ -50,7 +52,11 @@ def write_frames(path, frames, radar: RadarConfig) -> None:
             fh.write(np.asarray(frame.samples).astype("<c8").tobytes())
 
 
-def read_header(path) -> dict:
+def read_header(path) -> RadarConfig:
+    """The radar a frame file's header describes; a header carries no capture length.
+
+    A version 1 header carries no speed of light; its radar has c = 3.0e8 m/s.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_BYTES)
     if len(raw) < HEADER_BYTES:
@@ -61,17 +67,16 @@ def read_header(path) -> dict:
     version = json_field(header, "schema_version", "integer", "frame header", FormatError)
     if version not in _HEADER_KEYS:
         raise FormatError(f"unsupported schema_version {version!r}")
-    for key in HEADER_FIELDS:
-        # A version 1 header needs no c, but one it carries is typed all the same.
-        if key in header or key in _HEADER_KEYS[version]:
-            json_field(header, key, "integer" if key in ("L", "Ns") else "number",
-                       "frame header", FormatError)
+    # A version 1 header needs no c, but one it carries is typed and read all the same.
+    fields = {field: json_field(header, key, "integer" if key in ("L", "Ns") else "number",
+                                "frame header", FormatError)
+              for key, field in HEADER_FIELDS.items()
+              if key in header or key in _HEADER_KEYS[version]}
     # The value rules are RadarConfig's; a header that breaks them is malformed.
     try:
-        radar_from_header(header)
+        return RadarConfig(**fields)
     except ValidationError as exc:
         raise FormatError(f"frame header does not describe a valid radar: {exc}")
-    return header
 
 
 def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
@@ -91,28 +96,18 @@ def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
     return [Frame(cube[i]) for i in range(n_frames)]
 
 
-def read_frames(path):
-    """Returns (frames, header dict)."""
-    header = read_header(path)
-    data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
-    return _decode_frames(data, int(header["L"]), int(header["Ns"])), header
-
-
-def read_frames_int16(path, chirps_per_frame: int, samples_per_chirp: int):
-    """Headerless int16 interleaved capture with caller-supplied layout."""
-    return _decode_frames(np.fromfile(path, dtype="<i2"), chirps_per_frame,
-                          samples_per_chirp)
+def read_frames(path, layout: RadarConfig | None = None):
+    """Returns (frames, radar): a frame file's frames and the radar its header
+    describes, or, given a `layout` radar, a headerless int16 capture's frames
+    in that radar's layout, and that radar."""
+    if layout is None:
+        radar = read_header(path)
+        data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
+    else:
+        radar, data = layout, np.fromfile(path, dtype="<i2")
+    return _decode_frames(data, radar.chirps_per_frame, radar.samples_per_chirp), radar
 
 
 def radar_mismatch(a: RadarConfig, b: RadarConfig) -> list[str]:
     """Header keys whose values differ between two radars, in header order."""
     return [key for key, field in HEADER_FIELDS.items() if getattr(a, field) != getattr(b, field)]
-
-
-def radar_from_header(header: dict) -> RadarConfig:
-    """Best-effort RadarConfig from a frame file header; a header carries no capture length.
-
-    A version 1 header carries no speed of light; its radar has c = 3.0e8 m/s.
-    """
-    return RadarConfig(**{field: (int if key in ("L", "Ns") else float)(header[key])
-                          for key, field in HEADER_FIELDS.items() if key in header})

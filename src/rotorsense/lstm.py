@@ -38,6 +38,7 @@ the forget gate (1.0, the usual stabilizer).
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 import zlib
 
@@ -315,6 +316,10 @@ def _read_member(data, name: str) -> np.ndarray:
 
 
 def load_model(path) -> LstmDetector:
+    """A model file's detector; a path is opened here and closed on every exit."""
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "rb") as fh:
+            return load_model(fh)
     try:
         archive = np.load(path)
     except _DAMAGED_ARCHIVE as exc:

@@ -325,7 +325,10 @@ def test_missing_file_exits_two(tmp_path):
 
 def test_identify_requires_one_input(tmp_path, capsys):
     assert main(["identify", "--model", "m.npz", "--out", str(tmp_path)]) == 1
-    assert "exactly one" in capsys.readouterr().err
+    assert "one of the arguments --frames --dataset is required" in capsys.readouterr().err
+    assert main(["identify", "--frames", "f.bin", "--dataset", "d.bin", "--model", "m.npz",
+                 "--out", str(tmp_path)]) == 1
+    assert "not allowed with argument --frames" in capsys.readouterr().err
 
 
 def test_identify_model_dim_mismatch_exits_one(tmp_path):
@@ -349,9 +352,11 @@ def test_identify_dataset_rejects_capture_flags(tmp_path, capsys):
     assert main(common) == 0
     capsys.readouterr()
     assert main(common + ["--background", "/nonexistent", "--raw-int16",
-                          "--threshold", "1e9", "--v-max", "5", "--config", "c.json"]) == 1
+                          "--threshold", "1e9", "--v-max", "5"]) == 1
     assert ("no capture flags: --background, --raw-int16, --threshold, "
-            "--v-max, --config\n") in capsys.readouterr().err
+            "--v-max\n") in capsys.readouterr().err
+    assert main(common + ["--raw-int16", "c.json"]) == 1
+    assert "no capture flags: --raw-int16\n" in capsys.readouterr().err
 
 
 def test_background_from_another_radar_exits_one(pipeline_run, tmp_path, capsys):
@@ -376,6 +381,29 @@ def test_raw_int16_background_is_read_as_int16(pipeline_run, tmp_path):
                  "--background", str(tmp_path / "bg.bin"), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["noise_profile_source"] == "background-capture"
+
+
+def test_raw_int16_reads_the_layout_of_its_radar_config(tmp_path, capsys):
+    """--raw-int16 CONFIG reads int16 captures in CONFIG's layout; bare, in the built-in one."""
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"schema_version": 1, "radar": {"chirps_per_frame": 16,
+                                                               "samples_per_chirp": 64}}))
+    for name, doc in (("run", HOVER_SCENARIO), ("bg", BACKGROUND_SCENARIO)):
+        assert main(["simulate", "--config", str(config), "--frames", "12", "--scenario",
+                     str(write_scenario(tmp_path, doc, f"{name}.json")),
+                     "--out", str(tmp_path / name)]) == 0
+        payload = np.fromfile(tmp_path / name / "frames.bin", dtype="<f4",
+                              offset=frameio.HEADER_BYTES)
+        np.round(payload).astype("<i2").tofile(tmp_path / f"{name}.bin")
+    capsys.readouterr()
+    raw = ["track", "--frames", str(tmp_path / "run.bin"), "--raw-int16"]
+    assert main(raw + [str(config), "--background", str(tmp_path / "bg.bin"),
+                       "--out", str(tmp_path / "track")]) == 0
+    summary = json.loads((tmp_path / "track" / "summary.json").read_text())
+    assert summary["frames"] == 12
+    assert summary["noise_profile_source"] == "background-capture"
+    assert main(raw + ["--out", str(tmp_path / "bare")]) == 2
+    assert "not a whole number of 100x256 frames" in capsys.readouterr().err
 
 
 def test_unreadable_model_exits_one(tmp_path, capsys):

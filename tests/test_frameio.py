@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 from rotorsense.config import RadarConfig, derive
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
 from rotorsense.frameio import (FormatError, HEADER_BYTES, _decode_frames, _header_dict,
-                                radar_from_header, radar_mismatch, read_frames,
-                                read_frames_int16, read_header, write_frames)
+                                radar_mismatch, read_frames, read_header, write_frames)
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +24,10 @@ def test_round_trip(tmp_path, small_radar):
     path = tmp_path / "frames.bin"
     write_frames(path, frames, small_radar)
 
-    loaded, header = read_frames(path)
-    assert header["L"] == 8 and header["Ns"] == 16
-    assert header["fc"] == small_radar.carrier_freq_hz
-    assert header["K"] == small_radar.chirp_slope_hz_per_s
+    loaded, radar = read_frames(path)
+    assert radar.chirps_per_frame == 8 and radar.samples_per_chirp == 16
+    assert radar.carrier_freq_hz == small_radar.carrier_freq_hz
+    assert radar.chirp_slope_hz_per_s == small_radar.chirp_slope_hz_per_s
     assert len(loaded) == 3
     for orig, back in zip(frames, loaded):
         # storage is float32; equality after the same quantization
@@ -46,8 +45,8 @@ def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
     samples.real, samples.imag = parts[..., 0], parts[..., 1]
     path = tmp_path_factory.getbasetemp() / "round_trip.bin"
     write_frames(path, [Frame(s) for s in samples], radar)
-    loaded, header = read_frames(path)
-    assert radar_mismatch(radar_from_header(header), radar) == []
+    loaded, read = read_frames(path)
+    assert radar_mismatch(read, radar) == []
     assert len(loaded) == n_frames
     for i, frame in enumerate(loaded):
         for back, part in ((frame.samples.real, parts[i, ..., 0]),
@@ -183,13 +182,14 @@ def test_int16_capture(tmp_path):
     cube = rng.integers(-2000, 2000, (2, 8, 16, 2), dtype=np.int16)
     path = tmp_path / "raw.bin"
     path.write_bytes(cube.astype("<i2").tobytes())
-    frames = read_frames_int16(path, 8, 16)
-    assert len(frames) == 2
+    layout = RadarConfig(chirps_per_frame=8, samples_per_chirp=16)
+    frames, radar = read_frames(path, layout)
+    assert radar is layout and len(frames) == 2
     assert np.array_equal(frames[0].samples.real, cube[0, :, :, 0].astype(float))
     assert np.array_equal(frames[1].samples.imag, cube[1, :, :, 1].astype(float))
     path.write_bytes(cube.astype("<i2").tobytes()[:-2])
-    with pytest.raises(FormatError, match="whole number"):
-        read_frames_int16(path, 8, 16)
+    with pytest.raises(FormatError, match="whole number of 8x16 frames"):
+        read_frames(path, layout)
 
 
 @pytest.mark.parametrize("dtype", ["<f4", "<i2"])
@@ -220,10 +220,10 @@ def test_decode_matches_explicit_re_im_assembly(dtype):
         assert frame.samples.tobytes() == expected[i].tobytes()
 
 
-def test_radar_from_header_round_trip(tmp_path, small_radar):
+def test_read_header_round_trip(tmp_path, small_radar):
     path = tmp_path / "frames.bin"
     write_frames(path, [], small_radar)
-    radar = radar_from_header(read_header(path))
+    radar = read_header(path)
     assert radar.chirps_per_frame == small_radar.chirps_per_frame
     assert radar.samples_per_chirp == small_radar.samples_per_chirp
     assert radar.carrier_freq_hz == small_radar.carrier_freq_hz
@@ -234,9 +234,9 @@ def test_speed_of_light_round_trip(tmp_path):
     radar = RadarConfig(speed_of_light_m_per_s=299792458.0)
     path = tmp_path / "frames.bin"
     write_frames(path, [], radar)
-    header = read_header(path)
+    header = json.loads(path.read_text())
     assert header["schema_version"] == 2 and header["c"] == 299792458.0
-    back = radar_from_header(header)
+    back = read_header(path)
     assert back.speed_of_light_m_per_s == 299792458.0
     assert derive(back).max_range_m == derive(radar).max_range_m
     assert radar_mismatch(back, radar) == []
@@ -250,8 +250,7 @@ def test_version_1_header_reads_with_default_speed_of_light(tmp_path, small_rada
     cube = np.arange(2 * 8 * 16 * 2, dtype="<f4")
     path = tmp_path / "v1.bin"
     path.write_bytes(json.dumps(header).encode().ljust(HEADER_BYTES) + cube.tobytes())
-    frames, read = read_frames(path)
+    frames, radar = read_frames(path)
     assert len(frames) == 2 and frames[1].samples[0, 0] == complex(256, 257)
-    radar = radar_from_header(read)
     assert radar.speed_of_light_m_per_s == 3.0e8
     assert radar_mismatch(radar, small_radar) == []

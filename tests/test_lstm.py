@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +314,15 @@ def test_damaged_model_file_loads_or_raises_model_error(blob):
         load_model(io.BytesIO(blob))
     except ModelError:
         pass
+
+
+def test_truncated_model_file_is_closed(tmp_path):
+    """numpy leaves open a handle it opened for an archive it cannot read."""
+    path = tmp_path / "model.npz"
+    path.write_bytes(_MODEL_BYTES[:len(_MODEL_BYTES) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ModelError, match="not a readable archive"):
+            load_model(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
