@@ -14,19 +14,20 @@ Run: python demos/01_echo_and_range_doppler.py
 import numpy as np
 
 from rotorsense import (RadarConfig, SceneSpec, StaticClutter, UavConfig, UavEmitter,
-                        dc_bin, derive, process_frames, synthesize_frames)
+                        dc_bin, process_frames, synthesize_frames)
 from rotorsense.config import constant_velocity, hover
 from rotorsense.rdmap import aliased_doppler_hz, beat_range_bin, doppler_axis_hz
 from rotorsense import scenarios
 
 radar = RadarConfig()
-derived = derive(radar, v_max_m_per_s=4.0)
+doppler_bin_hz = 1.0 / radar.frame_duration_s  # the slow-time FFT spans one frame
 print("=== radar grid ===")
-print(f"max range        : {derived.max_range_m:8.2f} m")
-print(f"range bin        : {derived.range_bin_size_m:8.4f} m")
-print(f"frame duration   : {derived.frame_duration_s:8.3f} s")
-print(f"Doppler bin      : {derived.doppler_bin_hz:8.3f} Hz"
-      f" ({derived.doppler_bin_m_per_s*100:.2f} cm/s)")
+print(f"max range        : {radar.max_range_m:8.2f} m")
+print(f"range bin        : {radar.range_bin_size_m:8.4f} m")
+print(f"frame duration   : {radar.frame_duration_s:8.3f} s")
+print(f"Doppler bin      : {doppler_bin_hz:8.3f} Hz"
+      f" ({doppler_bin_hz * radar.speed_of_light_m_per_s / (2 * radar.carrier_freq_hz) * 100:.2f}"
+      " cm/s)")
 
 # --- 1. static reflector ------------------------------------------------------
 print("\n=== static reflector at 30 m ===")
@@ -58,6 +59,6 @@ print(f"body peak sits at DC (bin {dc}): argmax = {int(np.argmax(row))}")
 strong = np.flatnonzero(row > 0.25 * np.delete(row, dc).max())
 print(f"strong Doppler bins: {strong.tolist()}")
 print("adjacent spacings  :", np.diff(strong).tolist())
-print(f"expected comb step : {55.6 / derived.doppler_bin_hz:.2f} bins")
+print(f"expected comb step : {55.6 / doppler_bin_hz:.2f} bins")
 print("\nThe comb survives aliasing because only peak spacing matters modulo the")
 print("bin count; that spacing is what spectrum folding amplifies (see demo 02).")

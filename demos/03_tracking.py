@@ -15,13 +15,13 @@ Run: python demos/03_tracking.py
 
 import numpy as np
 
-from rotorsense import RadarConfig, derive, process_frames, synthesize_frames
+from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import frame_mid_times, scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios, tracking
 
 radar = RadarConfig()
-derived = derive(radar, v_max_m_per_s=4.0)
+v_max = 4.0  # m/s, the --v-max default
 clutter = scenarios.default_clutter()
 n = 40
 times = frame_mid_times(radar, n)
@@ -31,7 +31,7 @@ bg_scene = scenarios.background_scene(seed=99, clutter=clutter)
 bg_map = build_folding_map(process_frames(synthesize_frames(bg_scene, radar, n))).values
 profile = tracking.estimate_noise_profile(bg_map)
 print(f"profile peaks at bin {int(np.argmax(profile))} "
-      f"(clutter at 12 m is bin {int(12 / derived.range_bin_size_m)})")
+      f"(clutter at 12 m is bin {int(12 / radar.range_bin_size_m)})")
 
 for name, scene in (("hover at 48 m", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
                     ("ascent at 1.5 m/s", scenarios.ascent_scene(40.0, 1.5, seed=2,
@@ -45,9 +45,9 @@ for name, scene in (("hover at 48 m", scenarios.hover_scene(48.0, seed=1, clutte
           f"{int(np.sum(pre_argmax == pre_argmax.min()))} before, "
           f"{int(np.sum(post_argmax == pre_argmax.min()))} after subtraction")
 
-    track = tracking.dp_max_path(cleaned, derived.dp_constraint_bins,
-                                 derived.range_bin_size_m, times)
-    filtered, reseeds = tracking.particle_filter(track.ranges_m, derived, rng_seed=7)
+    track = tracking.dp_max_path(cleaned, tracking.motion_bins(radar, v_max),
+                                 radar.range_bin_size_m, times)
+    filtered, reseeds = tracking.particle_filter(track.ranges_m, radar, v_max, rng_seed=7)
 
     _, truth_ranges, _ = scene_truth(scene, radar, n)
     raw_err = tracking.relative_range_error(track.ranges_m, truth_ranges)

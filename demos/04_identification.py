@@ -2,27 +2,27 @@
 
 Generates a small balanced corpus of UAV and distractor captures, preprocesses
 each into one aligned 3.6 s Doppler-time segment with the same recipe as
-`rotorsense dataset gen` (DC removal, feature alignment, folding filter), trains the two-layer LSTM briefly and reports the
-held-out confusion metrics. A small run finishes in about two minutes; the
-full acceptance experiment uses 200 + 200 segments.
+`rotorsense dataset gen` (DC removal, feature alignment, folding filter),
+trains the two-layer LSTM briefly and reports the held-out confusion metrics.
+It runs in about ten seconds on a 2-core machine; the full acceptance
+experiment uses 200 + 200 segments.
 
 Run: python demos/04_identification.py
 """
 
 import numpy as np
 
-from rotorsense import RadarConfig, derive
+from rotorsense import RadarConfig
 from rotorsense.cli import background_threshold, scene_segment
 from rotorsense.identify import LABELS, classify, segment_batch, segment_window_frames
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense import scenarios
 
 radar = RadarConfig()
-derived = derive(radar, v_max_m_per_s=4.0)
-window = segment_window_frames(derived)
+window = segment_window_frames(radar)
 rng = np.random.default_rng(2024)
 
-print(f"segment window: {window} frames = {window * derived.frame_duration_s:.1f} s")
+print(f"segment window: {window} frames = {window * radar.frame_duration_s:.1f} s")
 
 print("calibrating the folding threshold from a noise-only capture ...")
 threshold = background_threshold(radar, window, seed=1)

@@ -11,9 +11,8 @@ The cli module ties the stages into reproducible commands and holds the one
 capture recipe (track_capture) and the one dataset recipe.
 """
 
-from .config import (DerivedParams, RadarConfig, TrajectorySegment,
-                     TrajectorySpec, UavConfig, ValidationError,
-                     constant_velocity, derive, hover)
+from .config import (RadarConfig, TrajectorySegment, TrajectorySpec, UavConfig,
+                     ValidationError, constant_velocity, hover)
 from .echo import (Distractor, Frame, SceneSpec, SimulationError, StaticClutter,
                    UavEmitter, scatterer_range, synthesize_frames)
 from .folding import (FoldingMap, FoldOutcome, build_folding_map, folding_result,

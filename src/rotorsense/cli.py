@@ -12,9 +12,12 @@ ValueError or KeyError included: a fault in the code.
 
 Each subcommand takes only the flags it reads; one that it would leave unread
 exits 1 (_reject_unread), and so does a numeric flag out of its range, checked
-at parse time. --v-max is the one motion assumption. A capture's radar is the
-one frameio.read_frames returns: its header's, or for a headerless int16
-capture the --raw-int16 radar config (default: the built-in radar).
+at parse time. --v-max is the one motion assumption, and CAPTURE_FLAG_DEFAULTS
+holds its one default: track_capture takes v_max with none. A capture's radar
+is the one frameio.read_frames returns: its header's, or for a headerless
+int16 capture the --raw-int16 radar config (default: the built-in radar); its
+range grid sets the DP bound, the particle filter's noise and the segment
+window.
 
 track_capture is the one capture recipe: `track`, `identify --frames` and the
 acceptance suite's end-to-end tracking check all track a capture and take its
@@ -39,9 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import echo, frameio, identify, lstm, scenarios, tracking
-from .config import (DerivedParams, RadarConfig, TrajectorySegment, TrajectorySpec,
-                     ValidationError, csv_columns, derive, json_document, json_field,
-                     json_fields, load_radar_config)
+from .config import (RadarConfig, TrajectorySegment, TrajectorySpec, ValidationError,
+                     csv_columns, json_document, json_field, json_fields, load_radar_config)
 from .echo import SceneSpec, StaticClutter, Distractor, UavEmitter
 from .folding import build_folding_map
 from .identify import IdentifyError
@@ -146,15 +148,15 @@ def _radar_for(config) -> RadarConfig:
 
 @dataclass(frozen=True)
 class CaptureTrack:
-    """What track_capture yields: the track, the grid it lives on, its noise calibration."""
+    """What track_capture yields: the track, its segment window, its noise calibration."""
 
     track: tracking.Track
-    derived: DerivedParams
+    window: int                 # identify.segment_window_frames of the capture's radar
     calibration: float | None   # mean + 5 sigma of off-track window maxima
     profile_source: str         # "background-capture" or "self-median-fallback"
 
 
-def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: float = 4.0,
+def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: float,
                   pf_seed: int = 0) -> CaptureTrack:
     """The one capture recipe: folding map -> spectral subtraction -> DP -> particle filter.
 
@@ -164,7 +166,7 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: floa
     of the cleaned map's off-track per-window folding maxima (one segment window,
     or the whole capture if shorter), None when no off-track range bins remain.
     """
-    derived = derive(radar, v_max_m_per_s=v_max)
+    k_bins = tracking.motion_bins(radar, v_max)
     values = build_folding_map(cube).values
     if background_cube is not None:
         profile = tracking.estimate_noise_profile(build_folding_map(background_cube).values)
@@ -173,18 +175,17 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: floa
         profile = np.median(values, axis=1)
         profile_source = "self-median-fallback"
     cleaned = tracking.spectral_subtract(values, profile)
-    track = tracking.dp_max_path(cleaned, derived.dp_constraint_bins,
-                                 derived.range_bin_size_m,
+    track = tracking.dp_max_path(cleaned, k_bins, radar.range_bin_size_m,
                                  echo.frame_mid_times(radar, cube.shape[0]))
-    filtered, _ = tracking.particle_filter(track.ranges_m, derived, pf_seed)
+    filtered, _ = tracking.particle_filter(track.ranges_m, radar, v_max, pf_seed)
     track = replace(track, filtered_ranges_m=filtered)
-    window = identify.segment_window_frames(derived)
+    window = identify.segment_window_frames(radar)
     try:
         calibration = identify.calibrate_threshold(identify.noise_window_max_folds(
             cleaned, min(window, cleaned.shape[1]), exclude_bins=track.range_bins))
     except IdentifyError:
         calibration = None
-    return CaptureTrack(track, derived, calibration, profile_source)
+    return CaptureTrack(track, window, calibration, profile_source)
 
 
 def _track_files(args):
@@ -330,8 +331,7 @@ def cmd_identify(args) -> int:
                 raise IdentifyError("not enough noise-only data to calibrate a threshold")
             threshold = result.calibration
         segments = capture_segments(cube, result.track.range_bins, result.track.frame_times,
-                                    identify.segment_window_frames(result.derived),
-                                    threshold)
+                                    result.window, threshold)
         segments = [s for s in segments if s.passed_filter]
         if not segments:
             _write_json(out / "metrics.json",
@@ -420,7 +420,7 @@ def _save_split(segments, args, out: Path) -> int:
 
 def cmd_dataset_gen(args) -> int:
     radar = _radar_for(args.config)
-    window = identify.segment_window_frames(derive(radar))
+    window = identify.segment_window_frames(radar)
     rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))
     threshold = background_threshold(radar, window,
                                      component_seed(args.seed, "dataset-background"))
@@ -499,6 +499,7 @@ def _number(cast, rule: str, ok):
 
 
 _COUNT = _number(int, "an integer >= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = _number(int, "an integer >= 1", lambda v: v >= 1)
 _FRACTION = _number(float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _FINITE = _number(float, "a finite number", math.isfinite)
 _POSITIVE = _number(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
@@ -558,10 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--val-dataset", default=None)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=10)
+    p.add_argument("--epochs", type=_COUNT, default=40)
+    p.add_argument("--batch-size", type=_AT_LEAST_ONE, default=10)
     p.add_argument("--lr", type=_POSITIVE, default=5e-5)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--hidden", type=_AT_LEAST_ONE, default=128)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="relative range error of a track vs truth")

@@ -1,4 +1,4 @@
-"""Radar, UAV and trajectory configuration plus derived processing parameters.
+"""Radar, UAV and trajectory configuration.
 
 Everything downstream (echo synthesis, Range-Doppler processing, folding,
 tracking, identification) reads its physical constants from here. Each config
@@ -148,8 +148,7 @@ class RadarConfig:
         _require(self.samples_per_chirp / self.adc_rate_hz <= self.chirp_duration_s,
                  "radar sampling window samples_per_chirp/adc_rate_hz exceeds chirp_duration_s")
         _require(math.isfinite(self.frame_duration_s), "radar frame duration must be finite")
-        _require(0 < self.max_range_m / self.samples_per_chirp < math.inf,
-                 "radar range bin must be finite and > 0")
+        _require(0 < self.range_bin_size_m < math.inf, "radar range bin must be finite and > 0")
 
     @property
     def frame_duration_s(self) -> float:
@@ -158,6 +157,10 @@ class RadarConfig:
     @property
     def max_range_m(self) -> float:  # the sampled-bandwidth range limit
         return self.speed_of_light_m_per_s * self.adc_rate_hz / (2.0 * self.chirp_slope_hz_per_s)
+
+    @property
+    def range_bin_size_m(self) -> float:  # range bin k is centred at k * range_bin_size_m
+        return self.max_range_m / self.samples_per_chirp
 
     @property
     def pulse_rate_hz(self) -> float:
@@ -218,11 +221,6 @@ class TrajectorySegment:
     duration_s: float
     start_range_m: float
     radial_velocity_m_per_s: float
-
-    @property
-    def kind(self) -> str:
-        return "hover" if self.radial_velocity_m_per_s == 0 else (
-            "ascent" if self.radial_velocity_m_per_s > 0 else "descent")
 
     @property
     def end_time_s(self) -> float:
@@ -290,53 +288,6 @@ def constant_velocity(start_range_m: float, velocity_m_per_s: float, duration_s:
                       start_time_s: float = 0.0) -> TrajectorySpec:
     return TrajectorySpec((TrajectorySegment(
         start_time_s, duration_s, start_range_m, velocity_m_per_s),))
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities computed from a RadarConfig and a maximum target speed.
-
-    max_range_m       = c * adc_rate / (2 * chirp_slope)  -- sampled-bandwidth
-                        range limit; the range-bin grid divides it evenly.
-    range_bin_size_m  = max_range_m / samples_per_chirp
-    frame_duration_s  = chirps_per_frame * chirp_duration_s
-    doppler_bin_hz    = 1 / frame_duration_s
-    dp_constraint_bins = ceil(v_max * frame_duration / range_bin_size), the
-                        per-frame range-bin motion bound used by the tracker.
-    """
-
-    max_range_m: float
-    range_bin_size_m: float
-    frame_duration_s: float
-    doppler_bin_hz: float
-    doppler_bin_m_per_s: float
-    dp_constraint_bins: int
-    v_max_m_per_s: float
-
-
-def derive(radar: RadarConfig, v_max_m_per_s: float = 4.0) -> DerivedParams:
-    """Processing parameters for a radar config and a v_max in (0, c)."""
-    c = radar.speed_of_light_m_per_s
-    _require(0 < v_max_m_per_s < c,
-             f"v_max_m_per_s must be finite and > 0, below the speed of light {c!r} m/s")
-    max_range = radar.max_range_m
-    bin_size = max_range / radar.samples_per_chirp
-    t_frame = radar.frame_duration_s
-    doppler_bin_hz = 1.0 / t_frame
-    doppler_bin_mps = doppler_bin_hz * c / (2.0 * radar.carrier_freq_hz)
-    motion_bins = v_max_m_per_s * t_frame / bin_size
-    _require(math.isfinite(motion_bins),
-             f"v_max_m_per_s * frame duration / range bin = {motion_bins} must be finite")
-    k_bins = max(1, math.ceil(motion_bins))
-    return DerivedParams(
-        max_range_m=max_range,
-        range_bin_size_m=bin_size,
-        frame_duration_s=t_frame,
-        doppler_bin_hz=doppler_bin_hz,
-        doppler_bin_m_per_s=doppler_bin_mps,
-        dp_constraint_bins=k_bins,
-        v_max_m_per_s=v_max_m_per_s,
-    )
 
 
 # --- structured config file (JSON, SI units, versioned) ---------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DerivedParams, ValidationError, json_document, json_field
+from .config import RadarConfig, ValidationError, json_document, json_field
 from .folding import fold_columns
 from .lstm import LstmDetector
 from .rdmap import dc_bin
@@ -62,8 +62,8 @@ class Segment:
     provenance: dict = field(default_factory=dict)
 
 
-def segment_window_frames(derived: DerivedParams) -> int:
-    return int(round(SEGMENT_SECONDS / derived.frame_duration_s))
+def segment_window_frames(radar: RadarConfig) -> int:
+    return int(round(SEGMENT_SECONDS / radar.frame_duration_s))
 
 
 def diagram_at_bins(cube, range_bins) -> np.ndarray:

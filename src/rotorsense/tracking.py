@@ -5,8 +5,9 @@ background: the time-averaged background profile N(r) is projected out of
 every column (gain G(t) = sum_r N(r) S(r,t) / ||N||^2, then
 S'(r,t) = S(r,t) - G(t) N(r)); negatives are kept, clamping would bias the
 path scores. Constrained dynamic programming then finds the path g(t)
-maximizing the cumulative score subject to |g(t) - g(t-1)| <= k_bins,
-via the forward recurrence
+maximizing the cumulative score subject to |g(t) - g(t-1)| <= k_bins, where
+motion_bins(radar, v_max) = ceil(v_max * frame duration / range bin) is the
+bound the largest radial speed sets, via the forward recurrence
 
     theta(r, t) = max_{|k| <= K} theta(r + k, t - 1) + S'(r, t)
 
@@ -27,11 +28,12 @@ bin.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DerivedParams, ValidationError, csv_columns
+from .config import RadarConfig, ValidationError, csv_columns
 
 
 class TrackingError(ValidationError):
@@ -71,6 +73,24 @@ def spectral_subtract(values, profile) -> np.ndarray:
         raise TrackingError("noise profile norm is zero")
     gains = profile @ values / sq_norm          # G(t), length T
     return values - np.outer(profile, gains)
+
+
+def _check_v_max(radar: RadarConfig, v_max_m_per_s: float) -> None:
+    c = radar.speed_of_light_m_per_s
+    if not 0 < v_max_m_per_s < c:
+        raise TrackingError(
+            f"v_max_m_per_s must be finite and > 0, below the speed of light {c!r} m/s")
+
+
+def motion_bins(radar: RadarConfig, v_max_m_per_s: float) -> int:
+    """The DP's per-frame motion bound: ceil(v_max * frame duration / range bin), at
+    least 1, for a v_max in (0, c)."""
+    _check_v_max(radar, v_max_m_per_s)
+    bins = v_max_m_per_s * radar.frame_duration_s / radar.range_bin_size_m
+    if not math.isfinite(bins):
+        raise TrackingError(
+            f"v_max_m_per_s * frame duration / range bin = {bins} must be finite")
+    return max(1, math.ceil(bins))
 
 
 _NEG_INF = -np.inf
@@ -122,8 +142,9 @@ def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Tr
                  total_score=float(theta[path[-1], -1]))
 
 
-def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
-    """Smooth observed ranges [T] with a (range, velocity) SIR particle filter.
+def particle_filter(ranges_m, radar: RadarConfig, v_max_m_per_s: float, rng_seed: int):
+    """Smooth observed ranges [T] with a (range, velocity) SIR particle filter on
+    the radar's range grid; v_max in (0, c) bounds the initial velocities.
 
     Returns (filtered_ranges, reseed_count). reseed_count counts steps where
     every particle weight underflowed and the cloud was re-seeded around the
@@ -132,15 +153,15 @@ def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
     obs = np.asarray(ranges_m, dtype=float)
     if obs.size == 0:
         raise TrackingError("track is empty")
+    _check_v_max(radar, v_max_m_per_s)
     rng = np.random.default_rng(rng_seed)
     n = PARTICLES
-    dt = derived.frame_duration_s
-    v_max = derived.v_max_m_per_s
-    measurement_noise_m = derived.range_bin_size_m
+    dt = radar.frame_duration_s
+    measurement_noise_m = radar.range_bin_size_m
     process_noise_m = measurement_noise_m / 2.0
 
-    r = rng.uniform(0.0, derived.max_range_m, n)
-    v = rng.uniform(-v_max, v_max, n)
+    r = rng.uniform(0.0, radar.max_range_m, n)
+    v = rng.uniform(-v_max_m_per_s, v_max_m_per_s, n)
 
     estimates = np.empty(obs.shape[0])
     reseeds = 0
@@ -158,7 +179,7 @@ def particle_filter(ranges_m, derived: DerivedParams, rng_seed: int):
         if not np.isfinite(total) or total <= 0.0:
             reseeds += 1
             r = z + rng.normal(0.0, 2.0 * measurement_noise_m, n)
-            v = rng.uniform(-v_max, v_max, n)
+            v = rng.uniform(-v_max_m_per_s, v_max_m_per_s, n)
             w = np.ones(n)
             total = float(n)
         # w is exp(.) >= 0 over a finite positive total, so the checks

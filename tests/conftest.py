@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotorsense import RadarConfig, derive, process_frames, synthesize_frames
+from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios
@@ -10,11 +10,6 @@ from rotorsense import scenarios
 @pytest.fixture(scope="session")
 def radar():
     return RadarConfig()
-
-
-@pytest.fixture(scope="session")
-def derived(radar):
-    return derive(radar, v_max_m_per_s=4.0)
 
 
 def _capture(scene, radar, n_frames):

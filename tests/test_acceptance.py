@@ -12,7 +12,7 @@ import pytest
 
 from rotorsense import scenarios
 from rotorsense.cli import background_threshold, scene_segment, track_capture
-from rotorsense.config import RadarConfig, constant_velocity, derive, hover
+from rotorsense.config import RadarConfig, constant_velocity, hover
 from rotorsense.echo import SceneSpec, UavEmitter, scene_truth, synthesize_frames
 from rotorsense.folding import folding_result, folding_value
 from rotorsense.identify import (LABELS, binary_metrics, classify, feature_alignment,
@@ -27,7 +27,7 @@ from test_folding import naive_folding_value, fig_comb
 from test_tracking import brute_force_max_path
 
 RADAR = RadarConfig()
-DERIVED = derive(RADAR, v_max_m_per_s=4.0)
+V_MAX = 4.0  # m/s, the --v-max default
 
 
 def report(n, ok, detail):
@@ -84,7 +84,7 @@ def test_criterion_3_dp_exactness():
         n_t = int(rng.integers(1, 7))
         k = int(rng.integers(1, 3))
         values = rng.uniform(-5.0, 10.0, (n_r, n_t))
-        track = dp_max_path(values, k, DERIVED.range_bin_size_m, np.arange(n_t))
+        track = dp_max_path(values, k, RADAR.range_bin_size_m, np.arange(n_t))
         score, path = brute_force_max_path(values, k)
         if not np.array_equal(track.range_bins, path) \
                 or abs(track.total_score - score) > 1e-9:
@@ -132,7 +132,7 @@ def test_criterion_5_end_to_end_tracking():
             ("ascent-1.5", scenarios.ascent_scene(40.0, 1.5, seed=2, clutter=clutter))):
         t0 = time.perf_counter()
         cube = process_frames(synthesize_frames(scene, RADAR, 40))
-        track = track_capture(cube, RADAR, bg_cube, pf_seed=5).track
+        track = track_capture(cube, RADAR, bg_cube, v_max=V_MAX, pf_seed=5).track
         elapsed = time.perf_counter() - t0
         _, truth_ranges, _ = scene_truth(scene, RADAR, 40)
         err = relative_range_error(track.filtered_ranges_m, truth_ranges)
@@ -151,8 +151,8 @@ def test_criterion_6_particle_filter():
     for seed in range(100):
         rng = np.random.default_rng(60_000 + seed)
         truth = np.full(40, 48.0)
-        obs = truth + rng.normal(0.0, DERIVED.range_bin_size_m, truth.size)
-        filtered, _ = particle_filter(obs, DERIVED, seed)
+        obs = truth + rng.normal(0.0, RADAR.range_bin_size_m, truth.size)
+        filtered, _ = particle_filter(obs, RADAR, V_MAX, seed)
         raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
         pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
         improved += pf_rmse < raw_rmse
@@ -161,7 +161,7 @@ def test_criterion_6_particle_filter():
     obs = 48.0 + rng.normal(0.0, 0.4, 40)
 
     def run():
-        filtered, _ = particle_filter(obs, DERIVED, 77)
+        filtered, _ = particle_filter(obs, RADAR, V_MAX, 77)
         return filtered
 
     deterministic = np.array_equal(run(), run())
@@ -211,7 +211,7 @@ def test_criterion_7_lstm_gradients_and_determinism():
 
 # --- 8 + 9. identification experiment ------------------------------------------------------
 
-WINDOW = segment_window_frames(DERIVED)
+WINDOW = segment_window_frames(RADAR)
 
 
 @pytest.fixture(scope="module")

@@ -796,9 +796,13 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["dataset", "gen", "--uav", "0", "--distractor", "0", "--seed", "-1"], "--seed"),
     (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "nan"], "--budget"),
     (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "-inf"], "--budget"),
+    (["train", "--dataset", "d.bin", "--batch-size", "0"], "--batch-size"),
+    (["train", "--dataset", "d.bin", "--epochs", "-1"], "--epochs"),
+    (["train", "--dataset", "d.bin", "--hidden", "0"], "--hidden"),
 ], ids=["simulate-frames", "gen-train-frac", "split-train-frac", "gen-uav", "gen-distractor",
         "train-lr-nan", "train-lr-zero", "identify-threshold-inf", "simulate-seed",
-        "track-seed", "train-seed", "gen-seed", "evaluate-budget-nan", "evaluate-budget-inf"])
+        "track-seed", "train-seed", "gen-seed", "evaluate-budget-nan", "evaluate-budget-inf",
+        "train-batch-size", "train-epochs", "train-hidden"])
 def test_out_of_range_numeric_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     """No file named here exists: each command must stop at its flags and write nothing."""
     monkeypatch.chdir(tmp_path)  # the default --out

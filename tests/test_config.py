@@ -6,8 +6,9 @@ import pytest
 
 from rotorsense.config import (RadarConfig, TrajectorySegment, TrajectorySpec,
                                UavConfig, ValidationError, constant_velocity, csv_columns,
-                               derive, hover, json_document, json_field, json_fields,
+                               hover, json_document, json_field, json_fields,
                                load_radar_config, save_radar_config)
+from rotorsense.tracking import motion_bins
 
 
 def test_default_radar_is_valid():
@@ -51,61 +52,55 @@ def test_negative_rate_rejected():
 
 
 def test_derive_max_range_matches_published_figure():
-    derived = derive(RadarConfig(), 4.0)
-    assert round(derived.max_range_m, 1) == 93.8
+    assert round(RadarConfig().max_range_m, 1) == 93.8
 
 
 def test_derive_default_grid():
-    derived = derive(RadarConfig(), 4.0)
-    assert abs(derived.range_bin_size_m - 0.3664) < 1e-4
-    assert abs(derived.frame_duration_s - 0.090) < 1e-12
-    assert abs(derived.doppler_bin_hz - 11.11) < 1e-2
-    assert abs(derived.doppler_bin_m_per_s
-               - derived.doppler_bin_hz * 3e8 / (2 * 60.25e9)) < 1e-12
+    radar = RadarConfig()
+    assert abs(radar.range_bin_size_m - 0.3664) < 1e-4
+    assert radar.range_bin_size_m == radar.max_range_m / radar.samples_per_chirp
+    assert abs(radar.frame_duration_s - 0.090) < 1e-12
 
 
 @pytest.mark.parametrize("v_max", [math.inf, -math.inf, math.nan, 0.0, -1.0, 3.0e8, 1e300,
                                    1e308])
 def test_derive_rejects_non_finite_or_non_positive_v_max(v_max):
     with pytest.raises(ValidationError, match="v_max_m_per_s must be finite and > 0"):
-        derive(RadarConfig(), v_max)
+        motion_bins(RadarConfig(), v_max)
 
 
 def test_dp_constraint_default_is_one_bin():
-    derived = derive(RadarConfig(), 4.0)
     # 4 m/s * 0.09 s / 0.3664 m = 0.982 -> ceil = 1
-    assert derived.dp_constraint_bins == 1
-    assert derived.v_max_m_per_s == 4.0
+    assert motion_bins(RadarConfig(), 4.0) == 1
 
 
 def test_dp_constraint_finer_grid_is_five_bins():
     # adc rate chosen so the range bin lands at 0.078 m
     target_bin = 0.078
     radar = RadarConfig(adc_rate_hz=target_bin * 256 * 2 * 9.994e12 / 3e8)
-    derived = derive(radar, 4.0)
-    assert abs(derived.range_bin_size_m - target_bin) < 1e-9
-    assert derived.dp_constraint_bins == math.ceil(4.0 * 0.09 / target_bin) == 5
+    assert abs(radar.range_bin_size_m - target_bin) < 1e-9
+    assert motion_bins(radar, 4.0) == math.ceil(4.0 * 0.09 / target_bin) == 5
 
 
 def test_derive_scale_consistency():
     base = RadarConfig()
     doubled = RadarConfig(adc_rate_hz=base.adc_rate_hz * 2)
-    assert derive(doubled, 4.0).max_range_m == 2 * derive(base, 4.0).max_range_m
+    assert doubled.max_range_m == 2 * base.max_range_m
 
 
 def test_dp_constraint_monotonicity():
     radar = RadarConfig()
-    ks = [derive(radar, v).dp_constraint_bins for v in (0.5, 2.0, 4.0, 8.0, 16.0)]
+    ks = [motion_bins(radar, v) for v in (0.5, 2.0, 4.0, 8.0, 16.0)]
     assert ks == sorted(ks)
     slow_frame = RadarConfig(chirps_per_frame=200)  # doubles frame time
-    assert derive(slow_frame, 4.0).dp_constraint_bins >= derive(radar, 4.0).dp_constraint_bins
+    assert motion_bins(slow_frame, 4.0) >= motion_bins(radar, 4.0)
     fine = RadarConfig(adc_rate_hz=radar.adc_rate_hz / 4)  # smaller bins
-    assert derive(fine, 4.0).dp_constraint_bins >= derive(radar, 4.0).dp_constraint_bins
+    assert motion_bins(fine, 4.0) >= motion_bins(radar, 4.0)
 
 
 def test_v_max_must_be_positive():
     with pytest.raises(ValidationError):
-        derive(RadarConfig(), 0.0)
+        motion_bins(RadarConfig(), 0.0)
 
 
 def test_uav_broadcasts_scalars():
@@ -214,7 +209,7 @@ def test_radar_grid_must_be_finite(radar, named):
 def test_derive_rejects_non_finite_motion_bound():
     radar = RadarConfig(chirp_duration_s=1e305, chirps_per_frame=2)
     with pytest.raises(ValidationError, match="must be finite"):
-        derive(radar, 1e8)
+        motion_bins(radar, 1e8)
 
 
 # --- the reader contract ------------------------------------------------------

@@ -1,7 +1,4 @@
-"""The walkthrough demos run to completion against the current API.
-
-Demo 04 trains a detector for about two minutes and is left to be run by hand.
-"""
+"""The walkthrough demos run to completion against the current API."""
 
 import runpy
 from pathlib import Path
@@ -12,7 +9,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_echo_and_range_doppler.py", "02_spectrum_folding.py",
-                                  "03_tracking.py"])
+                                  "03_tracking.py", "04_identification.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotorsense.config import (RadarConfig, UavConfig, ValidationError, constant_velocity,
-                               derive, hover)
+from rotorsense.config import RadarConfig, UavConfig, ValidationError, constant_velocity, hover
 from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutter,
                              UavEmitter, _frame_samples, scatterer_range, scene_truth,
                              synthesize_frames)
@@ -318,7 +317,7 @@ def test_blade_kernel_matches_per_scatterer_oracle(radar, rotors, per_rotor, dat
 def test_uav_range_check_covers_blade_envelope(radar):
     uav = UavConfig(scatterer_radii_m=0.25, blade_plane_angle_rad=0.0)
     reach = 0.25
-    max_range = derive(radar).max_range_m
+    max_range = radar.max_range_m
     # the hub stays inside; only the blades cross max range
     near = SceneSpec(emitters=(UavEmitter(uav, hover(max_range - reach / 2, 4.0)),))
     with pytest.raises(SimulationError, match="emitter 0"):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotorsense.config import derive
 from rotorsense.folding import build_folding_map, folding_result
 from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
                                  Segment, binary_metrics, calibrate_threshold, classify,
@@ -12,7 +11,7 @@ from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
                                  segment_window_frames)
 from rotorsense.lstm import LstmDetector
 from rotorsense.rdmap import dc_bin, process_frames
-from rotorsense.tracking import Track, dp_max_path
+from rotorsense.tracking import Track, dp_max_path, motion_bins
 from rotorsense.echo import frame_mid_times
 from rotorsense import scenarios
 
@@ -53,9 +52,9 @@ def test_extract_length_mismatch_errors(hover_capture):
         diagram_at_bins(cube[:3], track.range_bins)
 
 
-def test_tracked_hover_columns_carry_comb(hover_capture, derived, radar):
+def test_tracked_hover_columns_carry_comb(hover_capture, radar):
     _, _, cube, fmap, _ = hover_capture
-    track = dp_max_path(fmap.values, derived.dp_constraint_bins, derived.range_bin_size_m,
+    track = dp_max_path(fmap.values, motion_bins(radar, 4.0), radar.range_bin_size_m,
                         frame_mid_times(radar, fmap.values.shape[1]))
     diagram = diagram_at_bins(cube, track.range_bins)
     noise_fold = np.median(fmap.values[UAV_RANGE_BIN + 40])
@@ -63,14 +62,14 @@ def test_tracked_hover_columns_carry_comb(hover_capture, derived, radar):
         assert folding_result(col).folding_result > 5 * noise_fold
 
 
-def test_off_by_one_bin_keeps_attenuated_comb(radar, derived):
+def test_off_by_one_bin_keeps_attenuated_comb(radar):
     """Tracking error of one bin attenuates the comb without losing it.
 
     The target straddles range bins (beat position 131.3) so the neighbor bin
     still receives leakage; a dead-centered target would null it out.
     """
     from rotorsense import synthesize_frames
-    range_m = 131.3 * derived.range_bin_size_m
+    range_m = 131.3 * radar.range_bin_size_m
     scene = scenarios.hover_scene(range_m, seed=6)
     cube = process_frames(synthesize_frames(scene, radar, 10))
     on = diagram_at_bins(cube, [131] * 10)
@@ -206,9 +205,9 @@ def test_segment_filter_thresholding(radar):
             assert seg.max_folding_result == max(per_column)
 
 
-def test_uav_capture_segments_pass(hover_capture, derived):
+def test_uav_capture_segments_pass(hover_capture, radar):
     _, _, cube, fmap, truth = hover_capture
-    window = segment_window_frames(derived)
+    window = segment_window_frames(radar)
     assert window == 40
     noise = noise_window_max_folds(fmap.values, window, exclude_bins=[UAV_RANGE_BIN])
     threshold = calibrate_threshold(noise)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rotorsense.config import RadarConfig, derive
 from rotorsense.tracking import (PARTICLES, Track, TrackingError, _multinomial_indices,
                                  dp_max_path, estimate_noise_profile, particle_filter,
                                  read_track_csv, relative_range_error,
                                  spectral_subtract, track_to_csv)
 
 BIN = 0.36643079597758654  # default radar range bin
+V_MAX = 4.0  # m/s, the --v-max default
 
 
 def dp_path(values, k_bins, range_bin_size_m=BIN):
@@ -195,66 +195,61 @@ def test_dp_empty_map_errors():
 
 # --- particle filter -----------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def pf_derived():
-    return derive(RadarConfig(), 4.0)
-
-
-def test_pf_noiseless_constant_velocity(pf_derived):
+def test_pf_noiseless_constant_velocity(radar):
     truth = 30.0 + 0.5 * np.arange(40) * 0.09
     obs = truth.copy()
-    filtered, reseeds = particle_filter(obs, pf_derived, 3)
+    filtered, reseeds = particle_filter(obs, radar, V_MAX, 3)
     raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
     pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
     assert raw_rmse == 0.0
-    assert pf_rmse <= 0.4 * pf_derived.range_bin_size_m  # both ~0
+    assert pf_rmse <= 0.4 * radar.range_bin_size_m  # both ~0
     assert reseeds == 0
 
 
-def test_pf_suppresses_outlier_spike(pf_derived):
+def test_pf_suppresses_outlier_spike(radar):
     truth = np.full(40, 48.0)
     obs = truth.copy()
-    obs[20] += 5 * pf_derived.range_bin_size_m
-    filtered, _ = particle_filter(obs, pf_derived, 7)
+    obs[20] += 5 * radar.range_bin_size_m
+    filtered, _ = particle_filter(obs, radar, V_MAX, 7)
     assert np.max(np.abs(filtered - truth)) < np.max(np.abs(obs - truth))
 
 
-def test_pf_beats_raw_on_jitter(pf_derived):
+def test_pf_beats_raw_on_jitter(radar):
     improved = 0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         truth = np.full(40, 48.0)
-        obs = truth + rng.normal(0.0, pf_derived.range_bin_size_m, truth.size)
-        filtered, _ = particle_filter(obs, pf_derived, seed)
+        obs = truth + rng.normal(0.0, radar.range_bin_size_m, truth.size)
+        filtered, _ = particle_filter(obs, radar, V_MAX, seed)
         raw_rmse = np.sqrt(np.mean((obs - truth) ** 2))
         pf_rmse = np.sqrt(np.mean((filtered - truth) ** 2))
         improved += pf_rmse < raw_rmse
     assert improved >= 17  # 85% here; the acceptance suite runs the full 100-seed version
 
 
-def test_pf_deterministic(pf_derived):
+def test_pf_deterministic(radar):
     rng = np.random.default_rng(9)
     obs = 48.0 + rng.normal(0.0, 0.4, 30)
-    a, _ = particle_filter(obs, pf_derived, 42)
-    b, _ = particle_filter(obs, pf_derived, 42)
+    a, _ = particle_filter(obs, radar, V_MAX, 42)
+    b, _ = particle_filter(obs, radar, V_MAX, 42)
     assert np.array_equal(a, b)
 
 
-def test_pf_degenerate_weights_reseed(pf_derived):
+def test_pf_degenerate_weights_reseed(radar):
     # A 40 m jump leaves every particle a hundred measurement sigmas away,
     # so every weight underflows and the cloud is re-seeded at the observation.
     obs = np.array([90.0, 90.0, 50.0])
-    filtered, reseeds = particle_filter(obs, pf_derived, 1)
+    filtered, reseeds = particle_filter(obs, radar, V_MAX, 1)
     assert reseeds >= 1
     assert abs(filtered[-1] - 50.0) < 0.5
-    ref_filtered, ref_reseeds = _reference_particle_filter(obs, pf_derived, 1)
+    ref_filtered, ref_reseeds = _reference_particle_filter(obs, radar, V_MAX, 1)
     assert np.array_equal(filtered, ref_filtered)
     assert reseeds == ref_reseeds
 
 
-def test_pf_empty_track_errors(pf_derived):
+def test_pf_empty_track_errors(radar):
     with pytest.raises(TrackingError, match="empty"):
-        particle_filter(np.array([]), pf_derived, 0)
+        particle_filter(np.array([]), radar, V_MAX, 0)
 
 
 def _resampling_weights(kind, n, rng):
@@ -316,17 +311,16 @@ def test_multinomial_indices_on_cdf_steps_and_ties():
     assert np.array_equal(idx, (cdf[None, :] <= keys[:, None]).sum(axis=1))  # first cdf > key
 
 
-def _reference_particle_filter(ranges_m, derived, rng_seed):
+def _reference_particle_filter(ranges_m, radar, v_max, rng_seed):
     """The filter as first written, resampling with rng.choice."""
     obs = np.asarray(ranges_m, dtype=float)
     rng = np.random.default_rng(rng_seed)
     n = PARTICLES
-    dt = derived.frame_duration_s
-    v_max = derived.v_max_m_per_s
-    measurement_noise_m = derived.range_bin_size_m
+    dt = radar.frame_duration_s
+    measurement_noise_m = radar.range_bin_size_m
     process_noise_m = measurement_noise_m / 2.0
 
-    r = rng.uniform(0.0, derived.max_range_m, n)
+    r = rng.uniform(0.0, radar.max_range_m, n)
     v = rng.uniform(-v_max, v_max, n)
 
     estimates = np.empty(obs.shape[0])
@@ -353,11 +347,11 @@ def _reference_particle_filter(ranges_m, derived, rng_seed):
 
 @pytest.mark.parametrize("n_steps", [1, 40, 400])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pf_matches_rng_choice_reference(pf_derived, n_steps, seed):
+def test_pf_matches_rng_choice_reference(radar, n_steps, seed):
     rng = np.random.default_rng(500 + seed)
     obs = 48.0 + np.cumsum(rng.normal(0.0, 0.05, n_steps)) + rng.normal(0.0, 0.4, n_steps)
-    estimates, reseeds = particle_filter(obs, pf_derived, seed)
-    ref_estimates, ref_reseeds = _reference_particle_filter(obs, pf_derived, seed)
+    estimates, reseeds = particle_filter(obs, radar, V_MAX, seed)
+    ref_estimates, ref_reseeds = _reference_particle_filter(obs, radar, V_MAX, seed)
     assert np.array_equal(estimates, ref_estimates)
     assert reseeds == ref_reseeds
 
@@ -382,12 +376,12 @@ def test_relative_error_guards():
 
 # --- CSV ------------------------------------------------------------------------
 
-def test_track_csv_round_trip(tmp_path, pf_derived):
+def test_track_csv_round_trip(tmp_path, radar):
     obs = 48.0 + np.arange(5) * 0.1
     track = Track(range_bins=np.round(obs / BIN - 0.5).astype(int), ranges_m=obs,
                   scores=np.ones_like(obs), k_bins=1,
                   frame_times=(np.arange(obs.size) + 0.5) * 0.09,
-                  filtered_ranges_m=particle_filter(obs, pf_derived, 0)[0])
+                  filtered_ranges_m=particle_filter(obs, radar, V_MAX, 0)[0])
     path = tmp_path / "track.csv"
     track_to_csv(track, path)
     times, ranges, filtered = read_track_csv(path)
