@@ -18,6 +18,7 @@ import numpy as np
 from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import frame_mid_times, scene_truth
 from rotorsense.folding import build_folding_map
+from rotorsense.rdmap import beat_range_bin
 from rotorsense import scenarios, tracking
 
 radar = RadarConfig()
@@ -31,7 +32,7 @@ bg_scene = scenarios.background_scene(seed=99, clutter=clutter)
 bg_map = build_folding_map(process_frames(synthesize_frames(bg_scene, radar, n))).values
 profile = tracking.estimate_noise_profile(bg_map)
 print(f"profile peaks at bin {int(np.argmax(profile))} "
-      f"(clutter at 12 m is bin {int(12 / radar.range_bin_size_m)})")
+      f"(clutter at 12 m is bin {beat_range_bin(radar, 12.0)})")
 
 for name, scene in (("hover at 48 m", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
                     ("ascent at 1.5 m/s", scenarios.ascent_scene(40.0, 1.5, seed=2,

@@ -7,7 +7,8 @@ it.
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
-grid sizes. Range bin b spans beat frequencies [b, b+1) * fs / samples_per_chirp.
+grid sizes. Range bin b is centred at beat frequency b * fs / samples_per_chirp,
+so at range b * RadarConfig.range_bin_size_m.
 The Doppler axis is center-shifted: DC sits at bin L // 2, a convention shared
 by every module that touches Doppler spectra. A body at radial velocity v peaks
 at Doppler frequency 2*v*fc/c, folded into the +-1/(2*Tc) unambiguous span.

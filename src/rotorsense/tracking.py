@@ -136,7 +136,7 @@ def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Tr
         path[t - 1] = pred[path[t], t]
 
     scores = values[path, np.arange(n_t)]
-    ranges = (path + 0.5) * range_bin_size_m
+    ranges = path * range_bin_size_m
     return Track(range_bins=path, ranges_m=ranges, scores=scores, k_bins=k_bins,
                  frame_times=np.array(frame_times, dtype=float),
                  total_score=float(theta[path[-1], -1]))

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rotorsense import process_frames, scenarios, synthesize_frames
+from rotorsense.cli import track_capture
+from rotorsense.echo import StaticClutter
 from rotorsense.tracking import (PARTICLES, Track, TrackingError, _multinomial_indices,
                                  dp_max_path, estimate_noise_profile, particle_filter,
                                  read_track_csv, relative_range_error,
@@ -123,7 +126,7 @@ def test_dp_single_column():
     track = dp_path(np.array([[1.0], [9.0], [4.0]]), 1)
     assert list(track.range_bins) == [1]
     assert track.total_score == 9.0
-    assert track.ranges_m[0] == pytest.approx(1.5 * BIN)
+    assert track.ranges_m[0] == pytest.approx(1.0 * BIN)
 
 
 def test_dp_recovers_staircase():
@@ -191,6 +194,20 @@ def test_dp_empty_map_errors():
         dp_path(np.zeros((0, 0)), 1)
     with pytest.raises(TrackingError, match="k_bins"):
         dp_path(np.ones((3, 3)), 0)
+
+
+@pytest.mark.parametrize("k", [100, 131, 200])
+def test_track_ranges_sit_on_bin_centres(radar, k):
+    """An FFT puts a beat tone at range R in bin R / bin, so bin k is centred at k * bin."""
+    bin_m = radar.range_bin_size_m
+    background = scenarios.background_scene(noise_std=0.0,
+                                            clutter=(StaticClutter(20 * bin_m, 1.0),))
+    scene = scenarios.hover_scene(k * bin_m, seed=1, noise_std=0.0)
+    track = track_capture(process_frames(synthesize_frames(scene, radar, 20)), radar,
+                          process_frames(synthesize_frames(background, radar, 20)),
+                          v_max=V_MAX).track
+    assert np.all(track.range_bins == k)
+    assert np.all(track.ranges_m == k * bin_m)
 
 
 # --- particle filter -----------------------------------------------------------
@@ -378,7 +395,7 @@ def test_relative_error_guards():
 
 def test_track_csv_round_trip(tmp_path, radar):
     obs = 48.0 + np.arange(5) * 0.1
-    track = Track(range_bins=np.round(obs / BIN - 0.5).astype(int), ranges_m=obs,
+    track = Track(range_bins=np.round(obs / BIN).astype(int), ranges_m=obs,
                   scores=np.ones_like(obs), k_bins=1,
                   frame_times=(np.arange(obs.size) + 0.5) * 0.09,
                   filtered_ranges_m=particle_filter(obs, radar, V_MAX, 0)[0])
