@@ -255,11 +255,18 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
 
 # --- subcommands --------------------------------------------------------------
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def cmd_simulate(args) -> int:
     radar = _radar_for(args.config)
     scene = load_scenario(args.scenario, args.seed)
     n_frames = args.frames or radar.frames_per_capture
     frames = echo.synthesize_frames(scene, radar, n_frames)
+    for t, frame in enumerate(frames):  # the frame file stores float32 parts
+        if np.abs(frame.samples.view(np.float64)).max() > _FLOAT32_MAX:
+            raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
+                                  "frame file (noise_std or a reflectivity is too large)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frameio.write_frames(out / "frames.bin", frames, radar)

@@ -272,11 +272,12 @@ UAV, LEG = ("emitters", 0, "uav"), ("emitters", 0, "trajectory", 0)
     (_set(*UAV, "rotor_count", -1), "uav.rotor_count must be >= 1"),
     (_set(*UAV, "rotor_count", 2**40), "uav.rotor_count * scatterers_per_rotor must be <="),
     (_set(*UAV, "rotation_rate_hz", 1e308), "uav.rotor_angular_velocity_rad_per_s must be finite"),
+    (_set("noise_std", 1e39), "frame 0: a sample exceeds the float32 range of a frame file"),
 ], ids=["rotor-count-fraction", "rotor-count-bool", "rotor-count-string", "seed-fraction",
         "noise-nan", "noise-inf", "rotation-rate-inf", "leg-start-nan", "seed-1e400",
         "rotor-count-1e400", "noise-400-digits", "range-400-digits", "seed-negative",
         "geometry-seed-negative", "rotor-count-negative", "rotor-count-huge",
-        "rotation-rate-1e308"])
+        "rotation-rate-1e308", "noise-beyond-float32"])
 def test_mistyped_scenario_value_exits_one(tmp_path, capsys, edit, named):
     """Each of these ran with a coerced value, or exited 3, before scenario fields were typed."""
     edit, raw = edit
