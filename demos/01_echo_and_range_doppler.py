@@ -21,13 +21,12 @@ from rotorsense import scenarios
 
 radar = RadarConfig()
 doppler_bin_hz = 1.0 / radar.frame_duration_s  # the slow-time FFT spans one frame
+doppler_bin_m_per_s = doppler_bin_hz * radar.speed_of_light_m_per_s / (2 * radar.carrier_freq_hz)
 print("=== radar grid ===")
 print(f"max range        : {radar.max_range_m:8.2f} m")
 print(f"range bin        : {radar.range_bin_size_m:8.4f} m")
 print(f"frame duration   : {radar.frame_duration_s:8.3f} s")
-print(f"Doppler bin      : {doppler_bin_hz:8.3f} Hz"
-      f" ({doppler_bin_hz * radar.speed_of_light_m_per_s / (2 * radar.carrier_freq_hz) * 100:.2f}"
-      " cm/s)")
+print(f"Doppler bin      : {doppler_bin_hz:8.3f} Hz ({doppler_bin_m_per_s * 100:.2f} cm/s)")
 
 # --- 1. static reflector ------------------------------------------------------
 print("\n=== static reflector at 30 m ===")

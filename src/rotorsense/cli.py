@@ -12,12 +12,10 @@ ValueError or KeyError included: a fault in the code.
 
 Each subcommand takes only the flags it reads; one that it would leave unread
 exits 1 (_reject_unread), and so does a numeric flag out of its range, checked
-at parse time. --v-max is the one motion assumption, and CAPTURE_FLAG_DEFAULTS
-holds its one default: track_capture takes v_max with none. A capture's radar
-is the one frameio.read_frames returns: its header's, or for a headerless
-int16 capture the --raw-int16 radar config (default: the built-in radar); its
-range grid sets the DP bound, the particle filter's noise and the segment
-window.
+at parse time. --v-max is the one motion assumption; CAPTURE_FLAG_DEFAULTS
+holds its one default. A capture's radar is the one frameio.read_frames
+returns: its header's, or for a headerless int16 capture the --raw-int16
+radar config (default: the built-in radar).
 
 track_capture is the one capture recipe: `track`, `identify --frames` and the
 acceptance suite's end-to-end tracking check all track a capture and take its
@@ -255,16 +253,13 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
 
 # --- subcommands --------------------------------------------------------------
 
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
 def cmd_simulate(args) -> int:
     radar = _radar_for(args.config)
     scene = load_scenario(args.scenario, args.seed)
     n_frames = args.frames or radar.frames_per_capture
     frames = echo.synthesize_frames(scene, radar, n_frames)
     for t, frame in enumerate(frames):  # the frame file stores float32 parts
-        if np.abs(frame.samples.view(np.float64)).max() > _FLOAT32_MAX:
+        if np.abs(frame.samples.view(np.float64)).max() > np.finfo(np.float32).max:
             raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
                                   "frame file (noise_std or a reflectivity is too large)")
     out = Path(args.out)

@@ -269,6 +269,13 @@ def test_pf_empty_track_errors(radar):
         particle_filter(np.array([]), radar, V_MAX, 0)
 
 
+@pytest.mark.parametrize("v_max", [0.0, 3e8, 1e308, float("nan")])
+def test_pf_rejects_v_max_outside_zero_to_c(radar, v_max):
+    """1e308 overflowed the initial velocity draw."""
+    with pytest.raises(TrackingError, match="v_max_m_per_s must be finite and > 0"):
+        particle_filter(np.full(3, 48.0), radar, v_max, 0)
+
+
 def _resampling_weights(kind, n, rng):
     """Normalized weights [n] of one shape the resampler must handle."""
     if kind == "random":
