@@ -390,18 +390,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    times, ranges, filtered = tracking.read_track_csv(args.track)
+    times, _, filtered = tracking.read_track_csv(args.track)
     truth_times, truth_ranges = _read_truth_csv(args.truth)
     if times.shape != truth_times.shape or not np.allclose(times, truth_times):
         raise ValidationError("track and truth time grids do not match")
-    used = filtered if filtered is not None else ranges
-    err = tracking.relative_range_error(used, truth_ranges)
+    err = tracking.relative_range_error(filtered, truth_ranges)
     report = {
         "mean_relative_error": err,
         "budget": args.budget,
         "within_budget": bool(err <= args.budget),
-        "samples": int(len(used)),
-        "used": "filtered" if filtered is not None else "raw",
+        "samples": int(len(filtered)),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -513,7 +511,7 @@ def _add_seed_out(p, seed_help="root seed; all component randomness derives from
 
 
 def _add_capture_flags(p):
-    p.add_argument("--v-max", type=float, default=CAPTURE_FLAG_DEFAULTS["v_max"],
+    p.add_argument("--v-max", type=_POSITIVE, default=CAPTURE_FLAG_DEFAULTS["v_max"],
                    help="largest radial speed in m/s: sets the DP motion constraint and "
                         "the particle filter's velocity prior")
     p.add_argument("--background", help="background capture for noise profile estimation")

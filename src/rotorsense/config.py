@@ -85,9 +85,9 @@ def json_fields(doc: dict, kinds: dict, where: str, required: bool = False) -> d
     return {key: json_field(doc, key, kinds[key], where) for key in (kinds if required else doc)}
 
 
-def csv_columns(path, columns, where: str, error=ValidationError, blank=()) -> list:
-    """Columns of a headed CSV file as arrays of finite numbers; an empty cell of a
-    `blank` column reads as NaN. Else `error` names the column and the line."""
+def csv_columns(path, columns, where: str, error=ValidationError) -> list:
+    """Columns of a headed CSV file as arrays of finite numbers; else `error` names the
+    column and the line."""
     values = [[] for _ in columns]
     try:
         with open(path, newline="") as fh:
@@ -97,9 +97,6 @@ def csv_columns(path, columns, where: str, error=ValidationError, blank=()) -> l
                     raise error(f"{where} has no {key!r} column")
             for row in reader:
                 for key, out in zip(columns, values):
-                    if key in blank and not row[key]:
-                        out.append(math.nan)
-                        continue
                     try:
                         out.append(float(row[key]))
                     except (TypeError, ValueError):

@@ -17,12 +17,13 @@ prefer the smaller offset |k|, then the smaller bin. Finally a sequential
 importance resampling particle filter over (range, radial velocity) smooths
 the bin-quantized DP track: constant-velocity prediction with Gaussian
 process noise, Gaussian likelihood of the DP range, weighted-mean range as
-the estimate, then multinomial resampling every step. The resampling draw is
-the inverse-CDF lookup `rng.choice(n, size=n, p=w)` makes, from the same
-uniforms, searched in sorted order: same indices, same stream, less time.
-Its model is fixed by the range grid: 5000 particles, process noise of half
-a range bin in range and 0.5 m/s in velocity, measurement noise of one range
-bin.
+the estimate, then systematic resampling every step: one uniform u per step
+places the sorted keys (u + k) / n, k = 0..n-1, each copying the first
+particle whose normalised cumulative weight exceeds it, so a particle is
+copied within one of n times its weight, with less variance than a
+multinomial draw. Its model is fixed by the range grid: 5000 particles,
+process noise of half a range bin in range and 0.5 m/s in velocity,
+measurement noise of one range bin.
 """
 
 from __future__ import annotations
@@ -182,32 +183,24 @@ def particle_filter(ranges_m, radar: RadarConfig, v_max_m_per_s: float, rng_seed
             v = rng.uniform(-v_max_m_per_s, v_max_m_per_s, n)
             w = np.ones(n)
             total = float(n)
-        # w is exp(.) >= 0 over a finite positive total, so the checks
-        # rng.choice makes on p (non-negative, sums to 1) cannot fail here.
         w /= total
         estimates[t] = float(np.dot(w, r))
-        idx = _multinomial_indices(rng, w)
+        idx = _systematic_indices(w, rng.random())
         r, v = r[idx], v[idx]
 
     return estimates, reseeds
 
 
-def _multinomial_indices(rng, w) -> np.ndarray:
-    """Indices equal to rng.choice(len(w), size=len(w), p=w), drawn from the same stream.
-
-    It is numpy's own recipe for that call (cumsum, divide by the last entry,
-    one random(n) draw, searchsorted side="right"), run on the uniforms in
-    sorted order: a key's answer does not depend on the order of the keys,
-    and sorted keys make the search several times faster.
-    """
+def _systematic_indices(w, u: float) -> np.ndarray:
+    """Systematic resampling of weights w [n] (>= 0, positive sum) with offset u in
+    [0, 1): for k = 0..n-1, the first i whose normalised cumulative weight exceeds the
+    key (u + k) / n, taken below 1. Non-decreasing, and no zero-weight index."""
     n = w.shape[0]
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
-    u = rng.random(n)
-    order = np.argsort(u)
-    idx = np.empty(n, dtype=np.int64)
-    idx[order] = np.searchsorted(cdf, u[order], side="right")
-    return idx
+    # (u + n - 1) / n rounds up to 1.0, which no cumulative weight exceeds, for u near 1.
+    keys = np.minimum((u + np.arange(n)) / n, np.nextafter(1.0, 0.0))
+    return np.searchsorted(cdf, keys, side="right")
 
 
 def relative_range_error(track_ranges, truth_ranges) -> float:
@@ -223,7 +216,6 @@ def relative_range_error(track_ranges, truth_ranges) -> float:
 
 
 def track_to_csv(track: Track, path) -> None:
-    filtered = track.filtered_ranges_m
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_index", "time_s", "range_bin", "range_m",
@@ -232,14 +224,12 @@ def track_to_csv(track: Track, path) -> None:
             writer.writerow([
                 i, repr(float(track.frame_times[i])), int(track.range_bins[i]),
                 repr(float(track.ranges_m[i])),
-                repr(float(filtered[i])) if filtered is not None else "",
+                repr(float(track.filtered_ranges_m[i])),
                 repr(float(track.scores[i])),
             ])
 
 
 def read_track_csv(path):
-    """Returns (times, ranges_m, filtered_ranges_m or None)."""
-    times, ranges, filtered = csv_columns(
-        path, ("time_s", "range_m", "filtered_range_m"), f"track CSV {path}", TrackingError,
-        blank=("filtered_range_m",))
-    return times, ranges, None if np.all(np.isnan(filtered)) else filtered
+    """Returns (times, ranges_m, filtered_ranges_m)."""
+    return csv_columns(path, ("time_s", "range_m", "filtered_range_m"),
+                       f"track CSV {path}", TrackingError)

@@ -278,8 +278,8 @@ def test_json_fields_types_known_keys_and_names_every_unknown_one():
 def test_csv_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c\n1,2.5,\n-3,1e3,4\n")
-    a, c = csv_columns(path, ("a", "c"), "table", blank=("c",))
-    assert a.tolist() == [1.0, -3.0] and np.isnan(c[0]) and c[1] == 4.0
+    a, b = csv_columns(path, ("a", "b"), "table")
+    assert a.tolist() == [1.0, -3.0] and b.tolist() == [2.5, 1000.0]
     with pytest.raises(ValidationError, match="^table line 2 c = '' is not a finite number$"):
         csv_columns(path, ("a", "c"), "table")
     with pytest.raises(ValidationError, match="^table has no 'd' column$"):

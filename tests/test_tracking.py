@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotorsense import process_frames, scenarios, synthesize_frames
 from rotorsense.cli import track_capture
 from rotorsense.echo import StaticClutter
-from rotorsense.tracking import (PARTICLES, Track, TrackingError, _multinomial_indices,
+from rotorsense.tracking import (PARTICLES, Track, TrackingError, _systematic_indices,
                                  dp_max_path, estimate_noise_profile, particle_filter,
                                  read_track_csv, relative_range_error,
                                  spectral_subtract, track_to_csv)
@@ -298,45 +298,40 @@ def _resampling_weights(kind, n, rng):
     return w
 
 
+def _definition_indices(w, u):
+    """For each k, the first i with cdf[i] > (u + k) / n, the key taken below 1."""
+    n = w.shape[0]
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    idx, i = [], 0
+    for k in range(n):  # the keys rise with k, so each search starts at the last answer
+        key = min((u + k) / n, np.nextafter(1.0, 0.0))
+        while not cdf[i] > key:
+            i += 1
+        idx.append(i)
+    return np.array(idx), cdf
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, PARTICLES),
        st.sampled_from(["random", "zero_runs", "one_nonzero", "equal", "subnormal"]),
-       st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
-def test_multinomial_indices_match_rng_choice(n, kind, weight_seed, seed):
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0, exclude_max=True))
+@example(PARTICLES, "zero_runs", 3, np.nextafter(1.0, 0.0))  # (u + n - 1) / n rounds to 1.0
+@example(9, "equal", 0, 0.0)  # every key on a cdf step
+def test_systematic_indices_follow_the_definition(n, kind, weight_seed, u):
     w = _resampling_weights(kind, n, np.random.default_rng(weight_seed))
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    idx = _multinomial_indices(ours, w)
-    ref = theirs.choice(n, size=n, p=w)
-    assert idx.dtype == ref.dtype
+    idx = _systematic_indices(w, u)
+    ref, cdf = _definition_indices(w, u)
     assert np.array_equal(idx, ref)
-    assert np.array_equal(ours.random(4), theirs.random(4))  # same stream consumed
-
-
-class _FixedUniforms:
-    """Stands in for a Generator whose random(n) returns the given keys."""
-
-    def __init__(self, keys):
-        self.keys = keys
-
-    def random(self, n):
-        assert n == self.keys.size
-        return self.keys.copy()
-
-
-def test_multinomial_indices_on_cdf_steps_and_ties():
-    # Keys that land exactly on cdf values (0.0 under a leading zero weight,
-    # every step of a flat run), each repeated, in shuffled order. The cdf of
-    # nine 1/9 weights ends at 1.0000000000000002 before it is normalized.
-    w = np.r_[0.0, 0.0, np.full(9, 1.0 / 9.0), 0.0, 0.0]
-    cdf = np.cumsum(w)
-    cdf /= cdf[-1]
-    keys = np.random.default_rng(0).permutation(np.r_[0.0, cdf[cdf < 1.0]].repeat(2))[:w.size]
-    idx = _multinomial_indices(_FixedUniforms(keys), w)
-    assert np.array_equal(idx, (cdf[None, :] <= keys[:, None]).sum(axis=1))  # first cdf > key
+    assert np.all(np.diff(idx) >= 0)
+    assert np.all(w[idx] > 0)
+    copies = np.bincount(idx, minlength=n)
+    # A key within rounding of a cdf step may land on either side of it.
+    assert np.all(np.abs(copies - n * np.diff(cdf, prepend=0.0)) <= 1 + 1e-9)
 
 
 def _reference_particle_filter(ranges_m, radar, v_max, rng_seed):
-    """The filter as first written, resampling with rng.choice."""
+    """The filter written plainly, with systematic resampling."""
     obs = np.asarray(ranges_m, dtype=float)
     rng = np.random.default_rng(rng_seed)
     n = PARTICLES
@@ -363,7 +358,10 @@ def _reference_particle_filter(ranges_m, radar, v_max, rng_seed):
             total = float(n)
         w /= total
         estimates[t] = float(np.dot(w, r))
-        idx = rng.choice(n, size=n, p=w)
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        keys = (rng.random() + np.arange(n)) / n
+        idx = np.searchsorted(cdf, keys, side="right")
         r, v = r[idx], v[idx]
 
     return estimates, reseeds
@@ -371,7 +369,7 @@ def _reference_particle_filter(ranges_m, radar, v_max, rng_seed):
 
 @pytest.mark.parametrize("n_steps", [1, 40, 400])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pf_matches_rng_choice_reference(radar, n_steps, seed):
+def test_pf_matches_plain_reference(radar, n_steps, seed):
     rng = np.random.default_rng(500 + seed)
     obs = 48.0 + np.cumsum(rng.normal(0.0, 0.05, n_steps)) + rng.normal(0.0, 0.4, n_steps)
     estimates, reseeds = particle_filter(obs, radar, V_MAX, seed)
