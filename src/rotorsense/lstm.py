@@ -6,11 +6,12 @@ affine head mapping the final hidden state to class scores. Each time step
 consumes one Doppler spectrum, so the input dimension equals the Doppler bin
 count and a segment is consumed time-major as [steps, bins].
 
-Training minimizes mean softmax cross-entropy with Adam. Everything is plain
-float64 numpy with a fixed update order, so a fixed seed and batch order
-reproduce final parameters bit for bit. Gradients come from full
-backpropagation through time; tests check them against central finite
-differences.
+Training minimizes mean softmax cross-entropy with Adam. The detector
+computes in its parameters' dtype; the CLI trains float32; gradient checks
+run float64. A new detector draws float64 weights and casts them to float32.
+The update order is fixed, so a fixed seed and batch order reproduce final
+parameters bit for bit. Gradients come from full backpropagation through
+time; tests check them against central finite differences.
 
 The forward pass works on whole-sequence time-major arrays: the batch
 [B, T, D] is transposed once to [T, B, D], so each step's rows are one
@@ -33,6 +34,10 @@ bytes depend on the BLAS thread count.
 
 Weights initialize uniform in +-1/sqrt(hidden); biases start at zero except
 the forget gate (1.0, the usual stabilizer).
+
+A model file stores float32 arrays. Loading casts any real floating array to
+float32, so float64 files still load, and refuses one that is not real
+floating or not finite.
 """
 
 from __future__ import annotations
@@ -84,6 +89,12 @@ class LstmDetector:
             self.params[f"b{layer}"] = b
         self.params["w_out"] = rng.uniform(-bound, bound, (self.num_classes, hidden_size))
         self.params["b_out"] = np.zeros(self.num_classes)
+        self.params = {name: p.astype(np.float32) for name, p in self.params.items()}
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every forward and backward pass computes in: the parameters'."""
+        return self.params["wx0"].dtype
 
     def param_names(self) -> list[str]:
         return list(self.params)
@@ -91,7 +102,7 @@ class LstmDetector:
     # --- forward -----------------------------------------------------------
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ModelError(
                 f"expected input [batch, steps, {self.input_dim}], got {x.shape}")
@@ -102,19 +113,19 @@ class LstmDetector:
     def _forward_cached(self, x: np.ndarray):
         """Returns (scores [B, C], cache) for backprop; the cache layout is in the module doc."""
         b, t_steps, _ = x.shape
-        h_dim = self.hidden_size
+        h_dim, dtype = self.hidden_size, self.dtype
         # Halves the i, f, o rows around the tanh: sigmoid(z) = 0.5 * (1 + tanh(z / 2)).
-        scale = np.full(4 * h_dim, 0.5)
+        scale = np.full(4 * h_dim, 0.5, dtype=dtype)
         scale[2 * h_dim:3 * h_dim] = 1.0
-        zeros = np.zeros((b, h_dim))
+        zeros = np.zeros((b, h_dim), dtype=dtype)
         cache = []
         layer_in = np.ascontiguousarray(x.transpose(1, 0, 2))
         for layer in range(self.num_layers):
             wx, wh, bias = (self.params[f"wx{layer}"], self.params[f"wh{layer}"],
                             self.params[f"b{layer}"])
             gates = (layer_in.reshape(t_steps * b, -1) @ wx.T).reshape(t_steps, b, -1)
-            cs = np.empty((t_steps, b, h_dim))
-            hs = np.empty((t_steps, b, h_dim))
+            cs = np.empty((t_steps, b, h_dim), dtype=dtype)
+            hs = np.empty((t_steps, b, h_dim), dtype=dtype)
             for t in range(t_steps):
                 z = gates[t]
                 if t:
@@ -142,7 +153,7 @@ class LstmDetector:
 
     def forward(self, segment: np.ndarray) -> np.ndarray:
         """Class scores for one [steps, input_dim] segment."""
-        segment = np.asarray(segment, dtype=float)
+        segment = np.asarray(segment, dtype=self.dtype)
         if segment.ndim != 2:
             raise ModelError(f"expected a 2-d segment, got shape {segment.shape}")
         return self.forward_batch(segment[None])[0]
@@ -168,10 +179,10 @@ class LstmDetector:
         grads["b_out"] = dscores.sum(axis=0)
 
         h_dim = self.hidden_size
-        zeros = np.zeros((b, h_dim))
+        zeros = np.zeros((b, h_dim), dtype=self.dtype)
         # Gradient w.r.t. each layer's output sequence; top layer only gets a
         # contribution at the final step, from the head.
-        dh_seq = np.zeros((t_steps, b, h_dim))
+        dh_seq = np.zeros((t_steps, b, h_dim), dtype=self.dtype)
         dh_seq[-1] = dscores @ self.params["w_out"]
 
         for layer in range(self.num_layers - 1, -1, -1):
@@ -221,7 +232,7 @@ def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
     (segments, labels) is given, val_loss. The batch order is drawn from
     rng_seed, so identical inputs and seed give identical final parameters.
     """
-    x = np.asarray(segments, dtype=float)
+    x = np.asarray(segments, dtype=detector.dtype)
     y = np.asarray(labels, dtype=int)
     if x.ndim != 3:
         raise ModelError(f"expected segments [n, steps, bins], got {x.shape}")
@@ -294,7 +305,8 @@ def save_model(detector: LstmDetector, path) -> None:
         "training": detector.training_config,
         **FIXED_MANIFEST,
     }
-    arrays = {name: detector.params[name] for name in detector.param_names()}
+    arrays = {name: detector.params[name].astype(np.float32)
+              for name in detector.param_names()}
     np.savez(path, manifest=np.frombuffer(
         json.dumps(manifest, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
@@ -357,5 +369,13 @@ def load_model(path) -> LstmDetector:
             if arr.shape != det.params[name].shape:
                 raise ModelError(
                     f"parameter {name!r} has shape {arr.shape}, expected {det.params[name].shape}")
-            det.params[name] = arr.astype(float)
+            if arr.dtype.kind != "f":
+                raise ModelError(f"model file member {name!r} has dtype {arr.dtype}, "
+                                 f"not a real floating type")
+            with np.errstate(over="ignore"):  # a float64 beyond float32's range: inf
+                arr = arr.astype(np.float32)
+            if not np.all(np.isfinite(arr)):
+                raise ModelError(f"model file member {name!r} holds a value that is not "
+                                 f"a finite float32")
+            det.params[name] = arr
     return det

@@ -5,6 +5,7 @@ from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios
+from rotorsense.lstm import LstmDetector
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,14 @@ def tracking_scenes(radar):
     out["background"] = _capture(
         scenarios.background_scene(seed=99, clutter=clutter), radar, 40)
     return out
+
+
+def float64_detector(input_dim, hidden_size, seed):
+    """A detector whose parameters are cast to float64, so it computes in float64: for
+    checks whose tolerance assumes float64 (central differences, reference recurrences)."""
+    det = LstmDetector(input_dim, hidden_size, seed)
+    det.params = {name: p.astype(np.float64) for name, p in det.params.items()}
+    return det
 
 
 UAV_RANGE_BIN = 131  # 48 m with the default radar grid

@@ -22,7 +22,7 @@ from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
 from rotorsense.tracking import (dp_max_path, particle_filter, relative_range_error,
                                  spectral_subtract)
 
-from conftest import comb_spacing_estimate
+from conftest import comb_spacing_estimate, float64_detector
 from test_folding import naive_folding_value, fig_comb
 from test_tracking import brute_force_max_path
 
@@ -173,7 +173,7 @@ def test_criterion_6_particle_filter():
 # --- 7. LSTM correctness -----------------------------------------------------------------
 
 def test_criterion_7_lstm_gradients_and_determinism():
-    det = LstmDetector(input_dim=3, hidden_size=6, seed=7)
+    det = float64_detector(input_dim=3, hidden_size=6, seed=7)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4, 3))
     y = np.array([0, 1, 0])

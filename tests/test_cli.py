@@ -555,11 +555,13 @@ TRACK_CSV = ("frame_index,time_s,range_bin,range_m,filtered_range_m,score\n"
 TRUTH_CSV = "time_s,range_m,velocity_m_per_s\n0.045,48.0,0.0\n"
 
 
-def _identify_dataset(tmp_path, edit_manifest=lambda manifest: None, record=None):
+def _identify_dataset(tmp_path, edit_manifest=lambda manifest: None, record=None,
+                      edit_arrays=lambda arrays: None):
     """Argv of identify --dataset on a small saved model and a one-segment dataset.
 
-    edit_manifest changes the model's manifest in place; record, when given, replaces
-    the dataset with one record whose header is these raw bytes.
+    edit_manifest changes the model's manifest in place, and edit_arrays its dict of
+    parameter arrays; record, when given, replaces the dataset with one record whose
+    header is these raw bytes.
     """
     path = tmp_path / "model.npz"
     lstm.save_model(lstm.LstmDetector(input_dim=7, hidden_size=4, seed=0), path)
@@ -567,6 +569,7 @@ def _identify_dataset(tmp_path, edit_manifest=lambda manifest: None, record=None
         arrays = {name: data[name] for name in data.files}
     manifest = json.loads(bytes(arrays.pop("manifest")).decode())
     edit_manifest(manifest)
+    edit_arrays(arrays)
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
              **arrays)
     segments = tmp_path / "segments.bin"
@@ -639,6 +642,21 @@ def _record_header(raw):
     return lambda tmp: _identify_dataset(tmp, record=raw)
 
 
+def _model_member(name, edit):
+    """identify --dataset on a model whose member `name` is edit(the stored array)."""
+    return lambda tmp: _identify_dataset(
+        tmp, edit_arrays=lambda arrays: arrays.update({name: edit(arrays[name])}))
+
+
+def _first_value(value):
+    """A float64 copy of an array whose first element is `value`."""
+    def edit(arr):
+        arr = arr.astype(np.float64)
+        arr.flat[0] = value
+        return arr
+    return edit
+
+
 @pytest.mark.parametrize("argv, named", [
     (_manifest_value("input_dim", "x"), "model manifest input_dim = 'x' is not a JSON integer"),
     (_manifest_value("input_dim", None), "model manifest input_dim = None"),
@@ -659,10 +677,23 @@ def _record_header(raw):
     (_record_header(b'\xff{"W": 4, "L": 7}'), "unreadable dataset record 0 header"),
     (_record_header(b'{"W": 4,'), "unreadable dataset record 0 header"),
     (_record_header(b'[4, 7]'), "dataset record 0 header is not a JSON object"),
+    (_model_member("b_out", lambda arr: arr + 1j),
+     "model file member 'b_out' has dtype complex64, not a real floating type"),
+    (_model_member("wh0", lambda arr: arr > 0),
+     "model file member 'wh0' has dtype bool, not a real floating type"),
+    (_model_member("wx0", lambda arr: arr.astype(np.int64)),
+     "model file member 'wx0' has dtype int64, not a real floating type"),
+    (_model_member("w_out", _first_value(np.nan)),
+     "model file member 'w_out' holds a value that is not a finite float32"),
+    (_model_member("b0", _first_value(-np.inf)),
+     "model file member 'b0' holds a value that is not a finite float32"),
+    (_model_member("b_out", _first_value(1e300)),
+     "model file member 'b_out' holds a value that is not a finite float32"),
 ], ids=["input-dim-string", "input-dim-null", "input-dim-float", "hidden-size-bool",
         "seed-string", "seed-negative", "input-dim-huge", "hidden-size-huge", "w-string",
         "w-null", "w-float", "w-negative", "l-zero",
-        "header-not-utf8", "header-not-json", "header-list"])
+        "header-not-utf8", "header-not-json", "header-list", "member-complex",
+        "member-bool", "member-int", "member-nan", "member-inf", "member-beyond-float32"])
 def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
@@ -721,6 +752,18 @@ def test_train_hidden_size_too_large_exits_one(tmp_path, capsys):
     assert "hidden_size 10000000 with input_dim 7 gives a weight matrix of" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_writes_float32_parameters(tmp_path):
+    identify.save_segments(tmp_path / "train.bin",
+                           [identify.Segment(values=np.full((4, 7), k), label=lab)
+                            for k, lab in ((1.0, "uav"), (2.0, "other"))])
+    assert main(["train", "--dataset", str(tmp_path / "train.bin"), "--epochs", "1",
+                 "--hidden", "4", "--out", str(tmp_path / "out")]) == 0
+    with np.load(tmp_path / "out" / "model.npz") as data:
+        dtypes = {name: data[name].dtype for name in data.files if name != "manifest"}
+    names = lstm.LstmDetector(input_dim=7, hidden_size=4).param_names()
+    assert dtypes == dict.fromkeys(names, np.dtype(np.float32))
 
 
 def test_segments_of_two_shapes_exit_one(tmp_path, capsys):

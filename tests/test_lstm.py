@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from rotorsense.lstm import (LstmDetector, ModelError, evaluate_loss, load_model,
                              lstm_train, save_model)
 
+from conftest import float64_detector
+
 
 def test_zero_weights_scores_equal_bias():
     det = LstmDetector(input_dim=4, hidden_size=3, seed=0)
@@ -62,7 +64,7 @@ def _reference_forward(det, segment):
 
 
 def test_forward_matches_reference_recurrence():
-    det = LstmDetector(input_dim=3, hidden_size=4, seed=5)
+    det = float64_detector(input_dim=3, hidden_size=4, seed=5)
     rng = np.random.default_rng(2)
     for name in det.param_names():  # tiny fixed weights
         det.params[name] = rng.uniform(-0.3, 0.3, det.params[name].shape)
@@ -96,7 +98,7 @@ def test_head_permutation_permutes_scores():
 
 
 def test_gradient_check_against_central_differences():
-    det = LstmDetector(input_dim=3, hidden_size=6, seed=7)
+    det = float64_detector(input_dim=3, hidden_size=6, seed=7)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4, 3))  # 3 samples, 4 steps
     y = np.array([0, 1, 0])
@@ -129,6 +131,20 @@ def test_zero_learning_rate_keeps_parameters():
     lstm_train(det, x, y, epochs=2, batch_size=4, learning_rate=0.0, rng_seed=0)
     for name, value in det.params.items():
         assert np.array_equal(value, before[name])
+
+
+def test_training_keeps_parameters_float32():
+    """Adam's moments and updates follow the parameters' dtype: no step upcasts them."""
+    det = LstmDetector(input_dim=3, hidden_size=4, seed=0)
+    assert {p.dtype for p in det.params.values()} == {np.dtype(np.float32)}
+    before = {name: p.copy() for name, p in det.params.items()}
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 5, 3))  # float64 input
+    lstm_train(det, x, np.array([0, 1] * 4), epochs=2, batch_size=4, learning_rate=1e-3,
+               rng_seed=0)
+    for name, p in det.params.items():
+        assert p.dtype == np.float32, name
+        assert not np.array_equal(p, before[name]), name  # the steps did update it
 
 
 def test_training_is_deterministic():
@@ -178,6 +194,7 @@ for name in det.param_names():
     digest.update(det.params[name].tobytes())
 digest.update(det.forward_batch(x).tobytes())
 print(digest.hexdigest())
+print(sorted({p.dtype.name for p in det.params.values()}))
 """
 
 
@@ -189,7 +206,9 @@ def test_training_bytes_do_not_depend_on_blas_threads():
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == out.getvalue().strip()
+    here, there = out.getvalue().split("\n"), run.stdout.split("\n")
+    assert here[1] == there[1] == "['float32']"  # not a float64 fallback
+    assert here[0] == there[0]
 
 
 @pytest.mark.parametrize("input_dim, hidden_size", [
@@ -241,7 +260,7 @@ def test_history_includes_validation_loss():
 
 
 def test_evaluate_loss_matches_manual_log_softmax():
-    det = LstmDetector(input_dim=3, hidden_size=4, seed=6)
+    det = float64_detector(input_dim=3, hidden_size=4, seed=6)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 4, 3))
     y = np.array([0, 1, 1, 0, 1])
@@ -260,9 +279,26 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.input_dim == 7 and loaded.hidden_size == 5
     assert loaded.training_config["epochs"] == 3
     for name in det.param_names():
+        assert loaded.params[name].dtype == np.float32
         assert np.array_equal(loaded.params[name], det.params[name])
     segment = np.random.default_rng(1).normal(size=(4, 7))
     assert np.array_equal(loaded.forward(segment), det.forward(segment))
+
+
+def test_float64_model_file_loads_as_float32(tmp_path):
+    """A model file whose arrays are float64 loads as their float32 cast."""
+    det = LstmDetector(input_dim=7, hidden_size=5, seed=8)
+    path = tmp_path / "model.npz"
+    save_model(det, path)
+    with np.load(path) as data:
+        manifest = data["manifest"]
+    rng = np.random.default_rng(4)
+    stored = {name: rng.normal(size=p.shape) for name, p in det.params.items()}  # float64
+    np.savez(path, manifest=manifest, **stored)
+    loaded = load_model(path)
+    for name, arr in stored.items():
+        assert loaded.params[name].dtype == np.float32
+        assert np.array_equal(loaded.params[name], arr.astype(np.float32))
 
 
 @pytest.mark.parametrize("key, value", [("normalize", False), ("num_layers", 3)])
