@@ -3,9 +3,10 @@
 Generates a small balanced corpus of UAV and distractor captures, preprocesses
 each into one aligned 3.6 s Doppler-time segment with the same recipe as
 `rotorsense dataset gen` (DC removal, feature alignment, folding filter),
-trains the two-layer LSTM briefly and reports the held-out confusion metrics.
-It runs in about ten seconds on a 2-core machine; the full acceptance
-experiment uses 200 + 200 segments.
+trains the two-layer LSTM with `rotorsense train`'s recipe (lstm_train's
+defaults) and reports the held-out confusion metrics. It runs in about five
+seconds on a 2-core machine; the full acceptance experiment uses 200 + 200
+segments and the same recipe.
 
 Run: python demos/04_identification.py
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from rotorsense import RadarConfig
 from rotorsense.cli import background_threshold, scene_segment
-from rotorsense.identify import LABELS, classify, segment_batch, segment_window_frames
+from rotorsense.identify import classify, segment_window_frames, training_tensors
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense import scenarios
 
@@ -42,17 +43,14 @@ print(f"{passed}/{len(segments)} segments pass the folding filter "
 
 order = rng.permutation(len(segments))
 split = int(0.7 * len(segments))
-train_idx, test_idx = order[:split], order[split:]
-x = segment_batch(segments)
-y = np.array([LABELS.index(segments[i].label) for i in range(len(segments))])
+x, y = training_tensors([segments[i] for i in order[:split]], "the training split")
 
-print("training the detector (two stacked recurrent layers, hidden 128) ...")
+print("training the detector with `rotorsense train`'s recipe ...")
 detector = LstmDetector(input_dim=x.shape[2], seed=0)
-_, history = lstm_train(detector, x[train_idx], y[train_idx], epochs=40,
-                        batch_size=10, learning_rate=5e-5, rng_seed=0)
+_, history = lstm_train(detector, x, y, rng_seed=0)
 print(f"train loss: {history[0]['train_loss']:.3f} -> {history[-1]['train_loss']:.3f}")
 
-labels, metrics = classify(detector, [segments[i] for i in test_idx])
+labels, metrics = classify(detector, [segments[i] for i in order[split:]])
 print("\nheld-out metrics:")
 for key in ("accuracy", "precision", "recall", "f1"):
     print(f"  {key:9s}: {metrics[key]:.3f}")

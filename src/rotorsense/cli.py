@@ -362,21 +362,15 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _training_tensors(path):
-    """Labelled segments of a dataset file as (x [n, steps, bins], y [n])."""
-    labeled = [s for s in identify.load_segments(path) if s.label in identify.LABELS]
-    if not labeled:
-        raise ModelError(f"dataset {path} contains no labeled segments")
-    x = identify.segment_batch(labeled)
-    y = np.array([identify.LABELS.index(s.label) for s in labeled])
-    return x, y
-
-
 def cmd_train(args) -> int:
-    x, y = _training_tensors(args.dataset)
+    x, y = identify.training_tensors(identify.load_segments(args.dataset),
+                                     f"dataset {args.dataset}")
     detector = lstm.LstmDetector(input_dim=x.shape[2], hidden_size=args.hidden,
                                  seed=component_seed(args.seed, "lstm-init"))
-    val = _training_tensors(args.val_dataset) if args.val_dataset else None
+    val = None
+    if args.val_dataset:
+        val = identify.training_tensors(identify.load_segments(args.val_dataset),
+                                        f"dataset {args.val_dataset}")
     _, history = lstm.lstm_train(
         detector, x, y, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, rng_seed=component_seed(args.seed, "lstm-batches"),
@@ -559,10 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--val-dataset", default=None)
-    p.add_argument("--epochs", type=_COUNT, default=40)
-    p.add_argument("--batch-size", type=_AT_LEAST_ONE, default=10)
-    p.add_argument("--lr", type=_POSITIVE, default=5e-5)
-    p.add_argument("--hidden", type=_AT_LEAST_ONE, default=128)
+    p.add_argument("--epochs", type=_COUNT, default=lstm.EPOCHS)
+    p.add_argument("--batch-size", type=_AT_LEAST_ONE, default=lstm.BATCH_SIZE)
+    p.add_argument("--lr", type=_POSITIVE, default=lstm.LEARNING_RATE)
+    p.add_argument("--hidden", type=_AT_LEAST_ONE, default=lstm.HIDDEN_SIZE)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="relative range error of a track vs truth")

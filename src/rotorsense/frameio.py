@@ -10,7 +10,8 @@ still read, with c = 3.0e8 m/s.
 read_frames is the one capture reader: it returns a capture's frames and the
 radar that recorded them. A frame file's header describes its radar; a
 headerless int16 capture (interleaved re, im, e.g. recorded hardware data) is
-read in the layout of a radar the caller supplies.
+read in the layout of a radar the caller supplies. A payload holding a NaN or
+an infinity is refused, naming its first such frame.
 """
 
 from __future__ import annotations
@@ -82,15 +83,22 @@ def read_header(path) -> RadarConfig:
 def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
     """Interleaved (re, im) payload -> complex128 frames of chirps x samples, in file order.
 
-    The payload is widened once, to float64, and that buffer is viewed as one
-    complex128 cube [frames, chirps, samples]; each frame's samples are a view
-    of it.
+    The payload is checked finite first, so the cast never meets a NaN, then
+    widened once, to float64, and that buffer is viewed as one complex128 cube
+    [frames, chirps, samples]; each frame's samples are a view of it.
     """
     per_frame = chirps * samples * 2
     if data.size == 0 or data.size % per_frame != 0:
         raise FormatError(
             f"{data.dtype} payload of {data.size} values is not a whole number of "
             f"{chirps}x{samples} frames")
+    # The float64 sum of the samples is finite exactly when every sample is, and it
+    # needs no payload-sized mask. Under errstate a signalling NaN does not warn.
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(np.sum(data, dtype=np.float64))
+    if not finite:
+        first = int(np.argmin(np.isfinite(data)))
+        raise FormatError(f"frame {first // per_frame} holds a sample that is not finite")
     n_frames = data.size // per_frame
     cube = data.astype(np.float64).view(np.complex128).reshape(n_frames, chirps, samples)
     return [Frame(cube[i]) for i in range(n_frames)]

@@ -20,7 +20,9 @@ feature align  -- each column is shifted so its body-velocity peak (global
 The diagram is then cut into fixed-length windows (3.6 s worth of frames),
 each a Segment, and windows whose maximum per-column folding result stays
 below a threshold are flagged as featureless. segment_batch stacks segments,
-each max-normalized, into the LSTM's [segments, frames, Doppler bins] input.
+each max-normalized in its own dtype, into the LSTM's [segments, frames,
+Doppler bins] input. Dataset records stay float32: a float32 quotient equals
+the float64 one rounded to float32, so widening them would change no bit.
 """
 
 from __future__ import annotations
@@ -195,6 +197,15 @@ def segment_batch(segments) -> np.ndarray:
     return np.stack([normalize_segment(s.values) for s in segments])
 
 
+def training_tensors(segments, source: str) -> tuple[np.ndarray, np.ndarray]:
+    """The segments labelled "uav" or "other" as (x [n, W, L], y [n] LABELS indices);
+    source names the segments in the error when none is labelled."""
+    labeled = [s for s in segments if s.label in LABELS]
+    if not labeled:
+        raise IdentifyError(f"{source} contains no labeled segments")
+    return segment_batch(labeled), np.array([LABELS.index(s.label) for s in labeled])
+
+
 # --- classification and metrics ----------------------------------------------
 
 def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
@@ -301,8 +312,10 @@ def load_segments(path) -> list[Segment]:
             if w * l * 4 > size - fh.tell():
                 raise IdentifyError("truncated dataset record payload")
             values = np.frombuffer(fh.read(w * l * 4), dtype=np.float32).reshape(w, l)
+            if not np.isfinite(values).all():
+                raise IdentifyError(f"{record} holds a value that is not finite")
             segments.append(Segment(
-                values=values.astype(float),
+                values=values,
                 label=get("label", "string", "unlabeled"),
                 max_folding_result=get("max_folding_result", "number", 0.0),
                 passed_filter=get("passed_filter", "bool", True),

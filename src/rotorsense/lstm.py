@@ -1,16 +1,18 @@
 """Stacked LSTM sequence classifier, implemented from scratch in numpy.
 
 Two stacked gated recurrent layers (input, forget, output gates plus a tanh
-candidate writing a cell state), hidden size 128 by default, followed by an
+candidate writing a cell state), HIDDEN_SIZE wide by default, followed by an
 affine head mapping the final hidden state to class scores. Each time step
 consumes one Doppler spectrum, so the input dimension equals the Doppler bin
 count and a segment is consumed time-major as [steps, bins].
 
-Training minimizes mean softmax cross-entropy with Adam. The detector
-computes in its parameters' dtype; the CLI trains float32; gradient checks
-run float64. A new detector draws float64 weights and casts them to float32.
-The update order is fixed, so a fixed seed and batch order reproduce final
-parameters bit for bit. Gradients come from full backpropagation through
+Training minimizes mean softmax cross-entropy with Adam. lstm_train's defaults
+are the one recipe (EPOCHS, BATCH_SIZE, LEARNING_RATE) that `rotorsense train`,
+acceptance criterion 8 and demo 04 run. The detector computes in its
+parameters' dtype; the CLI trains float32 on float32 dataset records; gradient
+checks run float64. A new detector draws float64 weights and casts them to
+float32. The update order is fixed, so a fixed seed and batch order reproduce
+final parameters bit for bit. Gradients come from full backpropagation through
 time; tests check them against central finite differences.
 
 The forward pass works on whole-sequence time-major arrays: the batch
@@ -58,6 +60,11 @@ class ModelError(ValidationError):
 
 MODEL_SCHEMA_VERSION = 1
 
+EPOCHS = 40
+LEARNING_RATE = 5e-5
+BATCH_SIZE = 10
+HIDDEN_SIZE = 128
+
 
 class LstmDetector:
     """Two-layer LSTM + affine head scoring the two classes; depth and classes are fixed."""
@@ -65,7 +72,7 @@ class LstmDetector:
     num_layers = 2
     num_classes = 2
 
-    def __init__(self, input_dim: int, hidden_size: int = 128, seed: int = 0):
+    def __init__(self, input_dim: int, hidden_size: int = HIDDEN_SIZE, seed: int = 0):
         if min(input_dim, hidden_size) < 1:
             raise ModelError("input_dim and hidden_size must be >= 1")
         size = 4 * hidden_size * max(input_dim, hidden_size)  # the largest weight matrix
@@ -223,8 +230,8 @@ def _cross_entropy(scores: np.ndarray, labels: np.ndarray):
     return float(np.mean(log_z - shifted[np.arange(scores.shape[0]), labels])), shifted
 
 
-def lstm_train(detector: LstmDetector, segments, labels, epochs: int,
-               batch_size: int = 10, learning_rate: float = 5e-5,
+def lstm_train(detector: LstmDetector, segments, labels, epochs: int = EPOCHS,
+               batch_size: int = BATCH_SIZE, learning_rate: float = LEARNING_RATE,
                rng_seed: int = 0, val_data=None, verbose: bool = False):
     """Train in place; returns (detector, history).
 

@@ -15,8 +15,8 @@ from rotorsense.cli import background_threshold, scene_segment, track_capture
 from rotorsense.config import RadarConfig, constant_velocity, hover
 from rotorsense.echo import SceneSpec, UavEmitter, scene_truth, synthesize_frames
 from rotorsense.folding import folding_result, folding_value
-from rotorsense.identify import (LABELS, binary_metrics, classify, feature_alignment,
-                                 normalize_segment, segment_batch, segment_window_frames)
+from rotorsense.identify import (binary_metrics, classify, feature_alignment,
+                                 normalize_segment, segment_window_frames, training_tensors)
 from rotorsense.lstm import LstmDetector, lstm_train
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
 from rotorsense.tracking import (dp_max_path, particle_filter, relative_range_error,
@@ -218,7 +218,8 @@ WINDOW = segment_window_frames(RADAR)
 def identification_experiment():
     """200 UAV + 200 distractor segments, 70/30 split, trained detector.
 
-    Segments come from the same recipe functions as `rotorsense dataset gen`.
+    Segments come from the same recipe functions as `rotorsense dataset gen`,
+    and the detector trains with lstm_train's defaults, as `rotorsense train` does.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
@@ -233,15 +234,9 @@ def identification_experiment():
     train = [segments[i] for i in order[:n_train]]
     test = [segments[i] for i in order[n_train:]]
 
-    def tensors(segs):
-        x = segment_batch(segs)
-        y = np.array([LABELS.index(s.label) for s in segs])
-        return x, y
-
-    x_train, y_train = tensors(train)
+    x_train, y_train = training_tensors(train, "the training split")
     detector = LstmDetector(input_dim=x_train.shape[2], seed=8)
-    lstm_train(detector, x_train, y_train, epochs=80, batch_size=10,
-               learning_rate=5e-5, rng_seed=8)
+    lstm_train(detector, x_train, y_train, rng_seed=8)
     elapsed = time.perf_counter() - t0
     return detector, test, elapsed
 

@@ -318,6 +318,18 @@ def test_malformed_frame_header_exits_two(tmp_path, capsys, key, value):
     assert "frame header" in capsys.readouterr().err
 
 
+def test_frame_file_with_a_signalling_nan_exits_two(pipeline_run, tmp_path, capsys):
+    """The reader refuses a non-finite sample, naming its frame, before a cast could warn."""
+    assert main(["simulate", "--scenario", str(pipeline_run / "hover.json"), "--frames", "2",
+                 "--out", str(tmp_path)]) == 0
+    frames = tmp_path / "frames.bin"
+    frames.write_bytes(frames.read_bytes()[:-4] + bytes.fromhex("0000a07f"))
+    capsys.readouterr()
+    assert main(["track", "--frames", str(frames), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: frame 1 holds a sample that is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_two(tmp_path):
     assert main(["track", "--frames", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path)]) == 2
@@ -648,6 +660,19 @@ def _model_member(name, edit):
         tmp, edit_arrays=lambda arrays: arrays.update({name: edit(arrays[name])}))
 
 
+def _nan_record(command):
+    """identify --dataset or train on a dataset whose second record holds a float32 NaN."""
+    def argv(tmp):
+        argv = _identify_dataset(tmp)
+        values = np.ones((4, 7))
+        values[2, 3] = np.nan
+        identify.save_segments(argv[2], [identify.Segment(values=np.ones((4, 7)), label="other"),
+                                         identify.Segment(values=values, label="uav")])
+        return {"identify": argv, "train": ["train", "--dataset", argv[2], "--hidden", "4",
+                                            "--out", str(tmp / "train")]}[command]
+    return argv
+
+
 def _first_value(value):
     """A float64 copy of an array whose first element is `value`."""
     def edit(arr):
@@ -677,6 +702,8 @@ def _first_value(value):
     (_record_header(b'\xff{"W": 4, "L": 7}'), "unreadable dataset record 0 header"),
     (_record_header(b'{"W": 4,'), "unreadable dataset record 0 header"),
     (_record_header(b'[4, 7]'), "dataset record 0 header is not a JSON object"),
+    (_nan_record("identify"), "dataset record 1 holds a value that is not finite"),
+    (_nan_record("train"), "dataset record 1 holds a value that is not finite"),
     (_model_member("b_out", lambda arr: arr + 1j),
      "model file member 'b_out' has dtype complex64, not a real floating type"),
     (_model_member("wh0", lambda arr: arr > 0),
@@ -692,7 +719,8 @@ def _first_value(value):
 ], ids=["input-dim-string", "input-dim-null", "input-dim-float", "hidden-size-bool",
         "seed-string", "seed-negative", "input-dim-huge", "hidden-size-huge", "w-string",
         "w-null", "w-float", "w-negative", "l-zero",
-        "header-not-utf8", "header-not-json", "header-list", "member-complex",
+        "header-not-utf8", "header-not-json", "header-list", "record-nan-identify",
+        "record-nan-train", "member-complex",
         "member-bool", "member-int", "member-nan", "member-inf", "member-beyond-float32"])
 def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1

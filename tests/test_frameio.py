@@ -40,7 +40,8 @@ def test_round_trip(tmp_path, small_radar):
 def test_float32_round_trip_is_exact(tmp_path_factory, n_frames, data):
     radar = RadarConfig(chirps_per_frame=4, samples_per_chirp=8)
     parts = data.draw(arrays(np.float32, (n_frames, 4, 8, 2),
-                             elements=st.floats(width=32, allow_nan=False)))
+                             elements=st.floats(width=32, allow_nan=False,
+                                                allow_infinity=False)))
     samples = np.empty(parts.shape[:3], dtype=np.complex128)
     samples.real, samples.imag = parts[..., 0], parts[..., 1]
     path = tmp_path_factory.getbasetemp() / "round_trip.bin"
@@ -203,7 +204,8 @@ def test_decode_matches_explicit_re_im_assembly(dtype):
     else:
         data = rng.standard_normal(n_frames * chirps * samples * 2).astype(dtype)
         f4 = np.finfo(np.float32)
-        extremes = [-0.0, np.inf, -np.inf, np.nan, f4.max, -f4.max, f4.smallest_subnormal]
+        # finite, though a float32 sum of f4.max twice overflows
+        extremes = [-0.0, f4.max, f4.max, -f4.max, f4.smallest_subnormal, -f4.tiny]
     data[:len(extremes)] = extremes
     data[-len(extremes):] = extremes[::-1]
 
@@ -218,6 +220,18 @@ def test_decode_matches_explicit_re_im_assembly(dtype):
         assert frame.samples.dtype == np.complex128
         assert frame.samples.shape == (chirps, samples)
         assert frame.samples.tobytes() == expected[i].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3 * 4 * 5 * 2 - 1), st.booleans(), st.integers(0, 2**23 - 1))
+def test_non_finite_sample_is_refused_naming_its_frame(at, negative, mantissa):
+    """An infinity or any NaN, signalling ones included, is refused with its frame's
+    index before the widening cast, which warns on a signalling NaN."""
+    data = np.ones(3 * 4 * 5 * 2, dtype="<f4")
+    data.view(np.uint32)[at] = (negative << 31) | (0xFF << 23) | mantissa
+    with pytest.raises(FormatError, match=f"^frame {at // 40} holds a sample that is not "
+                                          "finite$"):
+        _decode_frames(data, 4, 5)
 
 
 def test_read_header_round_trip(tmp_path, small_radar):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from rotorsense.folding import build_folding_map, folding_result
 from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
@@ -309,6 +310,20 @@ def test_normalize_segment():
     assert np.array_equal(normalize_segment(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float32, array_shapes(min_dims=2, max_dims=2, max_side=8),
+              elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+@example(np.array([[1e-45, -2e-40], [3e38, 0.0]], dtype=np.float32))
+def test_float32_segment_normalizes_to_the_float64_quotients_bits(values):
+    """A float32 record normalized in float32 feeds the detector the bits the float64
+    quotient rounded to float32 gives: why dataset records need not be widened."""
+    peak = float(np.abs(values).max())
+    assume(peak > 0)
+    expected = (values.astype(np.float64) / peak).astype(np.float32)
+    got = segment_batch([Segment(values=values)])[0]
+    assert got.dtype == np.float32 and got.tobytes() == expected.tobytes()
+
+
 # --- dataset file --------------------------------------------------------------------
 
 def test_segment_file_round_trip(tmp_path):
@@ -326,7 +341,7 @@ def test_segment_file_round_trip(tmp_path):
     loaded = load_segments(path)
     assert len(loaded) == 2
     for orig, back in zip(segments, loaded):
-        assert np.array_equal(back.values, orig.values)
+        assert back.values.dtype == np.float32 and np.array_equal(back.values, orig.values)
         assert back.label == orig.label
         assert back.passed_filter == orig.passed_filter
         assert back.provenance == orig.provenance
