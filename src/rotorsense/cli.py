@@ -318,9 +318,6 @@ def _read_truth_csv(path):
 def cmd_identify(args) -> int:
     _reject_unread(args)
     detector = lstm.load_model(args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.dataset:
         segments = identify.load_segments(args.dataset)
         if not segments:
@@ -335,16 +332,17 @@ def cmd_identify(args) -> int:
         segments = capture_segments(cube, result.track.range_bins, result.track.frame_times,
                                     result.window, threshold)
         segments = [s for s in segments if s.passed_filter]
-        if not segments:
-            _write_json(out / "metrics.json",
-                        {"verdict": "no-detection", "segments": 0})
-            print("no segments passed the folding filter: no-detection")
-            return EXIT_OK
-
-    if detector.input_dim != segments[0].values.shape[1]:
+    if segments and detector.input_dim != segments[0].values.shape[1]:
         raise ModelError(
             f"model input_dim {detector.input_dim} does not match segment "
             f"bins {segments[0].values.shape[1]}")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if not segments:
+        _write_json(out / "metrics.json", {"verdict": "no-detection", "segments": 0})
+        print("no segments passed the folding filter: no-detection")
+        return EXIT_OK
     labels, metrics = identify.classify(detector, segments)
     with open(out / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -65,6 +65,9 @@ class SimulationError(ValidationError):
 class Frame:
     """One radar frame of complex beat samples, shape [chirps, samples].
 
+    The dtype follows the source: a frame read from a file (frameio.read_frames)
+    holds complex64, a view of the capture's one buffer; a synthesized frame
+    (synthesize_frames) holds complex128. rdmap.process_frames takes either.
     A frame's index is its position in the capture's list. Frame stays only
     because the benchmark's counters read `.samples`; ROADMAP items 3 and 4
     replace the list with one [frames, chirps, samples] array.

@@ -12,6 +12,11 @@ radar that recorded them. A frame file's header describes its radar; a
 headerless int16 capture (interleaved re, im, e.g. recorded hardware data) is
 read in the layout of a radar the caller supplies. A payload holding a NaN or
 an infinity is refused, naming its first such frame.
+
+A capture is held once: its frames' samples are complex64 views of the one
+payload buffer, read as is from a frame file and converted once, exactly,
+from an int16 capture. Nothing here widens them; rdmap.process_frames
+widens one frame at a time to complex128, just before its range FFT.
 """
 
 from __future__ import annotations
@@ -81,11 +86,13 @@ def read_header(path) -> RadarConfig:
 
 
 def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
-    """Interleaved (re, im) payload -> complex128 frames of chirps x samples, in file order.
+    """Interleaved (re, im) payload -> complex64 frames of chirps x samples, in file order.
 
-    The payload is checked finite first, so the cast never meets a NaN, then
-    widened once, to float64, and that buffer is viewed as one complex128 cube
-    [frames, chirps, samples]; each frame's samples are a view of it.
+    The payload is checked finite first. A float32 payload is then viewed,
+    without a copy, as one complex64 cube [frames, chirps, samples]; an int16
+    payload is first converted once to float32, which holds every int16
+    exactly. Each frame's samples are a view of that cube: nothing is widened
+    here, and rdmap.process_frames widens one frame at a time.
     """
     per_frame = chirps * samples * 2
     if data.size == 0 or data.size % per_frame != 0:
@@ -100,7 +107,8 @@ def _decode_frames(data: np.ndarray, chirps: int, samples: int) -> list[Frame]:
         first = int(np.argmin(np.isfinite(data)))
         raise FormatError(f"frame {first // per_frame} holds a sample that is not finite")
     n_frames = data.size // per_frame
-    cube = data.astype(np.float64).view(np.complex128).reshape(n_frames, chirps, samples)
+    cube = data.astype(np.float32, copy=False).view(np.complex64)
+    cube = cube.reshape(n_frames, chirps, samples)
     return [Frame(cube[i]) for i in range(n_frames)]
 
 

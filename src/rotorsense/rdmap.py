@@ -33,10 +33,14 @@ def dc_bin(n_doppler_bins: int) -> int:
 def process_frames(frames) -> np.ndarray:
     """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
 
-    Per frame: the range FFT along fast time, fft(axis=1) / sqrt(N); the Doppler
-    FFT along slow time, fft(axis=0) / sqrt(L), center-shifted; the magnitude.
-    Each map is written Doppler-major, the order the FFTs yield it, so the
-    returned cube is a transposed view of that buffer.
+    Per frame: the samples widened to complex128; the range FFT along fast
+    time, fft(axis=1) / sqrt(N); the Doppler FFT along slow time, fft(axis=0)
+    / sqrt(L), center-shifted; the magnitude. The widening happens here, one
+    frame at a time, into one complex128 buffer that both FFTs work in: a
+    complex64 capture read from a file is never held twice, and no FFT sees
+    complex64, which numpy would transform in single precision. Each map is
+    written Doppler-major, the order the FFTs yield it, so the returned cube
+    is a transposed view of the maps' buffer.
 
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
@@ -46,11 +50,19 @@ def process_frames(frames) -> np.ndarray:
     if not frames:
         raise ProcessingError("no frames given")
     buf = np.empty((len(frames),) + frames[0].samples.shape)
+    spec = np.empty(buf.shape[1:], dtype=np.complex128)
+    chirps, samples = spec.shape
+    half = chirps // 2
     with np.errstate(over="ignore", invalid="ignore"):
         for t, frame in enumerate(frames):
-            spec = np.fft.fft(frame.samples, axis=1) / np.sqrt(frame.samples.shape[1])
-            spec = np.fft.fft(spec, axis=0) / np.sqrt(spec.shape[0])
-            np.abs(np.fft.fftshift(spec, axes=0), out=buf[t])
+            spec[...] = frame.samples
+            np.fft.fft(spec, axis=1, out=spec)
+            spec /= np.sqrt(samples)
+            np.fft.fft(spec, axis=0, out=spec)
+            spec /= np.sqrt(chirps)
+            # fftshift along Doppler: DC, row 0, lands at row chirps // 2
+            np.abs(spec[:chirps - half], out=buf[t, half:])
+            np.abs(spec[chirps - half:], out=buf[t, :half])
             if not np.all(np.isfinite(buf[t])):
                 raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
                                       "(non-finite samples or FFT overflow)")

@@ -727,6 +727,21 @@ def test_malformed_model_or_record_exits_one(tmp_path, capsys, argv, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, code, named", [
+    ("--dataset", 1, "dataset record 1 holds a value that is not finite"),
+    ("--frames", 2, "missing.bin"),
+], ids=["dataset-nan", "frames-missing"])
+def test_refused_identify_input_leaves_no_out(tmp_path, capsys, source, code, named):
+    """identify reads and checks its input before it creates --out, as track and train do."""
+    argv = _nan_record("identify")(tmp_path)
+    if source == "--frames":
+        argv[1:3] = ["--frames", str(tmp_path / "missing.bin")]
+    argv[-1] = str(tmp_path / "out")
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _record_command(command, header):
     """Argv of a command reading a one-record dataset whose header is `header`."""
     def argv(tmp):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_int16_capture(tmp_path):
 
 @pytest.mark.parametrize("dtype", ["<f4", "<i2"])
 def test_decode_matches_explicit_re_im_assembly(dtype):
-    """The one widening conversion gives the bytes of filling re and im separately."""
+    """The decoded complex64 frames hold the bytes of filling re and im separately."""
     rng = np.random.default_rng(4)
     n_frames, chirps, samples = 3, 4, 5
     if dtype == "<i2":
@@ -210,16 +211,44 @@ def test_decode_matches_explicit_re_im_assembly(dtype):
     data[-len(extremes):] = extremes[::-1]
 
     pairs = data.reshape(n_frames, chirps, samples, 2)
-    expected = np.empty((n_frames, chirps, samples), dtype=np.complex128)
+    expected = np.empty((n_frames, chirps, samples), dtype=np.complex64)
     expected.real = pairs[..., 0]
     expected.imag = pairs[..., 1]
 
     frames = _decode_frames(data, chirps, samples)
     assert len(frames) == n_frames
     for i, frame in enumerate(frames):
-        assert frame.samples.dtype == np.complex128
+        assert frame.samples.dtype == np.complex64
         assert frame.samples.shape == (chirps, samples)
         assert frame.samples.tobytes() == expected[i].tobytes()
+
+
+def test_read_holds_the_capture_once(tmp_path):
+    """A frame file's samples stay in the one buffer np.fromfile fills: no widened copy.
+
+    The 5% over the 2 MiB payload covers the finiteness check's fixed-size
+    (64 KiB) reduction buffer, which does not grow with the capture.
+    """
+    radar = RadarConfig(chirps_per_frame=64, samples_per_chirp=256)
+    rng = np.random.default_rng(2)
+    shape = (radar.chirps_per_frame, radar.samples_per_chirp)
+    frames = [Frame(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+              for _ in range(16)]
+    path = tmp_path / "frames.bin"
+    write_frames(path, frames, radar)
+    payload = path.stat().st_size - HEADER_BYTES
+    tracemalloc.start()
+    try:
+        loaded, _ = read_frames(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * payload, f"traced peak {peak / payload:.2f}x the payload"
+    # Two frames never overlap, so each is checked against the one owning buffer.
+    buffer = loaded[0].samples.base
+    assert buffer.nbytes == payload and loaded[-1].samples.base is buffer
+    assert np.shares_memory(loaded[0].samples, buffer)
+    assert np.shares_memory(loaded[-1].samples, buffer)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import UavConfig, constant_velocity, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frames
@@ -89,6 +91,28 @@ def test_process_frames_bytes_equal_reference_chain(radar, hover_capture):
     cube = process_frames([Frame(s) for s in samples])
     assert cube.shape == (len(samples), shape[1], shape[0])
     for t, s in enumerate(samples):
+        assert cube[t].tobytes() == _reference_map(s).tobytes(), f"frame {t}"
+
+
+F4 = np.finfo(np.float32)
+_FLOAT32 = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+            | st.sampled_from([F4.max, -F4.max, F4.smallest_subnormal, -F4.tiny, -0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_complex64_frames_give_the_bytes_of_their_complex128_copies(n_frames, chirps,
+                                                                    samples, data):
+    """process_frames widens a complex64 frame, as a file read returns it, before its
+    range FFT: numpy's FFTs on complex64 run in single precision and change the bits.
+    Odd and even chirp counts cover both halves of the Doppler shift, which the
+    reference chain takes from np.fft.fftshift."""
+    parts = data.draw(arrays(np.float32, (n_frames, chirps, samples, 2), elements=_FLOAT32))
+    narrow = parts.view(np.complex64)[..., 0]
+    cube = process_frames([Frame(s) for s in narrow])
+    wide = [s.astype(np.complex128) for s in narrow]
+    assert cube.tobytes() == process_frames([Frame(s) for s in wide]).tobytes()
+    for t, s in enumerate(wide):
         assert cube[t].tobytes() == _reference_map(s).tobytes(), f"frame {t}"
 
 
