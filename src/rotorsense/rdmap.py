@@ -36,11 +36,11 @@ def process_frames(frames) -> np.ndarray:
     Per frame: the samples widened to complex128; the range FFT along fast
     time, fft(axis=1) / sqrt(N); the Doppler FFT along slow time, fft(axis=0)
     / sqrt(L), center-shifted; the magnitude. The widening happens here, one
-    frame at a time, into one complex128 buffer that both FFTs work in: a
-    complex64 capture read from a file is never held twice, and no FFT sees
-    complex64, which numpy would transform in single precision. Each map is
-    written Doppler-major, the order the FFTs yield it, so the returned cube
-    is a transposed view of the maps' buffer.
+    frame at a time, into one complex128 buffer that both FFTs work in (their
+    `out=` argument needs numpy 2.0): a complex64 capture read from a file is
+    never held twice, and no FFT sees complex64, which numpy would transform
+    in single precision. Each map is written Doppler-major, the order the FFTs
+    yield it, so the returned cube is a transposed view of the maps' buffer.
 
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
