@@ -1,4 +1,4 @@
-"""Command-line pipeline: simulate, track, identify, train, evaluate, dataset.
+"""Command-line pipeline: simulate, track, identify, train, dataset.
 
 Every command is reproducible: all randomness flows from one --seed value,
 fanned out per component by hashing the component name into a child seed
@@ -284,11 +284,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    truth = None
+    if args.truth:  # read before the tracking chain, so a bad truth costs no tracking
+        truth = csv_columns(args.truth, ("time_s", "range_m"), f"truth CSV {args.truth}")
     cube, result = _track_files(args)
     track = result.track
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tracking.track_to_csv(track, out / "track.csv")
 
     # Low confidence: the track's best score stays below the noise calibration.
     low_conf = result.calibration is not None and bool(track.scores.max() < result.calibration)
@@ -302,17 +302,19 @@ def cmd_track(args) -> int:
         "noise_profile_source": result.profile_source,
         "seed": args.seed,
     }
-    if args.truth:
-        truth = _read_truth_csv(args.truth)
+    if truth is not None:
+        truth_times, truth_ranges = truth
+        if (truth_times.shape != track.frame_times.shape
+                or not np.allclose(truth_times, track.frame_times)):
+            raise ValidationError("track and truth time grids do not match")
         summary["mean_relative_error"] = tracking.relative_range_error(
-            track.filtered_ranges_m, truth[1])
+            track.filtered_ranges_m, truth_ranges)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    tracking.track_to_csv(track, out / "track.csv")
     _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'track.csv'}; low_confidence={low_conf}")
     return EXIT_OK
-
-
-def _read_truth_csv(path):
-    return csv_columns(path, ("time_s", "range_m"), f"truth CSV {path}")
 
 
 def cmd_identify(args) -> int:
@@ -378,25 +380,6 @@ def cmd_train(args) -> int:
     lstm.save_model(detector, out / "model.npz")
     _write_json(out / "history.json", {"history": history})
     print(f"wrote {out / 'model.npz'}")
-    return EXIT_OK
-
-
-def cmd_evaluate(args) -> int:
-    times, _, filtered = tracking.read_track_csv(args.track)
-    truth_times, truth_ranges = _read_truth_csv(args.truth)
-    if times.shape != truth_times.shape or not np.allclose(times, truth_times):
-        raise ValidationError("track and truth time grids do not match")
-    err = tracking.relative_range_error(filtered, truth_ranges)
-    report = {
-        "mean_relative_error": err,
-        "budget": args.budget,
-        "within_budget": bool(err <= args.budget),
-        "samples": int(len(filtered)),
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "evaluate.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -523,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out(p)
     p.add_argument("--config", help="radar config JSON (default: the built-in radar)")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--frames", type=_COUNT, default=0,
+    p.add_argument("--frames", type=_AT_LEAST_ONE, default=None,
                    help="frame count (default: radar frames_per_capture)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="recover the range track from a frame file")
     _add_seed_out(p)
     p.add_argument("--frames", required=True)
-    p.add_argument("--truth", default=None, help="truth CSV for summary error")
+    p.add_argument("--truth", default=None, help="truth CSV on the capture's time grid")
     _add_capture_flags(p)
     p.set_defaults(func=cmd_track)
 
@@ -556,13 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_POSITIVE, default=lstm.LEARNING_RATE)
     p.add_argument("--hidden", type=_AT_LEAST_ONE, default=lstm.HIDDEN_SIZE)
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="relative range error of a track vs truth")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--track", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--budget", type=_FINITE, default=0.02)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dataset", help="generate, split or inspect segment datasets")
     actions = p.add_subparsers(dest="action", required=True)

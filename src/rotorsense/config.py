@@ -85,16 +85,16 @@ def json_fields(doc: dict, kinds: dict, where: str, required: bool = False) -> d
     return {key: json_field(doc, key, kinds[key], where) for key in (kinds if required else doc)}
 
 
-def csv_columns(path, columns, where: str, error=ValidationError) -> list:
-    """Columns of a headed CSV file as arrays of finite numbers; else `error` names the
-    column and the line."""
+def csv_columns(path, columns, where: str) -> list:
+    """Columns of a headed CSV file as arrays of finite numbers; else a ValidationError
+    names the column and the line."""
     values = [[] for _ in columns]
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for key in columns:
                 if key not in (reader.fieldnames or ()):
-                    raise error(f"{where} has no {key!r} column")
+                    raise ValidationError(f"{where} has no {key!r} column")
             for row in reader:
                 for key, out in zip(columns, values):
                     try:
@@ -102,10 +102,10 @@ def csv_columns(path, columns, where: str, error=ValidationError) -> list:
                     except (TypeError, ValueError):
                         out.append(math.nan)
                     if not math.isfinite(out[-1]):
-                        raise error(f"{where} line {reader.line_num} {key} = {row[key]!r} "
-                                    f"is not a finite number")
+                        raise ValidationError(f"{where} line {reader.line_num} {key} = "
+                                              f"{row[key]!r} is not a finite number")
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise error(f"unreadable {where}: {exc}") from None
+        raise ValidationError(f"unreadable {where}: {exc}") from None
     return [np.array(column) for column in values]
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RadarConfig, ValidationError, csv_columns
+from .config import RadarConfig, ValidationError
 
 
 class TrackingError(ValidationError):
@@ -228,8 +228,3 @@ def track_to_csv(track: Track, path) -> None:
                 repr(float(track.scores[i])),
             ])
 
-
-def read_track_csv(path):
-    """Returns (times, ranges_m, filtered_ranges_m)."""
-    return csv_columns(path, ("time_s", "range_m", "filtered_range_m"),
-                       f"track CSV {path}", TrackingError)

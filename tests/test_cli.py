@@ -77,15 +77,9 @@ def test_track_summary(pipeline_run):
     assert summary["mean_relative_error"] <= 0.02
 
 
-def test_evaluate_against_truth(pipeline_run):
-    run = pipeline_run / "run"
-    assert main(["evaluate", "--track", str(run / "track.csv"),
-                 "--truth", str(run / "truth.csv"), "--out", str(run)]) == 0
-    report = json.loads((run / "evaluate.json").read_text())
-    assert report["within_budget"] is True
-
-
 def test_evaluate_identical_series_is_zero(pipeline_run, tmp_path):
+    """track --truth against the track's own filtered ranges reads 0.0, and the
+    truth leaves track.csv as it was."""
     run = pipeline_run / "run"
     track_lines = (run / "track.csv").read_text().splitlines()
     truth_path = tmp_path / "truth_from_track.csv"
@@ -94,10 +88,40 @@ def test_evaluate_identical_series_is_zero(pipeline_run, tmp_path):
         parts = line.split(",")
         rows.append(f"{parts[1]},{parts[4]},0.0")  # truth = filtered ranges
     truth_path.write_text("\n".join(rows) + "\n")
-    assert main(["evaluate", "--track", str(run / "track.csv"),
-                 "--truth", str(truth_path), "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "evaluate.json").read_text())
-    assert report["mean_relative_error"] == 0.0
+    assert main(["track", "--frames", str(run / "frames.bin"),
+                 "--background", str(pipeline_run / "bg" / "frames.bin"),
+                 "--truth", str(truth_path), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["mean_relative_error"] == 0.0
+    assert (tmp_path / "out" / "track.csv").read_bytes() == (run / "track.csv").read_bytes()
+
+
+def _shift_times(truth_csv):
+    """A truth CSV with every time moved 100 s later."""
+    header, *rows = truth_csv.splitlines()
+    for i, row in enumerate(rows):
+        time_s, rest = row.split(",", 1)
+        rows[i] = f"{float(time_s) + 100.0!r},{rest}"
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("edit, code, named", [
+    (None, 2, "No such file or directory"),
+    (lambda text: text.replace("range_m", "range"), 1, "has no 'range_m' column"),
+    (lambda text: text.replace(",48.0,", ",x,", 1), 1,
+     "truth.csv line 2 range_m = 'x' is not a finite number"),
+    (_shift_times, 1, "track and truth time grids do not match"),
+], ids=["missing-file", "missing-column", "non-number-cell", "shifted-grid"])
+def test_refused_truth_leaves_no_out(pipeline_run, tmp_path, capsys, edit, code, named):
+    """A --truth the track cannot be scored against exits before --out is created."""
+    truth = tmp_path / "truth.csv"
+    if edit is not None:
+        truth.write_text(edit((pipeline_run / "run" / "truth.csv").read_text()))
+    argv = ["track", "--frames", str(pipeline_run / "run" / "frames.bin"),
+            "--truth", str(truth), "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ascent_scenario_truth_is_linear(tmp_path):
@@ -149,13 +173,10 @@ def test_hover_at_80m_within_budget(tmp_path):
                  "--out", str(tmp_path / "bg")]) == 0
     assert main(["track", "--frames", str(tmp_path / "run" / "frames.bin"),
                  "--background", str(tmp_path / "bg" / "frames.bin"),
-                 "--seed", "23", "--out", str(tmp_path / "run")]) == 0
-    assert main(["evaluate", "--track", str(tmp_path / "run" / "track.csv"),
                  "--truth", str(tmp_path / "run" / "truth.csv"),
-                 "--out", str(tmp_path / "run")]) == 0
-    report = json.loads((tmp_path / "run" / "evaluate.json").read_text())
-    assert report["budget"] == 0.02
-    assert report["within_budget"] is True
+                 "--seed", "23", "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["mean_relative_error"] <= 0.02
 
 
 def test_simulate_reproducible(tmp_path):
@@ -562,8 +583,6 @@ def test_key_error_inside_a_stage_exits_three(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-TRACK_CSV = ("frame_index,time_s,range_bin,range_m,filtered_range_m,score\n"
-             "0,0.045,131,48.0,48.0,1.0\n")
 TRUTH_CSV = "time_s,range_m,velocity_m_per_s\n0.045,48.0,0.0\n"
 
 
@@ -605,21 +624,20 @@ def _record_without_w(tmp_path):
     return ["dataset", "stats", "--dataset", str(path)]
 
 
-def _evaluate(tmp_path, track_csv, truth_csv):
-    (tmp_path / "track.csv").write_text(track_csv)
+def _track_truth(tmp_path, truth_csv):
+    """track --truth truth_csv on a frame file that does not exist: track reads the
+    truth first, so its error is the truth's."""
     (tmp_path / "truth.csv").write_text(truth_csv)
-    return ["evaluate", "--track", str(tmp_path / "track.csv"),
-            "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]
+    return ["track", "--frames", str(tmp_path / "frames.bin"),
+            "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "out")]
 
 
 @pytest.mark.parametrize("argv, kind, key", [
     (_model_without_input_dim, "model manifest", "input_dim"),
     (_record_without_w, "dataset record 0", "W"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV, "time_s,velocity_m_per_s\n0.045,0.0\n"),
+    (lambda tmp: _track_truth(tmp, "time_s,velocity_m_per_s\n0.045,0.0\n"),
      "truth CSV", "range_m"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace(",range_m,", ",range,"), TRUTH_CSV),
-     "track CSV", "range_m"),
-], ids=["model-manifest", "segment-record", "truth-csv", "track-csv"])
+], ids=["model-manifest", "segment-record", "truth-csv"])
 def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
     assert main(argv(tmp_path)) == 1
     err = capsys.readouterr().err
@@ -627,20 +645,11 @@ def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (lambda tmp: _evaluate(tmp, TRACK_CSV, TRUTH_CSV.replace(",48.0,", ",x,")),
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace(",48.0,", ",x,")),
      "truth.csv line 2 range_m = 'x' is not a finite number"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV, TRUTH_CSV.replace("0.045,", "nan,")),
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace("0.045,", "nan,")),
      "truth.csv line 2 time_s = 'nan' is not a finite number"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace(",48.0,48.0,", ",48.0,inf,"), TRUTH_CSV),
-     "track.csv line 2 filtered_range_m = 'inf' is not a finite number"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace("0.045", ""), TRUTH_CSV),
-     "track.csv line 2 time_s = '' is not a finite number"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV + "1,0.135\n", TRUTH_CSV),
-     "track.csv line 3 range_m = None is not a finite number"),
-    (lambda tmp: _evaluate(tmp, TRACK_CSV.replace(",48.0,48.0,", ",48.0,,"), TRUTH_CSV),
-     "track.csv line 2 filtered_range_m = '' is not a finite number"),
-], ids=["truth-text", "truth-nan", "track-inf", "track-empty", "track-short-row",
-        "track-blank-filtered"])
+], ids=["truth-text", "truth-nan"])
 def test_non_number_csv_cell_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
@@ -852,14 +861,14 @@ def test_malformed_radar_config_exits_one(tmp_path, capsys, radar, named):
     (["identify", "--frames", "f.bin", "--model", "m.npz", "--j-min", "3"], "--j-min"),
     (["train", "--dataset", "d.bin", "--no-normalize"], "--no-normalize"),
     (["train", "--dataset", "d.bin", "--config", "c.json"], "--config"),
-    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--seed", "1"], "--seed"),
+    (["evaluate", "--track", "t.csv", "--truth", "u.csv"], "'evaluate'"),
     (["dataset", "gen", "--v-max", "5"], "--v-max"),
     (["dataset", "stats", "--dataset", "d.bin", "--seed", "1"], "--seed"),
     (["track", "--frames", "f.bin", "--config", "c.json"], "--config"),
     (["identify", "--dataset", "d.bin", "--model", "m.npz", "--config", "c.json"],
      "--config"),
 ], ids=["track-k-bins", "identify-j-min", "train-no-normalize", "train-config",
-        "evaluate-seed", "dataset-gen-v-max", "dataset-stats-seed",
+        "removed-evaluate-command", "dataset-gen-v-max", "dataset-stats-seed",
         "track-config-without-raw-int16", "identify-dataset-config"])
 def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     """No file named here exists: each command must stop at its flags, before any read."""
@@ -870,6 +879,7 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
 
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--scenario", "s.json", "--frames", "-3"], "--frames"),
+    (["simulate", "--scenario", "s.json", "--frames", "0"], "--frames"),
     (["dataset", "gen", "--uav", "0", "--distractor", "0", "--train-frac", "1.5"],
      "--train-frac"),
     (["dataset", "split", "--dataset", "d.bin", "--train-frac", "-0.1"], "--train-frac"),
@@ -883,8 +893,6 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["track", "--frames", "f.bin", "--seed", "-1"], "--seed"),
     (["train", "--dataset", "d.bin", "--seed", "-5"], "--seed"),
     (["dataset", "gen", "--uav", "0", "--distractor", "0", "--seed", "-1"], "--seed"),
-    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "nan"], "--budget"),
-    (["evaluate", "--track", "t.csv", "--truth", "u.csv", "--budget", "-inf"], "--budget"),
     (["train", "--dataset", "d.bin", "--batch-size", "0"], "--batch-size"),
     (["train", "--dataset", "d.bin", "--epochs", "-1"], "--epochs"),
     (["train", "--dataset", "d.bin", "--hidden", "0"], "--hidden"),
@@ -893,11 +901,11 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["track", "--frames", "f.bin", "--v-max", "nan"], "--v-max"),
     (["track", "--frames", "f.bin", "--v-max", "inf"], "--v-max"),
     (["identify", "--frames", "f.bin", "--model", "m.npz", "--v-max", "-1"], "--v-max"),
-], ids=["simulate-frames", "gen-train-frac", "split-train-frac", "gen-uav", "gen-distractor",
-        "train-lr-nan", "train-lr-zero", "identify-threshold-inf", "simulate-seed",
-        "track-seed", "train-seed", "gen-seed", "evaluate-budget-nan", "evaluate-budget-inf",
-        "train-batch-size", "train-epochs", "train-hidden", "track-v-max-negative",
-        "track-v-max-zero", "track-v-max-nan", "track-v-max-inf", "identify-v-max-negative"])
+], ids=["simulate-frames", "simulate-frames-zero", "gen-train-frac", "split-train-frac",
+        "gen-uav", "gen-distractor", "train-lr-nan", "train-lr-zero", "identify-threshold-inf",
+        "simulate-seed", "track-seed", "train-seed", "gen-seed", "train-batch-size",
+        "train-epochs", "train-hidden", "track-v-max-negative", "track-v-max-zero",
+        "track-v-max-nan", "track-v-max-inf", "identify-v-max-negative"])
 def test_out_of_range_numeric_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     """No file named here exists: each command must stop at its flags and write nothing."""
     monkeypatch.chdir(tmp_path)  # the default --out

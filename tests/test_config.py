@@ -284,6 +284,12 @@ def test_csv_columns(tmp_path):
         csv_columns(path, ("a", "c"), "table")
     with pytest.raises(ValidationError, match="^table has no 'd' column$"):
         csv_columns(path, ("a", "d"), "table")
+    for text, named in [("a,b\n1,inf\n", "line 2 b = 'inf'"),
+                        ("a,b\n1,2\n3\n", "line 3 b = None"),
+                        ("a,b\n,2\n", "line 2 a = ''")]:  # inf, short row, blank cell
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^table {named} is not a finite number$"):
+            csv_columns(path, ("a", "b"), "table")
     path.write_bytes(b"a\n\xff\n")
     with pytest.raises(ValidationError, match="^unreadable table: 'utf-8' codec"):
         csv_columns(path, ("a",), "table")

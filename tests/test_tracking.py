@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 from rotorsense import process_frames, scenarios, synthesize_frames
 from rotorsense.cli import track_capture
+from rotorsense.config import csv_columns
 from rotorsense.echo import StaticClutter
 from rotorsense.tracking import (PARTICLES, Track, TrackingError, _systematic_indices,
                                  dp_max_path, estimate_noise_profile, particle_filter,
-                                 read_track_csv, relative_range_error,
-                                 spectral_subtract, track_to_csv)
+                                 relative_range_error, spectral_subtract, track_to_csv)
 
 BIN = 0.36643079597758654  # default radar range bin
 V_MAX = 4.0  # m/s, the --v-max default
@@ -406,7 +406,9 @@ def test_track_csv_round_trip(tmp_path, radar):
                   filtered_ranges_m=particle_filter(obs, radar, V_MAX, 0)[0])
     path = tmp_path / "track.csv"
     track_to_csv(track, path)
-    times, ranges, filtered = read_track_csv(path)
-    assert np.array_equal(times, track.frame_times)
-    assert np.array_equal(ranges, track.ranges_m)
-    assert np.array_equal(filtered, track.filtered_ranges_m)
+    columns = csv_columns(path, ("frame_index", "time_s", "range_bin", "range_m",
+                                 "filtered_range_m", "score"), "track CSV")
+    expected = (np.arange(obs.size), track.frame_times, track.range_bins, track.ranges_m,
+                track.filtered_ranges_m, track.scores)
+    for column, want in zip(columns, expected, strict=True):
+        assert np.array_equal(column, want)
