@@ -9,8 +9,9 @@ import pytest
 
 from rotorsense import cli, frameio, identify, lstm
 from rotorsense.cli import component_seed, main
-from rotorsense.config import RadarConfig
+from rotorsense.config import RadarConfig, csv_columns
 from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
+from rotorsense.tracking import relative_range_error
 
 HOVER_SCENARIO = {
     "schema_version": 1,
@@ -74,6 +75,20 @@ def test_track_summary(pipeline_run):
     summary = json.loads((pipeline_run / "run" / "summary.json").read_text())
     assert summary["low_confidence"] is False
     assert summary["noise_profile_source"] == "background-capture"
+    assert summary["mean_relative_error"] <= 0.02
+
+
+def test_evaluate_against_truth(pipeline_run):
+    """summary.json's error is the relative range error of track.csv's filtered
+    ranges against truth.csv, on one time grid."""
+    run = pipeline_run / "run"
+    times, filtered = csv_columns(run / "track.csv", ("time_s", "filtered_range_m"),
+                                  "track CSV")
+    truth_times, truth_ranges = csv_columns(run / "truth.csv", ("time_s", "range_m"),
+                                            "truth CSV")
+    assert np.allclose(times, truth_times)
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["mean_relative_error"] == relative_range_error(filtered, truth_ranges)
     assert summary["mean_relative_error"] <= 0.02
 
 
@@ -637,19 +652,32 @@ def _track_truth(tmp_path, truth_csv):
     (_record_without_w, "dataset record 0", "W"),
     (lambda tmp: _track_truth(tmp, "time_s,velocity_m_per_s\n0.045,0.0\n"),
      "truth CSV", "range_m"),
-], ids=["model-manifest", "segment-record", "truth-csv"])
+    (lambda tmp: _track_truth(tmp, "range_m,velocity_m_per_s\n48.0,0.0\n"),
+     "truth CSV", "time_s"),
+], ids=["model-manifest", "segment-record", "truth-csv", "track-csv"])
 def test_missing_key_names_file_and_key(tmp_path, capsys, argv, kind, key):
     assert main(argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert kind in err and repr(key) in err
 
 
+# The track-* cases are the cell faults once checked on a track CSV, now met in the
+# truth CSV that track reads.
 @pytest.mark.parametrize("argv, named", [
     (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace(",48.0,", ",x,")),
      "truth.csv line 2 range_m = 'x' is not a finite number"),
     (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace("0.045,", "nan,")),
      "truth.csv line 2 time_s = 'nan' is not a finite number"),
-], ids=["truth-text", "truth-nan"])
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace(",48.0,", ",inf,")),
+     "truth.csv line 2 range_m = 'inf' is not a finite number"),
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace("0.045", "")),
+     "truth.csv line 2 time_s = '' is not a finite number"),
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV + "0.135\n"),
+     "truth.csv line 3 range_m = None is not a finite number"),
+    (lambda tmp: _track_truth(tmp, TRUTH_CSV.replace(",48.0,", ",,")),
+     "truth.csv line 2 range_m = '' is not a finite number"),
+], ids=["truth-text", "truth-nan", "track-inf", "track-empty", "track-short-row",
+        "track-blank-filtered"])
 def test_non_number_csv_cell_exits_one(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 1
     assert named in capsys.readouterr().err
