@@ -10,8 +10,9 @@ still read, with c = 3.0e8 m/s.
 read_frames is the one capture reader: it returns a capture's frames and the
 radar that recorded them. A frame file's header describes its radar; a
 headerless int16 capture (interleaved re, im, e.g. recorded hardware data) is
-read in the layout of a radar the caller supplies. A payload holding a NaN or
-an infinity is refused, naming its first such frame.
+read in the layout of a radar the caller supplies. A payload is refused if it
+ends in stray bytes past its last whole value (naming their count), is not
+whole frames, or holds a NaN or an infinity (naming its first such frame).
 
 A capture is held once: its frames' samples are complex64 views of the one
 payload buffer, read as is from a frame file and converted once, exactly,
@@ -22,6 +23,7 @@ widens one frame at a time to complex128, just before its range FFT.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -117,10 +119,13 @@ def read_frames(path, layout: RadarConfig | None = None):
     describes, or, given a `layout` radar, a headerless int16 capture's frames
     in that radar's layout, and that radar."""
     if layout is None:
-        radar = read_header(path)
-        data = np.fromfile(path, dtype="<f4", offset=HEADER_BYTES)
+        radar, dtype, offset = read_header(path), np.dtype("<f4"), HEADER_BYTES
     else:
-        radar, data = layout, np.fromfile(path, dtype="<i2")
+        radar, dtype, offset = layout, np.dtype("<i2"), 0
+    stray = (os.path.getsize(path) - offset) % dtype.itemsize  # np.fromfile would drop them
+    if stray:
+        raise FormatError(f"payload has {stray} stray bytes after its last whole {dtype} value")
+    data = np.fromfile(path, dtype=dtype, offset=offset)
     return _decode_frames(data, radar.chirps_per_frame, radar.samples_per_chirp), radar
 
 

@@ -10,12 +10,13 @@ DC removal     -- frames whose global peak sits away from the zero-Doppler bin
                   DC bin (clamped at zero) and returned with the diagram. If
                   no frame qualifies (hover: the body peak is at DC
                   everywhere) nothing is subtracted and None is returned.
-feature align  -- each column is shifted so its body-velocity peak (global
-                  argmax, ties resolved toward DC) lands exactly on the DC
-                  bin, stripping the body-velocity dependence; vacated bins
-                  are filled with a linear taper from the surviving edge
-                  value down to zero. Peak-to-peak comb spacings survive the
-                  shift unchanged.
+feature align  -- each row is shifted by s bins so its body-velocity peak
+                  (the global maximum; of equal maxima the one nearest DC,
+                  then the lower bin) lands exactly on the DC bin, stripping
+                  the body-velocity dependence. A vacated bin gap places
+                  past the surviving edge holds that edge value times
+                  (m - gap) / m, m = |s| + 1: a linear taper down towards
+                  zero. Peak-to-peak comb spacings survive the shift unchanged.
 
 The diagram is then cut into fixed-length windows (3.6 s worth of frames),
 each a Segment, and windows whose maximum per-column folding result stays
@@ -100,35 +101,22 @@ def dc_removal(diagram) -> tuple[np.ndarray, float | None]:
     return cols, avg
 
 
-def _peak_bin_toward_dc(col: np.ndarray, dc: int) -> int:
-    peaks = np.flatnonzero(col == col.max())
-    if peaks.shape[0] == 1:
-        return int(peaks[0])
-    order = np.lexsort((peaks, np.abs(peaks - dc)))
-    return int(peaks[order[0]])
-
-
 def feature_alignment(diagram) -> np.ndarray:
     """Shift every row of the [F, L] diagram so the body-velocity peak sits on the DC bin."""
     cols = np.array(diagram, dtype=float)
     n_bins = cols.shape[1]
     dc = dc_bin(n_bins)
-    for t in range(cols.shape[0]):
-        col = cols[t]
-        shift = dc - _peak_bin_toward_dc(col, dc)
-        if shift == 0:
-            continue
-        out = np.empty_like(col)
-        if shift > 0:
-            out[shift:] = col[:n_bins - shift]
-            edge = col[0]
-            out[:shift] = edge * (np.arange(1, shift + 1) / (shift + 1))
-        else:
-            s = -shift
-            out[:n_bins - s] = col[s:]
-            edge = col[-1]
-            out[n_bins - s:] = edge * (np.arange(s, 0, -1) / (s + 1))
-        cols[t] = out
+    bins = np.arange(n_bins)
+    # The bins in tie-rule order, nearest DC first and the lower of two alike:
+    # a row's peak is the first of its maxima in this order.
+    toward_dc = np.argsort(2 * np.abs(bins - dc) + (bins > dc), kind="stable")
+    peaks = toward_dc[np.argmax(cols[:, toward_dc], axis=1)]
+    for t, shift in enumerate(dc - peaks):
+        # Bin b copies b - shift; off the map, the surviving edge times (m - gap) / m.
+        src = bins - shift
+        kept = src.clip(0, n_bins - 1)
+        m = abs(shift) + 1
+        cols[t] = cols[t, kept] * ((m - np.abs(src - kept)) / m)
     return cols
 
 
@@ -142,18 +130,15 @@ def segment_split_filter(diagram, frame_times, window_frames: int,
     """
     if window_frames < 2:
         raise IdentifyError("window_frames must be >= 2")
-    segments = []
-    for k in range(len(diagram) // window_frames):
-        block = diagram[k * window_frames:(k + 1) * window_frames]
-        max_fold = fold_columns(block.T)[1].max()
-        segments.append(Segment(
-            values=block.copy(),
-            max_folding_result=float(max_fold),
-            passed_filter=bool(max_fold >= threshold),
-            provenance={"window": k,
-                        "start_time_s": float(frame_times[k * window_frames])},
-        ))
-    return segments
+    n_win = len(diagram) // window_frames
+    blocks = diagram[:n_win * window_frames].reshape(n_win, window_frames, diagram.shape[1])
+    # One [L, windows, frames] fold; by its slab order as if each window were folded alone.
+    max_folds = fold_columns(blocks.transpose(2, 0, 1))[1].max(axis=(0, 2))
+    return [Segment(values=block.copy(), max_folding_result=float(max_fold),
+                    passed_filter=bool(max_fold >= threshold),
+                    provenance={"window": k,
+                                "start_time_s": float(frame_times[k * window_frames])})
+            for k, (block, max_fold) in enumerate(zip(blocks, max_folds))]
 
 
 def calibrate_threshold(noise_max_folds) -> float:
@@ -171,11 +156,8 @@ def noise_window_max_folds(values, window_frames: int, exclude_bins=None) -> np.
     """
     if window_frames < 1:  # a frame longer than two segments rounds the window to 0
         raise IdentifyError(f"window_frames {window_frames} must be >= 1")
-    keep = np.ones(values.shape[0], dtype=bool)
-    if exclude_bins is not None:
-        for b in np.unique(np.asarray(exclude_bins, dtype=int)):
-            lo = max(0, b - GUARD_BINS)
-            keep[lo:b + GUARD_BINS + 1] = False
+    excluded = np.asarray([] if exclude_bins is None else exclude_bins, dtype=int)
+    keep = np.all(np.abs(np.arange(values.shape[0])[:, None] - excluded) > GUARD_BINS, axis=1)
     rows = values[keep]
     n_win = values.shape[1] // window_frames
     if n_win == 0 or rows.shape[0] == 0:

@@ -11,7 +11,8 @@ bound the largest radial speed sets, via the forward recurrence
 
     theta(r, t) = max_{|k| <= K} theta(r + k, t - 1) + S'(r, t)
 
-with out-of-range predecessors skipped, followed by predecessor backtracking.
+where a predecessor r + k outside the map scores -inf, so it never wins,
+followed by predecessor backtracking.
 Ties: the final-column argmax prefers the smaller range bin; predecessor ties
 prefer the smaller offset |k|, then the smaller bin. Finally a sequential
 importance resampling particle filter over (range, radial velocity) smooths
@@ -108,33 +109,30 @@ def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Tr
     # Offsets probed in order 0, -1, +1, -2, +2, ...: with strict improvement
     # this prefers smaller |k|, then the smaller predecessor bin. No offset of
     # n_r or more has a predecessor inside the map, so the probe stops there.
+    reach = min(k_bins, n_r - 1)
     offsets = [0]
-    for k in range(1, min(k_bins, n_r - 1) + 1):
+    for k in range(1, reach + 1):
         offsets.extend((-k, k))
 
     theta = np.empty((n_r, n_t))
-    pred = np.zeros((n_r, n_t), dtype=int)
+    pred = np.full((n_t, n_r), -1)  # pred[t, r]: the bin at t - 1 that r at t extends
     theta[:, 0] = values[:, 0]
-    rows = np.arange(n_r)
+    # The previous column between reach cells of -inf: a predecessor off the map never wins.
+    padded = np.full(n_r + 2 * reach, _NEG_INF)
     for t in range(1, n_t):
+        padded[reach:reach + n_r] = theta[:, t - 1]
         best = np.full(n_r, _NEG_INF)
-        best_pred = np.full(n_r, -1)
-        prev = theta[:, t - 1]
         for k in offsets:
-            src = rows + k
-            valid = (src >= 0) & (src < n_r)
-            cand = np.full(n_r, _NEG_INF)
-            cand[valid] = prev[src[valid]]
+            cand = padded[reach + k:reach + k + n_r]
             better = cand > best
             best[better] = cand[better]
-            best_pred[better] = src[better]
+            pred[t, better] = np.flatnonzero(better) + k
         theta[:, t] = best + values[:, t]
-        pred[:, t] = best_pred
 
     path = np.empty(n_t, dtype=int)
     path[-1] = int(np.argmax(theta[:, -1]))  # first max == smallest bin
     for t in range(n_t - 1, 0, -1):
-        path[t - 1] = pred[path[t], t]
+        path[t - 1] = pred[t, path[t]]
 
     scores = values[path, np.arange(n_t)]
     ranges = path * range_bin_size_m

@@ -366,6 +366,26 @@ def test_frame_file_with_a_signalling_nan_exits_two(pipeline_run, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw_int16, extra", [(False, 1), (False, 2), (False, 3), (True, 1)],
+                         ids=["frames-1-byte", "frames-2-bytes", "frames-3-bytes",
+                              "int16-odd-byte"])
+def test_payload_with_stray_trailing_bytes_exits_two(pipeline_run, tmp_path, capsys,
+                                                     raw_int16, extra):
+    """Bytes past the last whole value are refused, not dropped by the reader."""
+    assert main(["simulate", "--scenario", str(pipeline_run / "hover.json"), "--frames", "2",
+                 "--out", str(tmp_path)]) == 0
+    frames = tmp_path / "frames.bin"
+    if raw_int16:
+        payload = np.fromfile(frames, dtype="<f4", offset=frameio.HEADER_BYTES)
+        frames.write_bytes(np.round(payload).astype("<i2").tobytes())
+    frames.write_bytes(frames.read_bytes() + b"\x01" * extra)
+    capsys.readouterr()
+    argv = ["track", "--frames", str(frames), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--raw-int16"] * raw_int16) == 2
+    assert f"payload has {extra} stray bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_two(tmp_path):
     assert main(["track", "--frames", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path)]) == 2

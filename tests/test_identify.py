@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from rotorsense.folding import build_folding_map, folding_result
-from rotorsense.identify import (LABELS, SEGMENT_MAGIC, IdentifyError,
+from rotorsense.folding import build_folding_map, fold_columns, folding_result
+from rotorsense.identify import (GUARD_BINS, LABELS, SEGMENT_MAGIC, IdentifyError,
                                  Segment, binary_metrics, calibrate_threshold, classify,
                                  dc_removal, diagram_at_bins, feature_alignment,
                                  load_segments, noise_window_max_folds, normalize_segment,
@@ -172,6 +172,60 @@ def test_alignment_argmax_always_dc_random_columns():
         assert col[DC] == col.max()
 
 
+def _reference_alignment(diagram):
+    """Alignment as a plain per-row loop: the peak by a sort of the maxima, then
+    one branch per shift direction."""
+    cols = np.array(diagram, dtype=float)
+    n_bins = cols.shape[1]
+    dc = dc_bin(n_bins)
+    for t in range(cols.shape[0]):
+        col = cols[t]
+        peaks = np.flatnonzero(col == col.max())
+        shift = dc - int(peaks[np.lexsort((peaks, np.abs(peaks - dc)))[0]])
+        if shift == 0:
+            continue
+        out = np.empty_like(col)
+        if shift > 0:
+            out[shift:] = col[:n_bins - shift]
+            out[:shift] = col[0] * (np.arange(1, shift + 1) / (shift + 1))
+        else:
+            s = -shift
+            out[:n_bins - s] = col[s:]
+            out[n_bins - s:] = col[-1] * (np.arange(s, 0, -1) / (s + 1))
+        cols[t] = out
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+              elements=st.integers(-3, 3)))
+def test_alignment_matches_plain_loop(values):
+    """Small integer values make equal maxima common, on either side of DC."""
+    diagram = values.astype(float)
+    assert feature_alignment(diagram).tobytes() == _reference_alignment(diagram).tobytes()
+
+
+def test_alignment_taper_values_both_directions():
+    row = np.array([4.0, 1.0, 0.0, 2.0, 0.0, 0.0, 1.0, 3.0, 6.0])  # dc = 4
+    low = row.copy()
+    low[[2, 8]] = 9.0, 0.0  # peak at 2: shift +2
+    assert np.array_equal(feature_alignment(low[None])[0],
+                          [4.0 * (1 / 3), 4.0 * (2 / 3), 4.0, 1.0, 9.0, 2.0, 0.0, 0.0, 1.0])
+    high = row.copy()
+    high[7] = 9.0  # peak at 7: shift -3
+    assert np.array_equal(feature_alignment(high[None])[0],
+                          [2.0, 0.0, 0.0, 1.0, 9.0, 6.0,
+                           6.0 * (3 / 4), 6.0 * (2 / 4), 6.0 * (1 / 4)])
+
+
+def test_alignment_equal_maxima_nearest_dc_then_lower_bin():
+    row = np.zeros(9)  # dc = 4
+    row[[1, 2, 6, 8]] = 5.0  # bins 2 and 6 are both 2 from DC: bin 2 wins, shift +2
+    out = feature_alignment(row[None])[0]
+    assert np.array_equal(out, _reference_alignment(row[None])[0])
+    assert np.array_equal(np.flatnonzero(out == 5.0), [3, 4, 8])
+
+
 # --- segmentation ------------------------------------------------------------------
 
 def test_segment_split_counts():
@@ -183,6 +237,38 @@ def test_segment_split_counts():
     assert segment_split_filter(diagram_of(cols[:39]), times, 40, 0.0) == []
     with pytest.raises(IdentifyError, match=">= 2"):
         segment_split_filter(diagram_of(cols), times, 1, 0.0)
+
+
+def _reference_split_filter(diagram, frame_times, window_frames, threshold):
+    """The windows folded one at a time."""
+    segments = []
+    for k in range(len(diagram) // window_frames):
+        block = diagram[k * window_frames:(k + 1) * window_frames]
+        max_fold = fold_columns(block.T)[1].max()
+        segments.append(Segment(values=block.copy(), max_folding_result=float(max_fold),
+                                passed_filter=bool(max_fold >= threshold),
+                                provenance={"window": k, "start_time_s":
+                                            float(frame_times[k * window_frames])}))
+    return segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 20), st.integers(4, 12), st.integers(0, 4),
+       st.sampled_from([1.0, 0.1]), st.data())
+def test_segment_split_matches_per_window_folding(window, n_frames, n_bins, threshold,
+                                                  scale, data):
+    diagram = data.draw(arrays(np.int64, (n_frames, n_bins), elements=st.integers(0, 3)))
+    diagram = diagram * scale
+    times = np.arange(n_frames) * 0.09
+    got = segment_split_filter(diagram, times, window, threshold)
+    want = _reference_split_filter(diagram, times, window, threshold)
+    assert isinstance(got, list) and len(got) == len(want) == n_frames // window
+    for g, w in zip(got, want):
+        assert g.values.shape == w.values.shape
+        assert g.values.tobytes() == w.values.tobytes()
+        assert (g.max_folding_result, g.passed_filter, g.provenance, g.label) == \
+            (w.max_folding_result, w.passed_filter, w.provenance, w.label)
+        assert not np.shares_memory(g.values, diagram)
 
 
 def test_segment_filter_thresholding(radar):
@@ -390,3 +476,43 @@ def test_segment_batch_rejects_mixed_shapes():
 def test_noise_window_of_zero_frames_errors():
     with pytest.raises(IdentifyError, match="window_frames 0 must be >= 1"):
         noise_window_max_folds(np.ones((8, 10)), 0)
+
+
+def _reference_noise_window_max_folds(values, window_frames, exclude_bins=None):
+    """The excluded bins masked one slice at a time."""
+    keep = np.ones(values.shape[0], dtype=bool)
+    if exclude_bins is not None:
+        for b in np.unique(np.asarray(exclude_bins, dtype=int)):
+            keep[max(0, b - GUARD_BINS):b + GUARD_BINS + 1] = False
+    rows = values[keep]
+    n_win = values.shape[1] // window_frames
+    if n_win == 0 or rows.shape[0] == 0:
+        raise IdentifyError("not enough noise-only data to calibrate a threshold")
+    return rows[:, :n_win * window_frames].reshape(rows.shape[0], n_win,
+                                                   window_frames).max(axis=2).ravel()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 12), st.integers(1, 5), st.data())
+def test_noise_window_mask_matches_per_bin_slices(n_bins, n_frames, window, data):
+    """Excluded bins within GUARD_BINS of either map edge, or past it; the slice loop
+    only holds as a reference down to -GUARD_BINS - 1, where its stop reaches 0."""
+    values = data.draw(arrays(np.int64, (n_bins, n_frames), elements=st.integers(0, 3)))
+    values = values.astype(float)
+    exclude = data.draw(st.none() | st.lists(
+        st.integers(-GUARD_BINS - 1, n_bins + GUARD_BINS + 1), max_size=4))
+    try:
+        want = _reference_noise_window_max_folds(values, window, exclude)
+    except IdentifyError:
+        with pytest.raises(IdentifyError, match="not enough noise-only data"):
+            noise_window_max_folds(values, window, exclude)
+    else:
+        assert noise_window_max_folds(values, window, exclude).tobytes() == want.tobytes()
+
+
+def test_noise_window_bin_far_below_the_map_masks_nothing():
+    values = np.arange(40.0).reshape(20, 2)
+    assert np.array_equal(noise_window_max_folds(values, 2, exclude_bins=[-10]),
+                          values[:, 1])
+    assert np.array_equal(noise_window_max_folds(values, 2, exclude_bins=[0, 25]),
+                          values[GUARD_BINS + 1:, 1])

@@ -189,6 +189,58 @@ def test_dp_path_invariant_under_constant_offset():
     assert np.array_equal(base.range_bins, shifted.range_bins)
 
 
+def _reference_dp_path(values, k_bins):
+    """The DP with out-of-map predecessors skipped by a validity mask per offset."""
+    n_r, n_t = values.shape
+    offsets = [0]
+    for k in range(1, min(k_bins, n_r - 1) + 1):
+        offsets.extend((-k, k))
+    theta = values[:, :1].copy()
+    preds = []
+    for t in range(1, n_t):
+        best, best_pred = np.full(n_r, -np.inf), np.full(n_r, -1)
+        for k in offsets:
+            src = np.arange(n_r) + k
+            valid = (src >= 0) & (src < n_r)
+            cand = np.full(n_r, -np.inf)
+            cand[valid] = theta[src[valid], -1]
+            better = cand > best
+            best[better], best_pred[better] = cand[better], src[better]
+        theta = np.column_stack([theta, best + values[:, t]])
+        preds.append(best_pred)
+    path = [int(np.argmax(theta[:, -1]))]
+    for best_pred in reversed(preds):
+        path.insert(0, int(best_pred[path[0]]))
+    return np.array(path), float(theta[path[-1], -1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 10), st.data())
+def test_dp_matches_masked_reference_on_tied_maps(n_r, n_t, k, data):
+    """Integer maps tie often: the path must follow the probe order 0, -1, +1, ..."""
+    values = data.draw(arrays(np.int64, (n_r, n_t), elements=st.integers(-2, 2)))
+    values = values.astype(float)
+    track = dp_path(values, k)
+    path, total = _reference_dp_path(values, k)
+    assert np.array_equal(track.range_bins, path)
+    assert track.total_score == total
+    assert track.scores.tobytes() == values[path, np.arange(n_t)].tobytes()
+
+
+def test_dp_ties_prefer_smaller_offset_then_smaller_bin():
+    flat = np.zeros((5, 3))
+    flat[2, 2] = 1.0  # every predecessor ties: offset 0 wins, so the path stays on bin 2
+    assert list(dp_path(flat, 2).range_bins) == [2, 2, 2]
+    pair = np.zeros((5, 2))
+    pair[[1, 3], 0] = 1.0  # bins 1 and 3 tie one step from bin 2: the smaller bin wins
+    pair[2, 1] = 1.0
+    assert list(dp_path(pair, 1).range_bins) == [1, 2]
+    edge = np.zeros((3, 2))
+    edge[:, 0] = 0.0, 0.0, 5.0  # bin -1 is off the map, not a wrapped bin 2
+    edge[0, 1] = 10.0
+    assert list(dp_path(edge, 1).range_bins) == [0, 0]
+
+
 def test_dp_empty_map_errors():
     with pytest.raises(TrackingError, match="empty"):
         dp_path(np.zeros((0, 0)), 1)
