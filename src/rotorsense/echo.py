@@ -38,6 +38,11 @@ randomness derives from SceneSpec.rng_seed: each frame draws its noise from
 its own substream, and a moving distractor's phase path is one random walk
 per emitter, drawn once for the whole capture. synthesize_frames is the one
 way to synthesize a capture.
+
+A static emitter (StaticClutter or a "static-blob" distractor) returns the
+same samples in every frame, so it is synthesized once per capture: its
+amplitude, range loss, range check and phasor are computed in the first frame,
+and every frame adds that one array in the emitter's place in the sum.
 """
 
 from __future__ import annotations
@@ -243,9 +248,19 @@ def _unit_phasor(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_static(em) -> bool:
+    return isinstance(em, StaticClutter) or (isinstance(em, Distractor)
+                                             and em.kind == "static-blob")
+
+
 def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
-                   paths: dict) -> np.ndarray:
-    """One frame's complex128 samples; `paths` holds the distractor phase paths."""
+                   paths: dict, static: dict) -> np.ndarray:
+    """One frame's complex128 samples; `paths` holds the distractor phase paths.
+
+    `static` maps each static emitter's index to its contribution, which is the
+    same in every frame: the first frame computes and range-checks it, in its
+    place among the emitters, and stores it; later frames add the stored array.
+    """
     L, N = radar.chirps_per_frame, radar.samples_per_chirp
     t_abs = _frame_times(radar, frame_index)
     tau = np.arange(N) / radar.adc_rate_hz
@@ -255,6 +270,9 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
 
     total = np.zeros((L, N), dtype=np.complex128)
     for i, em in enumerate(scene.emitters):
+        if i in static:
+            total += static[i]
+            continue
         # Every emitter is an amplitude (scalar, or a UAV's body plus blade sum)
         # at one range per sample; `reach` bounds the blades' excursion around it.
         reach = 0.0
@@ -273,12 +291,16 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
                 f"in frame {frame_index}")
         if scene.range_loss_ref_m is not None:
             amp = amp * (scene.range_loss_ref_m / rng_m) ** 2
-        total += amp * _unit_phasor(phase_scale * rng_m)
+        part = amp * _unit_phasor(phase_scale * rng_m)
+        if _is_static(em):
+            static[i] = part
+        total += part
 
     if scene.noise_std > 0:
         rng = _frame_rng(scene.rng_seed, frame_index)
         sigma = scene.noise_std / math.sqrt(2.0)
-        total += rng.normal(0.0, sigma, (L, N)) + 1j * rng.normal(0.0, sigma, (L, N))
+        total.real += rng.normal(0.0, sigma, (L, N))
+        total.imag += rng.normal(0.0, sigma, (L, N))
     if not np.isfinite(total).all():  # finite but extreme scene values can overflow
         raise SimulationError(f"frame {frame_index}: the scene's samples are not finite")
     return total
@@ -291,7 +313,8 @@ def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
     # Extreme scene values may overflow; each frame's finiteness check refuses them.
     with np.errstate(over="ignore", invalid="ignore"):
         paths = _distractor_paths(scene, radar, n)
-        return [Frame(_frame_samples(scene, radar, f, paths)) for f in range(n)]
+        static: dict = {}
+        return [Frame(_frame_samples(scene, radar, f, paths, static)) for f in range(n)]
 
 
 def frame_mid_times(radar: RadarConfig, n_frames: int) -> np.ndarray:

@@ -42,6 +42,14 @@ def process_frames(frames) -> np.ndarray:
     in single precision. Each map is written Doppler-major, the order the FFTs
     yield it, so the returned cube is a transposed view of the maps' buffer.
 
+    Each scaling multiplies the buffer's float64 view by 1 / sqrt(n). That is
+    the arithmetic numpy's complex division by a real already does: Smith's
+    algorithm computes (re + im*0) * (1/c) and (im - re*0) * (1/c). So for
+    finite parts only the sign of a zero can differ, and neither FFT nor the
+    magnitude carries that sign into a nonzero value; a non-finite part leaves
+    the map non-finite either way. Dividing the view by sqrt(n) instead would
+    round differently and change magnitude bits.
+
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
     covers both transforms, and numpy's warnings on the way are silenced.
@@ -51,15 +59,16 @@ def process_frames(frames) -> np.ndarray:
         raise ProcessingError("no frames given")
     buf = np.empty((len(frames),) + frames[0].samples.shape)
     spec = np.empty(buf.shape[1:], dtype=np.complex128)
+    parts = spec.view(np.float64)  # the real and imaginary parts, interleaved
     chirps, samples = spec.shape
     half = chirps // 2
     with np.errstate(over="ignore", invalid="ignore"):
         for t, frame in enumerate(frames):
             spec[...] = frame.samples
             np.fft.fft(spec, axis=1, out=spec)
-            spec /= np.sqrt(samples)
+            parts *= 1.0 / np.sqrt(samples)
             np.fft.fft(spec, axis=0, out=spec)
-            spec /= np.sqrt(chirps)
+            parts *= 1.0 / np.sqrt(chirps)
             # fftshift along Doppler: DC, row 0, lands at row chirps // 2
             np.abs(spec[:chirps - half], out=buf[t, half:])
             np.abs(spec[chirps - half:], out=buf[t, :half])

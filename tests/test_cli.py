@@ -1,7 +1,10 @@
 import json
 import hashlib
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -864,6 +867,29 @@ def test_train_writes_float32_parameters(tmp_path):
         dtypes = {name: data[name].dtype for name in data.files if name != "manifest"}
     names = lstm.LstmDetector(input_dim=7, hidden_size=4).param_names()
     assert dtypes == dict.fromkeys(names, np.dtype(np.float32))
+
+
+_MAIN_THEN_MODULES = """
+import sys
+from rotorsense.cli import main
+print(main(sys.argv[1:]), "numpy.ma" in sys.modules)
+"""
+
+
+def test_train_leaves_numpy_ma_unimported(tmp_path):
+    """Counting the classes with np.unique imported numpy.ma on its first call,
+    about 1.5 MiB of resident memory for a two-class check."""
+    identify.save_segments(tmp_path / "train.bin",
+                           [identify.Segment(values=np.full((4, 7), k), label=lab)
+                            for k, lab in ((1.0, "uav"), (2.0, "other"))])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["train", "--dataset", str(tmp_path / "train.bin"), "--epochs", "1",
+            "--hidden", "4", "--out", str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_segments_of_two_shapes_exit_one(tmp_path, capsys):

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from rotorsense.config import RadarConfig, UavConfig, ValidationError, constant_velocity, hover
 from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutter,
-                             UavEmitter, _frame_samples, scatterer_range, scene_truth,
-                             synthesize_frames)
+                             UavEmitter, _blade_amplitude, _blade_projection,
+                             _distractor_paths, _distractor_range, _frame_rng,
+                             _frame_samples, _frame_times, _unit_phasor, scatterer_range,
+                             scene_truth, synthesize_frames)
 from rotorsense.folding import folding_result
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
 from rotorsense import scenarios
@@ -60,7 +62,7 @@ def test_scatterer_range_outside_trajectory_errors():
 
 def _lone_frame(scene, radar, f):
     """Frame f of a scene with no moving distractor, synthesized alone."""
-    return _frame_samples(scene, radar, f, {})
+    return _frame_samples(scene, radar, f, {}, {})
 
 
 def test_static_point_rows_identical_constant_modulus(radar):
@@ -354,3 +356,79 @@ def test_hover48_bytes_do_not_depend_on_blas_threads(radar):
     run = subprocess.run([sys.executable, "-c", _HASH_HOVER48, str(HOVER48)], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == here
+
+
+def _per_frame_recipe(scene, radar, frame_index, paths):
+    """Reference: every emitter, static ones included, synthesized anew in each frame,
+    and the noise added as one complex array."""
+    L, N = radar.chirps_per_frame, radar.samples_per_chirp
+    t_abs = _frame_times(radar, frame_index)
+    tau = np.arange(N) / radar.adc_rate_hz
+    c = radar.speed_of_light_m_per_s
+    phase_scale = 4.0 * math.pi * (radar.carrier_freq_hz + radar.chirp_slope_hz_per_s * tau) / c
+    max_range = radar.max_range_m
+
+    total = np.zeros((L, N), dtype=np.complex128)
+    for i, em in enumerate(scene.emitters):
+        reach = 0.0
+        if isinstance(em, UavEmitter):
+            rng_m = em.trajectory.range_at(t_abs)
+            reach = float(np.max(np.abs(_blade_projection(em.uav))))
+            amp = _blade_amplitude(em.uav, radar, frame_index, phase_scale)
+        elif isinstance(em, StaticClutter):
+            amp, rng_m = em.reflectivity, np.full_like(t_abs, em.range_m)
+        else:
+            amp = float(em.params.get("reflectivity", 1.0))
+            rng_m = _distractor_range(em, radar, paths.get(i), frame_index, t_abs)
+        if np.any(rng_m - reach <= 0.0) or np.any(rng_m + reach >= max_range):
+            raise SimulationError(
+                f"emitter {i} ({type(em).__name__}) leaves (0, {max_range:.2f}) m "
+                f"in frame {frame_index}")
+        if scene.range_loss_ref_m is not None:
+            amp = amp * (scene.range_loss_ref_m / rng_m) ** 2
+        total += amp * _unit_phasor(phase_scale * rng_m)
+
+    if scene.noise_std > 0:
+        rng = _frame_rng(scene.rng_seed, frame_index)
+        sigma = scene.noise_std / math.sqrt(2.0)
+        total += rng.normal(0.0, sigma, (L, N)) + 1j * rng.normal(0.0, sigma, (L, N))
+    return total
+
+
+_MIXED_EMITTERS = (
+    StaticClutter(12.0, 0.8),
+    UavEmitter(scenarios.make_uav(seed=2), constant_velocity(40.0, 1.5, 4.0)),
+    Distractor("static-blob", {"range_m": 25.0, "reflectivity": 1.3}),
+    Distractor("slow-oscillator", {"range_m": 33.0, "reflectivity": 0.9}),
+    StaticClutter(60.0, 0.4),
+)
+
+
+@pytest.mark.parametrize("range_loss_ref_m", [None, 20.0])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_synthesize_frames_matches_per_frame_recipe(radar, range_loss_ref_m, noise_std):
+    """Static emitters synthesized once per capture leave every frame's bytes as
+    the per-frame recipe makes them."""
+    scene = SceneSpec(emitters=_MIXED_EMITTERS, noise_std=noise_std, rng_seed=7,
+                      range_loss_ref_m=range_loss_ref_m)
+    n = 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _distractor_paths(scene, radar, n)
+        want = [_per_frame_recipe(scene, radar, f, paths) for f in range(n)]
+    got = synthesize_frames(scene, radar, n)
+    assert [f.samples.dtype for f in got] == [np.complex128] * n
+    assert [f.samples.tobytes() for f in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("static", [StaticClutter(100.0, 1.0),
+                                    Distractor("static-blob", {"range_m": -1.0})],
+                         ids=["clutter", "static-blob"])
+def test_out_of_range_static_emitter_names_frame_0(radar, static):
+    scene = SceneSpec(emitters=(StaticClutter(12.0, 0.8), static))
+    with pytest.raises(SimulationError, match=r"emitter 1 \(\w+\) leaves .* in frame 0$"):
+        synthesize_frames(scene, radar, 3)
+
+
+def test_zero_frames_synthesize_nothing(radar):
+    scene = SceneSpec(emitters=_MIXED_EMITTERS, noise_std=0.3, range_loss_ref_m=20.0)
+    assert synthesize_frames(scene, radar, 0) == []

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotorsense.echo import SceneSpec, synthesize_frames
-from rotorsense.folding import (FoldingError, build_folding_map, folding_result,
-                                folding_value)
+from rotorsense.folding import (FoldingError, build_folding_map, fold_columns,
+                                folding_result, folding_value)
 from rotorsense.rdmap import process_frames
 
 from conftest import UAV_RANGE_BIN
@@ -174,6 +174,23 @@ def test_build_matches_oracle_and_breaks_ties_small(n_t, n_r, n_l, doppler_major
             outcome = folding_result(row)
             assert fmap.values[r, t] == outcome.folding_result == best
             assert outcome.best_folding_size == sizes[oracle.index(best)]
+
+
+@pytest.mark.parametrize("doppler_major", [True, False], ids=["rdmap-layout", "c-order"])
+def test_build_folds_across_block_edges(doppler_major):
+    """13 frames of the default 256 x 100 map fill two 5-frame blocks and part of a
+    third; each frame's values are its own fold, byte for byte."""
+    rng = np.random.default_rng(13)
+    maps = rng.integers(0, 4, (13, 100, 256)).astype(float)  # ties are common
+    cube = maps.transpose(0, 2, 1)  # the layout process_frames returns
+    if not doppler_major:
+        cube = np.ascontiguousarray(cube)
+    per_frame = np.stack([fold_columns(cube[t].T)[1].max(axis=0) for t in range(13)], axis=1)
+    assert build_folding_map(cube).values.tobytes() == per_frame.tobytes()
+    block = cube[3:8].transpose(0, 2, 1)
+    assert (fold_columns(block, axis=-2)[1].tobytes()
+            == fold_columns(block, axis=1)[1].tobytes()
+            == fold_columns(block.transpose(1, 0, 2))[1].tobytes())
 
 
 def test_build_rejects_mismatched_shapes():

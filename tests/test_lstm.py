@@ -248,6 +248,14 @@ def test_single_class_dataset_rejected():
         lstm_train(det, x, np.zeros(4, dtype=int), epochs=1)
 
 
+@pytest.mark.parametrize("labels", [[1, 1, 1], []], ids=["ones", "empty"])
+def test_other_single_class_and_empty_datasets_rejected(labels):
+    det = LstmDetector(input_dim=2, hidden_size=3, seed=0)
+    x = np.zeros((len(labels), 3, 2))
+    with pytest.raises(ModelError, match="single class"):
+        lstm_train(det, x, np.array(labels, dtype=int), epochs=1)
+
+
 def test_history_includes_validation_loss():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(10, 4, 3))
