@@ -22,9 +22,12 @@ the estimate, then systematic resampling every step: one uniform u per step
 places the sorted keys (u + k) / n, k = 0..n-1, each copying the first
 particle whose normalised cumulative weight exceeds it, so a particle is
 copied within one of n times its weight, with less variance than a
-multinomial draw. Its model is fixed by the range grid: 5000 particles,
+multinomial draw. Its model is fixed by the range grid: 2000 particles,
 process noise of half a range bin in range and 0.5 m/s in velocity,
-measurement noise of one range bin.
+measurement noise of one range bin. 2000 is the smallest of 250, 500, 1000,
+2000 and 5000 whose median and 90th-percentile relative range error, over 80
+sampled UAV captures over static clutter, stay within the 5000-particle
+filter's own spread across eight filter seeds; 1000 falls outside on both.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Track:
     total_score: float = 0.0
 
 
-PARTICLES = 5000
+PARTICLES = 2000
 
 
 def estimate_noise_profile(values) -> np.ndarray:
@@ -147,11 +150,14 @@ def particle_filter(ranges_m, radar: RadarConfig, v_max_m_per_s: float, rng_seed
 
     Returns (filtered_ranges, reseed_count). reseed_count counts steps where
     every particle weight underflowed and the cloud was re-seeded around the
-    observation.
+    observation. Every observed range must be finite.
     """
     obs = np.asarray(ranges_m, dtype=float)
     if obs.size == 0:
         raise TrackingError("track is empty")
+    bad = np.flatnonzero(~np.isfinite(obs))
+    if bad.size:
+        raise TrackingError(f"observed range {bad[0]} is {float(obs[bad[0]])!r}, not finite")
     _check_v_max(radar, v_max_m_per_s)
     rng = np.random.default_rng(rng_seed)
     n = PARTICLES

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotorsense import cli, frameio, identify, lstm
+from rotorsense import cli, frameio, identify, lstm, tracking
 from rotorsense.cli import component_seed, main
 from rotorsense.config import RadarConfig, csv_columns
 from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
@@ -542,6 +542,37 @@ def test_identify_given_threshold_is_fixed(pipeline_run, tmp_path):
                  "--model", _untrained_model(tmp_path), "--threshold", "1e30",
                  "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "metrics.json").read_text())["verdict"] == "no-detection"
+
+
+def test_particle_count_moves_only_the_filtered_range(pipeline_run, tmp_path, monkeypatch):
+    """The particle count reaches filtered_range_m and mean_relative_error, nothing else."""
+    run, bg = pipeline_run / "run", pipeline_run / "bg"
+    model = _untrained_model(tmp_path)
+    for n in (5000, tracking.PARTICLES):
+        monkeypatch.setattr(tracking, "PARTICLES", n)
+        out = tmp_path / str(n)
+        assert main(["track", "--frames", str(run / "frames.bin"),
+                     "--background", str(bg / "frames.bin"), "--truth", str(run / "truth.csv"),
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert main(["identify", "--frames", str(run / "frames.bin"),
+                     "--background", str(bg / "frames.bin"), "--model", model,
+                     "--seed", "5", "--out", str(out)]) == 0
+    old, new = tmp_path / "5000", tmp_path / str(tracking.PARTICLES)
+
+    def without_filtered(path):
+        rows = [line.split(",") for line in (path / "track.csv").read_text().splitlines()]
+        col = rows[0].index("filtered_range_m")
+        return [row[:col] + row[col + 1:] for row in rows]
+
+    def without_error(path):
+        return [line for line in (path / "summary.json").read_text().splitlines()
+                if not line.startswith('  "mean_relative_error": ')]
+
+    assert without_filtered(new) == without_filtered(old)
+    assert without_error(new) == without_error(old)
+    for name in ("labels.csv", "metrics.json"):
+        assert sha256(new / name) == sha256(old / name)
+    assert len((new / "labels.csv").read_text().splitlines()) > 1
 
 
 def test_dataset_and_training_loop(tmp_path, capsys):
