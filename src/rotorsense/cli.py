@@ -188,10 +188,12 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: floa
 
 def _track_files(args):
     """Reads --frames (and --background, in the same format and from the same radar);
-    returns the capture's magnitude cube and its CaptureTrack under --v-max and --seed."""
+    returns the capture's magnitude cube and its CaptureTrack under --v-max and --seed.
+    Each file's payload is freed once its cube exists."""
     layout = None if args.raw_int16 is None else _radar_for(args.raw_int16)
     frames, radar = frameio.read_frames(args.frames, layout)
     cube = process_frames(frames)
+    del frames
     background = None
     if args.background:
         bg_frames, bg_radar = frameio.read_frames(args.background, layout)
@@ -199,6 +201,7 @@ def _track_files(args):
         if mismatch:
             raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
         background = process_frames(bg_frames)
+        del bg_frames
     return cube, track_capture(cube, radar, background, v_max=args.v_max,
                                pf_seed=component_seed(args.seed, "particle-filter"))
 

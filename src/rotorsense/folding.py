@@ -20,7 +20,13 @@ folding one row alone and to a naive per-entry loop.
 
 Folding results of every range bin of every frame of a magnitude cube form the
 range-time folding map that the tracker consumes; the cube is folded a block
-of frames at a time, each block about 1 MiB.
+of frames at a time, each block about 1 MiB. Like rdmap.process_frames,
+build_folding_map splits the frames into contiguous chunks, one per core the
+process may run on (at most 4), through workers.run_chunks, and only as far as
+each worker gets 64 frames of the default 100 x 256 map: below that a 2-core
+host gained nothing once LSTM training had left its BLAS threads spinning
+(workers._MIN_CHUNK_ELEMENTS holds the measurement). Each chunk folds its own
+blocks, and the map's bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidationError
+from .workers import run_chunks
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 # Frames per fold_columns call in build_folding_map, by bytes: 5 frames of the
@@ -118,6 +125,8 @@ def build_folding_map(cube) -> FoldingMap:
     each size's passes over it stay in cache while the per-call cost is shared
     by several frames. For the cube rdmap.process_frames returns, whose frames
     are stored Doppler-major, a block is a contiguous view and needs no copy.
+    Chunks of frames fold in parallel (workers.run_chunks), each a block at a
+    time from its first frame.
     """
     cube = np.asarray(cube, dtype=float)
     if cube.size == 0:
@@ -126,7 +135,11 @@ def build_folding_map(cube) -> FoldingMap:
     step = max(1, _BLOCK_BYTES // cube[0].nbytes)
 
     values = np.empty((n_r, n_t))
-    for t in range(0, n_t, step):
-        block = cube[t:t + step].transpose(0, 2, 1)
-        values[:, t:t + step] = fold_columns(block, axis=1)[1].max(axis=0).T
+
+    def fold(start: int, stop: int) -> None:
+        for t in range(start, stop, step):
+            block = cube[t:min(t + step, stop)].transpose(0, 2, 1)
+            values[:, t:t + len(block)] = fold_columns(block, axis=1)[1].max(axis=0).T
+
+    run_chunks(fold, n_t, cube[0].size)
     return FoldingMap(values)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotorsense import cli, frameio, identify, lstm, tracking
+from rotorsense import cli, frameio, identify, lstm, tracking, workers
 from rotorsense.cli import component_seed, main
 from rotorsense.config import RadarConfig, csv_columns
 from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
@@ -573,6 +573,26 @@ def test_particle_count_moves_only_the_filtered_range(pipeline_run, tmp_path, mo
     for name in ("labels.csv", "metrics.json"):
         assert sha256(new / name) == sha256(old / name)
     assert len((new / "labels.csv").read_text().splitlines()) > 1
+
+
+def test_outputs_do_not_depend_on_the_worker_count(pipeline_run, tmp_path, monkeypatch):
+    """track and identify --frames write the same bytes at 1 worker and at the host's
+    count; the split threshold is lowered so the 40-frame captures split too."""
+    run, bg = pipeline_run / "run", pipeline_run / "bg"
+    model = _untrained_model(tmp_path)
+    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS", 1)
+    default = workers.worker_count
+    for name, count in (("one", lambda: 1), ("default", default)):
+        monkeypatch.setattr(workers, "worker_count", count)
+        out = tmp_path / name
+        assert main(["track", "--frames", str(run / "frames.bin"),
+                     "--background", str(bg / "frames.bin"), "--truth", str(run / "truth.csv"),
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert main(["identify", "--frames", str(run / "frames.bin"),
+                     "--background", str(bg / "frames.bin"), "--model", model,
+                     "--seed", "5", "--out", str(out)]) == 0
+    for name in ("track.csv", "summary.json", "labels.csv", "metrics.json"):
+        assert sha256(tmp_path / "one" / name) == sha256(tmp_path / "default" / name)
 
 
 def test_dataset_and_training_loop(tmp_path, capsys):
