@@ -72,13 +72,13 @@ def process_frames(frames) -> np.ndarray:
     if not frames:
         raise ProcessingError("no frames given")
     shape = frames[0].samples.shape
+    chirps, samples = shape
+    half = chirps // 2
     buf = np.empty((len(frames),) + shape)
 
     def maps(start: int, stop: int) -> None:
         spec = np.empty(shape, dtype=np.complex128)
         parts = spec.view(np.float64)  # the real and imaginary parts, interleaved
-        chirps, samples = shape
-        half = chirps // 2
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(start, stop):
                 spec[...] = frames[t].samples
@@ -93,7 +93,7 @@ def process_frames(frames) -> np.ndarray:
                     raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
                                           "(non-finite samples or FFT overflow)")
 
-    run_chunks(maps, len(frames), frames[0].samples.size)
+    run_chunks(maps, len(frames), chirps * samples)
     return buf.transpose(0, 2, 1)
 
 
