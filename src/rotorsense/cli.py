@@ -47,6 +47,7 @@ from .folding import build_folding_map
 from .identify import IdentifyError
 from .lstm import ModelError
 from .rdmap import beat_range_bin, process_frames
+from .workers import split_frames
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -260,11 +261,23 @@ def cmd_simulate(args) -> int:
     radar = _radar_for(args.config)
     scene = load_scenario(args.scenario, args.seed)
     n_frames = args.frames or radar.frames_per_capture
-    frames = echo.synthesize_frames(scene, radar, n_frames)
-    for t, frame in enumerate(frames):  # the frame file stores float32 parts
-        if np.abs(frame.samples.view(np.float64)).max() > np.finfo(np.float32).max:
-            raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
-                                  "frame file (noise_std or a reflectivity is too large)")
+    # Equal blocks of frames, each long enough to split over every worker after its
+    # first frame, which synthesize_frames runs alone. Each frame is checked and kept
+    # as the file's complex64 samples, and its complex128 array is released at once,
+    # so one block's complex128 frames are the most held at a time.
+    blocks = max(1, n_frames // (split_frames(radar.chirps_per_frame
+                                              * radar.samples_per_chirp) + 1))
+    bounds = [n_frames * i // blocks for i in range(blocks + 1)]
+    frames = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = echo.synthesize_frames(scene, radar, stop, start=start)
+        block.reverse()
+        for t in range(start, stop):  # the frame file stores float32 parts
+            samples = block.pop().samples
+            if np.abs(samples.view(np.float64)).max() > np.finfo(np.float32).max:
+                raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
+                                      "frame file (noise_std or a reflectivity is too large)")
+            frames.append(echo.Frame(samples.astype(np.complex64)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frameio.write_frames(out / "frames.bin", frames, radar)

@@ -43,6 +43,17 @@ A static emitter (StaticClutter or a "static-blob" distractor) returns the
 same samples in every frame, so it is synthesized once per capture: its
 amplitude, range loss, range check and phasor are computed in the first frame,
 and every frame adds that one array in the emitter's place in the sum.
+
+Beyond that, the frames are independent: each draws its noise from its own
+substream, the distractor paths are drawn once per capture before any frame,
+and the static emitters are fixed by the first. So synthesize_frames runs its
+first frame in the caller and splits the rest over the host's cores by the
+rule the maps use (workers.run_chunks: 64 default frames per worker, so a
+40-frame scene stays serial). Every frame keeps the arithmetic of a serial
+call, and a capture's bytes do not depend on the worker count, nor on the
+blocks it is synthesized in. Each frame's complex128 array is allocated in the
+calling thread and a worker only fills it; a worker calls only this module's
+private helpers, none of which the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RadarConfig, TrajectorySpec, UavConfig, ValidationError
+from .workers import run_chunks
 
 # The parameters each distractor kind reads; a scenario file may set no other.
 _STATIC = ("range_m", "reflectivity")
@@ -254,8 +266,9 @@ def _is_static(em) -> bool:
 
 
 def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
-                   paths: dict, static: dict) -> np.ndarray:
-    """One frame's complex128 samples; `paths` holds the distractor phase paths.
+                   paths: dict, static: dict, out: np.ndarray) -> np.ndarray:
+    """One frame's complex128 samples, written into `out` and returned; `paths`
+    holds the distractor phase paths.
 
     `static` maps each static emitter's index to its contribution, which is the
     same in every frame: the first frame computes and range-checks it, in its
@@ -268,7 +281,8 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
     phase_scale = 4.0 * math.pi * (radar.carrier_freq_hz + radar.chirp_slope_hz_per_s * tau) / c
     max_range = radar.max_range_m
 
-    total = np.zeros((L, N), dtype=np.complex128)
+    total = out
+    total[...] = 0
     for i, em in enumerate(scene.emitters):
         if i in static:
             total += static[i]
@@ -306,15 +320,43 @@ def _frame_samples(scene: SceneSpec, radar: RadarConfig, frame_index: int,
     return total
 
 
-def synthesize_frames(scene: SceneSpec, radar: RadarConfig,
-                      n_frames: int | None = None) -> list[Frame]:
-    """The first n_frames frames (default: radar.frames_per_capture) of the scene."""
+def synthesize_frames(scene: SceneSpec, radar: RadarConfig, n_frames: int | None = None,
+                      start: int = 0) -> list[Frame]:
+    """Frames start..n_frames - 1 of the scene (n_frames default: radar.frames_per_capture).
+
+    Frames start..n_frames - 1 of a capture of n_frames frames are the same bytes
+    whatever `start` is, so a capture can be synthesized in consecutive blocks.
+    The first frame runs in the caller, where it fills the static emitters; the
+    rest split over the workers (workers.run_chunks). Every frame's array is
+    allocated here, in the calling thread, and a worker only fills it: an array
+    a worker allocated would be freed into that worker's malloc arena, out of
+    the caller's reach. A frame that raises stops its chunk, and the capture's
+    first bad frame is reported.
+    """
     n = radar.frames_per_capture if n_frames is None else n_frames
+    shape = (radar.chirps_per_frame, radar.samples_per_chirp)
+    # The list first: an item array regrown among the frames, once freed into a
+    # malloc cache, could keep every frame below it resident after they are dropped.
+    frames = [None] * max(0, n - start)
+    for i in range(len(frames)):
+        frames[i] = Frame(np.empty(shape, dtype=np.complex128))
+    if not frames:
+        return frames
     # Extreme scene values may overflow; each frame's finiteness check refuses them.
+    # np.errstate holds per thread, so every chunk enters its own.
     with np.errstate(over="ignore", invalid="ignore"):
         paths = _distractor_paths(scene, radar, n)
-        static: dict = {}
-        return [Frame(_frame_samples(scene, radar, f, paths, static)) for f in range(n)]
+    static: dict = {}
+
+    def fill(lo: int, hi: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in range(lo, hi):
+                _frame_samples(scene, radar, f, paths, static, frames[f - start].samples)
+
+    fill(start, start + 1)
+    run_chunks(lambda lo, hi: fill(start + 1 + lo, start + 1 + hi),
+               len(frames) - 1, shape[0] * shape[1])
+    return frames
 
 
 def frame_mid_times(radar: RadarConfig, n_frames: int) -> np.ndarray:

@@ -57,7 +57,7 @@ def write_frames(path, frames, radar: RadarConfig) -> None:
     with open(path, "wb") as fh:
         fh.write(header.ljust(HEADER_BYTES))
         for frame in frames:
-            fh.write(np.asarray(frame.samples).astype("<c8").tobytes())
+            fh.write(np.ascontiguousarray(frame.samples, dtype="<c8"))
 
 
 def read_header(path) -> RadarConfig:

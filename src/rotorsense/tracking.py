@@ -102,35 +102,42 @@ _NEG_INF = -np.inf
 
 
 def dp_max_path(values, k_bins: int, range_bin_size_m: float, frame_times) -> Track:
-    """Constrained maximum path through values [R, T] by DP plus backtracking."""
+    """Constrained maximum path through values [R, T] by DP plus backtracking.
+
+    Every value must be finite: np.argmax and a strict-improvement scan disagree
+    on which of the candidates a NaN makes the maximum.
+    """
     if values.size == 0:
         raise TrackingError("folding map is empty")
     if k_bins < 1:
         raise TrackingError("k_bins must be >= 1")
+    if not np.isfinite(values).all():
+        raise TrackingError("folding map holds a value that is not finite")
     n_r, n_t = values.shape
 
-    # Offsets probed in order 0, -1, +1, -2, +2, ...: with strict improvement
-    # this prefers smaller |k|, then the smaller predecessor bin. No offset of
+    # Offsets in probe order 0, -1, +1, -2, +2, ...: the first maximum np.argmax
+    # finds prefers the smaller |k|, then the smaller predecessor bin. No offset of
     # n_r or more has a predecessor inside the map, so the probe stops there.
     reach = min(k_bins, n_r - 1)
     offsets = [0]
     for k in range(1, reach + 1):
         offsets.extend((-k, k))
+    offsets = np.array(offsets)
+    bins = np.arange(n_r)
+    # Row j of the gather holds every bin's predecessor at offset offsets[j].
+    gather = reach + offsets[:, None] + bins
 
     theta = np.empty((n_r, n_t))
-    pred = np.full((n_t, n_r), -1)  # pred[t, r]: the bin at t - 1 that r at t extends
+    pred = np.empty((n_t, n_r), dtype=int)  # pred[t, r]: the bin at t - 1 that r at t extends
     theta[:, 0] = values[:, 0]
     # The previous column between reach cells of -inf: a predecessor off the map never wins.
     padded = np.full(n_r + 2 * reach, _NEG_INF)
     for t in range(1, n_t):
         padded[reach:reach + n_r] = theta[:, t - 1]
-        best = np.full(n_r, _NEG_INF)
-        for k in offsets:
-            cand = padded[reach + k:reach + k + n_r]
-            better = cand > best
-            best[better] = cand[better]
-            pred[t, better] = np.flatnonzero(better) + k
-        theta[:, t] = best + values[:, t]
+        cand = padded[gather]
+        best = cand.argmax(axis=0)
+        theta[:, t] = cand[best, bins] + values[:, t]
+        pred[t] = bins + offsets[best]
 
     path = np.empty(n_t, dtype=int)
     path[-1] = int(np.argmax(theta[:, -1]))  # first max == smallest bin

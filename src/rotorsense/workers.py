@@ -1,11 +1,12 @@
 """Frame-parallel work: contiguous chunks of a capture's frames on the host's cores.
 
-rdmap.process_frames and folding.build_folding_map compute each frame's result
-from that frame alone, so run_chunks splits a capture into contiguous chunks
-of frames, one per worker. The caller runs the first chunk and a persistent
-pool of workers - 1 threads runs the others. numpy's FFTs, abs and reductions
-release the interpreter lock, so the chunks run in parallel; every frame keeps
-the arithmetic of a serial call, so outputs do not depend on the worker count.
+rdmap.process_frames, folding.build_folding_map and echo.synthesize_frames (after
+its first frame) compute each frame's result from that frame alone, so
+run_chunks splits a capture into contiguous chunks of frames, one per worker.
+The caller runs the first chunk and a persistent pool of workers - 1 threads
+runs the others. numpy's FFTs, abs, trig and reductions release the interpreter
+lock, so the chunks run in parallel; every frame keeps the arithmetic of a
+serial call, so outputs do not depend on the worker count.
 
 The worker count is the number of cores the process may run on
 (os.sched_getaffinity), at most _MAX_WORKERS; nothing sets it. A capture is
@@ -14,7 +15,10 @@ split only as far as each worker gets _MIN_CHUNK_ELEMENTS frame elements
 runs serially, in the caller, and creates no pool.
 
 np.errstate holds per thread: a chunk that silences numpy's floating-point
-warnings enters it itself, in whichever thread runs it.
+warnings enters it itself, in whichever thread runs it. A chunk writes its
+results into arrays the caller allocated; its own scratch is freed when it
+ends. A chunk calls nothing the benchmark's tracer wraps (the layer functions
+as cli sees them), since a tracer keeps one span stack, for the calling thread.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ def worker_count() -> int:
     if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return min(os.cpu_count() or 1, _MAX_WORKERS)
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+
+
+def split_frames(frame_elements: int) -> int:
+    """The fewest frames of frame_elements elements that run_chunks splits over every worker."""
+    return -(-worker_count() * _MIN_CHUNK_ELEMENTS // frame_elements)
 
 
 def _pool(threads: int):

@@ -207,6 +207,52 @@ def test_simulate_reproducible(tmp_path):
         == (tmp_path / "b" / "truth.csv").read_text()
 
 
+def _simulate_in_blocks(monkeypatch):
+    """Two workers, each splitting off at one frame: a block needs 3 frames, since its
+    first runs before the split, so 9 frames make 3 blocks."""
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    radar = RadarConfig()
+    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS",
+                        radar.chirps_per_frame * radar.samples_per_chirp)
+    assert workers.split_frames(radar.chirps_per_frame * radar.samples_per_chirp) == 2
+
+
+def test_simulate_in_blocks_writes_the_whole_capture(tmp_path, monkeypatch):
+    scenario = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+    whole = synthesize_frames(cli.load_scenario(scenario, 7), RadarConfig(), 9)
+    frameio.write_frames(tmp_path / "whole.bin", whole, RadarConfig())
+    _simulate_in_blocks(monkeypatch)
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "7",
+                 "--frames", "9", "--out", str(tmp_path / "out")]) == 0
+    assert sha256(tmp_path / "out" / "frames.bin") == sha256(tmp_path / "whole.bin")
+
+
+def test_simulate_names_a_float32_overflow_before_a_later_blocks_range_error(
+        tmp_path, monkeypatch, capsys):
+    """Blocks are checked as they are made: a sample beyond float32 in frame 0 is named,
+    though the UAV leaves the range in frame 7, in the third block. Before blocks, the
+    whole capture was synthesized first, and the range error was named."""
+    max_range = RadarConfig().max_range_m
+    doc = {"schema_version": 1, "noise_std": 1e39, "emitters": [
+        {"kind": "static-clutter", "range_m": 12.0, "reflectivity": 1.0},
+        {"kind": "uav", "uav": {"rotation_rate_hz": 55.6},
+         "trajectory": [{"start_time_s": 0.0, "duration_s": 1.0,
+                         "start_range_m": max_range - 6.76, "radial_velocity_m_per_s": 10.0}]},
+    ]}
+    scenario = write_scenario(tmp_path, doc, "leaving.json")
+    _simulate_in_blocks(monkeypatch)
+    args = ["simulate", "--scenario", str(scenario), "--frames", "9",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert "frame 0: a sample exceeds the float32 range" in capsys.readouterr().err
+    doc["noise_std"] = 4.0
+    write_scenario(tmp_path, doc, "leaving.json")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "emitter 1 (UavEmitter) leaves" in err and err.rstrip().endswith("in frame 7")
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_scenario_key_exits_one(tmp_path, capsys):
     doc = json.loads(json.dumps(HOVER_SCENARIO))
     doc["emitters"][0]["uav"]["blade_count"] = 9

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from rotorsense.echo import (Distractor, SceneSpec, SimulationError, StaticClutt
                              scene_truth, synthesize_frames)
 from rotorsense.folding import folding_result
 from rotorsense.rdmap import beat_range_bin, dc_bin, process_frames
-from rotorsense import scenarios
+from rotorsense import scenarios, workers
 from rotorsense.cli import load_scenario
 
 HOVER48 = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "hover48.json"
@@ -62,7 +63,8 @@ def test_scatterer_range_outside_trajectory_errors():
 
 def _lone_frame(scene, radar, f):
     """Frame f of a scene with no moving distractor, synthesized alone."""
-    return _frame_samples(scene, radar, f, {}, {})
+    out = np.empty((radar.chirps_per_frame, radar.samples_per_chirp), dtype=np.complex128)
+    return _frame_samples(scene, radar, f, {}, {}, out)
 
 
 def test_static_point_rows_identical_constant_modulus(radar):
@@ -432,3 +434,131 @@ def test_out_of_range_static_emitter_names_frame_0(radar, static):
 def test_zero_frames_synthesize_nothing(radar):
     scene = SceneSpec(emitters=_MIXED_EMITTERS, noise_std=0.3, range_loss_ref_m=20.0)
     assert synthesize_frames(scene, radar, 0) == []
+
+
+# --- frames split over workers, and in blocks ----------------------------------
+
+_EVERY_KIND = _MIXED_EMITTERS + (
+    Distractor("aperiodic-flapper", {"range_m": 45.0, "reflectivity": 0.7}),)
+
+
+def _split_per_frame(monkeypatch, count):
+    """count workers, each splitting off as soon as it gets one frame."""
+    monkeypatch.setattr(workers, "worker_count", lambda: count)
+    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS", 1)
+
+
+def _bytes(frames):
+    return [f.samples.tobytes() for f in frames]
+
+
+@pytest.mark.parametrize("range_loss_ref_m", [None, 20.0])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_synthesis_bytes_do_not_depend_on_the_worker_count(radar, range_loss_ref_m,
+                                                           noise_std):
+    """Frame 0 runs in the caller; frames 1..7 split over 1, 2 and 3 workers."""
+    scene = SceneSpec(emitters=_EVERY_KIND, noise_std=noise_std, rng_seed=3,
+                      range_loss_ref_m=range_loss_ref_m)
+    results = {}
+    for count in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            _split_per_frame(mp, count)
+            results[count] = _bytes(synthesize_frames(scene, radar, 8))
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_blocks_built_with_start_concatenate_to_the_capture(radar, monkeypatch, count):
+    """A block's first frame fills the static emitters again; its distractor paths are
+    the whole capture's."""
+    _split_per_frame(monkeypatch, count)
+    scene = SceneSpec(emitters=_EVERY_KIND, noise_std=0.3, rng_seed=4, range_loss_ref_m=20.0)
+    whole = _bytes(synthesize_frames(scene, radar, 7))
+    blocks = []
+    for start, stop in ((0, 3), (3, 4), (4, 7)):
+        block = synthesize_frames(scene, radar, stop, start=start)
+        assert len(block) == stop - start
+        blocks += _bytes(block)
+    assert blocks == whole
+    assert synthesize_frames(scene, radar, 7, start=7) == []
+
+
+def _leaving_uav(radar, frame_index):
+    """A UAV whose blade envelope crosses the maximum range inside frame_index."""
+    uav = scenarios.make_uav(seed=2)
+    reach = float(np.max(np.abs(_blade_projection(uav))))
+    velocity = 10.0
+    crossing_s = (frame_index + 0.5) * radar.frame_duration_s
+    start = radar.max_range_m - reach - velocity * crossing_s
+    return UavEmitter(uav, constant_velocity(start, velocity, 2.0))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_emitter_leaving_in_a_later_chunk_is_named_at_its_first_frame(radar, monkeypatch,
+                                                                      count):
+    """Frames 1..8 split 1-2, 3-5, 6-8 at 3 workers: the UAV is out of range from frame
+    4 on, so two chunks hold bad frames, and the earlier chunk's first is named."""
+    _split_per_frame(monkeypatch, count)
+    scene = SceneSpec(emitters=(StaticClutter(12.0, 0.8), _leaving_uav(radar, 4)))
+    synthesize_frames(scene, radar, 4)
+    message = (rf"^emitter 1 \(UavEmitter\) leaves \(0, {radar.max_range_m:.2f}\) m "
+               r"in frame 4$")
+    with pytest.raises(SimulationError, match=message):
+        synthesize_frames(scene, radar, 9)
+    with pytest.raises(SimulationError, match=message.replace("4$", "6$")):
+        synthesize_frames(scene, radar, 9, start=6)
+
+
+def test_no_runtime_warning_escapes_a_worker(radar, monkeypatch):
+    """A UAV closing in under a huge range-loss reference overflows its amplitude from
+    frame 5 on, in a worker's chunk; that worker's own errstate silences numpy."""
+    _split_per_frame(monkeypatch, 2)
+    uav = scenarios.make_uav(seed=2)
+    scene = SceneSpec(emitters=(UavEmitter(uav, constant_velocity(2.0, -2.0, 0.8)),),
+                      range_loss_ref_m=9.8e153)
+    synthesize_frames(scene, radar, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError, match="^frame 5: the scene's samples are not finite"):
+            synthesize_frames(scene, radar, 8)
+    assert [str(w.message) for w in caught] == []
+
+
+_RSS_AFTER_SPLIT = """
+from rotorsense import scenarios, workers
+from rotorsense.config import RadarConfig, hover
+from rotorsense.echo import SceneSpec, StaticClutter, UavEmitter, synthesize_frames
+
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+workers.worker_count = lambda: 2
+workers._MIN_CHUNK_ELEMENTS = 8 * 100 * 256
+scene = SceneSpec(emitters=(StaticClutter(12.0, 2.0),
+                            UavEmitter(scenarios.make_uav(seed=1), hover(48.0, 20.0))),
+                  noise_std=4.0)
+for _ in range(3):
+    before = rss_kib()
+    frames = synthesize_frames(scene, RadarConfig(), 100)
+    assert workers._pools, "the capture did not split"
+    del frames
+    print(before, rss_kib())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmRSS")
+def test_memory_of_a_split_synthesis_is_returned_after_it_is_dropped():
+    """Three split syntheses of 41 MB in a fresh process: each dropped capture gives
+    its frames back. The first also starts the pool, its thread and BLAS, about
+    15 MB that stay for the process's life."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _RSS_AFTER_SPLIT], env=env,
+                         capture_output=True, text=True, check=True)
+    capture_kib = 100 * 100 * 256 * 16 // 1024
+    for line in run.stdout.splitlines():
+        before, after = map(int, line.split())
+        assert after - before < capture_kib // 2, run.stdout

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotorsense.config import UavConfig, constant_velocity, hover
@@ -113,6 +113,26 @@ def test_complex64_frames_give_the_bytes_of_their_complex128_copies(n_frames, ch
     wide = [s.astype(np.complex128) for s in narrow]
     assert cube.tobytes() == process_frames([Frame(s) for s in wide]).tobytes()
     for t, s in enumerate(wide):
+        assert cube[t].tobytes() == _reference_map(s).tobytes(), f"frame {t}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 1021), st.integers(1, 64) | st.sampled_from([256, 1019]),
+       st.lists(st.integers(-300, 300), min_size=1, max_size=3))
+@example(1021, 64, [-300, 0, 300])   # a prime chirp count: a Bluestein Doppler FFT
+@example(100, 256, [-300, 0, 300])   # the default grid, whose rows sit 4 KiB apart unpadded
+@example(7, 1019, [300])             # a prime sample count: a Bluestein range FFT
+@example(1, 1, [-300])
+def test_maps_equal_the_reference_chain_on_drawn_grids_and_scales(chirps, samples, exponents):
+    """Both FFTs scale inside numpy and work in a row-padded buffer; the maps keep the
+    bytes of the reference chain, FFT then division by sqrt(n), on any grid and at
+    scales from 1e-300 to 1e300."""
+    rng = np.random.default_rng(chirps * 7919 + samples)
+    shape = (chirps, samples)
+    frames = [10.0 ** e * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+              for e in exponents]
+    cube = process_frames([Frame(s) for s in frames])
+    for t, s in enumerate(frames):
         assert cube[t].tobytes() == _reference_map(s).tobytes(), f"frame {t}"
 
 

@@ -227,6 +227,55 @@ def test_dp_matches_masked_reference_on_tied_maps(n_r, n_t, k, data):
     assert track.scores.tobytes() == values[path, np.arange(n_t)].tobytes()
 
 
+def _probe_loop_dp(values, k_bins):
+    """The DP step as one strict-improvement scan per offset, in probe order."""
+    n_r, n_t = values.shape
+    reach = min(k_bins, n_r - 1)
+    offsets = [0]
+    for k in range(1, reach + 1):
+        offsets.extend((-k, k))
+    theta = np.empty((n_r, n_t))
+    pred = np.full((n_t, n_r), -1)
+    theta[:, 0] = values[:, 0]
+    padded = np.full(n_r + 2 * reach, -np.inf)
+    for t in range(1, n_t):
+        padded[reach:reach + n_r] = theta[:, t - 1]
+        best = np.full(n_r, -np.inf)
+        for k in offsets:
+            cand = padded[reach + k:reach + k + n_r]
+            better = cand > best
+            best[better] = cand[better]
+            pred[t, better] = np.flatnonzero(better) + k
+        theta[:, t] = best + values[:, t]
+    path = np.empty(n_t, dtype=int)
+    path[-1] = int(np.argmax(theta[:, -1]))
+    for t in range(n_t - 1, 0, -1):
+        path[t - 1] = pred[t, path[t]]
+    return path, float(theta[path[-1], -1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 14), st.integers(1, 4),
+       st.data())
+def test_dp_gather_matches_the_probe_loop_on_integer_maps(n_r, n_t, k, spread, data):
+    """One gather and one argmax per frame pick the predecessor the probe loop picks,
+    ties included: small integer ranges make most candidates tie."""
+    values = data.draw(arrays(np.int64, (n_r, n_t), elements=st.integers(-spread, spread)))
+    values = values.astype(float)
+    track = dp_path(values, k)
+    path, total = _probe_loop_dp(values, k)
+    assert track.range_bins.tobytes() == path.tobytes()
+    assert track.total_score == total
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dp_refuses_non_finite_values(bad):
+    values = np.zeros((4, 5))
+    values[2, 3] = bad
+    with pytest.raises(TrackingError, match="not finite"):
+        dp_path(values, 1)
+
+
 def test_dp_ties_prefer_smaller_offset_then_smaller_bin():
     flat = np.zeros((5, 3))
     flat[2, 2] = 1.0  # every predecessor ties: offset 0 wins, so the path stays on bin 2
