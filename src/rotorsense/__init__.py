@@ -1,12 +1,16 @@
 """rotorsense: FMCW radar toolkit for UAV detection by rotor micro-motion.
 
-Pipeline: synthesize beat-signal frames (echo.synthesize_frames), turn them
-into one Range-Doppler magnitude cube [frames, range bins, Doppler bins]
-(rdmap.process_frames), score the periodicity of every Doppler row of the cube
-by spectrum folding into a range-time map (folding), recover the range track
-by spectral subtraction + constrained dynamic programming + particle filtering
-(tracking), then read the cube along the track into a Doppler-time diagram
-and classify its aligned segments with a from-scratch LSTM (identify, lstm).
+Pipeline: synthesize beat-signal frames (echo.synthesize_frames), turn each
+into a Range-Doppler magnitude map [range bins, Doppler bins] (rdmap), score
+the periodicity of every Doppler row of every map by spectrum folding into a
+range-time map (folding.build_folding_map, which folds the maps a block at a
+time as it makes them), recover the range track by spectral subtraction +
+constrained dynamic programming + particle filtering (tracking), then read
+the frames' Doppler rows along the track into a Doppler-time diagram
+(rdmap.doppler_rows) and classify its aligned segments with a from-scratch
+LSTM (identify, lstm). rdmap.process_frames stacks a capture's maps into one
+cube [frames, range bins, Doppler bins] for tests and demos; no pipeline
+stage holds one.
 The cli module ties the stages into reproducible commands and holds the one
 capture recipe (track_capture) and the one dataset recipe.
 """

@@ -22,7 +22,14 @@ acceptance suite's end-to-end tracking check all track a capture and take its
 noise calibration from it, and capture_segments turns a track into segments.
 background_threshold and scene_segment are the one dataset recipe: `dataset
 gen`, the acceptance suite and the identification demo all build segments
-with them.
+with them. Every recipe takes a capture's frames and holds none of its
+Range-Doppler maps: folding.build_folding_map folds them a block at a time,
+and rdmap.doppler_rows reads the one Doppler row per frame a diagram needs.
+
+`simulate` writes its frame file as it synthesizes it (_SimulatedFrames), to
+a temporary file in --out renamed to frames.bin once the last frame has
+passed its float32 check. A run that fails leaves no temporary file, an
+existing frames.bin as it was, and no --out directory it created.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -46,7 +55,7 @@ from .echo import SceneSpec, StaticClutter, Distractor, UavEmitter
 from .folding import build_folding_map
 from .identify import IdentifyError
 from .lstm import ModelError
-from .rdmap import beat_range_bin, process_frames
+from .rdmap import beat_range_bin, doppler_rows
 from .workers import split_frames
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -155,27 +164,27 @@ class CaptureTrack:
     profile_source: str         # "background-capture" or "self-median-fallback"
 
 
-def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: float,
+def track_capture(frames, radar: RadarConfig, background_frames=None, *, v_max: float,
                   pf_seed: int = 0) -> CaptureTrack:
     """The one capture recipe: folding map -> spectral subtraction -> DP -> particle filter.
 
-    The noise profile is the mean of the background cube's folding map, or the
+    The noise profile is the mean of the background frames' folding map, or the
     capture's own per-bin median without one; v_max sets the DP constraint and
     the particle filter's velocity prior. The calibration is the mean + 5 sigma
     of the cleaned map's off-track per-window folding maxima (one segment window,
     or the whole capture if shorter), None when no off-track range bins remain.
     """
     k_bins = tracking.motion_bins(radar, v_max)
-    values = build_folding_map(cube).values
-    if background_cube is not None:
-        profile = tracking.estimate_noise_profile(build_folding_map(background_cube).values)
+    values = build_folding_map(frames).values
+    if background_frames is not None:
+        profile = tracking.estimate_noise_profile(build_folding_map(background_frames).values)
         profile_source = "background-capture"
     else:
         profile = np.median(values, axis=1)
         profile_source = "self-median-fallback"
     cleaned = tracking.spectral_subtract(values, profile)
     track = tracking.dp_max_path(cleaned, k_bins, radar.range_bin_size_m,
-                                 echo.frame_mid_times(radar, cube.shape[0]))
+                                 echo.frame_mid_times(radar, values.shape[1]))
     filtered, _ = tracking.particle_filter(track.ranges_m, radar, v_max, pf_seed)
     track = replace(track, filtered_ranges_m=filtered)
     window = identify.segment_window_frames(radar)
@@ -189,28 +198,23 @@ def track_capture(cube, radar: RadarConfig, background_cube=None, *, v_max: floa
 
 def _track_files(args):
     """Reads --frames (and --background, in the same format and from the same radar);
-    returns the capture's magnitude cube and its CaptureTrack under --v-max and --seed.
-    Each file's payload is freed once its cube exists."""
+    returns the capture's frames and its CaptureTrack under --v-max and --seed."""
     layout = None if args.raw_int16 is None else _radar_for(args.raw_int16)
     frames, radar = frameio.read_frames(args.frames, layout)
-    cube = process_frames(frames)
-    del frames
     background = None
     if args.background:
-        bg_frames, bg_radar = frameio.read_frames(args.background, layout)
+        background, bg_radar = frameio.read_frames(args.background, layout)
         mismatch = ", ".join(frameio.radar_mismatch(bg_radar, radar))
         if mismatch:
             raise ValidationError(f"--background radar differs from the capture's: {mismatch}")
-        background = process_frames(bg_frames)
-        del bg_frames
-    return cube, track_capture(cube, radar, background, v_max=args.v_max,
-                               pf_seed=component_seed(args.seed, "particle-filter"))
+    return frames, track_capture(frames, radar, background, v_max=args.v_max,
+                                 pf_seed=component_seed(args.seed, "particle-filter"))
 
 
-def capture_segments(cube, range_bins, frame_times, window: int,
+def capture_segments(frames, range_bins, frame_times, window: int,
                      threshold: float) -> list[identify.Segment]:
     """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows."""
-    diagram, _ = identify.dc_removal(identify.diagram_at_bins(cube, range_bins))
+    diagram, _ = identify.dc_removal(doppler_rows(frames, range_bins))
     return identify.segment_split_filter(identify.feature_alignment(diagram), frame_times,
                                          window, threshold)
 
@@ -224,7 +228,7 @@ def background_threshold(radar: RadarConfig, window: int, seed: int) -> float:
     threshold is the mean + 5 sigma of its per-window folding maxima.
     """
     bg = scenarios.background_scene(seed=seed)
-    fmap = build_folding_map(process_frames(echo.synthesize_frames(bg, radar, window)))
+    fmap = build_folding_map(echo.synthesize_frames(bg, radar, window))
     return identify.calibrate_threshold(identify.noise_window_max_folds(fmap.values, window))
 
 
@@ -232,7 +236,7 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
                   threshold: float) -> identify.Segment:
     """The labelled segment of a scene whose first emitter is the target.
 
-    Synthesizes `window` frames, reads the magnitude cube at the target's
+    Synthesizes `window` frames, reads their Doppler rows at the target's
     truth range bins, removes DC, aligns and applies the folding filter. A UAV
     target is labelled "uav", a distractor "other"; the provenance names the
     scene kind (and a UAV's rotation rate).
@@ -248,8 +252,8 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
         bins = [beat_range_bin(radar, float(target.params["range_m"]))] * window
         label = "other"
         provenance = {"scene": target.kind}
-    cube = process_frames(echo.synthesize_frames(scene, radar, window))
-    segment = capture_segments(cube, bins, times, window, threshold)[0]
+    frames = echo.synthesize_frames(scene, radar, window)
+    segment = capture_segments(frames, bins, times, window, threshold)[0]
     segment.label = label
     segment.provenance.update(provenance, source_bins="truth")
     return segment
@@ -257,44 +261,72 @@ def scene_segment(scene: SceneSpec, radar: RadarConfig, window: int,
 
 # --- subcommands --------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _SimulatedFrames:
+    """A scene's n_frames frames as simulate writes them, made as they are iterated.
+
+    Equal blocks of frames, each long enough to split over every worker after its
+    first frame, which synthesize_frames runs alone. Each frame is checked
+    against the float32 range of a frame file and handed on as its complex64
+    samples, and its complex128 array is released at once, so one block's
+    complex128 frames are the most held at a time. The length is the frame
+    count, known before any frame is made.
+    """
+
+    scene: SceneSpec
+    radar: RadarConfig
+    n_frames: int
+
+    def __len__(self) -> int:
+        return self.n_frames
+
+    def __iter__(self):
+        radar, n_frames = self.radar, self.n_frames
+        blocks = max(1, n_frames // (split_frames(radar.chirps_per_frame
+                                                  * radar.samples_per_chirp) + 1))
+        bounds = [n_frames * i // blocks for i in range(blocks + 1)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            block = echo.synthesize_frames(self.scene, radar, stop, start=start)
+            block.reverse()
+            for t in range(start, stop):
+                samples = block.pop().samples
+                if np.abs(samples.view(np.float64)).max() > np.finfo(np.float32).max:
+                    raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
+                                          "frame file (noise_std or a reflectivity is too large)")
+                yield echo.Frame(samples.astype(np.complex64))
+
+
 def cmd_simulate(args) -> int:
     radar = _radar_for(args.config)
     scene = load_scenario(args.scenario, args.seed)
     n_frames = args.frames or radar.frames_per_capture
-    # Equal blocks of frames, each long enough to split over every worker after its
-    # first frame, which synthesize_frames runs alone. Each frame is checked and kept
-    # as the file's complex64 samples, and its complex128 array is released at once,
-    # so one block's complex128 frames are the most held at a time.
-    blocks = max(1, n_frames // (split_frames(radar.chirps_per_frame
-                                              * radar.samples_per_chirp) + 1))
-    bounds = [n_frames * i // blocks for i in range(blocks + 1)]
-    frames = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        block = echo.synthesize_frames(scene, radar, stop, start=start)
-        block.reverse()
-        for t in range(start, stop):  # the frame file stores float32 parts
-            samples = block.pop().samples
-            if np.abs(samples.view(np.float64)).max() > np.finfo(np.float32).max:
-                raise ValidationError(f"frame {t}: a sample exceeds the float32 range of a "
-                                      "frame file (noise_std or a reflectivity is too large)")
-            frames.append(echo.Frame(samples.astype(np.complex64)))
     out = Path(args.out)
+    created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    frameio.write_frames(out / "frames.bin", frames, radar)
-
-    has_uav = any(isinstance(e, UavEmitter) for e in scene.emitters)
-    if has_uav:
-        times, ranges, velocities = echo.scene_truth(scene, radar, n_frames)
-        with open(out / "truth.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "range_m", "velocity_m_per_s"])
-            for t, r, v in zip(times, ranges, velocities):
-                writer.writerow([repr(float(t)), repr(float(r)), repr(float(v))])
-    _write_json(out / "simulate_meta.json", {
-        "scenario": str(args.scenario), "frames": n_frames,
-        "seed": args.seed, "scene_seed": scene.rng_seed,
-        "noise_std": scene.noise_std, "truth_written": has_uav,
-    })
+    # Written under a temporary name in --out, and renamed once the last frame has
+    # passed its check: a failed run leaves an existing frames.bin as it was.
+    partial = out / f".frames.bin.{os.getpid()}.tmp"
+    try:
+        frameio.write_frames(partial, _SimulatedFrames(scene, radar, n_frames), radar)
+        os.replace(partial, out / "frames.bin")
+        has_uav = any(isinstance(e, UavEmitter) for e in scene.emitters)
+        if has_uav:
+            times, ranges, velocities = echo.scene_truth(scene, radar, n_frames)
+            with open(out / "truth.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["time_s", "range_m", "velocity_m_per_s"])
+                for t, r, v in zip(times, ranges, velocities):
+                    writer.writerow([repr(float(t)), repr(float(r)), repr(float(v))])
+        _write_json(out / "simulate_meta.json", {
+            "scenario": str(args.scenario), "frames": n_frames,
+            "seed": args.seed, "scene_seed": scene.rng_seed,
+            "noise_std": scene.noise_std, "truth_written": has_uav,
+        })
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
     print(f"wrote {n_frames} frames to {out / 'frames.bin'}")
     return EXIT_OK
 
@@ -303,13 +335,13 @@ def cmd_track(args) -> int:
     truth = None
     if args.truth:  # read before the tracking chain, so a bad truth costs no tracking
         truth = csv_columns(args.truth, ("time_s", "range_m"), f"truth CSV {args.truth}")
-    cube, result = _track_files(args)
+    result = _track_files(args)[1]
     track = result.track
 
     # Low confidence: the track's best score stays below the noise calibration.
     low_conf = result.calibration is not None and bool(track.scores.max() < result.calibration)
     summary = {
-        "frames": cube.shape[0],
+        "frames": len(track.frame_times),
         "k_bins": track.k_bins,
         "max_score": float(track.scores.max()),
         "total_score": track.total_score,
@@ -341,14 +373,14 @@ def cmd_identify(args) -> int:
         if not segments:
             raise IdentifyError("dataset contains no segments")
     else:
-        cube, result = _track_files(args)
+        frames, result = _track_files(args)
         threshold = args.threshold
         if threshold is None:
             if result.calibration is None:
                 raise IdentifyError("not enough noise-only data to calibrate a threshold")
             threshold = result.calibration
-        segments = capture_segments(cube, result.track.range_bins, result.track.frame_times,
-                                    result.window, threshold)
+        segments = capture_segments(frames, result.track.range_bins,
+                                    result.track.frame_times, result.window, threshold)
         segments = [s for s in segments if s.passed_filter]
     if segments and detector.input_dim != segments[0].values.shape[1]:
         raise ModelError(

@@ -18,15 +18,18 @@ after another, first to last. Each column sum is therefore the plain
 left-to-right float sum of its entries, so a batched value is bit-identical to
 folding one row alone and to a naive per-entry loop.
 
-Folding results of every range bin of every frame of a magnitude cube form the
-range-time folding map that the tracker consumes; the cube is folded a block
-of frames at a time, each block about 1 MiB. Like rdmap.process_frames,
-build_folding_map splits the frames into contiguous chunks, one per core the
-process may run on (at most 4), through workers.run_chunks, and only as far as
-each worker gets 64 frames of the default 100 x 256 map: below that a 2-core
-host gained nothing once LSTM training had left its BLAS threads spinning
-(workers._MIN_CHUNK_ELEMENTS holds the measurement). Each chunk folds its own
-blocks, and the map's bytes do not depend on the split.
+Folding results of every range bin of every frame of a capture form the
+range-time folding map that the tracker consumes. build_folding_map makes the
+capture's Range-Doppler maps a block of frames at a time, each block about
+1 MiB, into one buffer per chunk (rdmap.map_block), and folds each block while
+it is still in cache; a capture's maps are never held together. Like
+rdmap.process_frames, build_folding_map splits the frames into contiguous
+chunks, one per core the process may run on (at most 4), through
+workers.run_chunks, and only as far as each worker gets 64 frames of the
+default 100 x 256 map: below that a 2-core host gained nothing once LSTM
+training had left its BLAS threads spinning (workers._MIN_CHUNK_ELEMENTS
+holds the measurement). The map's bytes do not depend on the split or on the
+block size: they are those of folding rdmap.process_frames' cube.
 """
 
 from __future__ import annotations
@@ -36,17 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidationError
+from .rdmap import map_block
 from .workers import run_chunks
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
-# Frames per fold_columns call in build_folding_map, by bytes: 5 frames of the
-# default 256 x 100 map. On 400 such frames (2-core host, 2 MiB L2) the map took
-# 69 ms at 1 frame per call, 48-50 ms at 4-6 and 70-74 ms at 16 or more.
+# Maps per block in build_folding_map, by bytes: 5 frames of the default 256 x 100
+# map. On 400 such frames (2-core host, 2 MiB L2) folding took 69 ms at 1 frame
+# per fold_columns call, 48-50 ms at 4-6 and 70-74 ms at 16 or more.
 _BLOCK_BYTES = 1 << 20
 
 
 class FoldingError(ValidationError):
-    """Folding size out of range or an empty magnitude cube."""
+    """Folding size out of range or a capture without frames."""
 
 
 @dataclass(frozen=True)
@@ -114,32 +118,32 @@ def folding_result(d: np.ndarray, j_min: int = J_MIN, j_max: int = J_MAX) -> Fol
                        sizes=sizes, per_size_values=values)
 
 
-def build_folding_map(cube) -> FoldingMap:
-    """Fold every Doppler row of a magnitude cube [frames, range bins, Doppler bins].
+def build_folding_map(frames) -> FoldingMap:
+    """Fold every Doppler row of every frame's Range-Doppler map.
 
     values[r, t] is the folding result of range bin r in frame t over J_MIN..J_MAX.
 
-    The frames are folded a block at a time: one fold_columns call along axis
-    1 of the block [frames, Doppler bins, range bins], by its slab order as if
-    each frame were folded alone. A block holds about _BLOCK_BYTES of maps, so
-    each size's passes over it stay in cache while the per-call cost is shared
-    by several frames. For the cube rdmap.process_frames returns, whose frames
-    are stored Doppler-major, a block is a contiguous view and needs no copy.
-    Chunks of frames fold in parallel (workers.run_chunks), each a block at a
-    time from its first frame.
+    Chunks of frames run in parallel (workers.run_chunks). Each chunk owns one
+    block buffer [frames, Doppler bins, range bins] of about _BLOCK_BYTES of
+    maps: rdmap.map_block writes a block of its frames' maps there, and one
+    fold_columns call along axis 1 folds them, by its slab order as if each
+    frame were folded alone. Each size's passes over the block stay in cache
+    while the per-call cost is shared by several frames. A bad frame raises
+    map_block's ProcessingError, naming the capture's first bad frame.
     """
-    cube = np.asarray(cube, dtype=float)
-    if cube.size == 0:
+    frames = list(frames)
+    if not frames:
         raise FoldingError("no Range-Doppler maps given")
-    n_t, n_r, _ = cube.shape
-    step = max(1, _BLOCK_BYTES // cube[0].nbytes)
-
-    values = np.empty((n_r, n_t))
+    chirps, samples = frames[0].samples.shape
+    step = max(1, _BLOCK_BYTES // (chirps * samples * 8))
+    values = np.empty((samples, len(frames)))
 
     def fold(start: int, stop: int) -> None:
+        block = np.empty((min(step, stop - start), chirps, samples))
         for t in range(start, stop, step):
-            block = cube[t:min(t + step, stop)].transpose(0, 2, 1)
-            values[:, t:t + len(block)] = fold_columns(block, axis=1)[1].max(axis=0).T
+            maps = block[:min(step, stop - t)]
+            map_block(frames, t, t + len(maps), maps)
+            values[:, t:t + len(maps)] = fold_columns(maps, axis=1)[1].max(axis=0).T
 
-    run_chunks(fold, n_t, cube[0].size)
+    run_chunks(fold, len(frames), chirps * samples)
     return FoldingMap(values)

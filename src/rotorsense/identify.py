@@ -1,7 +1,8 @@
 """Doppler-time diagrams, their preprocessing, segmentation and classification.
 
-The Doppler rows of a magnitude cube at the tracked range bins, one per
-frame, form a Doppler-time diagram: a plain [frames, Doppler bins] array.
+The Doppler rows of a capture at the tracked range bins, one per frame, form
+a Doppler-time diagram: a plain [frames, Doppler bins] array, which
+rdmap.doppler_rows reads from the frames without making their maps.
 Before classification the diagram is normalized in two steps:
 
 DC removal     -- frames whose global peak sits away from the zero-Doppler bin
@@ -67,19 +68,6 @@ class Segment:
 
 def segment_window_frames(radar: RadarConfig) -> int:
     return int(round(SEGMENT_SECONDS / radar.frame_duration_s))
-
-
-def diagram_at_bins(cube, range_bins) -> np.ndarray:
-    """Row t of the [F, L] diagram is the Doppler row of frame t of the magnitude
-    cube at range_bins[t]; the bins come from a track or from simulation truth."""
-    cube = np.asarray(cube, dtype=float)
-    bins = np.array(range_bins, dtype=int)
-    n_frames, n_range = cube.shape[:2]
-    if n_frames != bins.shape[0]:
-        raise IdentifyError(f"bin count {bins.shape[0]} does not match {n_frames} frames")
-    if np.any((bins < 0) | (bins >= n_range)):
-        raise IdentifyError(f"range bin out of bounds [0, {n_range})")
-    return cube[np.arange(n_frames), bins]
 
 
 def dc_removal(diagram) -> tuple[np.ndarray, float | None]:

@@ -39,7 +39,8 @@ the forget gate (1.0, the usual stabilizer).
 
 A model file stores float32 arrays. Loading casts any real floating array to
 float32, so float64 files still load, and refuses one that is not real
-floating or not finite.
+floating or not finite. A loaded detector takes the file's arrays as its
+parameters; it draws none.
 """
 
 from __future__ import annotations
@@ -66,37 +67,60 @@ BATCH_SIZE = 10
 HIDDEN_SIZE = 128
 
 
+def _check_size(input_dim: int, hidden_size: int) -> None:
+    """Refuses dims whose largest weight matrix exceeds MAX_ELEMENTS; checked before
+    any draw or allocation."""
+    if min(input_dim, hidden_size) < 1:
+        raise ModelError("input_dim and hidden_size must be >= 1")
+    size = 4 * hidden_size * max(input_dim, hidden_size)  # the largest weight matrix
+    if size > MAX_ELEMENTS:
+        raise ModelError(f"hidden_size {hidden_size} with input_dim {input_dim} gives a "
+                         f"weight matrix of {size} elements, more than {MAX_ELEMENTS}")
+
+
+def _param_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple]:
+    """Every parameter's shape by name, in parameter order: per layer wx, wh and the
+    bias b, then the head's w_out and b_out."""
+    shapes = {}
+    for layer in range(LstmDetector.num_layers):
+        shapes[f"wx{layer}"] = (4 * hidden_size, input_dim if layer == 0 else hidden_size)
+        shapes[f"wh{layer}"] = (4 * hidden_size, hidden_size)
+        shapes[f"b{layer}"] = (4 * hidden_size,)
+    shapes["w_out"] = (LstmDetector.num_classes, hidden_size)
+    shapes["b_out"] = (LstmDetector.num_classes,)
+    return shapes
+
+
 class LstmDetector:
     """Two-layer LSTM + affine head scoring the two classes; depth and classes are fixed."""
 
     num_layers = 2
     num_classes = 2
 
-    def __init__(self, input_dim: int, hidden_size: int = HIDDEN_SIZE, seed: int = 0):
-        if min(input_dim, hidden_size) < 1:
-            raise ModelError("input_dim and hidden_size must be >= 1")
-        size = 4 * hidden_size * max(input_dim, hidden_size)  # the largest weight matrix
-        if size > MAX_ELEMENTS:  # checked before any draw or allocation
-            raise ModelError(f"hidden_size {hidden_size} with input_dim {input_dim} gives a "
-                             f"weight matrix of {size} elements, more than {MAX_ELEMENTS}")
+    def __init__(self, input_dim: int, hidden_size: int = HIDDEN_SIZE, seed: int = 0,
+                 params: dict | None = None):
+        """A detector whose parameters are drawn from `seed`, or are `params`: float32
+        arrays of _param_shapes' names and shapes, as load_model reads them."""
+        _check_size(input_dim, hidden_size)
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         self.seed = seed
         self.training_config: dict = {}
+        if params is not None:
+            self.params = params
+            return
 
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(hidden_size)
         self.params: dict[str, np.ndarray] = {}
-        for layer in range(self.num_layers):
-            d_in = input_dim if layer == 0 else hidden_size
-            self.params[f"wx{layer}"] = rng.uniform(-bound, bound, (4 * hidden_size, d_in))
-            self.params[f"wh{layer}"] = rng.uniform(-bound, bound, (4 * hidden_size, hidden_size))
-            b = np.zeros(4 * hidden_size)
-            b[hidden_size:2 * hidden_size] = 1.0  # forget gate
-            self.params[f"b{layer}"] = b
-        self.params["w_out"] = rng.uniform(-bound, bound, (self.num_classes, hidden_size))
-        self.params["b_out"] = np.zeros(self.num_classes)
-        self.params = {name: p.astype(np.float32) for name, p in self.params.items()}
+        for name, shape in _param_shapes(input_dim, hidden_size).items():
+            if name.startswith("w"):  # weights draw in parameter order
+                p = rng.uniform(-bound, bound, shape)
+            else:
+                p = np.zeros(shape)
+                if name != "b_out":
+                    p[hidden_size:2 * hidden_size] = 1.0  # forget gate
+            self.params[name] = p.astype(np.float32)
 
     @property
     def dtype(self) -> np.dtype:
@@ -362,26 +386,29 @@ def load_model(path) -> LstmDetector:
         if seed < 0:
             raise ModelError(f"model manifest seed = {seed} is negative")
         # The stored layer-0 weights bound the dims before anything is allocated.
+        stored = {}
         for key, name, expected in (("hidden_size", "wh0", (4 * hidden_size, hidden_size)),
                                     ("input_dim", "wx0", (4 * hidden_size, input_dim))):
-            shape = _read_member(data, name).shape
-            if shape != expected:
+            stored[name] = _read_member(data, name)
+            if stored[name].shape != expected:
                 raise ModelError(f"model manifest {key} = {manifest[key]} does not match "
-                                 f"stored {name} of shape {shape}")
-        det = LstmDetector(input_dim, hidden_size, seed)
-        det.training_config = get("training", "object", {})
-        for name in det.param_names():
-            arr = _read_member(data, name)
-            if arr.shape != det.params[name].shape:
-                raise ModelError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {det.params[name].shape}")
+                                 f"stored {name} of shape {stored[name].shape}")
+        _check_size(input_dim, hidden_size)
+        training = get("training", "object", {})
+        params = {}
+        for name, shape in _param_shapes(input_dim, hidden_size).items():
+            arr = stored[name] if name in stored else _read_member(data, name)
+            if arr.shape != shape:
+                raise ModelError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             if arr.dtype.kind != "f":
                 raise ModelError(f"model file member {name!r} has dtype {arr.dtype}, "
                                  f"not a real floating type")
             with np.errstate(over="ignore"):  # a float64 beyond float32's range: inf
-                arr = arr.astype(np.float32)
+                arr = arr.astype(np.float32, copy=False)
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"model file member {name!r} holds a value that is not "
                                  f"a finite float32")
-            det.params[name] = arr
+            params[name] = arr
+        det = LstmDetector(input_dim, hidden_size, seed, params)
+        det.training_config = training
     return det

@@ -1,14 +1,19 @@
-"""Range-Doppler processing: fast-time FFT, slow-time FFT, magnitude cube.
+"""Range-Doppler processing: fast-time FFT, slow-time FFT, magnitude maps.
 
 A frame's Range-Doppler map is a float64 magnitude array [range bins, Doppler
-bins]; a capture's maps stack into one cube [frames, range bins, Doppler bins]
-whose first axis is the frame order. process_frames is the one way to build
-it.
+bins]. map_block is the one kernel that makes maps: it writes those of a run
+of consecutive frames into a buffer its caller owns. Two callers use it.
+folding.build_folding_map makes and folds a block of maps at a time, so a
+pipeline run never holds a capture's maps; process_frames stacks every map
+into one cube [frames, range bins, Doppler bins] for tests and demos.
+doppler_rows reads one Doppler row per frame without making its map: after
+the range FFT it transforms only the one range bin's slow-time column, and
+each row keeps the bytes of the same row of the frame's map.
 
-Each map depends on its own frame only, so process_frames splits a capture into
-contiguous chunks of frames, one per core the process may run on (at most 4),
-through workers.run_chunks; the maps' bytes do not depend on the split. A
-capture splits only as far as each worker gets 64 frames of the default
+Each map and row depends on its own frame only, so the callers split a
+capture into contiguous chunks of frames, one per core the process may run on
+(at most 4), through workers.run_chunks; the bytes do not depend on the split.
+A capture splits only as far as each worker gets 64 frames of the default
 100 x 256 grid: on a 2-core host 2 workers took the maps and their folding in
 0.73x the serial time at 400 frames, but a capture classified right after LSTM
 training, whose BLAS threads still spin on the other core, gained nothing
@@ -40,24 +45,44 @@ def dc_bin(n_doppler_bins: int) -> int:
     return n_doppler_bins // 2
 
 
-def process_frames(frames) -> np.ndarray:
-    """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
+def _widened(chirps: int, samples: int) -> np.ndarray:
+    """A complex128 frame buffer whose rows are 4 elements longer than a frame's.
 
-    Per frame: the samples widened to complex128; the range FFT along fast
-    time, fft(axis=1) / sqrt(N); the Doppler FFT along slow time, fft(axis=0)
-    / sqrt(L), center-shifted; the magnitude. The widening happens here, one
-    frame at a time, into one complex128 buffer per worker that both FFTs work
-    in (their `out=` argument needs numpy 2.0): a complex64 capture read from
-    a file is never held twice, and no FFT sees complex64, which numpy would
-    transform in single precision. The buffer's rows are 4 elements longer
-    than a frame's and the FFTs work in a view of their first N: a default
+    The FFTs work in a view of each row's first `samples` values: a default
     frame's rows, 256 complex128 values, would otherwise sit exactly 4 KiB
     apart, and the Doppler FFT's column reads would keep evicting each other
     from the cache (padded, that FFT took 117 instead of 179 us per default
-    frame on a 2-core host). Each map is written Doppler-major, the order the
-    FFTs yield it, so the returned cube is a transposed view of the maps'
-    buffer. Each worker runs its chunk of frames under its own np.errstate,
-    which holds per thread.
+    frame on a 2-core host).
+    """
+    return np.empty((chirps, samples + 4), dtype=np.complex128)[:, :samples]
+
+
+def _range_fft(spec: np.ndarray, samples) -> None:
+    """spec = the frame's samples widened to complex128, then FFT'd along fast time.
+
+    The widening happens here, one frame at a time: a complex64 capture read
+    from a file is never held twice, and no FFT sees complex64, which numpy
+    would transform in single precision.
+    """
+    spec[...] = samples
+    np.fft.fft(spec, axis=1, out=spec, norm="ortho")
+
+
+def _shifted_abs(spec: np.ndarray, out: np.ndarray) -> None:
+    """out = |spec| center-shifted along axis 0: DC, row 0, lands at row len // 2."""
+    half = len(spec) // 2
+    np.abs(spec[:len(spec) - half], out=out[half:])
+    np.abs(spec[len(spec) - half:], out=out[:half])
+
+
+def map_block(frames, start: int, stop: int, out: np.ndarray) -> None:
+    """The maps of frames start..stop - 1, written Doppler-major into out[:stop - start].
+
+    out is float64 [stop - start, Doppler bins, range bins], the order the
+    FFTs yield a map; its frame k is the transpose of frame start + k's map.
+    Per frame: the range FFT along fast time (_range_fft), the Doppler FFT
+    along slow time, in place in one row-padded buffer (_widened; the FFTs'
+    `out=` argument needs numpy 2.0), then the center-shifted magnitude.
 
     Both FFTs scale inside numpy (norm="ortho"): it computes the factor
     reciprocal(sqrt(n)) in float64 and multiplies the real and the imaginary
@@ -69,34 +94,77 @@ def process_frames(frames) -> np.ndarray:
 
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
-    covers both transforms, and numpy's warnings on the way are silenced. A
-    chunk stops at its first bad map, and the first chunk in frame order that
+    covers both transforms, and numpy's warnings on the way are silenced under
+    an np.errstate entered here, since it holds per thread. The block stops at
+    its first bad map, naming that frame.
+    """
+    spec = _widened(*out.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(range(start, stop)):
+            _range_fft(spec, frames[t].samples)
+            np.fft.fft(spec, axis=0, out=spec, norm="ortho")
+            _shifted_abs(spec, out[k])
+            if not np.all(np.isfinite(out[k])):
+                raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
+                                      "(non-finite samples or FFT overflow)")
+
+
+def _grid(frames) -> tuple[int, int]:
+    if not frames:
+        raise ProcessingError("no frames given")
+    return frames[0].samples.shape
+
+
+def process_frames(frames) -> np.ndarray:
+    """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
+
+    Every chunk of frames writes its maps with map_block straight into the
+    cube's buffer, so the returned cube is a transposed view of it. A chunk
+    stops at its first bad map, and the first chunk in frame order that
     stopped is reported, so the error names the capture's first bad frame.
     """
     frames = list(frames)
-    if not frames:
-        raise ProcessingError("no frames given")
-    shape = frames[0].samples.shape
-    chirps, samples = shape
-    half = chirps // 2
-    buf = np.empty((len(frames),) + shape)
+    chirps, samples = _grid(frames)
+    buf = np.empty((len(frames), chirps, samples))
+    run_chunks(lambda start, stop: map_block(frames, start, stop, buf[start:stop]),
+               len(frames), chirps * samples)
+    return buf.transpose(0, 2, 1)
 
-    def maps(start: int, stop: int) -> None:
-        spec = np.empty((chirps, samples + 4), dtype=np.complex128)[:, :samples]
+
+def doppler_rows(frames, range_bins) -> np.ndarray:
+    """The Doppler-time diagram [frames, Doppler bins]: row t is frame t's Doppler row
+    at range_bins[t], one bin per frame, from a track or from simulation truth.
+
+    Per frame: the range FFT of the whole frame, as map_block runs it, then the
+    Doppler FFT of the one slow-time column at the frame's bin, center-shifted,
+    and its magnitude. Each row has the bytes of the same row of the frame's
+    map (a property test checks it on drawn grids), but no map is made. Chunks
+    of frames run in parallel (workers.run_chunks), each in its own np.errstate;
+    a row that is not finite stops its chunk, and the capture's first bad frame
+    is named. A bin count other than the frame count, or a bin outside the
+    range axis, raises ProcessingError before any FFT.
+    """
+    frames = list(frames)
+    bins = np.array(range_bins, dtype=int)
+    chirps, samples = _grid(frames)
+    if bins.shape != (len(frames),):
+        raise ProcessingError(f"bin count {bins.size} does not match {len(frames)} frames")
+    if np.any((bins < 0) | (bins >= samples)):
+        raise ProcessingError(f"range bin out of bounds [0, {samples})")
+    rows = np.empty((len(frames), chirps))
+
+    def column_rows(start: int, stop: int) -> None:
+        spec = _widened(chirps, samples)
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(start, stop):
-                spec[...] = frames[t].samples
-                np.fft.fft(spec, axis=1, out=spec, norm="ortho")
-                np.fft.fft(spec, axis=0, out=spec, norm="ortho")
-                # fftshift along Doppler: DC, row 0, lands at row chirps // 2
-                np.abs(spec[:chirps - half], out=buf[t, half:])
-                np.abs(spec[chirps - half:], out=buf[t, :half])
-                if not np.all(np.isfinite(buf[t])):
-                    raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
+                _range_fft(spec, frames[t].samples)
+                _shifted_abs(np.fft.fft(spec[:, bins[t]], norm="ortho"), rows[t])
+                if not np.all(np.isfinite(rows[t])):
+                    raise ProcessingError(f"frame {t}: non-finite Doppler row "
                                           "(non-finite samples or FFT overflow)")
 
-    run_chunks(maps, len(frames), chirps * samples)
-    return buf.transpose(0, 2, 1)
+    run_chunks(column_rows, len(frames), chirps * samples)
+    return rows
 
 
 def doppler_axis_hz(radar: RadarConfig) -> np.ndarray:

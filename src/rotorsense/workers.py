@@ -1,12 +1,12 @@
 """Frame-parallel work: contiguous chunks of a capture's frames on the host's cores.
 
-rdmap.process_frames, folding.build_folding_map and echo.synthesize_frames (after
-its first frame) compute each frame's result from that frame alone, so
-run_chunks splits a capture into contiguous chunks of frames, one per worker.
-The caller runs the first chunk and a persistent pool of workers - 1 threads
-runs the others. numpy's FFTs, abs, trig and reductions release the interpreter
-lock, so the chunks run in parallel; every frame keeps the arithmetic of a
-serial call, so outputs do not depend on the worker count.
+rdmap.process_frames, rdmap.doppler_rows, folding.build_folding_map and
+echo.synthesize_frames (after its first frame) compute each frame's result from
+that frame alone, so run_chunks splits a capture into contiguous chunks of
+frames, one per worker. The caller runs the first chunk and a persistent pool
+of workers - 1 threads runs the others. numpy's FFTs, abs, trig and reductions
+release the interpreter lock, so the chunks run in parallel; every frame keeps
+the arithmetic of a serial call, so outputs do not depend on the worker count.
 
 The worker count is the number of cores the process may run on
 (os.sched_getaffinity), at most _MAX_WORKERS; nothing sets it. A capture is
@@ -16,9 +16,10 @@ runs serially, in the caller, and creates no pool.
 
 np.errstate holds per thread: a chunk that silences numpy's floating-point
 warnings enters it itself, in whichever thread runs it. A chunk writes its
-results into arrays the caller allocated; its own scratch is freed when it
-ends. A chunk calls nothing the benchmark's tracer wraps (the layer functions
-as cli sees them), since a tracer keeps one span stack, for the calling thread.
+results into arrays the caller allocated; its own scratch, such as
+build_folding_map's block of maps, is freed when it ends. A chunk calls
+nothing the benchmark's tracer wraps (the layer functions as cli sees them),
+since a tracer keeps one span stack, for the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import threading
 
 _MAX_WORKERS = 4
 # 64 frames of the default 100 x 256 grid per worker. Measured on a 2-core host,
-# process_frames plus build_folding_map at 2 workers against 1: on idle cores
+# the maps plus their folding at 2 workers against 1: on idle cores
 # 0.72x at 16 frames and 0.73x at 400; right after a 512 x 512 float32 matrix
 # product, whose OpenBLAS threads keep spinning on the other core for a while
 # (as after LSTM training), 1.05x at 16-64 frames, 1.00x at 128 and 0.93x at

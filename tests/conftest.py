@@ -15,9 +15,7 @@ def radar():
 
 def _capture(scene, radar, n_frames):
     frames = synthesize_frames(scene, radar, n_frames)
-    cube = process_frames(frames)
-    fmap = build_folding_map(cube)
-    return frames, cube, fmap
+    return frames, process_frames(frames), build_folding_map(frames)
 
 
 @pytest.fixture(scope="session")

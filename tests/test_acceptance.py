@@ -123,7 +123,7 @@ def test_criterion_4_spectral_subtraction():
 def test_criterion_5_end_to_end_tracking():
     clutter = scenarios.default_clutter()
     bg = scenarios.background_scene(seed=99, clutter=clutter)
-    bg_cube = process_frames(synthesize_frames(bg, RADAR, 40))
+    bg_frames = synthesize_frames(bg, RADAR, 40)
 
     details = []
     ok = True
@@ -131,8 +131,8 @@ def test_criterion_5_end_to_end_tracking():
             ("hover-48m", scenarios.hover_scene(48.0, seed=1, clutter=clutter)),
             ("ascent-1.5", scenarios.ascent_scene(40.0, 1.5, seed=2, clutter=clutter))):
         t0 = time.perf_counter()
-        cube = process_frames(synthesize_frames(scene, RADAR, 40))
-        track = track_capture(cube, RADAR, bg_cube, v_max=V_MAX, pf_seed=5).track
+        frames = synthesize_frames(scene, RADAR, 40)
+        track = track_capture(frames, RADAR, bg_frames, v_max=V_MAX, pf_seed=5).track
         elapsed = time.perf_counter() - t0
         _, truth_ranges, _ = scene_truth(scene, RADAR, 40)
         err = relative_range_error(track.filtered_ranges_m, truth_ranges)

@@ -253,6 +253,30 @@ def test_simulate_names_a_float32_overflow_before_a_later_blocks_range_error(
     assert not (tmp_path / "out").exists()
 
 
+def test_failed_simulate_leaves_an_existing_out_as_it_was(tmp_path, monkeypatch, capsys):
+    """frames.bin is written under a temporary name in --out and renamed only after the
+    last frame's check. A run that fails in its third block, after two blocks were
+    written, leaves an existing frames.bin byte-identical and no temporary file; an
+    --out it created itself, with its parents, is removed."""
+    out = tmp_path / "out"
+    hover = write_scenario(tmp_path, HOVER_SCENARIO, "hover.json")
+    assert main(["simulate", "--scenario", str(hover), "--frames", "3", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    doc = {"schema_version": 1, "noise_std": 4.0, "emitters": [
+        {"kind": "uav", "uav": {"rotation_rate_hz": 55.6},
+         "trajectory": [{"start_time_s": 0.0, "duration_s": 1.0,
+                         "start_range_m": RadarConfig().max_range_m - 6.76,
+                         "radial_velocity_m_per_s": 10.0}]}]}
+    leaving = write_scenario(tmp_path, doc, "leaving.json")
+    _simulate_in_blocks(monkeypatch)
+    for target in (out, tmp_path / "new" / "out"):
+        assert main(["simulate", "--scenario", str(leaving), "--frames", "9",
+                     "--out", str(target)]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("in frame 7")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not (tmp_path / "new").exists()
+
+
 def test_invalid_scenario_key_exits_one(tmp_path, capsys):
     doc = json.loads(json.dumps(HOVER_SCENARIO))
     doc["emitters"][0]["uav"]["blade_count"] = 9

@@ -6,12 +6,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from rotorsense.folding import build_folding_map, fold_columns, folding_result
 from rotorsense.identify import (GUARD_BINS, LABELS, SEGMENT_MAGIC, IdentifyError,
                                  Segment, binary_metrics, calibrate_threshold, classify,
-                                 dc_removal, diagram_at_bins, feature_alignment,
+                                 dc_removal, feature_alignment,
                                  load_segments, noise_window_max_folds, normalize_segment,
                                  save_segments, segment_batch, segment_split_filter,
                                  segment_window_frames)
 from rotorsense.lstm import LstmDetector
-from rotorsense.rdmap import dc_bin, process_frames
+from rotorsense.rdmap import ProcessingError, dc_bin, doppler_rows
 from rotorsense.tracking import Track, dp_max_path, motion_bins
 from rotorsense.echo import frame_mid_times
 from rotorsense import scenarios
@@ -37,27 +37,27 @@ def comb_column(center, spacing=5, amp=3.0, base=0.1):
 # --- extraction ----------------------------------------------------------------
 
 def test_single_frame_track_single_column(hover_capture):
-    _, _, cube, fmap, _ = hover_capture
+    _, frames, cube, fmap, _ = hover_capture
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
-    diagram = diagram_at_bins(cube[:1], track.range_bins)
+    diagram = doppler_rows(frames[:1], track.range_bins)
     assert diagram.shape == (1, 100)
     assert np.array_equal(diagram[0], cube[0, UAV_RANGE_BIN])
 
 
 def test_extract_length_mismatch_errors(hover_capture):
-    _, _, cube, _, _ = hover_capture
+    _, frames, _, _, _ = hover_capture
     track = Track(range_bins=np.array([UAV_RANGE_BIN]), ranges_m=np.array([48.0]),
                   scores=np.array([1.0]), k_bins=1, frame_times=np.array([0.045]))
-    with pytest.raises(IdentifyError, match="does not match"):
-        diagram_at_bins(cube[:3], track.range_bins)
+    with pytest.raises(ProcessingError, match="does not match"):
+        doppler_rows(frames[:3], track.range_bins)
 
 
 def test_tracked_hover_columns_carry_comb(hover_capture, radar):
-    _, _, cube, fmap, _ = hover_capture
+    _, frames, _, fmap, _ = hover_capture
     track = dp_max_path(fmap.values, motion_bins(radar, 4.0), radar.range_bin_size_m,
                         frame_mid_times(radar, fmap.values.shape[1]))
-    diagram = diagram_at_bins(cube, track.range_bins)
+    diagram = doppler_rows(frames, track.range_bins)
     noise_fold = np.median(fmap.values[UAV_RANGE_BIN + 40])
     for col in diagram:
         assert folding_result(col).folding_result > 5 * noise_fold
@@ -72,10 +72,10 @@ def test_off_by_one_bin_keeps_attenuated_comb(radar):
     from rotorsense import synthesize_frames
     range_m = 131.3 * radar.range_bin_size_m
     scene = scenarios.hover_scene(range_m, seed=6)
-    cube = process_frames(synthesize_frames(scene, radar, 10))
-    on = diagram_at_bins(cube, [131] * 10)
-    off = diagram_at_bins(cube, [132] * 10)
-    noise = diagram_at_bins(cube, [171] * 10)
+    frames = synthesize_frames(scene, radar, 10)
+    on = doppler_rows(frames, [131] * 10)
+    off = doppler_rows(frames, [132] * 10)
+    noise = doppler_rows(frames, [171] * 10)
     on_f = np.mean([folding_result(c).folding_result for c in on])
     off_f = np.mean([folding_result(c).folding_result for c in off])
     noise_f = np.mean([folding_result(c).folding_result for c in noise])
@@ -293,12 +293,12 @@ def test_segment_filter_thresholding(radar):
 
 
 def test_uav_capture_segments_pass(hover_capture, radar):
-    _, _, cube, fmap, truth = hover_capture
+    _, frames, _, fmap, truth = hover_capture
     window = segment_window_frames(radar)
     assert window == 40
     noise = noise_window_max_folds(fmap.values, window, exclude_bins=[UAV_RANGE_BIN])
     threshold = calibrate_threshold(noise)
-    diagram, _ = dc_removal(diagram_at_bins(cube, [UAV_RANGE_BIN] * 40))
+    diagram, _ = dc_removal(doppler_rows(frames, [UAV_RANGE_BIN] * 40))
     segments = segment_split_filter(feature_alignment(diagram), np.arange(40), window,
                                     threshold)
     assert len(segments) == 1

@@ -6,9 +6,8 @@ from hypothesis.extra.numpy import arrays
 from rotorsense.config import UavConfig, constant_velocity, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frames
 from rotorsense.folding import folding_result
-from rotorsense.identify import IdentifyError, diagram_at_bins
 from rotorsense.rdmap import (ProcessingError, aliased_doppler_hz, beat_range_bin,
-                              dc_bin, doppler_axis_hz, process_frames)
+                              dc_bin, doppler_axis_hz, doppler_rows, process_frames)
 from rotorsense import scenarios
 
 from conftest import UAV_RANGE_BIN, comb_spacing_estimate
@@ -223,11 +222,11 @@ def test_doppler_rows_partition_map(radar, hover_capture):
 
 
 def test_doppler_row_bounds(radar, hover_capture):
-    cube = hover_capture[2][:1]
-    with pytest.raises(IdentifyError, match="out of bounds"):
-        diagram_at_bins(cube, [cube.shape[1]])
-    with pytest.raises(IdentifyError, match="out of bounds"):
-        diagram_at_bins(cube, [-1])
+    frames, cube = hover_capture[1][:1], hover_capture[2]
+    with pytest.raises(ProcessingError, match="out of bounds"):
+        doppler_rows(frames, [cube.shape[1]])
+    with pytest.raises(ProcessingError, match="out of bounds"):
+        doppler_rows(frames, [-1])
 
 
 def test_uav_row_has_comb_neighbor_does_not(radar, hover_capture):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rotorsense import process_frames, scenarios, synthesize_frames
+from rotorsense import scenarios, synthesize_frames
 from rotorsense.cli import track_capture
 from rotorsense.config import csv_columns
 from rotorsense.echo import StaticClutter
@@ -304,9 +304,8 @@ def test_track_ranges_sit_on_bin_centres(radar, k):
     background = scenarios.background_scene(noise_std=0.0,
                                             clutter=(StaticClutter(20 * bin_m, 1.0),))
     scene = scenarios.hover_scene(k * bin_m, seed=1, noise_std=0.0)
-    track = track_capture(process_frames(synthesize_frames(scene, radar, 20)), radar,
-                          process_frames(synthesize_frames(background, radar, 20)),
-                          v_max=V_MAX).track
+    track = track_capture(synthesize_frames(scene, radar, 20), radar,
+                          synthesize_frames(background, radar, 20), v_max=V_MAX).track
     assert np.all(track.range_bins == k)
     assert np.all(track.ranges_m == k * bin_m)
 

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rotorsense import cli, folding, workers
 from rotorsense.echo import Frame
-from rotorsense.folding import build_folding_map
-from rotorsense.rdmap import ProcessingError, process_frames
+from rotorsense.folding import build_folding_map, fold_columns
+from rotorsense.rdmap import ProcessingError, doppler_rows, process_frames
 
 GRID = (100, 256)  # the default radar's chirps x samples
 THREAD_TIMEOUT_S = 60
@@ -69,7 +69,8 @@ def test_serial_call_creates_no_pool(monkeypatch):
     _set_workers(monkeypatch, 4, frames_per_worker=8, elements=12)
     frames = [Frame(np.ones((4, 3), dtype=complex))] * 15
     assert process_frames(frames).shape == (15, 3, 4)
-    assert build_folding_map(np.ones((15, 3, 4))).values.shape == (3, 15)
+    assert build_folding_map(frames).values.shape == (3, 15)
+    assert doppler_rows(frames, [0] * 15).shape == (15, 4)
 
 
 def test_worker_count_is_the_affinity_capped():
@@ -103,10 +104,61 @@ def test_outputs_do_not_depend_on_the_worker_count(n_frames, chirps, samples, se
         with pytest.MonkeyPatch.context() as mp:
             _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
             mp.setattr(folding, "_BLOCK_BYTES", 3 * chirps * samples * 8)
-            cube = process_frames(frames)
-            results[count] = (cube.tobytes(), build_folding_map(cube).values.tobytes())
+            results[count] = (process_frames(frames).tobytes(),
+                              build_folding_map(frames).values.tobytes(),
+                              doppler_rows(frames, [seed % samples] * n_frames).tobytes())
     assert results[2] == results[1]
     assert results[3] == results[1]
+
+
+def _cube_and_split(n_frames, chirps, samples, seed):
+    """Drawn frames and their cube, made on one worker."""
+    frames = _frames(n_frames, chirps, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, 1)
+        cube = process_frames(frames)
+    return frames, cube
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 2, 3]),
+       st.integers(0, 2**32 - 1), st.data())
+@example(5, 7, 6, 2, 0, None)    # odd chirps, even samples
+@example(4, 8, 9, 3, 1, None)    # even chirps, odd samples
+@example(1, 1, 1, 1, 2, None)
+def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, count, seed, data):
+    """Row t of doppler_rows is the cube's Doppler row of frame t at bins[t], byte for
+    byte: after the range FFT it transforms only that bin's slow-time column. Odd and
+    even chirp counts cover both halves of the center shift; with two frames per
+    worker, 2 and 3 workers put chunk edges inside the capture."""
+    frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
+    draw = st.lists(st.integers(0, samples - 1), min_size=n_frames, max_size=n_frames)
+    bins = (data.draw(draw) if data is not None
+            else np.random.default_rng(seed).integers(0, samples, n_frames))
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
+        rows = doppler_rows(frames, bins)
+    assert rows.tobytes() == cube[np.arange(n_frames), bins].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(4, 12), st.integers(1, 12), st.sampled_from([1, 2, 3]),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(13, 7, 6, 2, 5, 0)      # odd chirps: blocks of 5 maps, chunks of 6 and 7 frames
+@example(9, 8, 9, 3, 2, 1)       # even chirps, odd samples: every chunk ends mid-block
+@example(1, 4, 1, 1, 1, 2)
+def test_folding_map_equals_folding_the_cube(n_frames, chirps, samples, count, block_maps,
+                                             seed):
+    """build_folding_map makes and folds a block of maps at a time in each chunk; its map
+    is the fold of process_frames' whole cube by fold_columns, byte for byte, for any
+    block size and worker count."""
+    frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
+        mp.setattr(folding, "_BLOCK_BYTES", block_maps * chirps * samples * 8)
+        values = build_folding_map(frames).values
+    expected = fold_columns(cube.transpose(0, 2, 1), axis=1)[1].max(axis=0).T
+    assert values.tobytes() == expected.tobytes()
 
 
 def _capture_with_bad(n_frames, bad, value):
@@ -121,8 +173,13 @@ def _capture_with_bad(n_frames, bad, value):
 def test_bad_frame_in_a_later_chunk_is_named(monkeypatch, value):
     _set_workers(monkeypatch, 3, frames_per_worker=2, elements=32)
     assert [c[:2] for c in _chunks(9, 32)] == [(0, 3), (3, 6), (6, 9)]
-    with pytest.raises(ProcessingError, match="^frame 7: non-finite"):
-        process_frames(_capture_with_bad(9, [7], value))
+    frames = _capture_with_bad(9, [7], value)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        process_frames(frames)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        build_folding_map(frames)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
+        doppler_rows(frames, [0] * 9)
 
 
 def test_bad_frames_in_two_chunks_name_the_earlier(monkeypatch):
@@ -144,6 +201,10 @@ def test_no_runtime_warning_escapes_a_worker(monkeypatch):
         warnings.simplefilter("always")
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             process_frames(frames)
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            build_folding_map(frames)
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            doppler_rows(frames, [0] * 6)
     assert [str(w.message) for w in caught] == []
 
 
@@ -198,15 +259,14 @@ def test_concurrent_callers_on_more_workers_than_cores(monkeypatch):
     frames = _frames(11, 8, 16, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         _set_workers(mp, 1)
-        cube = process_frames(frames)
-        serial = cube.tobytes() + build_folding_map(cube).values.tobytes()
+        serial = process_frames(frames).tobytes() + build_folding_map(frames).values.tobytes()
     _set_workers(monkeypatch, 4, frames_per_worker=1, elements=8 * 16)
 
     def caller():
         results = []
         for _ in range(10):
-            cube = process_frames(frames)
-            results.append(cube.tobytes() + build_folding_map(cube).values.tobytes())
+            results.append(process_frames(frames).tobytes()
+                           + build_folding_map(frames).values.tobytes())
         return results
 
     interval = sys.getswitchinterval()
