@@ -15,7 +15,7 @@ Run: python demos/03_tracking.py
 
 import numpy as np
 
-from rotorsense import RadarConfig, synthesize_frames
+from rotorsense import RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import frame_mid_times, scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense.rdmap import beat_range_bin
@@ -29,7 +29,7 @@ times = frame_mid_times(radar, n)
 
 print("=== background capture (clutter + noise, no UAV) ===")
 bg_scene = scenarios.background_scene(seed=99, clutter=clutter)
-bg_map = build_folding_map(synthesize_frames(bg_scene, radar, n)).values
+bg_map = build_folding_map(process_frames(synthesize_frames(bg_scene, radar, n))).values
 profile = tracking.estimate_noise_profile(bg_map)
 print(f"profile peaks at bin {int(np.argmax(profile))} "
       f"(clutter at 12 m is bin {beat_range_bin(radar, 12.0)})")
@@ -38,7 +38,7 @@ for name, scene in (("hover at 48 m", scenarios.hover_scene(48.0, seed=1, clutte
                     ("ascent at 1.5 m/s", scenarios.ascent_scene(40.0, 1.5, seed=2,
                                                                  clutter=clutter))):
     print(f"\n=== {name} ===")
-    fmap = build_folding_map(synthesize_frames(scene, radar, n)).values
+    fmap = build_folding_map(process_frames(synthesize_frames(scene, radar, n))).values
     pre_argmax = np.argmax(fmap, axis=0)
     cleaned = tracking.spectral_subtract(fmap, profile)
     post_argmax = np.argmax(cleaned, axis=0)

@@ -22,9 +22,11 @@ acceptance suite's end-to-end tracking check all track a capture and take its
 noise calibration from it, and capture_segments turns a track into segments.
 background_threshold and scene_segment are the one dataset recipe: `dataset
 gen`, the acceptance suite and the identification demo all build segments
-with them. Every recipe takes a capture's frames and holds none of its
-Range-Doppler maps: folding.build_folding_map folds them a block at a time,
-and rdmap.doppler_rows reads the one Doppler row per frame a diagram needs.
+with them. Every recipe takes a capture's frames and holds none of a long
+capture's Range-Doppler maps: capture_folding_map makes them with
+rdmap.process_frames a run of frames at a time (folding.frame_runs) and
+folding.build_folding_map folds each run as it comes, and rdmap.doppler_rows
+reads the one Doppler row per frame a diagram needs.
 
 `simulate` writes its frame file as it synthesizes it (_SimulatedFrames), to
 a temporary file in --out renamed to frames.bin once the last frame has
@@ -52,10 +54,10 @@ from . import echo, frameio, identify, lstm, scenarios, tracking
 from .config import (RadarConfig, TrajectorySegment, TrajectorySpec, ValidationError,
                      csv_columns, json_document, json_field, json_fields, load_radar_config)
 from .echo import SceneSpec, StaticClutter, Distractor, UavEmitter
-from .folding import build_folding_map
+from .folding import FoldingMap, build_folding_map, frame_runs
 from .identify import IdentifyError
 from .lstm import ModelError
-from .rdmap import beat_range_bin, doppler_rows
+from .rdmap import beat_range_bin, doppler_rows, process_frames
 from .workers import split_frames
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -154,6 +156,13 @@ def _radar_for(config) -> RadarConfig:
     return load_radar_config(config) if config else RadarConfig()
 
 
+def capture_folding_map(frames) -> FoldingMap:
+    """The capture's folding map, its Range-Doppler maps made and folded a run of
+    frames at a time: a long capture's maps are never held together."""
+    return build_folding_map(process_frames(frames[start:stop], first=start)
+                             for start, stop in frame_runs(frames))
+
+
 @dataclass(frozen=True)
 class CaptureTrack:
     """What track_capture yields: the track, its segment window, its noise calibration."""
@@ -175,9 +184,10 @@ def track_capture(frames, radar: RadarConfig, background_frames=None, *, v_max: 
     or the whole capture if shorter), None when no off-track range bins remain.
     """
     k_bins = tracking.motion_bins(radar, v_max)
-    values = build_folding_map(frames).values
+    values = capture_folding_map(frames).values
     if background_frames is not None:
-        profile = tracking.estimate_noise_profile(build_folding_map(background_frames).values)
+        profile = tracking.estimate_noise_profile(
+            capture_folding_map(background_frames).values)
         profile_source = "background-capture"
     else:
         profile = np.median(values, axis=1)
@@ -228,7 +238,7 @@ def background_threshold(radar: RadarConfig, window: int, seed: int) -> float:
     threshold is the mean + 5 sigma of its per-window folding maxima.
     """
     bg = scenarios.background_scene(seed=seed)
-    fmap = build_folding_map(echo.synthesize_frames(bg, radar, window))
+    fmap = capture_folding_map(echo.synthesize_frames(bg, radar, window))
     return identify.calibrate_threshold(identify.noise_window_max_folds(fmap.values, window))
 
 

@@ -19,17 +19,14 @@ left-to-right float sum of its entries, so a batched value is bit-identical to
 folding one row alone and to a naive per-entry loop.
 
 Folding results of every range bin of every frame of a capture form the
-range-time folding map that the tracker consumes. build_folding_map makes the
-capture's Range-Doppler maps a block of frames at a time, each block about
-1 MiB, into one buffer per chunk (rdmap.map_block), and folds each block while
-it is still in cache; a capture's maps are never held together. Like
-rdmap.process_frames, build_folding_map splits the frames into contiguous
-chunks, one per core the process may run on (at most 4), through
-workers.run_chunks, and only as far as each worker gets 64 frames of the
-default 100 x 256 map: below that a 2-core host gained nothing once LSTM
-training had left its BLAS threads spinning (workers._MIN_CHUNK_ELEMENTS
-holds the measurement). The map's bytes do not depend on the split or on the
-block size: they are those of folding rdmap.process_frames' cube.
+range-time folding map that the tracker consumes. build_folding_map folds a
+magnitude cube, or a capture's cubes one after another as its caller makes
+them: frame_runs cuts a long capture into runs of about 1 MiB of maps, and
+while the caller makes one run's maps (rdmap.process_frames), another core
+folds the run before it (workers.run_behind), so the capture's maps are never
+held together. Each cube is folded about 1 MiB of maps at a time, so each
+size's passes over them stay in cache. The map's bytes do not depend on the
+runs or on the worker count: each frame is folded as if alone.
 """
 
 from __future__ import annotations
@@ -39,13 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidationError
-from .rdmap import map_block
-from .workers import run_chunks
+from .workers import run_behind, split_frames
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
-# Maps per block in build_folding_map, by bytes: 5 frames of the default 256 x 100
-# map. On 400 such frames (2-core host, 2 MiB L2) folding took 69 ms at 1 frame
-# per fold_columns call, 48-50 ms at 4-6 and 70-74 ms at 16 or more.
+# Maps per fold_columns call, and per run of frame_runs, by bytes: 5 frames of
+# the default 256 x 100 map. On 400 such frames (2-core host, 2 MiB L2) folding
+# took 69 ms at 1 frame per fold_columns call, 48-50 ms at 4-6 and 70-74 ms at 16
+# or more.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -118,32 +115,53 @@ def folding_result(d: np.ndarray, j_min: int = J_MIN, j_max: int = J_MAX) -> Fol
                        sizes=sizes, per_size_values=values)
 
 
-def build_folding_map(frames) -> FoldingMap:
+def frame_runs(frames) -> list[tuple[int, int]]:
+    """The (start, stop) runs of the capture's frames whose maps build_folding_map
+    takes one cube at a time, in frame order.
+
+    A capture of at least workers.split_frames frames, as many as run_chunks
+    splits over every worker, comes in runs of about _BLOCK_BYTES of maps; a
+    shorter one comes whole, and its cube is folded in the caller, as
+    run_chunks would keep its maps there.
+    """
+    n = len(frames)
+    if not n or n < split_frames(frames[0].samples.size):
+        return [(0, n)]
+    step = max(1, _BLOCK_BYTES // (frames[0].samples.size * 8))
+    return [(t, min(t + step, n)) for t in range(0, n, step)]
+
+
+def _fold_cube(cube) -> list:
+    """Folding results [frames, range bins] of a cube [frames, range bins, Doppler bins],
+    in parts of about _BLOCK_BYTES of maps each.
+
+    Each part is one fold_columns call along the Doppler axis of the maps'
+    Doppler-major view, the layout rdmap.process_frames writes, so its part of
+    a process_frames cube needs no copy: by its slab order as if each frame
+    were folded alone.
+    """
+    maps = np.asarray(cube, dtype=float).transpose(0, 2, 1)
+    step = max(1, _BLOCK_BYTES // max(1, maps[:1].nbytes))
+    return [fold_columns(maps[t:t + step], axis=1)[1].max(axis=0)
+            for t in range(0, len(maps), step)]
+
+
+def build_folding_map(maps) -> FoldingMap:
     """Fold every Doppler row of every frame's Range-Doppler map.
 
-    values[r, t] is the folding result of range bin r in frame t over J_MIN..J_MAX.
+    maps is a magnitude cube [frames, range bins, Doppler bins], or an iterable
+    of such cubes that hold consecutive frames in frame order, such as
+    rdmap.process_frames of each of frame_runs. values[r, t] is the
+    folding result of range bin r in frame t over J_MIN..J_MAX.
 
-    Chunks of frames run in parallel (workers.run_chunks). Each chunk owns one
-    block buffer [frames, Doppler bins, range bins] of about _BLOCK_BYTES of
-    maps: rdmap.map_block writes a block of its frames' maps there, and one
-    fold_columns call along axis 1 folds them, by its slab order as if each
-    frame were folded alone. Each size's passes over the block stay in cache
-    while the per-call cost is shared by several frames. A bad frame raises
-    map_block's ProcessingError, naming the capture's first bad frame.
+    Cubes are drawn in the caller; each cube but the last is folded on a worker
+    while the caller draws the next one (workers.run_behind), so a generator
+    that makes each cube as it is drawn makes and folds in parallel and holds
+    at most three cubes. A cube that fails to come raises its error once the
+    folds before it have ended.
     """
-    frames = list(frames)
-    if not frames:
+    cubes = [maps] if isinstance(maps, np.ndarray) else maps
+    folded = [part for parts in run_behind(_fold_cube, cubes) for part in parts]
+    if not folded:
         raise FoldingError("no Range-Doppler maps given")
-    chirps, samples = frames[0].samples.shape
-    step = max(1, _BLOCK_BYTES // (chirps * samples * 8))
-    values = np.empty((samples, len(frames)))
-
-    def fold(start: int, stop: int) -> None:
-        block = np.empty((min(step, stop - start), chirps, samples))
-        for t in range(start, stop, step):
-            maps = block[:min(step, stop - t)]
-            map_block(frames, t, t + len(maps), maps)
-            values[:, t:t + len(maps)] = fold_columns(maps, axis=1)[1].max(axis=0).T
-
-    run_chunks(fold, len(frames), chirps * samples)
-    return FoldingMap(values)
+    return FoldingMap(np.ascontiguousarray(np.concatenate(folded).T))

@@ -1,23 +1,26 @@
 """Range-Doppler processing: fast-time FFT, slow-time FFT, magnitude maps.
 
 A frame's Range-Doppler map is a float64 magnitude array [range bins, Doppler
-bins]. map_block is the one kernel that makes maps: it writes those of a run
-of consecutive frames into a buffer its caller owns. Two callers use it.
-folding.build_folding_map makes and folds a block of maps at a time, so a
-pipeline run never holds a capture's maps; process_frames stacks every map
-into one cube [frames, range bins, Doppler bins] for tests and demos.
-doppler_rows reads one Doppler row per frame without making its map: after
-the range FFT it transforms only the one range bin's slow-time column, and
-each row keeps the bytes of the same row of the frame's map.
+bins]; the maps of consecutive frames stack into a cube [frames, range bins,
+Doppler bins] whose first axis is the frame order. process_frames is the one
+way to make maps. The pipeline calls it on a run of frames at a time
+(folding.frame_runs) and folds each cube as it comes, so a long capture's
+maps are never held together. doppler_rows reads one Doppler row per frame
+without making its map: after the range FFT it transforms only the one range
+bin's slow-time column, and each row keeps the bytes of the same row of the
+frame's map.
 
-Each map and row depends on its own frame only, so the callers split a
-capture into contiguous chunks of frames, one per core the process may run on
-(at most 4), through workers.run_chunks; the bytes do not depend on the split.
-A capture splits only as far as each worker gets 64 frames of the default
-100 x 256 grid: on a 2-core host 2 workers took the maps and their folding in
-0.73x the serial time at 400 frames, but a capture classified right after LSTM
-training, whose BLAS threads still spin on the other core, gained nothing
-below 128 frames (workers._MIN_CHUNK_ELEMENTS holds the measurement).
+Each map and row depends on its own frame only, so process_frames and
+doppler_rows split the frames they get into contiguous chunks, one per core
+the process may run on (at most 4), through workers.run_chunks; the bytes do
+not depend on the split. Frames split only as far as each worker gets 64
+frames of the default 100 x 256 grid: on a 2-core host 2 workers took the maps
+and their folding in 0.73x the serial time at 400 frames, but a capture
+classified right after LSTM training, whose BLAS threads still spin on the
+other core, gained nothing below 128 frames (workers._MIN_CHUNK_ELEMENTS holds
+the measurement). A run of folding.frame_runs is below that size, so the
+pipeline's maps are made in the caller; build_folding_map folds them on
+another core meanwhile.
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
@@ -75,14 +78,24 @@ def _shifted_abs(spec: np.ndarray, out: np.ndarray) -> None:
     np.abs(spec[len(spec) - half:], out=out[:half])
 
 
-def map_block(frames, start: int, stop: int, out: np.ndarray) -> None:
-    """The maps of frames start..stop - 1, written Doppler-major into out[:stop - start].
+def _grid(frames) -> tuple[int, int]:
+    if not frames:
+        raise ProcessingError("no frames given")
+    return frames[0].samples.shape
 
-    out is float64 [stop - start, Doppler bins, range bins], the order the
-    FFTs yield a map; its frame k is the transpose of frame start + k's map.
+
+def process_frames(frames, first: int = 0) -> np.ndarray:
+    """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
+
+    first is the capture index of frames[0]: the pipeline passes a run of a
+    capture's frames at a time, and an error names the frame by its index in
+    the capture.
+
     Per frame: the range FFT along fast time (_range_fft), the Doppler FFT
-    along slow time, in place in one row-padded buffer (_widened; the FFTs'
-    `out=` argument needs numpy 2.0), then the center-shifted magnitude.
+    along slow time, in place in one row-padded buffer per worker (_widened;
+    the FFTs' `out=` argument needs numpy 2.0), then the center-shifted
+    magnitude. Each map is written Doppler-major, the order the FFTs yield it,
+    so the returned cube is a transposed view of the maps' buffer.
 
     Both FFTs scale inside numpy (norm="ortho"): it computes the factor
     reciprocal(sqrt(n)) in float64 and multiplies the real and the imaginary
@@ -95,39 +108,26 @@ def map_block(frames, start: int, stop: int, out: np.ndarray) -> None:
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
     covers both transforms, and numpy's warnings on the way are silenced under
-    an np.errstate entered here, since it holds per thread. The block stops at
-    its first bad map, naming that frame.
-    """
-    spec = _widened(*out.shape[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(range(start, stop)):
-            _range_fft(spec, frames[t].samples)
-            np.fft.fft(spec, axis=0, out=spec, norm="ortho")
-            _shifted_abs(spec, out[k])
-            if not np.all(np.isfinite(out[k])):
-                raise ProcessingError(f"frame {t}: non-finite Range-Doppler map "
-                                      "(non-finite samples or FFT overflow)")
-
-
-def _grid(frames) -> tuple[int, int]:
-    if not frames:
-        raise ProcessingError("no frames given")
-    return frames[0].samples.shape
-
-
-def process_frames(frames) -> np.ndarray:
-    """Magnitude cube [frames, range bins, Doppler bins], in the given frame order.
-
-    Every chunk of frames writes its maps with map_block straight into the
-    cube's buffer, so the returned cube is a transposed view of it. A chunk
-    stops at its first bad map, and the first chunk in frame order that
-    stopped is reported, so the error names the capture's first bad frame.
+    an np.errstate each worker enters, since it holds per thread. A chunk stops
+    at its first bad map, and the first chunk in frame order that stopped is
+    reported, so the error names the capture's first bad frame.
     """
     frames = list(frames)
     chirps, samples = _grid(frames)
     buf = np.empty((len(frames), chirps, samples))
-    run_chunks(lambda start, stop: map_block(frames, start, stop, buf[start:stop]),
-               len(frames), chirps * samples)
+
+    def maps(start: int, stop: int) -> None:
+        spec = _widened(chirps, samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(start, stop):
+                _range_fft(spec, frames[t].samples)
+                np.fft.fft(spec, axis=0, out=spec, norm="ortho")
+                _shifted_abs(spec, buf[t])
+                if not np.all(np.isfinite(buf[t])):
+                    raise ProcessingError(f"frame {first + t}: non-finite Range-Doppler map "
+                                          "(non-finite samples or FFT overflow)")
+
+    run_chunks(maps, len(frames), chirps * samples)
     return buf.transpose(0, 2, 1)
 
 
@@ -135,7 +135,7 @@ def doppler_rows(frames, range_bins) -> np.ndarray:
     """The Doppler-time diagram [frames, Doppler bins]: row t is frame t's Doppler row
     at range_bins[t], one bin per frame, from a track or from simulation truth.
 
-    Per frame: the range FFT of the whole frame, as map_block runs it, then the
+    Per frame: the range FFT of the whole frame, as process_frames runs it, then the
     Doppler FFT of the one slow-time column at the frame's bin, center-shifted,
     and its magnitude. Each row has the bytes of the same row of the frame's
     map (a property test checks it on drawn grids), but no map is made. Chunks

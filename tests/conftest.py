@@ -15,7 +15,9 @@ def radar():
 
 def _capture(scene, radar, n_frames):
     frames = synthesize_frames(scene, radar, n_frames)
-    return frames, process_frames(frames), build_folding_map(frames)
+    cube = process_frames(frames)
+    fmap = build_folding_map(cube)
+    return frames, cube, fmap
 
 
 @pytest.fixture(scope="session")

@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotorsense import folding, workers
+from rotorsense.cli import capture_folding_map
 from rotorsense.echo import Frame, SceneSpec, synthesize_frames
 from rotorsense.folding import (FoldingError, build_folding_map, fold_columns,
-                                folding_result, folding_value)
+                                folding_result, folding_value, frame_runs)
 from rotorsense.rdmap import process_frames
 
 from conftest import UAV_RANGE_BIN
-
-
-def fold_cube(cube):
-    """The folding map [R, F] of a magnitude cube [F, R, D] by one fold_columns call,
-    as build_folding_map folds each Doppler-major block of maps."""
-    return fold_columns(cube.transpose(0, 2, 1), axis=1)[1].max(axis=0).T
 
 
 def naive_folding_value(d, j):
@@ -147,17 +143,16 @@ def test_result_bounded_below_by_prefix_mean():
 
 
 def test_build_single_map_matches_per_row(radar, hover_capture):
-    _, frames, cube, _, _ = hover_capture
+    _, _, cube, _, _ = hover_capture
     # process_frames returns a transposed view; fold its copy in C order too
     assert not cube[0].flags.c_contiguous
-    fmap = build_folding_map(frames)
     for layout in (cube, np.ascontiguousarray(cube)):
-        assert fold_cube(layout).tobytes() == fmap.values.tobytes()
-    assert fmap.values.shape == (256, 40)
-    for t in range(40):
-        for r in range(256):
-            outcome = folding_result(cube[t, r])
-            assert fmap.values[r, t] == outcome.folding_result
+        fmap = build_folding_map(layout)
+        assert fmap.values.shape == (256, 40)
+        for t in range(40):
+            for r in range(256):
+                outcome = folding_result(cube[t, r])
+                assert fmap.values[r, t] == outcome.folding_result
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +166,7 @@ def test_build_matches_oracle_and_breaks_ties_small(n_t, n_r, n_l, doppler_major
     cube = np.array(flat, dtype=float).reshape(shape)
     if doppler_major:
         cube = cube.transpose(0, 2, 1)  # the layout process_frames returns
-    values = fold_cube(cube)
+    fmap = build_folding_map(cube)
     sizes = range(2, min(20, n_l // 2) + 1)
     for t in range(n_t):
         for r in range(n_r):
@@ -179,34 +174,54 @@ def test_build_matches_oracle_and_breaks_ties_small(n_t, n_r, n_l, doppler_major
             oracle = [naive_folding_value(row, j) for j in sizes]
             best = max(oracle)
             outcome = folding_result(row)
-            assert values[r, t] == outcome.folding_result == best
+            assert fmap.values[r, t] == outcome.folding_result == best
             assert outcome.best_folding_size == sizes[oracle.index(best)]
 
 
 @pytest.mark.parametrize("doppler_major", [True, False], ids=["rdmap-layout", "c-order"])
-def test_build_folds_across_block_edges(doppler_major):
-    """13 maps of the default 256 x 100 shape fill two 5-map blocks and part of a third;
-    folding each block in one call, as build_folding_map does, gives each frame's own
-    fold, byte for byte, in the layout process_frames returns or in a C-order copy.
-    build_folding_map on 13 frames gives the per-frame folds of their maps."""
+def test_build_folds_across_block_edges(doppler_major, monkeypatch):
+    """13 frames of the default 256 x 100 map fill two 5-frame blocks and part of a
+    third; each frame's values are its own fold, byte for byte, also when the maps
+    come as cubes of 4 frames, each but the last folded on a worker."""
     rng = np.random.default_rng(13)
     maps = rng.integers(0, 4, (13, 100, 256)).astype(float)  # ties are common
     cube = maps.transpose(0, 2, 1)  # the layout process_frames returns
     if not doppler_major:
         cube = np.ascontiguousarray(cube)
     per_frame = np.stack([fold_columns(cube[t].T)[1].max(axis=0) for t in range(13)], axis=1)
-    blocks = np.concatenate([fold_cube(cube[t:t + 5]) for t in range(0, 13, 5)], axis=1)
-    assert blocks.tobytes() == per_frame.tobytes()
+    assert build_folding_map(cube).values.tobytes() == per_frame.tobytes()
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    cubes = (cube[t:t + 4] for t in range(0, 13, 4))
+    assert build_folding_map(cubes).values.tobytes() == per_frame.tobytes()
     block = cube[3:8].transpose(0, 2, 1)
     assert (fold_columns(block, axis=-2)[1].tobytes()
             == fold_columns(block, axis=1)[1].tobytes()
             == fold_columns(block.transpose(1, 0, 2))[1].tobytes())
 
-    frames = [Frame(rng.standard_normal((100, 256)) + 1j * rng.standard_normal((100, 256)))
-              for _ in range(13)]
+
+@pytest.mark.parametrize("sample", [0, 1 - 2j], ids=["zero", "constant"])
+def test_capture_folding_map_breaks_ties_like_the_oracle(monkeypatch, sample):
+    """Zero frames make every Doppler row zero, and constant frames leave one spike at
+    range bin 0 and DC: every row ties at several folding sizes. Through the pipeline's
+    path, 7 frames in runs of 2 on two workers, each value is the naive oracle's best,
+    its size the oracle's smallest, and the map equals folding the whole cube."""
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS", 16 * 12)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 16 * 12 * 8)
+    frames = [Frame(np.full((16, 12), sample, dtype=complex)) for _ in range(7)]
+    assert frame_runs(frames) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    values = capture_folding_map(frames).values
     cube = process_frames(frames)
-    per_frame = np.stack([fold_columns(cube[t].T)[1].max(axis=0) for t in range(13)], axis=1)
-    assert build_folding_map(frames).values.tobytes() == per_frame.tobytes()
+    assert values.tobytes() == build_folding_map(cube).values.tobytes()
+    sizes = range(2, 16 // 2 + 1)
+    for t in range(7):
+        for r in range(12):
+            oracle = [naive_folding_value(cube[t, r], j) for j in sizes]
+            outcome = folding_result(cube[t, r])
+            assert values[r, t] == outcome.folding_result == max(oracle)
+            assert outcome.best_folding_size == sizes[oracle.index(max(oracle))]
+    if sample:  # the spike's row: M = 2 stacks it alone at sizes 6, 7 and 8
+        assert folding_result(cube[0, 0]).best_folding_size == 6
 
 
 def test_build_rejects_mismatched_shapes():
@@ -222,7 +237,7 @@ def test_hover_fold_map_argmax_tracks_uav(hover_capture):
 
 def test_noise_only_map_has_no_argmax_persistence(radar):
     scene = SceneSpec(emitters=(), noise_std=1.0, rng_seed=31)
-    fmap = build_folding_map(synthesize_frames(scene, radar, 100))
+    fmap = build_folding_map(process_frames(synthesize_frames(scene, radar, 100)))
     argmax_bins = np.argmax(fmap.values, axis=0)
     changes = np.count_nonzero(np.diff(argmax_bins) != 0)
     assert changes >= 0.5 * (len(argmax_bins) - 1)

@@ -1,6 +1,6 @@
 """Memory held by the capture path, measured with tracemalloc, which sees numpy's
-buffers in every thread: a capture's folding map and its diagram never hold the
-capture's Range-Doppler maps, and simulate never holds the capture it writes."""
+buffers in every thread: a long capture's folding map and its diagram never hold
+the capture's Range-Doppler maps, and simulate never holds the capture it writes."""
 
 import tracemalloc
 
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from rotorsense import workers
-from rotorsense.cli import main
+from rotorsense.cli import capture_folding_map, main
 from rotorsense.echo import Frame
-from rotorsense.folding import build_folding_map
 from rotorsense.rdmap import doppler_rows
 
 GRID = (100, 256)  # the default radar's chirps x samples
-N_FRAMES = 130     # enough to split over 2 workers
+N_FRAMES = 130     # enough to split over 2 workers, and to come in runs there
 
 
 def _traced_peak(fn) -> int:
@@ -39,10 +38,11 @@ def capture():
 CUBE_BYTES = N_FRAMES * GRID[0] * GRID[1] * 8
 
 
-def test_folding_map_holds_a_block_of_maps_per_worker(capture):
-    """Each of at most 2 chunks makes and folds ~1 MiB of maps at a time in its own
-    block buffer: 3.7 MB at the peak on a 2-core host."""
-    peak = _traced_peak(lambda: build_folding_map(capture))
+def test_folding_map_holds_three_runs_of_maps(capture, monkeypatch):
+    """On two workers the capture's maps are made 5 frames at a time, and a run's cube
+    is folded while the next is made: 4.9 MB at the peak on a 2-core host."""
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    peak = _traced_peak(lambda: capture_folding_map(capture))
     assert peak < CUBE_BYTES / 4, f"{peak} bytes"
 
 

@@ -4,6 +4,7 @@ and errors that name the capture's first bad frame whichever thread met it."""
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -69,7 +70,8 @@ def test_serial_call_creates_no_pool(monkeypatch):
     _set_workers(monkeypatch, 4, frames_per_worker=8, elements=12)
     frames = [Frame(np.ones((4, 3), dtype=complex))] * 15
     assert process_frames(frames).shape == (15, 3, 4)
-    assert build_folding_map(frames).values.shape == (3, 15)
+    assert build_folding_map(np.ones((15, 3, 4))).values.shape == (3, 15)
+    assert cli.capture_folding_map(frames).values.shape == (3, 15)
     assert doppler_rows(frames, [0] * 15).shape == (15, 4)
 
 
@@ -96,8 +98,9 @@ def _frames(n_frames, chirps, samples, seed):
 @example(3, 4, 4, 3)     # below the threshold of 2 workers
 @example(4, 4, 4, 4)     # at it
 def test_outputs_do_not_depend_on_the_worker_count(n_frames, chirps, samples, seed):
-    """Two frames per worker make the split threshold; folding blocks hold 3 maps, so
-    chunk and block edges both fall inside the capture."""
+    """Two frames per worker make the split threshold; runs of capture_folding_map, and
+    folding blocks, hold 3 frames, so chunk and run edges both fall inside the
+    capture."""
     frames = _frames(n_frames, chirps, samples, seed)
     results = {}
     for count in (1, 2, 3):
@@ -105,7 +108,7 @@ def test_outputs_do_not_depend_on_the_worker_count(n_frames, chirps, samples, se
             _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
             mp.setattr(folding, "_BLOCK_BYTES", 3 * chirps * samples * 8)
             results[count] = (process_frames(frames).tobytes(),
-                              build_folding_map(frames).values.tobytes(),
+                              cli.capture_folding_map(frames).values.tobytes(),
                               doppler_rows(frames, [seed % samples] * n_frames).tobytes())
     assert results[2] == results[1]
     assert results[3] == results[1]
@@ -149,14 +152,15 @@ def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, count, see
 @example(1, 4, 1, 1, 1, 2)
 def test_folding_map_equals_folding_the_cube(n_frames, chirps, samples, count, block_maps,
                                              seed):
-    """build_folding_map makes and folds a block of maps at a time in each chunk; its map
-    is the fold of process_frames' whole cube by fold_columns, byte for byte, for any
-    block size and worker count."""
+    """capture_folding_map makes the maps of a run of frames at a time and folds each
+    run's cube as it comes, the one before on a worker while the caller makes the next;
+    its map is the fold of process_frames' whole cube by fold_columns, byte for byte,
+    for any run size and worker count."""
     frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
         _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
         mp.setattr(folding, "_BLOCK_BYTES", block_maps * chirps * samples * 8)
-        values = build_folding_map(frames).values
+        values = cli.capture_folding_map(frames).values
     expected = fold_columns(cube.transpose(0, 2, 1), axis=1)[1].max(axis=0).T
     assert values.tobytes() == expected.tobytes()
 
@@ -177,7 +181,10 @@ def test_bad_frame_in_a_later_chunk_is_named(monkeypatch, value):
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         process_frames(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
-        build_folding_map(frames)
+        cli.capture_folding_map(frames)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 32 * 8)  # runs of 2 frames
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        cli.capture_folding_map(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
         doppler_rows(frames, [0] * 9)
 
@@ -202,7 +209,7 @@ def test_no_runtime_warning_escapes_a_worker(monkeypatch):
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             process_frames(frames)
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
-            build_folding_map(frames)
+            cli.capture_folding_map(frames)
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             doppler_rows(frames, [0] * 6)
     assert [str(w.message) for w in caught] == []
@@ -253,20 +260,93 @@ def test_worker_exception_reaches_the_caller_and_the_pool_runs_on(monkeypatch):
     assert _in_thread(lambda: _chunks(9)) == [(0, 3, True), (3, 6, False), (6, 9, False)]
 
 
+def test_run_behind_keeps_order_and_holds_at_most_three_items(monkeypatch):
+    """Every call but the last runs on a pool thread while the caller draws the next
+    item; an item lives from its draw to the end of its call, and at most three are
+    alive when an item is made, however slow the calls."""
+    _set_workers(monkeypatch, 2)
+    callers, alive, most, lock = [], set(), [0], threading.Lock()
+
+    def items():
+        for k in range(7):
+            with lock:
+                alive.add(k)
+                most[0] = max(most[0], len(alive))
+            yield k
+
+    def work(k):
+        time.sleep(0.01)
+        with lock:
+            alive.discard(k)
+        return k, threading.current_thread() is callers[0]
+
+    def run():
+        callers.append(threading.current_thread())
+        return workers.run_behind(work, items())
+
+    out = _in_thread(run)
+    assert [k for k, _ in out] == list(range(7))
+    assert [in_caller for _, in_caller in out] == [False] * 6 + [True]
+    assert most[0] == 3 and not alive
+
+
+def test_run_behind_on_one_worker_runs_in_the_caller(monkeypatch):
+    def no_pool(threads):
+        raise AssertionError("one worker asked for the pool")
+
+    monkeypatch.setattr(workers, "_pool", no_pool)
+    _set_workers(monkeypatch, 1)
+    caller = threading.current_thread()
+    out = workers.run_behind(lambda k: (k, threading.current_thread() is caller), range(4))
+    assert out == [(k, True) for k in range(4)]
+    _set_workers(monkeypatch, 2)
+    assert workers.run_behind(lambda k: k, [5]) == [5]  # a lone item asks for no pool
+    assert workers.run_behind(lambda k: k, []) == []
+
+
+def test_run_behind_errors_reach_the_caller_after_the_running_call(monkeypatch):
+    _set_workers(monkeypatch, 2)
+    ended, raised = [], KeyError("draw 3")
+
+    def items():
+        yield from range(3)
+        raise raised
+
+    def work(k):
+        time.sleep(0.01)
+        ended.append(k)
+
+    with pytest.raises(KeyError) as info:
+        workers.run_behind(work, items())
+    assert info.value is raised and ended == [0, 1]
+
+    def failing(k):
+        if k == 1:
+            raise raised
+        return k
+
+    with pytest.raises(KeyError) as info:
+        workers.run_behind(failing, range(5))
+    assert info.value is raised
+    assert _in_thread(lambda: workers.run_behind(lambda k: -k, range(3))) == [0, -1, -2]
+
+
 def test_concurrent_callers_on_more_workers_than_cores(monkeypatch):
     """Four callers, each splitting its captures over 4 workers, with a short switch
     interval: every result still equals the serial one byte for byte."""
     frames = _frames(11, 8, 16, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         _set_workers(mp, 1)
-        serial = process_frames(frames).tobytes() + build_folding_map(frames).values.tobytes()
+        cube = process_frames(frames)
+        serial = cube.tobytes() + build_folding_map(cube).values.tobytes()
     _set_workers(monkeypatch, 4, frames_per_worker=1, elements=8 * 16)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 3 * 8 * 16 * 8)  # runs of 3 frames
 
     def caller():
         results = []
         for _ in range(10):
             results.append(process_frames(frames).tobytes()
-                           + build_folding_map(frames).values.tobytes())
+                           + cli.capture_folding_map(frames).values.tobytes())
         return results
 
     interval = sys.getswitchinterval()
