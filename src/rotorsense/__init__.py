@@ -3,12 +3,12 @@
 Pipeline: synthesize beat-signal frames (echo.synthesize_frames), turn each
 into a Range-Doppler magnitude map [range bins, Doppler bins] (rdmap), score
 the periodicity of every Doppler row of every map by spectrum folding into a
-range-time map (folding.build_folding_map, which folds a long capture's maps a
-run of frames at a time as rdmap.process_frames makes them), recover the range
+range-time map (folding.build_folding_map, which folds a capture's maps a run
+of frames at a time as rdmap.process_frames makes them), recover the range
 track by spectral subtraction + constrained dynamic programming + particle
 filtering (tracking), then read the frames' Doppler rows along the track into
 a Doppler-time diagram (rdmap.doppler_rows) and classify its aligned segments
-with a from-scratch LSTM (identify, lstm). No pipeline stage holds a long
+with a from-scratch LSTM (identify, lstm). No pipeline stage holds a
 capture's maps together.
 The cli module ties the stages into reproducible commands and holds the one
 capture recipe (track_capture) and the one dataset recipe.

@@ -22,8 +22,8 @@ acceptance suite's end-to-end tracking check all track a capture and take its
 noise calibration from it, and capture_segments turns a track into segments.
 background_threshold and scene_segment are the one dataset recipe: `dataset
 gen`, the acceptance suite and the identification demo all build segments
-with them. Every recipe takes a capture's frames and holds none of a long
-capture's Range-Doppler maps: capture_folding_map makes them with
+with them. Every recipe takes a capture's frames and holds none of its
+Range-Doppler maps: capture_folding_map makes them with
 rdmap.process_frames a run of frames at a time (folding.frame_runs) and
 folding.build_folding_map folds each run as it comes, and rdmap.doppler_rows
 reads the one Doppler row per frame a diagram needs.
@@ -158,7 +158,7 @@ def _radar_for(config) -> RadarConfig:
 
 def capture_folding_map(frames) -> FoldingMap:
     """The capture's folding map, its Range-Doppler maps made and folded a run of
-    frames at a time: a long capture's maps are never held together."""
+    frames at a time: the capture's maps are never held together."""
     return build_folding_map(process_frames(frames[start:stop], first=start)
                              for start, stop in frame_runs(frames))
 
@@ -171,6 +171,7 @@ class CaptureTrack:
     window: int                 # identify.segment_window_frames of the capture's radar
     calibration: float | None   # mean + 5 sigma of off-track window maxima
     profile_source: str         # "background-capture" or "self-median-fallback"
+    kept: tuple                 # the folding map's kept rows, FoldingMap.kept
 
 
 def track_capture(frames, radar: RadarConfig, background_frames=None, *, v_max: float,
@@ -184,7 +185,8 @@ def track_capture(frames, radar: RadarConfig, background_frames=None, *, v_max: 
     or the whole capture if shorter), None when no off-track range bins remain.
     """
     k_bins = tracking.motion_bins(radar, v_max)
-    values = capture_folding_map(frames).values
+    fmap = capture_folding_map(frames)
+    values = fmap.values
     if background_frames is not None:
         profile = tracking.estimate_noise_profile(
             capture_folding_map(background_frames).values)
@@ -203,7 +205,7 @@ def track_capture(frames, radar: RadarConfig, background_frames=None, *, v_max: 
             cleaned, min(window, cleaned.shape[1]), exclude_bins=track.range_bins))
     except IdentifyError:
         calibration = None
-    return CaptureTrack(track, window, calibration, profile_source)
+    return CaptureTrack(track, window, calibration, profile_source, fmap.kept)
 
 
 def _track_files(args):
@@ -221,10 +223,13 @@ def _track_files(args):
                                  pf_seed=component_seed(args.seed, "particle-filter"))
 
 
-def capture_segments(frames, range_bins, frame_times, window: int,
-                     threshold: float) -> list[identify.Segment]:
-    """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows."""
-    diagram, _ = identify.dc_removal(doppler_rows(frames, range_bins))
+def capture_segments(frames, range_bins, frame_times, window: int, threshold: float,
+                     kept=None) -> list[identify.Segment]:
+    """Diagram at per-frame range bins -> DC removal -> alignment -> filtered windows.
+
+    kept is a folding map's kept rows (CaptureTrack.kept): the diagram takes the
+    rows it holds and transforms only the frames whose bin it lacks."""
+    diagram, _ = identify.dc_removal(doppler_rows(frames, range_bins, kept))
     return identify.segment_split_filter(identify.feature_alignment(diagram), frame_times,
                                          window, threshold)
 
@@ -390,7 +395,8 @@ def cmd_identify(args) -> int:
                 raise IdentifyError("not enough noise-only data to calibrate a threshold")
             threshold = result.calibration
         segments = capture_segments(frames, result.track.range_bins,
-                                    result.track.frame_times, result.window, threshold)
+                                    result.track.frame_times, result.window, threshold,
+                                    result.kept)
         segments = [s for s in segments if s.passed_filter]
     if segments and detector.input_dim != segments[0].values.shape[1]:
         raise ModelError(

@@ -21,10 +21,10 @@ folding one row alone and to a naive per-entry loop.
 Folding results of every range bin of every frame of a capture form the
 range-time folding map that the tracker consumes. build_folding_map folds a
 magnitude cube, or a capture's cubes one after another as its caller makes
-them: frame_runs cuts a long capture into runs of about 1 MiB of maps, and
-while the caller makes one run's maps (rdmap.process_frames), another core
-folds the run before it (workers.run_behind), so the capture's maps are never
-held together. Each cube is folded about 1 MiB of maps at a time, so each
+them: frame_runs cuts a capture into runs of about 1 MiB of maps, and while
+the caller makes one run's maps (rdmap.process_frames), another core folds
+the run before it (workers.run_behind), so the capture's maps are never held
+together. Each cube is folded about 1 MiB of maps at a time, so each
 size's passes over them stay in cache. The map's bytes do not depend on the
 runs or on the worker count: each frame is folded as if alone.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidationError
-from .workers import run_behind, split_frames
+from .workers import run_behind
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 # Maps per fold_columns call, and per run of frame_runs, by bytes: 5 frames of
@@ -44,6 +44,9 @@ J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 # took 69 ms at 1 frame per fold_columns call, 48-50 ms at 4-6 and 70-74 ms at 16
 # or more.
 _BLOCK_BYTES = 1 << 20
+# Rows kept per frame. On the 400-frame long capture of perfbench and the three
+# demo scenes, every frame's tracked bin ranked among its 4 largest folding results.
+KEPT_ROWS = 8
 
 
 class FoldingError(ValidationError):
@@ -62,9 +65,17 @@ class FoldOutcome:
 
 @dataclass(frozen=True)
 class FoldingMap:
-    """Folding results over range bins x frames."""
+    """Folding results over range bins x frames, and each frame's best-folding rows.
+
+    kept is (bins, rows): per frame the KEPT_ROWS range bins of largest folding
+    result, [n_frames, k], and the map's Doppler rows there, [n_frames, k,
+    n_doppler_bins]. A track follows high folding results, so a diagram reads
+    most of its rows from them instead of transforming the frames again
+    (rdmap.doppler_rows).
+    """
 
     values: np.ndarray  # [n_range_bins, n_frames]
+    kept: tuple[np.ndarray, np.ndarray]
 
 
 def _size_range(length: int, j_min: int, j_max: int) -> np.ndarray:
@@ -116,24 +127,17 @@ def folding_result(d: np.ndarray, j_min: int = J_MIN, j_max: int = J_MAX) -> Fol
 
 
 def frame_runs(frames) -> list[tuple[int, int]]:
-    """The (start, stop) runs of the capture's frames whose maps build_folding_map
-    takes one cube at a time, in frame order.
-
-    A capture of at least workers.split_frames frames, as many as run_chunks
-    splits over every worker, comes in runs of about _BLOCK_BYTES of maps; a
-    shorter one comes whole, and its cube is folded in the caller, as
-    run_chunks would keep its maps there.
-    """
-    n = len(frames)
-    if not n or n < split_frames(frames[0].samples.size):
-        return [(0, n)]
+    """The (start, stop) runs of the capture's frames, about _BLOCK_BYTES of maps each,
+    whose maps build_folding_map takes one cube at a time, in frame order."""
+    if not frames:
+        return [(0, 0)]  # process_frames then names the empty capture
     step = max(1, _BLOCK_BYTES // (frames[0].samples.size * 8))
-    return [(t, min(t + step, n)) for t in range(0, n, step)]
+    return [(t, min(t + step, len(frames))) for t in range(0, len(frames), step)]
 
 
 def _fold_cube(cube) -> list:
     """Folding results [frames, range bins] of a cube [frames, range bins, Doppler bins],
-    in parts of about _BLOCK_BYTES of maps each.
+    with each frame's kept bins and rows, in parts of about _BLOCK_BYTES of maps each.
 
     Each part is one fold_columns call along the Doppler axis of the maps'
     Doppler-major view, the layout rdmap.process_frames writes, so its part of
@@ -142,8 +146,15 @@ def _fold_cube(cube) -> list:
     """
     maps = np.asarray(cube, dtype=float).transpose(0, 2, 1)
     step = max(1, _BLOCK_BYTES // max(1, maps[:1].nbytes))
-    return [fold_columns(maps[t:t + step], axis=1)[1].max(axis=0)
-            for t in range(0, len(maps), step)]
+    parts = []
+    for t in range(0, len(maps), step):
+        block = maps[t:t + step]
+        values = fold_columns(block, axis=1)[1].max(axis=0)
+        k = min(KEPT_ROWS, values.shape[1])
+        bins = np.argpartition(values, -k, axis=1)[:, -k:]
+        rows = np.take_along_axis(block, bins[:, None, :], axis=2).transpose(0, 2, 1)
+        parts.append((values, bins, np.ascontiguousarray(rows)))
+    return parts
 
 
 def build_folding_map(maps) -> FoldingMap:
@@ -164,4 +175,5 @@ def build_folding_map(maps) -> FoldingMap:
     folded = [part for parts in run_behind(_fold_cube, cubes) for part in parts]
     if not folded:
         raise FoldingError("no Range-Doppler maps given")
-    return FoldingMap(np.ascontiguousarray(np.concatenate(folded).T))
+    values, bins, rows = (np.concatenate(field) for field in zip(*folded))
+    return FoldingMap(np.ascontiguousarray(values.T), (bins, rows))

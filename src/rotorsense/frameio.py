@@ -18,7 +18,7 @@ A capture is held once: its frames' samples are complex64 views of the one
 payload buffer, read as is from a frame file and converted once, exactly,
 from an int16 capture. Nothing here widens them; rdmap widens one frame at a
 time to complex128, just before its range FFT. The pipeline keeps no other
-array the size of a long capture, so `track` holds about the file's payload.
+capture-sized array, so `track` holds about the file's payload.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A frame's Range-Doppler map is a float64 magnitude array [range bins, Doppler
 bins]; the maps of consecutive frames stack into a cube [frames, range bins,
 Doppler bins] whose first axis is the frame order. process_frames is the one
 way to make maps. The pipeline calls it on a run of frames at a time
-(folding.frame_runs) and folds each cube as it comes, so a long capture's
-maps are never held together. doppler_rows reads one Doppler row per frame
+(folding.frame_runs) and folds each cube as it comes, so a capture's maps are
+never held together. doppler_rows reads one Doppler row per frame
 without making its map: after the range FFT it transforms only the one range
 bin's slow-time column, and each row keeps the bytes of the same row of the
 frame's map.
@@ -131,18 +131,24 @@ def process_frames(frames, first: int = 0) -> np.ndarray:
     return buf.transpose(0, 2, 1)
 
 
-def doppler_rows(frames, range_bins) -> np.ndarray:
+def doppler_rows(frames, range_bins, kept=None) -> np.ndarray:
     """The Doppler-time diagram [frames, Doppler bins]: row t is frame t's Doppler row
     at range_bins[t], one bin per frame, from a track or from simulation truth.
 
-    Per frame: the range FFT of the whole frame, as process_frames runs it, then the
-    Doppler FFT of the one slow-time column at the frame's bin, center-shifted,
-    and its magnitude. Each row has the bytes of the same row of the frame's
-    map (a property test checks it on drawn grids), but no map is made. Chunks
-    of frames run in parallel (workers.run_chunks), each in its own np.errstate;
-    a row that is not finite stops its chunk, and the capture's first bad frame
-    is named. A bin count other than the frame count, or a bin outside the
-    range axis, raises ProcessingError before any FFT.
+    kept, if given, is (bins, rows): rows of the frames' maps already made at a
+    few range bins each, [frames, k] and [frames, k, Doppler bins], as
+    folding.build_folding_map keeps them. A frame whose bin is among its kept
+    bins takes that row, the bytes of its map's row.
+
+    Each other frame: the range FFT of the whole frame, as process_frames runs
+    it, then the Doppler FFT of the one slow-time column at the frame's bin,
+    center-shifted, and its magnitude. Each row has the bytes of the same row
+    of the frame's map (a property test checks it on drawn grids), but no map
+    is made. Chunks of these frames run in parallel (workers.run_chunks), each
+    in its own np.errstate; a row that is not finite stops its chunk, and the
+    capture's first bad frame is named. A bin count other than the frame
+    count, or a bin outside the range axis, raises ProcessingError before any
+    FFT.
     """
     frames = list(frames)
     bins = np.array(range_bins, dtype=int)
@@ -152,18 +158,25 @@ def doppler_rows(frames, range_bins) -> np.ndarray:
     if np.any((bins < 0) | (bins >= samples)):
         raise ProcessingError(f"range bin out of bounds [0, {samples})")
     rows = np.empty((len(frames), chirps))
+    todo = np.arange(len(frames))
+    if kept is not None:
+        kept_bins, kept_rows = kept
+        hits = kept_bins == bins[:, None]
+        found = hits.any(axis=1)
+        rows[found] = kept_rows[found, hits[found].argmax(axis=1)]
+        todo = np.flatnonzero(~found)
 
     def column_rows(start: int, stop: int) -> None:
         spec = _widened(chirps, samples)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(start, stop):
+            for t in todo[start:stop]:
                 _range_fft(spec, frames[t].samples)
                 _shifted_abs(np.fft.fft(spec[:, bins[t]], norm="ortho"), rows[t])
                 if not np.all(np.isfinite(rows[t])):
                     raise ProcessingError(f"frame {t}: non-finite Doppler row "
                                           "(non-finite samples or FFT overflow)")
 
-    run_chunks(column_rows, len(frames), chirps * samples)
+    run_chunks(column_rows, len(todo), chirps * samples)
     return rows
 
 

@@ -10,8 +10,9 @@ call, so outputs do not depend on the worker count.
 
 run_behind overlaps two stages instead: folding.build_folding_map folds one
 cube of maps on a pool thread while the caller makes the next, a run of
-frames at a time (folding.frame_runs), so a long capture's maps are never
-held together.
+frames at a time (folding.frame_runs), so a capture's maps are never held
+together. It overlaps the runs of a capture of any length: the split rule
+below is run_chunks' alone.
 
 The worker count is the number of cores the process may run on
 (os.sched_getaffinity), at most _MAX_WORKERS; nothing sets it. A capture is

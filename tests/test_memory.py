@@ -13,7 +13,7 @@ from rotorsense.echo import Frame
 from rotorsense.rdmap import doppler_rows
 
 GRID = (100, 256)  # the default radar's chirps x samples
-N_FRAMES = 130     # enough to split over 2 workers, and to come in runs there
+N_FRAMES = 130     # enough to split over 2 workers
 
 
 def _traced_peak(fn) -> int:
@@ -38,10 +38,9 @@ def capture():
 CUBE_BYTES = N_FRAMES * GRID[0] * GRID[1] * 8
 
 
-def test_folding_map_holds_three_runs_of_maps(capture, monkeypatch):
-    """On two workers the capture's maps are made 5 frames at a time, and a run's cube
-    is folded while the next is made: 4.9 MB at the peak on a 2-core host."""
-    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+def test_folding_map_holds_three_runs_of_maps(capture):
+    """The capture's maps are made 5 frames at a time, and a run's cube is folded while
+    the next is made: 4.9 MB at the peak on a 2-core host."""
     peak = _traced_peak(lambda: capture_folding_map(capture))
     assert peak < CUBE_BYTES / 4, f"{peak} bytes"
 
