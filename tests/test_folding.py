@@ -224,6 +224,21 @@ def test_capture_folding_map_breaks_ties_like_the_oracle(monkeypatch, sample):
         assert folding_result(cube[0, 0]).best_folding_size == 6
 
 
+def test_build_keeps_each_frames_best_folding_rows(hover_capture):
+    """Per frame, the kept bins hold the KEPT_ROWS largest folding results and the kept
+    rows are the cube's rows there, byte for byte."""
+    _, _, cube, fmap, _ = hover_capture
+    bins, rows = fmap.kept
+    assert bins.shape == (40, folding.KEPT_ROWS) and rows.shape == (40, folding.KEPT_ROWS, 100)
+    for t in range(40):
+        column = fmap.values[:, t]
+        others = np.delete(column, bins[t])
+        assert column[bins[t]].min() >= others.max()
+        assert rows[t].tobytes() == cube[t, bins[t]].tobytes()
+    two = build_folding_map(np.ones((3, 2, 8))).kept  # fewer range bins than KEPT_ROWS
+    assert sorted(two[0][0]) == [0, 1] and two[1].shape == (3, 2, 8)
+
+
 def test_build_rejects_mismatched_shapes():
     with pytest.raises(FoldingError, match="no Range-Doppler maps"):
         build_folding_map([])

@@ -305,6 +305,26 @@ def test_uav_capture_segments_pass(hover_capture, radar):
     assert all(s.passed_filter for s in segments)
 
 
+def test_tracked_diagram_reads_the_kept_rows(hover_capture, radar, monkeypatch):
+    """Tracked without a background, the hover's bin wanders off the comb's bin, where
+    folding results rank low: only the frames whose bin was not kept are transformed
+    again, and the segments keep their bytes."""
+    from rotorsense import rdmap
+    from rotorsense.cli import capture_segments, track_capture
+
+    _, frames, _, _, _ = hover_capture
+    result = track_capture(frames, radar, v_max=5.0)
+    args = (frames, result.track.range_bins, result.track.frame_times, result.window, 0.0)
+    fresh = capture_segments(*args)
+    calls, range_fft = [], rdmap._range_fft
+    monkeypatch.setattr(rdmap, "_range_fft",
+                        lambda spec, samples: calls.append(1) or range_fft(spec, samples))
+    kept = capture_segments(*args, result.kept)
+    missing = sum(b not in bins for b, bins in zip(result.track.range_bins, result.kept[0]))
+    assert 0 < missing < len(frames) and len(calls) == missing
+    assert [s.values.tobytes() for s in kept] == [s.values.tobytes() for s in fresh]
+
+
 def test_calibrate_threshold_formula():
     vals = np.array([1.0, 2.0, 3.0])
     assert calibrate_threshold(vals) == pytest.approx(

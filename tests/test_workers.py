@@ -133,15 +133,22 @@ def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, count, see
     """Row t of doppler_rows is the cube's Doppler row of frame t at bins[t], byte for
     byte: after the range FFT it transforms only that bin's slow-time column. Odd and
     even chirp counts cover both halves of the center shift; with two frames per
-    worker, 2 and 3 workers put chunk edges inside the capture."""
+    worker, 2 and 3 workers put chunk edges inside the capture. Given 3 kept rows per
+    frame, the frames whose bin was kept take them and the rest are transformed:
+    the same bytes."""
     frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
     draw = st.lists(st.integers(0, samples - 1), min_size=n_frames, max_size=n_frames)
     bins = (data.draw(draw) if data is not None
             else np.random.default_rng(seed).integers(0, samples, n_frames))
+    rng = np.random.default_rng(seed)
+    kept_bins = rng.permuted(np.tile(np.arange(samples), (n_frames, 1)), axis=1)[:, :3]
+    kept = (kept_bins, cube[np.arange(n_frames)[:, None], kept_bins])
     with pytest.MonkeyPatch.context() as mp:
         _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
         rows = doppler_rows(frames, bins)
+        from_kept = doppler_rows(frames, bins, kept)
     assert rows.tobytes() == cube[np.arange(n_frames), bins].tobytes()
+    assert from_kept.tobytes() == rows.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
