@@ -458,6 +458,8 @@ def _save_split(segments, args, out: Path) -> int:
 
 
 def cmd_dataset_gen(args) -> int:
+    if args.uav + args.distractor == 0:
+        raise ValidationError("--uav and --distractor are both 0: a dataset needs a segment")
     radar = _radar_for(args.config)
     window = identify.segment_window_frames(radar)
     rng = np.random.default_rng(component_seed(args.seed, "dataset-gen"))

@@ -47,13 +47,14 @@ and every frame adds that one array in the emitter's place in the sum.
 Beyond that, the frames are independent: each draws its noise from its own
 substream, the distractor paths are drawn once per capture before any frame,
 and the static emitters are fixed by the first. So synthesize_frames runs its
-first frame in the caller and splits the rest over the host's cores by the
-rule the maps use (workers.run_chunks: 64 default frames per worker, so a
-40-frame scene stays serial). Every frame keeps the arithmetic of a serial
-call, and a capture's bytes do not depend on the worker count, nor on the
-blocks it is synthesized in. Each frame's complex128 array is allocated in the
-calling thread and a worker only fills it; a worker calls only this module's
-private helpers, none of which the benchmark's tracer wraps.
+first frame in the caller and splits the rest over the host's cores
+(workers.run_chunks: 64 default frames per worker, so a 40-frame scene stays
+serial); it is the pipeline's one split of a capture's frames. Every frame
+keeps the arithmetic of a serial call, and a capture's bytes do not depend on
+the worker count, nor on the blocks it is synthesized in. Each frame's
+complex128 array is allocated in the calling thread and a worker only fills
+it; a worker calls only this module's private helpers, none of which the
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations

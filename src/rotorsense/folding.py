@@ -24,9 +24,9 @@ magnitude cube, or a capture's cubes one after another as its caller makes
 them: frame_runs cuts a capture into runs of about 1 MiB of maps, and while
 the caller makes one run's maps (rdmap.process_frames), another core folds
 the run before it (workers.run_behind), so the capture's maps are never held
-together. Each cube is folded about 1 MiB of maps at a time, so each
-size's passes over them stay in cache. The map's bytes do not depend on the
-runs or on the worker count: each frame is folded as if alone.
+together. Each cube is folded by one fold_columns call, so a run's size also
+keeps each size's passes over its maps in cache. The map's bytes do not
+depend on the runs or on the worker count: each frame is folded as if alone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .config import ValidationError
 from .workers import run_behind
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
-# Maps per fold_columns call, and per run of frame_runs, by bytes: 5 frames of
+# Maps per run of frame_runs, and so per fold_columns call, by bytes: 5 frames of
 # the default 256 x 100 map. On 400 such frames (2-core host, 2 MiB L2) folding
 # took 69 ms at 1 frame per fold_columns call, 48-50 ms at 4-6 and 70-74 ms at 16
 # or more.
@@ -135,26 +135,20 @@ def frame_runs(frames) -> list[tuple[int, int]]:
     return [(t, min(t + step, len(frames))) for t in range(0, len(frames), step)]
 
 
-def _fold_cube(cube) -> list:
+def _fold_cube(cube) -> tuple:
     """Folding results [frames, range bins] of a cube [frames, range bins, Doppler bins],
-    with each frame's kept bins and rows, in parts of about _BLOCK_BYTES of maps each.
+    with each frame's kept bins and rows.
 
-    Each part is one fold_columns call along the Doppler axis of the maps'
-    Doppler-major view, the layout rdmap.process_frames writes, so its part of
-    a process_frames cube needs no copy: by its slab order as if each frame
-    were folded alone.
+    One fold_columns call along the Doppler axis of the maps' Doppler-major
+    view, the layout rdmap.process_frames writes, so a process_frames cube
+    needs no copy: by its slab order each frame is folded as if alone.
     """
     maps = np.asarray(cube, dtype=float).transpose(0, 2, 1)
-    step = max(1, _BLOCK_BYTES // max(1, maps[:1].nbytes))
-    parts = []
-    for t in range(0, len(maps), step):
-        block = maps[t:t + step]
-        values = fold_columns(block, axis=1)[1].max(axis=0)
-        k = min(KEPT_ROWS, values.shape[1])
-        bins = np.argpartition(values, -k, axis=1)[:, -k:]
-        rows = np.take_along_axis(block, bins[:, None, :], axis=2).transpose(0, 2, 1)
-        parts.append((values, bins, np.ascontiguousarray(rows)))
-    return parts
+    values = fold_columns(maps, axis=1)[1].max(axis=0)
+    k = min(KEPT_ROWS, values.shape[1])
+    bins = np.argpartition(values, -k, axis=1)[:, -k:]
+    rows = np.take_along_axis(maps, bins[:, None, :], axis=2).transpose(0, 2, 1)
+    return values, bins, np.ascontiguousarray(rows)
 
 
 def build_folding_map(maps) -> FoldingMap:
@@ -172,7 +166,7 @@ def build_folding_map(maps) -> FoldingMap:
     folds before it have ended.
     """
     cubes = [maps] if isinstance(maps, np.ndarray) else maps
-    folded = [part for parts in run_behind(_fold_cube, cubes) for part in parts]
+    folded = [part for part in run_behind(_fold_cube, cubes) if len(part[0])]
     if not folded:
         raise FoldingError("no Range-Doppler maps given")
     values, bins, rows = (np.concatenate(field) for field in zip(*folded))

@@ -5,22 +5,15 @@ bins]; the maps of consecutive frames stack into a cube [frames, range bins,
 Doppler bins] whose first axis is the frame order. process_frames is the one
 way to make maps. The pipeline calls it on a run of frames at a time
 (folding.frame_runs) and folds each cube as it comes, so a capture's maps are
-never held together. doppler_rows reads one Doppler row per frame
-without making its map: after the range FFT it transforms only the one range
-bin's slow-time column, and each row keeps the bytes of the same row of the
-frame's map.
+never held together. doppler_rows reads one Doppler row per frame without
+making its map: after the range FFT it transforms only the one range bin's
+slow-time column, and each row keeps the bytes of the same row of the frame's
+map.
 
-Each map and row depends on its own frame only, so process_frames and
-doppler_rows split the frames they get into contiguous chunks, one per core
-the process may run on (at most 4), through workers.run_chunks; the bytes do
-not depend on the split. Frames split only as far as each worker gets 64
-frames of the default 100 x 256 grid: on a 2-core host 2 workers took the maps
-and their folding in 0.73x the serial time at 400 frames, but a capture
-classified right after LSTM training, whose BLAS threads still spin on the
-other core, gained nothing below 128 frames (workers._MIN_CHUNK_ELEMENTS holds
-the measurement). A run of folding.frame_runs is below that size, so the
-pipeline's maps are made in the caller; build_folding_map folds them on
-another core meanwhile.
+Both run in the caller, one frame after another in one row-padded buffer.
+The capture path overlaps its work elsewhere: build_folding_map folds one
+run's maps on another core while the caller makes the next run's
+(workers.run_behind).
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the
@@ -36,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RadarConfig, ValidationError
-from .workers import run_chunks
 
 
 class ProcessingError(ValidationError):
@@ -92,10 +84,10 @@ def process_frames(frames, first: int = 0) -> np.ndarray:
     the capture.
 
     Per frame: the range FFT along fast time (_range_fft), the Doppler FFT
-    along slow time, in place in one row-padded buffer per worker (_widened;
-    the FFTs' `out=` argument needs numpy 2.0), then the center-shifted
-    magnitude. Each map is written Doppler-major, the order the FFTs yield it,
-    so the returned cube is a transposed view of the maps' buffer.
+    along slow time, in place in one row-padded buffer (_widened; the FFTs'
+    `out=` argument needs numpy 2.0), then the center-shifted magnitude. Each
+    map is written Doppler-major, the order the FFTs yield it, so the returned
+    cube is a transposed view of the maps' buffer.
 
     Both FFTs scale inside numpy (norm="ortho"): it computes the factor
     reciprocal(sqrt(n)) in float64 and multiplies the real and the imaginary
@@ -107,27 +99,21 @@ def process_frames(frames, first: int = 0) -> np.ndarray:
 
     Bin 0 of each FFT sums its inputs, so a non-finite sample, or a value either
     FFT overflows to inf, leaves the magnitude map non-finite: one check per map
-    covers both transforms, and numpy's warnings on the way are silenced under
-    an np.errstate each worker enters, since it holds per thread. A chunk stops
-    at its first bad map, and the first chunk in frame order that stopped is
-    reported, so the error names the capture's first bad frame.
+    covers both transforms, numpy's warnings on the way are silenced, and the
+    first bad map stops the loop and names its frame in the capture.
     """
     frames = list(frames)
     chirps, samples = _grid(frames)
     buf = np.empty((len(frames), chirps, samples))
-
-    def maps(start: int, stop: int) -> None:
-        spec = _widened(chirps, samples)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(start, stop):
-                _range_fft(spec, frames[t].samples)
-                np.fft.fft(spec, axis=0, out=spec, norm="ortho")
-                _shifted_abs(spec, buf[t])
-                if not np.all(np.isfinite(buf[t])):
-                    raise ProcessingError(f"frame {first + t}: non-finite Range-Doppler map "
-                                          "(non-finite samples or FFT overflow)")
-
-    run_chunks(maps, len(frames), chirps * samples)
+    spec = _widened(chirps, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, frame in enumerate(frames):
+            _range_fft(spec, frame.samples)
+            np.fft.fft(spec, axis=0, out=spec, norm="ortho")
+            _shifted_abs(spec, buf[t])
+            if not np.all(np.isfinite(buf[t])):
+                raise ProcessingError(f"frame {first + t}: non-finite Range-Doppler map "
+                                      "(non-finite samples or FFT overflow)")
     return buf.transpose(0, 2, 1)
 
 
@@ -144,11 +130,9 @@ def doppler_rows(frames, range_bins, kept=None) -> np.ndarray:
     it, then the Doppler FFT of the one slow-time column at the frame's bin,
     center-shifted, and its magnitude. Each row has the bytes of the same row
     of the frame's map (a property test checks it on drawn grids), but no map
-    is made. Chunks of these frames run in parallel (workers.run_chunks), each
-    in its own np.errstate; a row that is not finite stops its chunk, and the
-    capture's first bad frame is named. A bin count other than the frame
-    count, or a bin outside the range axis, raises ProcessingError before any
-    FFT.
+    is made. The first row that is not finite stops the loop and names its
+    frame. A bin count other than the frame count, or a bin outside the range
+    axis, raises ProcessingError before any FFT.
     """
     frames = list(frames)
     bins = np.array(range_bins, dtype=int)
@@ -165,18 +149,14 @@ def doppler_rows(frames, range_bins, kept=None) -> np.ndarray:
         found = hits.any(axis=1)
         rows[found] = kept_rows[found, hits[found].argmax(axis=1)]
         todo = np.flatnonzero(~found)
-
-    def column_rows(start: int, stop: int) -> None:
-        spec = _widened(chirps, samples)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in todo[start:stop]:
-                _range_fft(spec, frames[t].samples)
-                _shifted_abs(np.fft.fft(spec[:, bins[t]], norm="ortho"), rows[t])
-                if not np.all(np.isfinite(rows[t])):
-                    raise ProcessingError(f"frame {t}: non-finite Doppler row "
-                                          "(non-finite samples or FFT overflow)")
-
-    run_chunks(column_rows, len(todo), chirps * samples)
+    spec = _widened(chirps, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in todo:
+            _range_fft(spec, frames[t].samples)
+            _shifted_abs(np.fft.fft(spec[:, bins[t]], norm="ortho"), rows[t])
+            if not np.all(np.isfinite(rows[t])):
+                raise ProcessingError(f"frame {t}: non-finite Doppler row "
+                                      "(non-finite samples or FFT overflow)")
     return rows
 
 

@@ -1,24 +1,26 @@
 """Frame-parallel work: contiguous chunks of a capture's frames on the host's cores.
 
-rdmap.process_frames, rdmap.doppler_rows and echo.synthesize_frames (after its
-first frame) compute each frame's result from that frame alone, so run_chunks
-splits a capture into contiguous chunks of frames, one per worker. The caller
-runs the first chunk and a persistent pool of workers - 1 threads runs the
-others. numpy's FFTs, abs, trig and reductions release the interpreter lock,
-so the chunks run in parallel; every frame keeps the arithmetic of a serial
-call, so outputs do not depend on the worker count.
+echo.synthesize_frames (after its first frame) computes each frame's samples
+from that frame alone, so run_chunks splits a capture into contiguous chunks
+of frames, one per worker. The caller runs the first chunk and a persistent
+pool of workers - 1 threads runs the others. numpy's trig, noise draws and
+reductions release the interpreter lock, so the chunks run in parallel; every
+frame keeps the arithmetic of a serial call, so outputs do not depend on the
+worker count. simulate sizes its blocks of frames by the same rule
+(split_frames).
 
 run_behind overlaps two stages instead: folding.build_folding_map folds one
 cube of maps on a pool thread while the caller makes the next, a run of
 frames at a time (folding.frame_runs), so a capture's maps are never held
 together. It overlaps the runs of a capture of any length: the split rule
-below is run_chunks' alone.
+below is run_chunks' alone. The maps themselves, and a diagram's Doppler
+rows, are made in the caller (rdmap).
 
 The worker count is the number of cores the process may run on
 (os.sched_getaffinity), at most _MAX_WORKERS; nothing sets it. A capture is
 split only as far as each worker gets _MIN_CHUNK_ELEMENTS frame elements
-(chirps x samples, as many as a map's range x Doppler bins); a smaller capture
-runs serially, in the caller, and creates no pool.
+(chirps x samples); a smaller capture runs serially, in the caller, and
+creates no pool.
 
 np.errstate holds per thread: a chunk that silences numpy's floating-point
 warnings enters it itself, in whichever thread runs it. A chunk writes its
@@ -36,13 +38,14 @@ import os
 import threading
 
 _MAX_WORKERS = 4
-# 64 frames of the default 100 x 256 grid per worker. Measured on a 2-core host,
-# the maps plus their folding at 2 workers against 1: on idle cores
-# 0.72x at 16 frames and 0.73x at 400; right after a 512 x 512 float32 matrix
-# product, whose OpenBLAS threads keep spinning on the other core for a while
-# (as after LSTM training), 1.05x at 16-64 frames, 1.00x at 128 and 0.93x at
-# 400. A 40-frame capture classified after training, threaded, read +2% verdict
-# time end to end.
+# 64 frames of the default 100 x 256 grid per worker; it sizes echo synthesis's
+# chunks and simulate's blocks. Measured on a 2-core host when the Range-Doppler
+# maps still split by it, the maps plus their folding at 2 workers against 1: on
+# idle cores 0.72x at 16 frames and 0.73x at 400; right after a 512 x 512 float32
+# matrix product, whose OpenBLAS threads keep spinning on the other core for a
+# while (as after LSTM training), 1.05x at 16-64 frames, 1.00x at 128 and 0.93x
+# at 400. A 40-frame capture classified after training, threaded, read +2%
+# verdict time end to end.
 _MIN_CHUNK_ELEMENTS = 64 * 100 * 256
 
 _pools: dict = {}  # ThreadPoolExecutor by thread count

@@ -647,10 +647,10 @@ def test_particle_count_moves_only_the_filtered_range(pipeline_run, tmp_path, mo
 
 def test_outputs_do_not_depend_on_the_worker_count(pipeline_run, tmp_path, monkeypatch):
     """track and identify --frames write the same bytes at 1 worker and at the host's
-    count; the split threshold is lowered so the 40-frame captures split too."""
+    count: a 40-frame capture's 8 runs of maps are folded on a second core on a host
+    of two or more."""
     run, bg = pipeline_run / "run", pipeline_run / "bg"
     model = _untrained_model(tmp_path)
-    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS", 1)
     default = workers.worker_count
     for name, count in (("one", lambda: 1), ("default", default)):
         monkeypatch.setattr(workers, "worker_count", count)
@@ -1080,6 +1080,7 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["dataset", "split", "--dataset", "d.bin", "--train-frac", "-0.1"], "--train-frac"),
     (["dataset", "gen", "--uav", "-2", "--distractor", "0"], "--uav"),
     (["dataset", "gen", "--uav", "0", "--distractor", "-2"], "--distractor"),
+    (["dataset", "gen", "--uav", "0", "--distractor", "0"], "--uav and --distractor"),
     (["train", "--dataset", "d.bin", "--lr", "nan"], "--lr"),
     (["train", "--dataset", "d.bin", "--lr", "0"], "--lr"),
     (["identify", "--frames", "f.bin", "--model", "m.npz", "--threshold", "inf"],
@@ -1097,8 +1098,8 @@ def test_removed_or_unread_flag_exits_one(tmp_path, monkeypatch, capsys, argv, f
     (["track", "--frames", "f.bin", "--v-max", "inf"], "--v-max"),
     (["identify", "--frames", "f.bin", "--model", "m.npz", "--v-max", "-1"], "--v-max"),
 ], ids=["simulate-frames", "simulate-frames-zero", "gen-train-frac", "split-train-frac",
-        "gen-uav", "gen-distractor", "train-lr-nan", "train-lr-zero", "identify-threshold-inf",
-        "simulate-seed", "track-seed", "train-seed", "gen-seed", "train-batch-size",
+        "gen-uav", "gen-distractor", "gen-no-segments", "train-lr-nan", "train-lr-zero",
+        "identify-threshold-inf", "simulate-seed", "track-seed", "train-seed", "gen-seed", "train-batch-size",
         "train-epochs", "train-hidden", "track-v-max-negative", "track-v-max-zero",
         "track-v-max-nan", "track-v-max-inf", "identify-v-max-negative"])
 def test_out_of_range_numeric_flag_exits_one(tmp_path, monkeypatch, capsys, argv, flag):

@@ -180,9 +180,10 @@ def test_build_matches_oracle_and_breaks_ties_small(n_t, n_r, n_l, doppler_major
 
 @pytest.mark.parametrize("doppler_major", [True, False], ids=["rdmap-layout", "c-order"])
 def test_build_folds_across_block_edges(doppler_major, monkeypatch):
-    """13 frames of the default 256 x 100 map fill two 5-frame blocks and part of a
-    third; each frame's values are its own fold, byte for byte, also when the maps
-    come as cubes of 4 frames, each but the last folded on a worker."""
+    """frame_runs cuts 13 frames of the default 256 x 100 map into runs of at most
+    _BLOCK_BYTES of maps, or of one frame where a map alone exceeds it. Each frame's
+    values are its own fold, byte for byte, whether the maps come as one cube or as
+    the cubes of the runs, each but the last folded on a worker."""
     rng = np.random.default_rng(13)
     maps = rng.integers(0, 4, (13, 100, 256)).astype(float)  # ties are common
     cube = maps.transpose(0, 2, 1)  # the layout process_frames returns
@@ -190,9 +191,17 @@ def test_build_folds_across_block_edges(doppler_major, monkeypatch):
         cube = np.ascontiguousarray(cube)
     per_frame = np.stack([fold_columns(cube[t].T)[1].max(axis=0) for t in range(13)], axis=1)
     assert build_folding_map(cube).values.tobytes() == per_frame.tobytes()
+    frames = [Frame(np.zeros((100, 256), dtype=complex))] * 13
     monkeypatch.setattr(workers, "worker_count", lambda: 2)
-    cubes = (cube[t:t + 4] for t in range(0, 13, 4))
-    assert build_folding_map(cubes).values.tobytes() == per_frame.tobytes()
+    for block_bytes, step in ((folding._BLOCK_BYTES, 5), (3 * maps[0].nbytes + 1, 3),
+                              (maps[0].nbytes - 1, 1)):
+        monkeypatch.setattr(folding, "_BLOCK_BYTES", block_bytes)
+        runs = frame_runs(frames)
+        assert runs == [(t, min(t + step, 13)) for t in range(0, 13, step)]
+        assert all((stop - start) * maps[0].nbytes <= block_bytes or stop - start == 1
+                   for start, stop in runs)
+        cubes = (cube[start:stop] for start, stop in runs)
+        assert build_folding_map(cubes).values.tobytes() == per_frame.tobytes()
     block = cube[3:8].transpose(0, 2, 1)
     assert (fold_columns(block, axis=-2)[1].tobytes()
             == fold_columns(block, axis=1)[1].tobytes()
@@ -206,7 +215,6 @@ def test_capture_folding_map_breaks_ties_like_the_oracle(monkeypatch, sample):
     path, 7 frames in runs of 2 on two workers, each value is the naive oracle's best,
     its size the oracle's smallest, and the map equals folding the whole cube."""
     monkeypatch.setattr(workers, "worker_count", lambda: 2)
-    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS", 16 * 12)
     monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 16 * 12 * 8)
     frames = [Frame(np.full((16, 12), sample, dtype=complex)) for _ in range(7)]
     assert frame_runs(frames) == [(0, 2), (2, 4), (4, 6), (6, 7)]

@@ -13,7 +13,7 @@ from rotorsense.echo import Frame
 from rotorsense.rdmap import doppler_rows
 
 GRID = (100, 256)  # the default radar's chirps x samples
-N_FRAMES = 130     # enough to split over 2 workers
+N_FRAMES = 130     # 26 runs of maps (folding.frame_runs)
 
 
 def _traced_peak(fn) -> int:
@@ -46,7 +46,7 @@ def test_folding_map_holds_three_runs_of_maps(capture):
 
 
 def test_doppler_rows_make_no_maps(capture):
-    """Per frame one range FFT buffer and one column: the diagram plus a frame per worker."""
+    """Per frame one range FFT buffer and one column: the diagram plus one frame's buffer."""
     peak = _traced_peak(lambda: doppler_rows(capture, np.arange(N_FRAMES) % GRID[1]))
     assert peak < CUBE_BYTES / 4, f"{peak} bytes"
 

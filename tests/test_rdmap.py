@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -219,6 +221,82 @@ def test_doppler_rows_partition_map(radar, hover_capture):
     rd = _reference_map(frames[0].samples)
     rebuilt = np.stack([cube[0, r] for r in range(cube.shape[1])])
     assert np.array_equal(rebuilt, rd)
+
+
+def _drawn_frames(n_frames, chirps, samples, seed):
+    """Complex frames spanning 1e-300..1e150 in magnitude, one scale per frame."""
+    rng = np.random.default_rng(seed)
+    shape = (chirps, samples)
+    scales = 10.0 ** rng.integers(-300, 150, n_frames)
+    return [Frame(s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+            for s in scales]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.data())
+@example(5, 7, 6, 0, None)    # odd chirps, even samples
+@example(4, 8, 9, 1, None)    # even chirps, odd samples
+@example(1, 1, 1, 2, None)
+def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, seed, data):
+    """Row t of doppler_rows is the cube's Doppler row of frame t at bins[t], byte for
+    byte: after the range FFT it transforms only that bin's slow-time column. Odd and
+    even chirp counts cover both halves of the center shift. Given 3 kept rows per
+    frame, the frames whose bin was kept take them and the rest are transformed:
+    the same bytes."""
+    frames = _drawn_frames(n_frames, chirps, samples, seed)
+    cube = process_frames(frames)
+    draw = st.lists(st.integers(0, samples - 1), min_size=n_frames, max_size=n_frames)
+    bins = (data.draw(draw) if data is not None
+            else np.random.default_rng(seed).integers(0, samples, n_frames))
+    rng = np.random.default_rng(seed)
+    kept_bins = rng.permuted(np.tile(np.arange(samples), (n_frames, 1)), axis=1)[:, :3]
+    kept = (kept_bins, cube[np.arange(n_frames)[:, None], kept_bins])
+    rows = doppler_rows(frames, bins)
+    assert rows.tobytes() == cube[np.arange(n_frames), bins].tobytes()
+    assert doppler_rows(frames, bins, kept).tobytes() == rows.tobytes()
+
+
+def _capture_with_bad(n_frames, bad, value, shape=(4, 8)):
+    frames = [Frame(np.ones(shape, dtype=complex)) for _ in range(n_frames)]
+    for t in bad:
+        frames[t] = Frame(np.full(shape, value, dtype=complex))
+    return frames
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+def test_bad_frame_is_named_by_maps_and_rows(value):
+    """Maps and rows name the bad frame by its index in the capture, also when
+    process_frames gets a run of the capture's frames that starts later."""
+    frames = _capture_with_bad(9, [7], value)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        process_frames(frames)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        process_frames(frames[4:], first=4)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
+        doppler_rows(frames, [0] * 9)
+
+
+def test_bad_frames_name_the_earliest():
+    with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+        process_frames(_capture_with_bad(9, [8, 4], np.nan))
+    with pytest.raises(ProcessingError, match="^frame 2: non-finite"):
+        process_frames(_capture_with_bad(9, [2, 5, 8], np.inf))
+    with pytest.raises(ProcessingError, match="^frame 2: non-finite"):
+        doppler_rows(_capture_with_bad(9, [2, 5, 8], np.inf), [0] * 9)
+
+
+def test_overflow_raises_no_runtime_warning():
+    """Samples near 1e308 overflow the FFTs; the error names the frame and numpy's
+    warnings on the way are silenced."""
+    frames = _capture_with_bad(6, [4], complex(1e308, -1e308), shape=(100, 16))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            process_frames(frames)
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            doppler_rows(frames, [0] * 6)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_doppler_row_bounds(radar, hover_capture):

@@ -1,5 +1,6 @@
-"""Frame-parallel chunks: the split rule, outputs independent of the worker count,
-and errors that name the capture's first bad frame whichever thread met it."""
+"""Frame-parallel chunks and folding behind the caller: the split rule, outputs
+independent of the worker count, and errors that name the capture's first bad frame
+whichever thread was folding meanwhile."""
 
 import os
 import sys
@@ -73,6 +74,12 @@ def test_serial_call_creates_no_pool(monkeypatch):
     assert build_folding_map(np.ones((15, 3, 4))).values.shape == (3, 15)
     assert cli.capture_folding_map(frames).values.shape == (3, 15)
     assert doppler_rows(frames, [0] * 15).shape == (15, 4)
+    # 64 frames, past run_chunks' threshold for 4 workers: maps and rows are still
+    # made in the caller, and the one run of maps is folded there too
+    frames = frames * 5
+    assert process_frames(frames[:64]).shape == (64, 3, 4)
+    assert doppler_rows(frames[:64], [1] * 64).shape == (64, 4)
+    assert cli.capture_folding_map(frames).values.shape == (3, 75)
 
 
 def test_worker_count_is_the_affinity_capped():
@@ -98,64 +105,24 @@ def _frames(n_frames, chirps, samples, seed):
 @example(3, 4, 4, 3)     # below the threshold of 2 workers
 @example(4, 4, 4, 4)     # at it
 def test_outputs_do_not_depend_on_the_worker_count(n_frames, chirps, samples, seed):
-    """Two frames per worker make the split threshold; runs of capture_folding_map, and
-    folding blocks, hold 3 frames, so chunk and run edges both fall inside the
-    capture."""
+    """Runs of capture_folding_map hold 3 frames, so run edges fall inside the capture
+    and, on 2 or 3 workers, every run but the last is folded on a pool thread."""
     frames = _frames(n_frames, chirps, samples, seed)
     results = {}
     for count in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
+            _set_workers(mp, count)
             mp.setattr(folding, "_BLOCK_BYTES", 3 * chirps * samples * 8)
-            results[count] = (process_frames(frames).tobytes(),
-                              cli.capture_folding_map(frames).values.tobytes(),
-                              doppler_rows(frames, [seed % samples] * n_frames).tobytes())
+            results[count] = cli.capture_folding_map(frames).values.tobytes()
     assert results[2] == results[1]
     assert results[3] == results[1]
-
-
-def _cube_and_split(n_frames, chirps, samples, seed):
-    """Drawn frames and their cube, made on one worker."""
-    frames = _frames(n_frames, chirps, samples, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, 1)
-        cube = process_frames(frames)
-    return frames, cube
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 13), st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 2, 3]),
-       st.integers(0, 2**32 - 1), st.data())
-@example(5, 7, 6, 2, 0, None)    # odd chirps, even samples
-@example(4, 8, 9, 3, 1, None)    # even chirps, odd samples
-@example(1, 1, 1, 1, 2, None)
-def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, count, seed, data):
-    """Row t of doppler_rows is the cube's Doppler row of frame t at bins[t], byte for
-    byte: after the range FFT it transforms only that bin's slow-time column. Odd and
-    even chirp counts cover both halves of the center shift; with two frames per
-    worker, 2 and 3 workers put chunk edges inside the capture. Given 3 kept rows per
-    frame, the frames whose bin was kept take them and the rest are transformed:
-    the same bytes."""
-    frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
-    draw = st.lists(st.integers(0, samples - 1), min_size=n_frames, max_size=n_frames)
-    bins = (data.draw(draw) if data is not None
-            else np.random.default_rng(seed).integers(0, samples, n_frames))
-    rng = np.random.default_rng(seed)
-    kept_bins = rng.permuted(np.tile(np.arange(samples), (n_frames, 1)), axis=1)[:, :3]
-    kept = (kept_bins, cube[np.arange(n_frames)[:, None], kept_bins])
-    with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
-        rows = doppler_rows(frames, bins)
-        from_kept = doppler_rows(frames, bins, kept)
-    assert rows.tobytes() == cube[np.arange(n_frames), bins].tobytes()
-    assert from_kept.tobytes() == rows.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 13), st.integers(4, 12), st.integers(1, 12), st.sampled_from([1, 2, 3]),
        st.integers(1, 4), st.integers(0, 2**32 - 1))
-@example(13, 7, 6, 2, 5, 0)      # odd chirps: blocks of 5 maps, chunks of 6 and 7 frames
-@example(9, 8, 9, 3, 2, 1)       # even chirps, odd samples: every chunk ends mid-block
+@example(13, 7, 6, 2, 5, 0)      # odd chirps: runs of 5 maps, the last of 3
+@example(9, 8, 9, 3, 2, 1)       # even chirps, odd samples: a last run of one frame
 @example(1, 4, 1, 1, 1, 2)
 def test_folding_map_equals_folding_the_cube(n_frames, chirps, samples, count, block_maps,
                                              seed):
@@ -163,9 +130,10 @@ def test_folding_map_equals_folding_the_cube(n_frames, chirps, samples, count, b
     run's cube as it comes, the one before on a worker while the caller makes the next;
     its map is the fold of process_frames' whole cube by fold_columns, byte for byte,
     for any run size and worker count."""
-    frames, cube = _cube_and_split(n_frames, chirps, samples, seed)
+    frames = _frames(n_frames, chirps, samples, seed)
+    cube = process_frames(frames)
     with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, count, frames_per_worker=2, elements=chirps * samples)
+        _set_workers(mp, count)
         mp.setattr(folding, "_BLOCK_BYTES", block_maps * chirps * samples * 8)
         values = cli.capture_folding_map(frames).values
     expected = fold_columns(cube.transpose(0, 2, 1), axis=1)[1].max(axis=0).T
@@ -182,43 +150,29 @@ def _capture_with_bad(n_frames, bad, value):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
 def test_bad_frame_in_a_later_chunk_is_named(monkeypatch, value):
-    _set_workers(monkeypatch, 3, frames_per_worker=2, elements=32)
-    assert [c[:2] for c in _chunks(9, 32)] == [(0, 3), (3, 6), (6, 9)]
+    """In one run, and in a later run of 2 frames made while a worker folds the run
+    before it, the capture's frame 7 is named."""
+    _set_workers(monkeypatch, 3)
     frames = _capture_with_bad(9, [7], value)
-    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
-        process_frames(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         cli.capture_folding_map(frames)
     monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 32 * 8)  # runs of 2 frames
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         cli.capture_folding_map(frames)
-    with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
-        doppler_rows(frames, [0] * 9)
-
-
-def test_bad_frames_in_two_chunks_name_the_earlier(monkeypatch):
-    _set_workers(monkeypatch, 3, frames_per_worker=2, elements=32)
-    with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
-        process_frames(_capture_with_bad(9, [8, 4], np.nan))
-    with pytest.raises(ProcessingError, match="^frame 2: non-finite"):
-        process_frames(_capture_with_bad(9, [2, 5, 8], np.inf))
 
 
 def test_no_runtime_warning_escapes_a_worker(monkeypatch):
-    """Samples near 1e308 overflow the FFTs in a worker's chunk; its own errstate
-    silences numpy there, since the caller's does not reach other threads."""
-    _set_workers(monkeypatch, 2, frames_per_worker=2, elements=100 * 16)
+    """Samples near 1e308 overflow the FFTs of frame 4, in the caller, while a worker
+    folds the runs before it: no numpy warning reaches the caller."""
+    _set_workers(monkeypatch, 2)
     shape = (100, 16)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * shape[0] * shape[1] * 8)  # runs of 2
     frames = [Frame(np.full(shape, 0.5 + 0.5j)) for _ in range(6)]
     frames[4] = Frame(np.full(shape, complex(1e308, -1e308)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
-            process_frames(frames)
-        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             cli.capture_folding_map(frames)
-        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
-            doppler_rows(frames, [0] * 6)
     assert [str(w.message) for w in caught] == []
 
 
@@ -237,7 +191,8 @@ def test_track_exits_one_naming_a_later_chunks_overflowing_frame(monkeypatch, tm
         return frames, header_radar
 
     monkeypatch.setattr(cli.frameio, "read_frames", read_overflowing)
-    _set_workers(monkeypatch, 2, frames_per_worker=2, elements=shape[0] * shape[1])
+    _set_workers(monkeypatch, 2)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * shape[0] * shape[1] * 8)  # runs of 2
     assert cli.main(["track", "--frames", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "frame 5: non-finite Range-Doppler map" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -339,14 +294,15 @@ def test_run_behind_errors_reach_the_caller_after_the_running_call(monkeypatch):
 
 
 def test_concurrent_callers_on_more_workers_than_cores(monkeypatch):
-    """Four callers, each splitting its captures over 4 workers, with a short switch
-    interval: every result still equals the serial one byte for byte."""
+    """Four callers, each folding its captures' runs on the shared pool of 4 workers,
+    with a short switch interval: every result still equals the serial one byte for
+    byte."""
     frames = _frames(11, 8, 16, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         _set_workers(mp, 1)
         cube = process_frames(frames)
         serial = cube.tobytes() + build_folding_map(cube).values.tobytes()
-    _set_workers(monkeypatch, 4, frames_per_worker=1, elements=8 * 16)
+    _set_workers(monkeypatch, 4)
     monkeypatch.setattr(folding, "_BLOCK_BYTES", 3 * 8 * 16 * 8)  # runs of 3 frames
 
     def caller():
