@@ -21,12 +21,12 @@ folding one row alone and to a naive per-entry loop.
 Folding results of every range bin of every frame of a capture form the
 range-time folding map that the tracker consumes. build_folding_map folds a
 magnitude cube, or a capture's cubes one after another as its caller makes
-them: frame_runs cuts a capture into runs of about 1 MiB of maps, and while
-the caller makes one run's maps (rdmap.process_frames), another core folds
-the run before it (workers.run_behind), so the capture's maps are never held
-together. Each cube is folded by one fold_columns call, so a run's size also
-keeps each size's passes over its maps in cache. The map's bytes do not
-depend on the runs or on the worker count: each frame is folded as if alone.
+them: frame_runs cuts a capture into runs of about 1 MiB of maps, and each
+run's maps (rdmap.process_frames) are folded before the next run's are made,
+so the capture's maps are never held together. Each cube is folded by one
+fold_columns call, so a run's size also keeps each size's passes over its
+maps in cache. The map's bytes do not depend on the runs: each frame is
+folded as if alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidationError
-from .workers import run_behind
 
 J_MIN, J_MAX = 2, 20  # the folding sizes every map and segment filter traverses
 # Maps per run of frame_runs, and so per fold_columns call, by bytes: 5 frames of
@@ -159,14 +158,11 @@ def build_folding_map(maps) -> FoldingMap:
     rdmap.process_frames of each of frame_runs. values[r, t] is the
     folding result of range bin r in frame t over J_MIN..J_MAX.
 
-    Cubes are drawn in the caller; each cube but the last is folded on a worker
-    while the caller draws the next one (workers.run_behind), so a generator
-    that makes each cube as it is drawn makes and folds in parallel and holds
-    at most three cubes. A cube that fails to come raises its error once the
-    folds before it have ended.
+    Each cube is folded as it is drawn, so a generator that makes each cube
+    as it is drawn holds one cube at a time.
     """
     cubes = [maps] if isinstance(maps, np.ndarray) else maps
-    folded = [part for part in run_behind(_fold_cube, cubes) if len(part[0])]
+    folded = [part for part in map(_fold_cube, cubes) if len(part[0])]
     if not folded:
         raise FoldingError("no Range-Doppler maps given")
     values, bins, rows = (np.concatenate(field) for field in zip(*folded))

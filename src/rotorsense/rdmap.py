@@ -11,9 +11,6 @@ slow-time column, and each row keeps the bytes of the same row of the frame's
 map.
 
 Both run in the caller, one frame after another in one row-padded buffer.
-The capture path overlaps its work elsewhere: build_folding_map folds one
-run's maps on another core while the caller makes the next run's
-(workers.run_behind).
 
 Both FFTs use the unit-norm (1/sqrt(N)) convention so energy is preserved
 through each transform and downstream folding thresholds do not depend on the

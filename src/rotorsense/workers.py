@@ -9,12 +9,9 @@ frame keeps the arithmetic of a serial call, so outputs do not depend on the
 worker count. simulate sizes its blocks of frames by the same rule
 (split_frames).
 
-run_behind overlaps two stages instead: folding.build_folding_map folds one
-cube of maps on a pool thread while the caller makes the next, a run of
-frames at a time (folding.frame_runs), so a capture's maps are never held
-together. It overlaps the runs of a capture of any length: the split rule
-below is run_chunks' alone. The maps themselves, and a diagram's Doppler
-rows, are made in the caller (rdmap).
+No other stage uses a thread: the Range-Doppler maps, their folding and a
+diagram's Doppler rows are made in the caller (rdmap, folding), so track and
+identify never start a pool.
 
 The worker count is the number of cores the process may run on
 (os.sched_getaffinity), at most _MAX_WORKERS; nothing sets it. A capture is
@@ -25,11 +22,10 @@ creates no pool.
 np.errstate holds per thread: a chunk that silences numpy's floating-point
 warnings enters it itself, in whichever thread runs it. A chunk writes its
 results into arrays the caller allocated; its own scratch is freed when it
-ends. A chunk, or a call run_behind puts on a pool thread, calls nothing the
-benchmark's tracer wraps (the layer functions as cli sees them), since a
-tracer keeps one span stack, for the calling thread; run_behind draws its
-items in the caller. No pool task waits for another, so callers in several
-threads share the pools without deadlock.
+ends. A chunk calls nothing the benchmark's tracer wraps (the layer functions
+as cli sees them), since a tracer keeps one span stack, for the calling
+thread. No pool task waits for another, so callers in several threads share
+the pools without deadlock.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ _MIN_CHUNK_ELEMENTS = 64 * 100 * 256
 
 _pools: dict = {}  # ThreadPoolExecutor by thread count
 _pools_lock = threading.Lock()
-_NOTHING = object()  # run_behind holds no item yet
 
 
 def worker_count() -> int:
@@ -67,7 +62,7 @@ def split_frames(frame_elements: int) -> int:
 
 def _pool(threads: int):
     # Imported here: concurrent.futures pulls in logging, ~6 ms and 0.6 MiB that
-    # a run whose captures all stay serial never needs.
+    # track, identify and a run whose captures all stay serial never need.
     from concurrent.futures import ThreadPoolExecutor
 
     with _pools_lock:
@@ -97,34 +92,3 @@ def run_chunks(work, n_frames: int, frame_elements: int) -> None:
             future.exception()  # waits without raising
     for future in futures:
         future.result()
-
-
-def run_behind(work, items) -> list:
-    """[work(item) for item in items], each call but the last on a worker thread.
-
-    Items are drawn in the caller. Once item k + 1 has come, work(item k) runs
-    on one pool thread while the caller draws item k + 2, so a generator that
-    makes each item as it is drawn makes and works on two cores, and at most
-    three items are alive: the one worked on, the one held, the one being made.
-    The last call runs in the caller, beside the one before it, and with one
-    worker every call runs in the caller. Every
-    call has finished when this returns or raises; the error of a draw or of a
-    call propagates unchanged.
-    """
-    if worker_count() == 1:
-        return [work(item) for item in items]
-    results, running, held = [], None, _NOTHING
-    try:
-        for item in items:
-            if held is not _NOTHING:
-                if running is not None:
-                    results.append(running.result())
-                running = _pool(1).submit(work, held)
-            held = item
-        last = [] if held is _NOTHING else [work(held)]
-    finally:
-        if running is not None:
-            running.exception()  # waits without raising
-    if running is not None:
-        results.append(running.result())
-    return results + last

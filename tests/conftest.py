@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotorsense import RadarConfig, process_frames, synthesize_frames
+from rotorsense import Frame, RadarConfig, process_frames, synthesize_frames
 from rotorsense.echo import scene_truth
 from rotorsense.folding import build_folding_map
 from rotorsense import scenarios
@@ -85,3 +85,12 @@ def comb_spacing_estimate(row, exclude=None, rel=0.15):
         return None
     vals, counts = np.unique(diffs, return_counts=True)
     return float(vals[np.argmax(counts)])
+
+
+def drawn_frames(n_frames, chirps, samples, seed):
+    """Complex frames spanning 1e-300..1e150 in magnitude, one scale per frame."""
+    rng = np.random.default_rng(seed)
+    shape = (chirps, samples)
+    scales = 10.0 ** rng.integers(-300, 150, n_frames)
+    return [Frame(s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+            for s in scales]

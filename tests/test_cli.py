@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotorsense import cli, frameio, identify, lstm, tracking, workers
+from rotorsense import cli, folding, frameio, identify, lstm, tracking, workers
 from rotorsense.cli import component_seed, main
 from rotorsense.config import RadarConfig, csv_columns
-from rotorsense.echo import SceneSpec, StaticClutter, synthesize_frames
+from rotorsense.echo import Frame, SceneSpec, StaticClutter, synthesize_frames
 from rotorsense.tracking import relative_range_error
 
 HOVER_SCENARIO = {
@@ -439,6 +439,28 @@ def test_frame_file_with_a_signalling_nan_exits_two(pipeline_run, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_track_exits_one_naming_a_later_runs_overflowing_frame(monkeypatch, tmp_path,
+                                                               capsys):
+    """A file's samples are finite float32, so the overflow is put in after the read;
+    the capture is folded in runs of 2 frames, and the third run's frame 5 is named."""
+    radar = cli.RadarConfig()
+    path = tmp_path / "frames.bin"
+    shape = (radar.chirps_per_frame, radar.samples_per_chirp)
+    cli.frameio.write_frames(path, [Frame(np.ones(shape, dtype=complex))] * 6, radar)
+    read = cli.frameio.read_frames
+
+    def read_overflowing(*args):
+        frames, header_radar = read(*args)
+        frames[5] = Frame(np.full(shape, 1e306, dtype=complex))
+        return frames, header_radar
+
+    monkeypatch.setattr(cli.frameio, "read_frames", read_overflowing)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * shape[0] * shape[1] * 8)  # runs of 2
+    assert main(["track", "--frames", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "frame 5: non-finite Range-Doppler map" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("raw_int16, extra", [(False, 1), (False, 2), (False, 3), (True, 1)],
                          ids=["frames-1-byte", "frames-2-bytes", "frames-3-bytes",
                               "int16-odd-byte"])
@@ -646,23 +668,31 @@ def test_particle_count_moves_only_the_filtered_range(pipeline_run, tmp_path, mo
 
 
 def test_outputs_do_not_depend_on_the_worker_count(pipeline_run, tmp_path, monkeypatch):
-    """track and identify --frames write the same bytes at 1 worker and at the host's
-    count: a 40-frame capture's 8 runs of maps are folded on a second core on a host
-    of two or more."""
-    run, bg = pipeline_run / "run", pipeline_run / "bg"
+    """simulate splits a 40-frame capture's synthesis at 8 frames per worker, at 1
+    worker and at the host's count; the two copies, and what track and identify
+    --frames write for each, are the same bytes."""
+    radar = RadarConfig()
+    monkeypatch.setattr(workers, "_MIN_CHUNK_ELEMENTS",
+                        8 * radar.chirps_per_frame * radar.samples_per_chirp)
+    bg = pipeline_run / "bg"
     model = _untrained_model(tmp_path)
     default = workers.worker_count
     for name, count in (("one", lambda: 1), ("default", default)):
         monkeypatch.setattr(workers, "worker_count", count)
         out = tmp_path / name
-        assert main(["track", "--frames", str(run / "frames.bin"),
-                     "--background", str(bg / "frames.bin"), "--truth", str(run / "truth.csv"),
+        assert main(["simulate", "--scenario", str(pipeline_run / "hover.json"), "--seed", "5",
+                     "--out", str(out)]) == 0
+        assert main(["track", "--frames", str(out / "frames.bin"),
+                     "--background", str(bg / "frames.bin"), "--truth", str(out / "truth.csv"),
                      "--seed", "5", "--out", str(out)]) == 0
-        assert main(["identify", "--frames", str(run / "frames.bin"),
+        assert main(["identify", "--frames", str(out / "frames.bin"),
                      "--background", str(bg / "frames.bin"), "--model", model,
                      "--seed", "5", "--out", str(out)]) == 0
-    for name in ("track.csv", "summary.json", "labels.csv", "metrics.json"):
-        assert sha256(tmp_path / "one" / name) == sha256(tmp_path / "default" / name)
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "default").iterdir())
+    assert {"frames.bin", "track.csv", "summary.json", "labels.csv", "metrics.json"} <= set(names)
+    for name in names:
+        assert sha256(tmp_path / "one" / name) == sha256(tmp_path / "default" / name), name
 
 
 def test_dataset_and_training_loop(tmp_path, capsys):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rotorsense import folding, workers
+from rotorsense import folding
 from rotorsense.cli import capture_folding_map
 from rotorsense.echo import Frame, SceneSpec, synthesize_frames
 from rotorsense.folding import (FoldingError, build_folding_map, fold_columns,
                                 folding_result, folding_value, frame_runs)
 from rotorsense.rdmap import process_frames
 
-from conftest import UAV_RANGE_BIN
+from conftest import UAV_RANGE_BIN, drawn_frames
 
 
 def naive_folding_value(d, j):
@@ -183,7 +183,7 @@ def test_build_folds_across_block_edges(doppler_major, monkeypatch):
     """frame_runs cuts 13 frames of the default 256 x 100 map into runs of at most
     _BLOCK_BYTES of maps, or of one frame where a map alone exceeds it. Each frame's
     values are its own fold, byte for byte, whether the maps come as one cube or as
-    the cubes of the runs, each but the last folded on a worker."""
+    the cubes of the runs."""
     rng = np.random.default_rng(13)
     maps = rng.integers(0, 4, (13, 100, 256)).astype(float)  # ties are common
     cube = maps.transpose(0, 2, 1)  # the layout process_frames returns
@@ -192,7 +192,6 @@ def test_build_folds_across_block_edges(doppler_major, monkeypatch):
     per_frame = np.stack([fold_columns(cube[t].T)[1].max(axis=0) for t in range(13)], axis=1)
     assert build_folding_map(cube).values.tobytes() == per_frame.tobytes()
     frames = [Frame(np.zeros((100, 256), dtype=complex))] * 13
-    monkeypatch.setattr(workers, "worker_count", lambda: 2)
     for block_bytes, step in ((folding._BLOCK_BYTES, 5), (3 * maps[0].nbytes + 1, 3),
                               (maps[0].nbytes - 1, 1)):
         monkeypatch.setattr(folding, "_BLOCK_BYTES", block_bytes)
@@ -212,9 +211,8 @@ def test_build_folds_across_block_edges(doppler_major, monkeypatch):
 def test_capture_folding_map_breaks_ties_like_the_oracle(monkeypatch, sample):
     """Zero frames make every Doppler row zero, and constant frames leave one spike at
     range bin 0 and DC: every row ties at several folding sizes. Through the pipeline's
-    path, 7 frames in runs of 2 on two workers, each value is the naive oracle's best,
-    its size the oracle's smallest, and the map equals folding the whole cube."""
-    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    path, 7 frames in runs of 2, each value is the naive oracle's best, its size the
+    oracle's smallest, and the map equals folding the whole cube."""
     monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 16 * 12 * 8)
     frames = [Frame(np.full((16, 12), sample, dtype=complex)) for _ in range(7)]
     assert frame_runs(frames) == [(0, 2), (2, 4), (4, 6), (6, 7)]
@@ -230,6 +228,25 @@ def test_capture_folding_map_breaks_ties_like_the_oracle(monkeypatch, sample):
             assert outcome.best_folding_size == sizes[oracle.index(max(oracle))]
     if sample:  # the spike's row: M = 2 stacks it alone at sizes 6, 7 and 8
         assert folding_result(cube[0, 0]).best_folding_size == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(4, 12), st.integers(1, 12), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+@example(13, 7, 6, 5, 0)      # odd chirps: runs of 5 maps, the last of 3
+@example(9, 8, 9, 2, 1)       # even chirps, odd samples: a last run of one frame
+@example(1, 4, 1, 1, 2)
+def test_folding_map_equals_folding_the_cube(n_frames, chirps, samples, block_maps, seed):
+    """capture_folding_map makes the maps of a run of frames at a time and folds each
+    run's cube before the next is made; its map is the fold of process_frames' whole
+    cube by fold_columns, byte for byte, for any run size."""
+    frames = drawn_frames(n_frames, chirps, samples, seed)
+    cube = process_frames(frames)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folding, "_BLOCK_BYTES", block_maps * chirps * samples * 8)
+        values = capture_folding_map(frames).values
+    expected = fold_columns(cube.transpose(0, 2, 1), axis=1)[1].max(axis=0).T
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_build_keeps_each_frames_best_folding_rows(hover_capture):

@@ -38,9 +38,9 @@ def capture():
 CUBE_BYTES = N_FRAMES * GRID[0] * GRID[1] * 8
 
 
-def test_folding_map_holds_three_runs_of_maps(capture):
-    """The capture's maps are made 5 frames at a time, and a run's cube is folded while
-    the next is made: 4.9 MB at the peak on a 2-core host."""
+def test_folding_map_holds_one_run_of_maps(capture):
+    """The capture's maps are made 5 frames at a time, and each run's cube is folded
+    before the next is made: 2.9 MB at the peak, with one run's maps (1 MiB) alive."""
     peak = _traced_peak(lambda: capture_folding_map(capture))
     assert peak < CUBE_BYTES / 4, f"{peak} bytes"
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rotorsense import folding
+from rotorsense.cli import capture_folding_map
 from rotorsense.config import UavConfig, constant_velocity, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frames
 from rotorsense.folding import folding_result
@@ -12,7 +14,7 @@ from rotorsense.rdmap import (ProcessingError, aliased_doppler_hz, beat_range_bi
                               dc_bin, doppler_axis_hz, doppler_rows, process_frames)
 from rotorsense import scenarios
 
-from conftest import UAV_RANGE_BIN, comb_spacing_estimate
+from conftest import UAV_RANGE_BIN, comb_spacing_estimate, drawn_frames
 
 
 def _reference_map(samples):
@@ -223,15 +225,6 @@ def test_doppler_rows_partition_map(radar, hover_capture):
     assert np.array_equal(rebuilt, rd)
 
 
-def _drawn_frames(n_frames, chirps, samples, seed):
-    """Complex frames spanning 1e-300..1e150 in magnitude, one scale per frame."""
-    rng = np.random.default_rng(seed)
-    shape = (chirps, samples)
-    scales = 10.0 ** rng.integers(-300, 150, n_frames)
-    return [Frame(s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
-            for s in scales]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 13), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
        st.data())
@@ -244,7 +237,7 @@ def test_doppler_rows_equal_the_cubes_rows(n_frames, chirps, samples, seed, data
     even chirp counts cover both halves of the center shift. Given 3 kept rows per
     frame, the frames whose bin was kept take them and the rest are transformed:
     the same bytes."""
-    frames = _drawn_frames(n_frames, chirps, samples, seed)
+    frames = drawn_frames(n_frames, chirps, samples, seed)
     cube = process_frames(frames)
     draw = st.lists(st.integers(0, samples - 1), min_size=n_frames, max_size=n_frames)
     bins = (data.draw(draw) if data is not None
@@ -265,14 +258,20 @@ def _capture_with_bad(n_frames, bad, value, shape=(4, 8)):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
-def test_bad_frame_is_named_by_maps_and_rows(value):
+def test_bad_frame_is_named_by_maps_and_rows(monkeypatch, value):
     """Maps and rows name the bad frame by its index in the capture, also when
-    process_frames gets a run of the capture's frames that starts later."""
+    process_frames gets a run of the capture's frames that starts later, and so does
+    capture_folding_map in one run and in a later run of 2 frames."""
     frames = _capture_with_bad(9, [7], value)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         process_frames(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         process_frames(frames[4:], first=4)
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        capture_folding_map(frames)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 32 * 8)  # runs of 2 frames
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        capture_folding_map(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
         doppler_rows(frames, [0] * 9)
 
@@ -286,16 +285,20 @@ def test_bad_frames_name_the_earliest():
         doppler_rows(_capture_with_bad(9, [2, 5, 8], np.inf), [0] * 9)
 
 
-def test_overflow_raises_no_runtime_warning():
+def test_overflow_raises_no_runtime_warning(monkeypatch):
     """Samples near 1e308 overflow the FFTs; the error names the frame and numpy's
-    warnings on the way are silenced."""
+    warnings on the way are silenced, also where capture_folding_map has folded the
+    runs of 2 frames before it."""
     frames = _capture_with_bad(6, [4], complex(1e308, -1e308), shape=(100, 16))
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 100 * 16 * 8)  # runs of 2 frames
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             process_frames(frames)
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             doppler_rows(frames, [0] * 6)
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            capture_folding_map(frames)
     assert [str(w.message) for w in caught] == []
 
 
