@@ -5,8 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rotorsense import folding
-from rotorsense.cli import capture_folding_map
 from rotorsense.config import UavConfig, constant_velocity, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frames
 from rotorsense.folding import folding_result
@@ -258,20 +256,14 @@ def _capture_with_bad(n_frames, bad, value, shape=(4, 8)):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
-def test_bad_frame_is_named_by_maps_and_rows(monkeypatch, value):
+def test_bad_frame_is_named_by_maps_and_rows(value):
     """Maps and rows name the bad frame by its index in the capture, also when
-    process_frames gets a run of the capture's frames that starts later, and so does
-    capture_folding_map in one run and in a later run of 2 frames."""
+    process_frames gets a run of the capture's frames that starts later."""
     frames = _capture_with_bad(9, [7], value)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         process_frames(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
         process_frames(frames[4:], first=4)
-    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
-        capture_folding_map(frames)
-    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 32 * 8)  # runs of 2 frames
-    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
-        capture_folding_map(frames)
     with pytest.raises(ProcessingError, match="^frame 7: non-finite Doppler row"):
         doppler_rows(frames, [0] * 9)
 
@@ -285,20 +277,16 @@ def test_bad_frames_name_the_earliest():
         doppler_rows(_capture_with_bad(9, [2, 5, 8], np.inf), [0] * 9)
 
 
-def test_overflow_raises_no_runtime_warning(monkeypatch):
+def test_overflow_raises_no_runtime_warning():
     """Samples near 1e308 overflow the FFTs; the error names the frame and numpy's
-    warnings on the way are silenced, also where capture_folding_map has folded the
-    runs of 2 frames before it."""
+    warnings on the way are silenced."""
     frames = _capture_with_bad(6, [4], complex(1e308, -1e308), shape=(100, 16))
-    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 100 * 16 * 8)  # runs of 2 frames
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             process_frames(frames)
         with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
             doppler_rows(frames, [0] * 6)
-        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
-            capture_folding_map(frames)
     assert [str(w.message) for w in caught] == []
 
 

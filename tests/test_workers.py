@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from rotorsense import cli, folding, lstm, workers
 from rotorsense.config import RadarConfig, hover
 from rotorsense.echo import Frame, SceneSpec, StaticClutter, UavEmitter, synthesize_frames
 from rotorsense.folding import build_folding_map
-from rotorsense.rdmap import doppler_rows, process_frames
+from rotorsense.rdmap import ProcessingError, doppler_rows, process_frames
 from rotorsense.scenarios import make_uav
 
 GRID = (100, 256)  # the default radar's chirps x samples
@@ -86,6 +87,35 @@ def test_serial_call_creates_no_pool(monkeypatch):
         _set_workers(monkeypatch, count)
         assert len(folding.frame_runs(frames[:9])) == 5
         assert cli.capture_folding_map(frames[:9]).values.shape == (3, 9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+def test_bad_frame_in_a_later_chunk_is_named(monkeypatch, value):
+    """On 3 workers, in one run and in a later run of 2 frames, both folded in the
+    caller, the capture's frame 7 is named."""
+    _set_workers(monkeypatch, 3)
+    frames = [Frame(np.ones((4, 8), dtype=complex)) for _ in range(9)]
+    frames[7] = Frame(np.full((4, 8), value, dtype=complex))
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        cli.capture_folding_map(frames)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * 32 * 8)  # runs of 2 frames
+    with pytest.raises(ProcessingError, match="^frame 7: non-finite Range-Doppler map"):
+        cli.capture_folding_map(frames)
+
+
+def test_no_runtime_warning_escapes_a_worker(monkeypatch):
+    """On 2 workers, samples near 1e308 overflow the FFTs of frame 4 after the runs
+    of 2 frames before it were folded: no numpy warning reaches the caller."""
+    _set_workers(monkeypatch, 2)
+    shape = (100, 16)
+    monkeypatch.setattr(folding, "_BLOCK_BYTES", 2 * shape[0] * shape[1] * 8)  # runs of 2
+    frames = [Frame(np.full(shape, 0.5 + 0.5j)) for _ in range(6)]
+    frames[4] = Frame(np.full(shape, complex(1e308, -1e308)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ProcessingError, match="^frame 4: non-finite"):
+            cli.capture_folding_map(frames)
+    assert [str(w.message) for w in caught] == []
 
 
 _TRACK_THEN_THREADS = """
